@@ -299,7 +299,7 @@ BENCHMARK(BM_TrafficGen)->Arg(1)->Arg(10);
 
 // One fully loaded network-sim run: Poisson workload with priorities over
 // a pre-sampled trace, finite per-contact bandwidth and finite buffers —
-// the scheduled (priority-ordered, budgeted) drainage path end to end.
+// priority-ordered, budgeted contact drainage end to end.
 void BM_LoadedSimStep(benchmark::State& state) {
   // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
   // so published figure/ablation tables stay pinned to their historical

@@ -56,7 +56,7 @@ int main() {
     sim::NetworkSimConfig cfg;
     cfg.buffer_capacity = cap;
     util::Rng run_rng(99);  // identical relay-group draws per capacity
-    auto report = sim::run_network_sim(trace, dir, messages, cfg, run_rng);
+    auto report = sim::run_network_sim(trace, dir, messages, {}, cfg, run_rng);
     table.new_row();
     table.cell(cap == 0 ? std::string("unlimited") : std::to_string(cap));
     table.cell(report.delivery_rate(), 3);

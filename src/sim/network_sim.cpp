@@ -92,13 +92,9 @@ struct Engine {
   std::vector<std::set<std::size_t>> holdings;  // node -> copy ids
   std::vector<std::size_t> load;                // node -> buffered items
 
-  // Scheduled drainage (bandwidth / priorities / utility forwarder / wire
-  // cells); when false the engine runs the exact legacy per-direction
-  // loops.
-  bool scheduled = false;
   routing::UtilityForwarder* utility = nullptr;
-  // Budget units one executed transfer consumes: 1 on the legacy path,
-  // cells_per_message in wire mode (the budget is then cell-denominated).
+  // Budget units one executed transfer consumes: 1, or cells_per_message
+  // in wire mode (the budget is then cell-denominated).
   std::size_t cell_cost = 1;
 
   // Recovery layer (null = off; every recovery branch below is guarded on
@@ -131,10 +127,6 @@ struct Engine {
       retx_due;
   recovery::SaturationWindow sat_window;
   std::vector<std::size_t> ack_diff_scratch;  // exchange_acks reuse
-  // learn_ack's private holdings snapshot. It must NOT share
-  // holdings_scratch: ACKs are born inside attempt_copy, which
-  // transfer_direction reaches while iterating holdings_scratch.
-  std::vector<std::size_t> ack_gc_scratch;
 
   // Observability handles (inert when config->metrics is null).
   metrics::CounterHandle m_transfers;
@@ -151,7 +143,8 @@ struct Engine {
   metrics::CounterHandle m_transfer_failures;
   metrics::CounterHandle m_crash_flushed;
   metrics::CounterHandle m_blackhole_absorbed;
-  // Congestion accounting (resolved only on the scheduled path — same
+  // Congestion accounting (resolved only when a load knob is on —
+  // bandwidth, priorities, utility forwarder, wire cells — same
   // byte-identity contract as the fault handles).
   metrics::CounterHandle m_queue_deferred;
   metrics::CounterHandle m_contacts_saturated;
@@ -176,14 +169,14 @@ struct Engine {
   std::priority_queue<Expiry, std::vector<Expiry>, std::greater<>> expiries;
 
   // Reused snapshot of a node's holdings, taken wherever the loop body
-  // mutates the set it walks; one buffer serves every call site since the
-  // snapshots never overlap in time.
+  // mutates the set it walks (crash flush, ACK vaccination); one buffer
+  // serves every call site since the snapshots never overlap in time.
   std::vector<std::size_t> holdings_scratch;
 
-  // One contact's transfer candidates (scheduled path), reused.
+  // One contact's transfer candidates, reused.
   struct Cand {
     std::uint8_t pri;
-    std::uint32_t seq;   // collection order = the legacy execution order
+    std::uint32_t seq;   // collection order
     std::uint8_t kind;   // 0 = source token, 1 = copy
     std::size_t id;      // msg index (kind 0) or copy id (kind 1)
     NodeId sender;
@@ -290,13 +283,7 @@ struct Engine {
     if (utility != nullptr) {
       // Utility mode: the source holds a real copy carrying all L spray
       // tickets (no token/relay-group machinery).
-      std::size_t id = copies.size();
-      copies.push_back({m, 0, msg.src, msg.start, true, msg.copies});
-      if (config->record_paths) copy_paths.emplace_back();
-      holdings[msg.src].insert(id);
-      ++load[msg.src];
-      seen[m].insert(msg.src);
-      expiries.emplace(deadline_of(m), 1, id);
+      place_copy(m, 0, msg.src, msg.start, msg.copies, 0);
       return;
     }
     tokens[m].tickets = msg.copies;
@@ -411,8 +398,8 @@ struct Engine {
   /// delivering generation's groups exonerated in the suspicion tracker.
   void learn_ack(NodeId v, std::size_t m, Time t) {
     if (!ack_known[v].insert(m).second) return;
-    ack_gc_scratch.assign(holdings[v].begin(), holdings[v].end());
-    for (std::size_t id : ack_gc_scratch) {
+    holdings_scratch.assign(holdings[v].begin(), holdings[v].end());
+    for (std::size_t id : holdings_scratch) {
       if (!copies[id].alive || copies[id].msg != m) continue;
       copies[id].alive = false;
       holdings[v].erase(id);
@@ -504,12 +491,7 @@ struct Engine {
     m_retransmits.inc();
     if (utility != nullptr) {
       if (buffer_full(msg.src)) return;  // no room: the attempt is spent
-      std::size_t id = copies.size();
-      copies.push_back({m, 0, msg.src, t, true, msg.copies});
-      if (config->record_paths) copy_paths.emplace_back();
-      holdings[msg.src].insert(id);
-      ++load[msg.src];
-      expiries.emplace(deadline_of(m), 1, id);
+      place_copy(m, 0, msg.src, t, msg.copies, 0);
       return;
     }
     retx_groups[m].push_back(
@@ -552,11 +534,13 @@ struct Engine {
     }
   }
 
-  // record_paths bookkeeping: `receiver` just became the relay at 0-based
-  // hop position `pos` for message m (one copy's path extends; the
-  // per-message hop set dedups across copies).
-  void record_relay(std::size_t m, std::size_t pos, NodeId receiver) {
-    auto& rph = report.outcomes[m].relays_per_hop;
+  // record_paths bookkeeping: `receiver` just became copy `id`'s relay at
+  // 0-based hop position `pos` (the copy's path extends; the per-message
+  // hop set dedups across copies).
+  void record_relay(std::size_t id, std::size_t pos, NodeId receiver) {
+    if (!config->record_paths) return;
+    copy_paths[id].push_back(receiver);
+    auto& rph = report.outcomes[copies[id].msg].relays_per_hop;
     if (rph.size() <= pos) rph.resize(pos + 1);
     auto& at = rph[pos];
     if (std::find(at.begin(), at.end(), receiver) == at.end()) {
@@ -565,11 +549,64 @@ struct Engine {
   }
 
   // --- transfer eligibility + execution ------------------------------
-  // Split so the legacy per-direction loops and the scheduled (bandwidth/
-  // priority) drainage share one set of semantics. An attempt_* helper
-  // assumes eligibility was just checked and returns true iff a transfer
-  // actually executed (the unit that consumes contact bandwidth); fault
-  // losses and buffer refusals return false and consume nothing.
+  // drain() checks eligibility, the contact budget and the fault draw; an
+  // attempt_* helper then performs the transfer and returns true iff it
+  // executed (the unit that consumes contact bandwidth). Buffer refusals
+  // return false and consume nothing.
+
+  // Creates a live copy of message m at `holder` (buffer slot, holdings
+  // entry, dedup mark, TTL expiry, empty record_paths path) and returns
+  // its id. May reallocate `copies`.
+  std::size_t place_copy(std::size_t m, std::size_t hop, NodeId holder, Time t,
+                         std::size_t tickets, std::uint32_t gen) {
+    const std::size_t id = copies.size();
+    copies.push_back({m, hop, holder, t, true, tickets, kTimeInfinity, gen});
+    if (config->record_paths) copy_paths.emplace_back();
+    holdings[holder].insert(id);
+    ++load[holder];
+    seen[m].insert(holder);
+    expiries.emplace(deadline_of(m), 1, id);
+    return id;
+  }
+
+  // One executed transfer of message m; `since` is when the sender got
+  // what it forwards (the hop-delay origin).
+  void count_transfer(std::size_t m, Time since, Time t) {
+    ++report.outcomes[m].transmissions;
+    ++report.total_transmissions;
+    m_transfers.inc();
+    m_hop_delay.observe(t - since);
+  }
+
+  void note_blackhole(NodeId receiver) {
+    faults::FaultPlan* fp = config->faults;
+    if (fp != nullptr && fp->is_blackhole(receiver)) {
+      ++report.blackhole_absorbed;
+      m_blackhole_absorbed.inc();
+    }
+  }
+
+  // Copy `id` reaches its destination, which consumes it (no buffer
+  // cost); the first arrival delivers the message and bears its ACK.
+  void deliver(std::size_t id, NodeId sender, NodeId receiver, Time t) {
+    Copy& c = copies[id];
+    const std::size_t m = c.msg;
+    count_transfer(m, c.arrival, t);
+    seen[m].insert(receiver);
+    MessageOutcome& out = report.outcomes[m];
+    if (!out.delivered) {
+      out.delivered = true;
+      out.delay = t - messages[m].start;
+      m_deliveries.inc();
+      m_delivery_delay.observe(out.delay);
+      if (config->record_paths) out.relay_path = copy_paths[id];
+    }
+    c.alive = false;
+    holdings[sender].erase(id);
+    --load[sender];
+    note_served(c.queued_since, t);
+    born_ack(m, c.gen, sender, receiver, t);
+  }
 
   bool token_eligible(std::size_t m, NodeId sender, NodeId receiver,
                       Time t) const {
@@ -577,43 +614,19 @@ struct Engine {
            t <= deadline_of(m) && qualifies(m, tokens[m].gen, 0, receiver);
   }
 
+  // Source token: hand a fresh copy into R_1, spending one spray ticket.
   bool attempt_token(std::size_t m, NodeId sender, NodeId receiver, Time t) {
-    faults::FaultPlan* fp = config->faults;
-    // A failed handoff consumes no spray ticket and leaves the receiver
-    // eligible for a retry at the next contact.
-    if (fp != nullptr && fp->transfer_fails(sender, receiver)) {
-      ++report.transfer_failures;
-      m_transfer_failures.inc();
-      return false;
-    }
     if (!make_room(receiver, m)) return false;
-    std::size_t id = copies.size();
-    copies.push_back({m, 1, receiver, t, true, 1, kTimeInfinity,
-                      tokens[m].gen});
-    if (config->record_paths) {
-      copy_paths.emplace_back(1, receiver);
-      record_relay(m, 0, receiver);
-    }
-    holdings[receiver].insert(id);
-    ++load[receiver];
-    seen[m].insert(receiver);
-    expiries.emplace(deadline_of(m), 1, id);
-    ++report.outcomes[m].transmissions;
-    ++report.total_transmissions;
-    m_transfers.inc();
-    m_hop_delay.observe(t - messages[m].start);
-    if (fp != nullptr && fp->is_blackhole(receiver)) {
-      ++report.blackhole_absorbed;
-      m_blackhole_absorbed.inc();
-    }
+    // num_relays >= 1 (checked up front), so hop 1 is a relay position.
+    const std::size_t id = place_copy(m, 1, receiver, t, 1, tokens[m].gen);
+    record_relay(id, 0, receiver);
+    count_transfer(m, messages[m].start, t);
+    note_blackhole(receiver);
     if (--tokens[m].tickets == 0) {
       tokens[m].alive = false;
       --load[sender];
     }
     note_served(tokens[m].queued_since, t);
-    // A message with num_relays == 0 would deliver straight from the
-    // token; the constructor rejects that case, so hop 1 is always a
-    // relay position here.
     return true;
   }
 
@@ -625,64 +638,26 @@ struct Engine {
   }
 
   bool attempt_copy(std::size_t id, NodeId sender, NodeId receiver, Time t) {
-    faults::FaultPlan* fp = config->faults;
     Copy& c = copies[id];
-    std::size_t m = c.msg;
-    // Mid-contact failure: the sender keeps its copy; retry later.
-    if (fp != nullptr && fp->transfer_fails(sender, receiver)) {
-      ++report.transfer_failures;
-      m_transfer_failures.inc();
-      return false;
-    }
-
+    const std::size_t m = c.msg;
     if (receiver == messages[m].dst && c.hop == messages[m].num_relays) {
-      // Delivery: the destination consumes the message (no buffer cost).
-      ++report.outcomes[m].transmissions;
-      ++report.total_transmissions;
-      m_transfers.inc();
-      m_hop_delay.observe(t - c.arrival);
-      seen[m].insert(receiver);
-      if (!report.outcomes[m].delivered) {
-        report.outcomes[m].delivered = true;
-        report.outcomes[m].delay = t - messages[m].start;
-        m_deliveries.inc();
-        m_delivery_delay.observe(t - messages[m].start);
-        if (config->record_paths) {
-          report.outcomes[m].relay_path = copy_paths[id];
-        }
-      }
-      const std::uint32_t gen = c.gen;
-      c.alive = false;
-      holdings[sender].erase(id);
-      --load[sender];
-      note_served(c.queued_since, t);
-      born_ack(m, gen, sender, receiver, t);
+      deliver(id, sender, receiver, t);
       return true;
     }
-
     if (!make_room(receiver, m)) return false;
     if (!c.alive) return false;  // evicted by make_room on its own holder
     // Forward and free the sender's slot (single ticket per copy).
-    ++report.outcomes[m].transmissions;
-    ++report.total_transmissions;
-    m_transfers.inc();
-    m_hop_delay.observe(t - c.arrival);
+    count_transfer(m, c.arrival, t);
     holdings[sender].erase(id);
     --load[sender];
+    record_relay(id, c.hop, receiver);
     c.holder = receiver;
     c.arrival = t;
-    if (config->record_paths) {
-      record_relay(m, c.hop, receiver);
-      copy_paths[id].push_back(receiver);
-    }
     ++c.hop;
     holdings[receiver].insert(id);
     ++load[receiver];
     seen[m].insert(receiver);
-    if (fp != nullptr && fp->is_blackhole(receiver)) {
-      ++report.blackhole_absorbed;
-      m_blackhole_absorbed.inc();
-    }
+    note_blackhole(receiver);
     note_served(c.queued_since, t);
     return true;
   }
@@ -706,111 +681,47 @@ struct Engine {
   }
 
   bool attempt_ucopy(std::size_t id, NodeId sender, NodeId receiver, Time t) {
-    faults::FaultPlan* fp = config->faults;
-    std::size_t m = copies[id].msg;
-    if (fp != nullptr && fp->transfer_fails(sender, receiver)) {
-      ++report.transfer_failures;
-      m_transfer_failures.inc();
-      utility->observe_transfer_outcome(receiver, false);
-      return false;
-    }
-
+    const std::size_t m = copies[id].msg;
     if (receiver == messages[m].dst) {
-      Copy& c = copies[id];
-      ++report.outcomes[m].transmissions;
-      ++report.total_transmissions;
-      m_transfers.inc();
-      m_hop_delay.observe(t - c.arrival);
-      seen[m].insert(receiver);
-      if (!report.outcomes[m].delivered) {
-        report.outcomes[m].delivered = true;
-        report.outcomes[m].delay = t - messages[m].start;
-        m_deliveries.inc();
-        m_delivery_delay.observe(t - messages[m].start);
-        if (config->record_paths) {
-          report.outcomes[m].relay_path = copy_paths[id];
-        }
-      }
-      const std::uint32_t gen = c.gen;
-      c.alive = false;
-      holdings[sender].erase(id);
-      --load[sender];
-      note_served(c.queued_since, t);
-      born_ack(m, gen, sender, receiver, t);
-      utility->observe_transfer_outcome(receiver, true);
+      deliver(id, sender, receiver, t);
       return true;
     }
-
     if (!make_room(receiver, m)) return false;
     if (!copies[id].alive) return false;  // evicted out from under us
     // Replicate: the receiver takes half the tickets, the sender keeps
     // the rest (spray-and-wait binary splitting).
     const std::size_t give = copies[id].tickets / 2;  // >= 1: tickets > 1
     const std::size_t hop = copies[id].hop;
-    std::size_t id2 = copies.size();
-    copies.push_back({m, hop + 1, receiver, t, true, give});
-    if (config->record_paths) {
-      copy_paths.push_back(copy_paths[id]);
-      copy_paths[id2].push_back(receiver);
-      record_relay(m, hop, receiver);
-    }
-    Copy& c = copies[id];  // re-resolve: push_back may reallocate
+    const std::size_t id2 = place_copy(m, hop + 1, receiver, t, give, 0);
+    if (config->record_paths) copy_paths[id2] = copy_paths[id];
+    record_relay(id2, hop, receiver);
+    Copy& c = copies[id];  // resolved after place_copy, which may reallocate
     c.tickets -= give;
-    holdings[receiver].insert(id2);
-    ++load[receiver];
-    seen[m].insert(receiver);
-    expiries.emplace(deadline_of(m), 1, id2);
-    ++report.outcomes[m].transmissions;
-    ++report.total_transmissions;
-    m_transfers.inc();
-    m_hop_delay.observe(t - c.arrival);
-    if (fp != nullptr && fp->is_blackhole(receiver)) {
-      ++report.blackhole_absorbed;
-      m_blackhole_absorbed.inc();
-    }
+    count_transfer(m, c.arrival, t);
+    note_blackhole(receiver);
     note_served(c.queued_since, t);
-    utility->observe_transfer_outcome(receiver, true);
     return true;
   }
 
-  // Attempts every transfer from `sender` to `receiver` at time t — the
-  // legacy unlimited-bandwidth drainage (exact historical order: source
-  // tokens in message order, then relayed copies in copy-id order).
-  void transfer_direction(NodeId sender, NodeId receiver, Time t) {
-    faults::FaultPlan* fp = config->faults;
-    // Blackholes accept copies but never forward them.
-    if (fp != nullptr && fp->is_blackhole(sender)) return;
-
-    // Source token: hand a fresh copy into R_1.
-    for (std::size_t m = 0; m < messages.size(); ++m) {
-      if (!token_eligible(m, sender, receiver, t)) continue;
-      attempt_token(m, sender, receiver, t);
-    }
-
-    // Relayed copies.
-    holdings_scratch.assign(holdings[sender].begin(), holdings[sender].end());
-    for (std::size_t id : holdings_scratch) {
-      if (!copy_eligible(id, sender, receiver, t)) continue;
-      attempt_copy(id, sender, receiver, t);
-    }
-  }
-
-  // Scheduled drainage: both directions' candidates are collected against
-  // the state at contact start (collection order = the legacy execution
-  // order), sorted by (priority, collection order), and executed within
-  // the shared bandwidth budget. Eligibility is re-checked at execution —
-  // earlier transfers may have evicted a candidate or consumed a token —
+  // One contact's transfers. Both directions' candidates are collected
+  // against the state at contact start (a->b source tokens in message
+  // order, then a->b copies in copy-id order, then b->a likewise), sorted
+  // by (priority, collection order), and executed within the shared
+  // budget: kUnlimited without a bandwidth model, cell-denominated in
+  // wire mode (each executed transfer spends cell_cost units and lands in
+  // the sim.wire_* accounting). Eligibility is re-checked at execution —
+  // an earlier transfer may have evicted a candidate or spent a token —
   // and eligible candidates past the budget are deferred to a later
-  // contact (that wait is "sim.queue_wait"). With a uniform priority
-  // class and an unlimited budget this executes the identical transfer
-  // sequence as the two legacy transfer_direction passes. In wire mode
-  // each executed transfer spends cell_cost budget units (the budget is
-  // cell-denominated) and lands in the sim.wire_* accounting.
-  void transfer_scheduled(NodeId a, NodeId b, Time t, std::size_t budget) {
+  // contact (that wait is "sim.queue_wait"). Nothing at b becomes newly
+  // eligible for a after an a->b transfer (a is in the seen set of every
+  // copy it sent), so with one priority class and no budget limit this is
+  // exactly Algorithms 1-2 applied a->b, then b->a.
+  void drain(NodeId a, NodeId b, Time t, std::size_t budget) {
     faults::FaultPlan* fp = config->faults;
     cand_scratch.clear();
     std::uint32_t seq = 0;
     auto collect = [&](NodeId sender, NodeId receiver) {
+      // Blackholes accept copies but never forward them.
       if (fp != nullptr && fp->is_blackhole(sender)) return;
       if (utility != nullptr) {
         for (std::size_t id : holdings[sender]) {
@@ -847,9 +758,6 @@ struct Engine {
           : c.kind == 0      ? token_eligible(c.id, c.sender, c.receiver, t)
                              : copy_eligible(c.id, c.sender, c.receiver, t);
       if (!eligible) continue;
-      // Budget check in cost units (cells in wire mode, transfers
-      // otherwise); at cell_cost == 1 this is the legacy
-      // `executed >= budget`.
       if (executed + cell_cost > budget) {
         // Out of bandwidth: the item starts (or continues) queueing.
         saturated = true;
@@ -860,18 +768,29 @@ struct Engine {
         if (qs == kTimeInfinity) qs = t;
         continue;
       }
+      // Mid-contact failure: the sender keeps its copy and spray ticket,
+      // and the receiver stays eligible for a retry at a later contact.
+      const bool lost =
+          fp != nullptr && fp->transfer_fails(c.sender, c.receiver);
+      if (lost) {
+        ++report.transfer_failures;
+        m_transfer_failures.inc();
+      }
       const bool done =
-          utility != nullptr ? attempt_ucopy(c.id, c.sender, c.receiver, t)
-          : c.kind == 0      ? attempt_token(c.id, c.sender, c.receiver, t)
-                             : attempt_copy(c.id, c.sender, c.receiver, t);
-      if (done) {
-        executed += cell_cost;
-        if (config->cells_per_message > 0) {
-          report.wire_cells += config->cells_per_message;
-          report.wire_bytes += config->cells_per_message * config->cell_size;
-          m_wire_cells.inc(config->cells_per_message);
-          m_wire_bytes.inc(config->cells_per_message * config->cell_size);
-        }
+          !lost &&
+          (utility != nullptr ? attempt_ucopy(c.id, c.sender, c.receiver, t)
+           : c.kind == 0      ? attempt_token(c.id, c.sender, c.receiver, t)
+                              : attempt_copy(c.id, c.sender, c.receiver, t));
+      if (utility != nullptr && (lost || done)) {
+        utility->observe_transfer_outcome(c.receiver, done);
+      }
+      if (!done) continue;
+      executed += cell_cost;
+      if (config->cells_per_message > 0) {
+        report.wire_cells += config->cells_per_message;
+        report.wire_bytes += config->cells_per_message * config->cell_size;
+        m_wire_cells.inc(config->cells_per_message);
+        m_wire_bytes.inc(config->cells_per_message * config->cell_size);
       }
     }
     if (executed > report.max_contact_transfers) {
@@ -893,7 +812,6 @@ struct Engine {
     if (wire_on) cell_cost = config->cells_per_message;
     bool priorities_on = false;
     for (std::uint8_t p : priorities) priorities_on |= (p != 0);
-    scheduled = bandwidth_on || priorities_on || utility != nullptr || wire_on;
     rec = (config->recovery != nullptr && config->recovery->enabled())
               ? config->recovery
               : nullptr;
@@ -918,7 +836,7 @@ struct Engine {
       metrics::counter(reg, "faults.blackhole_nodes")
           .inc(config->faults->blackhole_count());
     }
-    if (scheduled) {
+    if (bandwidth_on || priorities_on || utility != nullptr || wire_on) {
       // Same contract: the unloaded export carries no sim.queue_* entries.
       m_queue_deferred = metrics::counter(reg, "sim.queue_deferred");
       m_contacts_saturated = metrics::counter(reg, "sim.contacts_saturated");
@@ -1027,23 +945,18 @@ struct Engine {
         // the one it is about to route over.
         utility->observe_contact(event.a, event.b, event.time);
       }
-      if (scheduled) {
-        std::size_t budget = kUnlimited;
-        if (bandwidth_on) {
-          const auto& bw = config->bandwidth;
-          if (bw.mean_duration > 0.0) {
-            const double duration = rng.exponential(1.0 / bw.mean_duration);
-            budget = static_cast<std::size_t>(duration / bw.transfer_time);
-          } else {
-            budget = bw.messages_per_contact;
-          }
-          m_contact_capacity.observe(static_cast<double>(budget));
+      std::size_t budget = kUnlimited;
+      if (bandwidth_on) {
+        const auto& bw = config->bandwidth;
+        if (bw.mean_duration > 0.0) {
+          const double duration = rng.exponential(1.0 / bw.mean_duration);
+          budget = static_cast<std::size_t>(duration / bw.transfer_time);
+        } else {
+          budget = bw.messages_per_contact;
         }
-        transfer_scheduled(event.a, event.b, event.time, budget);
-      } else {
-        transfer_direction(event.a, event.b, event.time);
-        transfer_direction(event.b, event.a, event.time);
+        m_contact_capacity.observe(static_cast<double>(budget));
       }
+      drain(event.a, event.b, event.time, budget);
     }
     // Messages injected after the last event never move, but simulated
     // time still advances to each injection instant: expired and
@@ -1064,15 +977,6 @@ struct Engine {
 };
 
 }  // namespace
-
-NetworkSimReport run_network_sim(const trace::ContactTrace& trace,
-                                 const groups::GroupDirectory& directory,
-                                 std::vector<InjectedMessage> messages,
-                                 const NetworkSimConfig& config,
-                                 util::Rng& rng) {
-  return run_network_sim(trace, directory, std::move(messages), {}, config,
-                         rng);
-}
 
 NetworkSimReport run_network_sim(const trace::ContactTrace& trace,
                                  const groups::GroupDirectory& directory,

@@ -23,9 +23,9 @@
 //   * priority classes — transfers drain in (priority, arrival-order)
 //     order, so an urgent class is never starved behind bulk traffic at
 //     the same contact.
-// With bandwidth off, priorities uniform, and no utility forwarder, the
-// engine runs the exact historical code path: behavior, metrics export,
-// and RNG draw order are byte-identical to builds before the load layer.
+// Every contact drains through one path. With bandwidth off and
+// priorities uniform it executes the a->b transfers, then the b->a ones,
+// draws no RNG for the contact, and registers no sim.queue_* metrics.
 #pragma once
 
 #include <cstdint>
@@ -139,13 +139,10 @@ struct NetworkSimConfig {
   recovery::SuspicionTracker* suspicion = nullptr;
   /// Wire-accurate accounting (src/circuit): each executed transfer
   /// crosses its contact as this many fixed-size cells, and the shared
-  /// bandwidth budget is denominated in cells instead of messages. 0 =
-  /// off, the historical one-unit transfer (at cost 1 and any budget the
-  /// executed transfer sequence is unchanged — the engine checks
-  /// `spent + cost > budget` which degenerates to the legacy
-  /// `executed >= budget`). > 0 forces scheduled drainage so the cost can
-  /// charge against the budget; "sim.wire_cells"/"sim.wire_bytes" register
-  /// only then (byte-identity contract).
+  /// bandwidth budget is denominated in cells instead of messages (the
+  /// engine checks `spent + cost > budget`). 0 = off: one budget unit per
+  /// transfer. "sim.wire_cells"/"sim.wire_bytes" register only when > 0
+  /// (byte-identity contract).
   std::size_t cells_per_message = 0;
   /// Bytes per cell, for the wire-bytes accounting (wire mode only).
   std::size_t cell_size = 0;
@@ -197,15 +194,15 @@ struct NetworkSimReport {
   std::size_t crash_flushed_copies = 0;
   /// Copies handed to blackhole nodes (absorbed, never forwarded).
   std::size_t blackhole_absorbed = 0;
-  // Congestion accounting (all zero without bandwidth/priority/utility —
-  // the legacy unlimited-contact path).
+  // Congestion accounting (the two queue counters stay zero without a
+  // bandwidth limit).
   /// Eligible transfers pushed past a contact's bandwidth budget.
   std::size_t queue_deferred = 0;
   /// Contacts whose budget ran out with eligible transfers still waiting.
   std::size_t contacts_saturated = 0;
   /// Largest budget spend any single contact carried (the bandwidth-cap
   /// conservation invariant: <= the per-contact budget). Denominated in
-  /// transfers on the legacy path, in cells in wire mode.
+  /// transfers, in cells in wire mode.
   std::size_t max_contact_transfers = 0;
   // Recovery accounting (all zero when NetworkSimConfig::recovery is null
   // or disabled).
@@ -232,18 +229,11 @@ struct NetworkSimReport {
 };
 
 /// Runs all `messages` over the trace. Relay groups are selected per
-/// message from `rng` at injection time. Deterministic given (trace,
-/// directory, messages, config, seed).
-NetworkSimReport run_network_sim(const trace::ContactTrace& trace,
-                                 const groups::GroupDirectory& directory,
-                                 std::vector<InjectedMessage> messages,
-                                 const NetworkSimConfig& config,
-                                 util::Rng& rng);
-
-/// As above with per-message priority classes (0 = most urgent; parallel
-/// to `messages`, empty = all class 0). Contact drainage is ordered by
-/// (priority, arrival order); with every priority equal to 0 this is the
-/// exact legacy engine.
+/// message from `rng` up front, in message order. `priorities` gives each
+/// message a class (0 = most urgent; parallel to `messages`, empty = all
+/// class 0); contact drainage is ordered by (priority, arrival order).
+/// Deterministic given (trace, directory, messages, priorities, config,
+/// seed).
 NetworkSimReport run_network_sim(const trace::ContactTrace& trace,
                                  const groups::GroupDirectory& directory,
                                  std::vector<InjectedMessage> messages,

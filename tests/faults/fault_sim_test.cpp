@@ -42,11 +42,11 @@ TEST(FaultSim, ZeroKnobPlanMatchesNoPlan) {
   }
 
   util::Rng r1(9), r2(9);
-  auto plain = run_network_sim(trace, dir, messages, {}, r1);
+  auto plain = run_network_sim(trace, dir, messages, {}, {}, r1);
   faults::FaultPlan plan(faults::FaultConfig{}, 30, 3000.0, 77);
   NetworkSimConfig with_plan;
   with_plan.faults = &plan;
-  auto planned = run_network_sim(trace, dir, messages, with_plan, r2);
+  auto planned = run_network_sim(trace, dir, messages, {}, with_plan, r2);
 
   ASSERT_EQ(plain.outcomes.size(), planned.outcomes.size());
   for (std::size_t i = 0; i < plain.outcomes.size(); ++i) {
@@ -74,7 +74,7 @@ TEST(FaultSim, BlackholeAbsorbsAndNeverForwards) {
   NetworkSimConfig sim_cfg;
   sim_cfg.faults = &plan;
   util::Rng rng(1);
-  auto report = run_network_sim(t, dir, {chain_message()}, sim_cfg, rng);
+  auto report = run_network_sim(t, dir, {chain_message()}, {}, sim_cfg, rng);
   // The handoff into the blackhole is a real transmission; the copy then
   // vanishes — the t=20 contact with the destination forwards nothing.
   EXPECT_FALSE(report.outcomes[0].delivered);
@@ -95,7 +95,7 @@ TEST(FaultSim, TransferFailureKeepsTicketAndRetries) {
   NetworkSimConfig sim_cfg;
   sim_cfg.faults = &plan;
   util::Rng rng(1);
-  auto report = run_network_sim(t, dir, {chain_message()}, sim_cfg, rng);
+  auto report = run_network_sim(t, dir, {chain_message()}, {}, sim_cfg, rng);
   // Failed handoffs consumed no ticket and left the receiver eligible, so
   // both hops eventually went through on the retry contacts.
   EXPECT_TRUE(report.outcomes[0].delivered);
@@ -113,7 +113,7 @@ TEST(FaultSim, CertainTransferFailureDeliversNothing) {
   NetworkSimConfig sim_cfg;
   sim_cfg.faults = &plan;
   util::Rng rng(1);
-  auto report = run_network_sim(t, dir, {chain_message()}, sim_cfg, rng);
+  auto report = run_network_sim(t, dir, {chain_message()}, {}, sim_cfg, rng);
   EXPECT_FALSE(report.outcomes[0].delivered);
   EXPECT_EQ(report.total_transmissions, 0u);
   EXPECT_GE(report.transfer_failures, 1u);
@@ -134,7 +134,7 @@ TEST(FaultSim, CrashFlushesBufferedCopy) {
     NetworkSimConfig sim_cfg;
     sim_cfg.faults = &plan;
     util::Rng rng(1);
-    auto report = run_network_sim(t, dir, {chain_message()}, sim_cfg, rng);
+    auto report = run_network_sim(t, dir, {chain_message()}, {}, sim_cfg, rng);
     EXPECT_FALSE(report.outcomes[0].delivered);
     EXPECT_EQ(report.total_transmissions, 1u);
     EXPECT_GE(report.crash_flushed_copies, 1u);
@@ -155,7 +155,7 @@ TEST(FaultSim, DownNodeSuppressesContact) {
     NetworkSimConfig sim_cfg;
     sim_cfg.faults = &plan;
     util::Rng rng(1);
-    auto report = run_network_sim(t, dir, {chain_message()}, sim_cfg, rng);
+    auto report = run_network_sim(t, dir, {chain_message()}, {}, sim_cfg, rng);
     EXPECT_GE(report.suppressed_contacts, 1u);
     EXPECT_FALSE(report.outcomes[0].delivered);
     return;
@@ -171,7 +171,7 @@ TEST(FaultSim, FaultMetricsAppearOnlyWithAPlan) {
   NetworkSimConfig plain_cfg;
   plain_cfg.metrics = &plain_reg;
   util::Rng r1(1);
-  run_network_sim(t, dir, {chain_message()}, plain_cfg, r1);
+  run_network_sim(t, dir, {chain_message()}, {}, plain_cfg, r1);
   EXPECT_EQ(metrics::to_jsonl(plain_reg).find("faults."), std::string::npos);
 
   faults::FaultConfig cfg;
@@ -182,7 +182,7 @@ TEST(FaultSim, FaultMetricsAppearOnlyWithAPlan) {
   fault_cfg.metrics = &fault_reg;
   fault_cfg.faults = &plan;
   util::Rng r2(1);
-  auto report = run_network_sim(t, dir, {chain_message()}, fault_cfg, r2);
+  auto report = run_network_sim(t, dir, {chain_message()}, {}, fault_cfg, r2);
   std::string exported = metrics::to_jsonl(fault_reg);
   EXPECT_NE(exported.find("faults.transfer_failures"), std::string::npos);
   // The counters mirror the report exactly.
@@ -199,7 +199,7 @@ TEST(FaultSim, PlanNodeCountMustMatchTrace) {
   NetworkSimConfig sim_cfg;
   sim_cfg.faults = &plan;
   util::Rng rng(1);
-  EXPECT_THROW(run_network_sim(t, dir, {chain_message()}, sim_cfg, rng),
+  EXPECT_THROW(run_network_sim(t, dir, {chain_message()}, {}, sim_cfg, rng),
                std::invalid_argument);
 }
 

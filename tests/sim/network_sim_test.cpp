@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "routing/onion_routing.hpp"
+#include "sim/contact_model.hpp"
 #include "trace/synthetic.hpp"
 #include "util/stats.hpp"
 
@@ -34,7 +36,7 @@ TEST(NetworkSim, SingleMessageFollowsTrace) {
                              {40.0, 3, 4}});
   m.dst = 4;
   util::Rng rng(2);
-  auto report = run_network_sim(t5, small, {m}, {}, rng);
+  auto report = run_network_sim(t5, small, {m}, {}, {}, rng);
   ASSERT_EQ(report.outcomes.size(), 1u);
   // Relay groups are a permutation of {1,2,3}; only the order 1,2,3 can
   // deliver given the event sequence. Either way the sim must be sane.
@@ -61,7 +63,7 @@ TEST(NetworkSim, DeliversOnDenseRandomTrace) {
     m.ttl = 2000.0;
     messages.push_back(m);
   }
-  auto report = run_network_sim(trace, dir, messages, {}, rng);
+  auto report = run_network_sim(trace, dir, messages, {}, {}, rng);
   EXPECT_GT(report.delivery_rate(), 0.7);
   EXPECT_GT(report.mean_delay(), 0.0);
   EXPECT_EQ(report.total_buffer_rejections, 0u);  // unlimited buffers
@@ -81,7 +83,7 @@ TEST(NetworkSim, MatchesPerMessageAnalyticalModelWithoutContention) {
     m.src = 0;
     m.dst = 29;
     m.ttl = 400.0;
-    auto report = run_network_sim(trace, dir, {m}, {}, rng);
+    auto report = run_network_sim(trace, dir, {m}, {}, {}, rng);
     delivered.add(report.outcomes[0].delivered ? 1.0 : 0.0);
   }
   // The paper's regime at these parameters: mid-range delivery, neither
@@ -111,8 +113,9 @@ TEST(NetworkSim, BufferContentionReducesDelivery) {
   NetworkSimConfig unlimited;
   NetworkSimConfig tiny;
   tiny.buffer_capacity = 1;
-  auto free_report = run_network_sim(trace, dir, messages, unlimited, rng_a);
-  auto tight_report = run_network_sim(trace, dir, messages, tiny, rng_b);
+  auto free_report =
+      run_network_sim(trace, dir, messages, {}, unlimited, rng_a);
+  auto tight_report = run_network_sim(trace, dir, messages, {}, tiny, rng_b);
 
   EXPECT_GT(free_report.delivery_rate(), tight_report.delivery_rate());
   EXPECT_GT(tight_report.total_buffer_rejections, 0u);
@@ -142,13 +145,13 @@ TEST(NetworkSim, DropOldestEvictsToAdmit) {
     reject.buffer_capacity = 1;
     reject.policy = BufferPolicy::kRejectNew;
     util::Rng r1(static_cast<std::uint64_t>(seed));
-    auto rej = run_network_sim(t, dir, {a, b}, reject, r1);
+    auto rej = run_network_sim(t, dir, {a, b}, {}, reject, r1);
 
     NetworkSimConfig drop;
     drop.buffer_capacity = 1;
     drop.policy = BufferPolicy::kDropOldest;
     util::Rng r2(static_cast<std::uint64_t>(seed));
-    auto drp = run_network_sim(t, dir, {a, b}, drop, r2);
+    auto drp = run_network_sim(t, dir, {a, b}, {}, drop, r2);
 
     // Find the seed where both messages route via node 1.
     if (rej.total_buffer_rejections == 1) {
@@ -185,7 +188,7 @@ TEST(NetworkSim, DropOldestNeverEvictsSourceTokens) {
   cfg.policy = BufferPolicy::kDropOldest;
   for (int seed = 0; seed < 100; ++seed) {
     util::Rng rng(static_cast<std::uint64_t>(seed));
-    auto report = run_network_sim(t, dir, {own, incoming}, cfg, rng);
+    auto report = run_network_sim(t, dir, {own, incoming}, {}, cfg, rng);
     EXPECT_EQ(report.evicted_copies, 0u) << "seed " << seed;
   }
 }
@@ -217,8 +220,8 @@ TEST(NetworkSim, DropOldestThrashesAtTinyBuffers) {
   drop.buffer_capacity = 1;
   drop.policy = BufferPolicy::kDropOldest;
   util::Rng r1(16), r2(16);
-  auto rej = run_network_sim(trace, dir, messages, reject, r1);
-  auto drp = run_network_sim(trace, dir, messages, drop, r2);
+  auto rej = run_network_sim(trace, dir, messages, {}, reject, r1);
+  auto drp = run_network_sim(trace, dir, messages, {}, drop, r2);
   EXPECT_GT(drp.evicted_copies, 0u);
   // Drop-oldest only refuses when the buffer is pinned by unevictable
   // source tokens, so it rejects far less often than reject-new.
@@ -231,8 +234,8 @@ TEST(NetworkSim, DropOldestThrashesAtTinyBuffers) {
   NetworkSimConfig roomy_rej = reject;
   roomy_rej.buffer_capacity = 6;
   util::Rng r3(16), r4(16);
-  auto drp6 = run_network_sim(trace, dir, messages, roomy_drop, r3);
-  auto rej6 = run_network_sim(trace, dir, messages, roomy_rej, r4);
+  auto drp6 = run_network_sim(trace, dir, messages, {}, roomy_drop, r3);
+  auto rej6 = run_network_sim(trace, dir, messages, {}, roomy_rej, r4);
   EXPECT_NEAR(drp6.delivery_rate(), rej6.delivery_rate(), 0.05);
 }
 
@@ -262,13 +265,13 @@ TEST(NetworkSim, DropOldestEvictionCountMatchesMetric) {
   metrics::Registry reg;
   cfg.metrics = &reg;
   util::Rng r1(18);
-  auto first = run_network_sim(trace, dir, messages, cfg, r1);
+  auto first = run_network_sim(trace, dir, messages, {}, cfg, r1);
   EXPECT_GT(first.evicted_copies, 0u);
   EXPECT_EQ(reg.entries().at("sim.evictions").counter, first.evicted_copies);
 
   cfg.metrics = nullptr;
   util::Rng r2(18);
-  auto second = run_network_sim(trace, dir, messages, cfg, r2);
+  auto second = run_network_sim(trace, dir, messages, {}, cfg, r2);
   ASSERT_EQ(first.outcomes.size(), second.outcomes.size());
   for (std::size_t i = 0; i < first.outcomes.size(); ++i) {
     EXPECT_EQ(first.outcomes[i].delivered, second.outcomes[i].delivered);
@@ -292,7 +295,7 @@ TEST(NetworkSim, InjectionFailsWhenSourceBufferFull) {
   NetworkSimConfig cfg;
   cfg.buffer_capacity = 1;
   util::Rng rng(7);
-  auto report = run_network_sim(t, dir, {m1, m2}, cfg, rng);
+  auto report = run_network_sim(t, dir, {m1, m2}, {}, cfg, rng);
   EXPECT_FALSE(report.outcomes[0].injection_failed);
   EXPECT_TRUE(report.outcomes[1].injection_failed);
 }
@@ -314,7 +317,7 @@ TEST(NetworkSim, ExpiredCopiesFreeBuffers) {
   NetworkSimConfig cfg;
   cfg.buffer_capacity = 1;
   util::Rng rng(8);
-  auto report = run_network_sim(t, dir, {dead, live}, cfg, rng);
+  auto report = run_network_sim(t, dir, {dead, live}, {}, cfg, rng);
   EXPECT_FALSE(report.outcomes[0].delivered);
   EXPECT_FALSE(report.outcomes[1].injection_failed);
   EXPECT_GE(report.expired_copies, 1u);
@@ -331,7 +334,7 @@ TEST(NetworkSim, MultiCopySpraysAtMostLTimes) {
   m.ttl = 3000.0;
   m.num_relays = 3;
   m.copies = 3;
-  auto report = run_network_sim(trace, dir, {m}, {}, rng);
+  auto report = run_network_sim(trace, dir, {m}, {}, {}, rng);
   // Direct-to-first-group tickets: cost <= (K+1) * L.
   EXPECT_LE(report.outcomes[0].transmissions, 12u);
 }
@@ -342,25 +345,126 @@ TEST(NetworkSim, Validation) {
   util::Rng rng(10);
   InjectedMessage bad;
   bad.src = bad.dst = 1;
-  EXPECT_THROW(run_network_sim(t, dir, {bad}, {}, rng),
+  EXPECT_THROW(run_network_sim(t, dir, {bad}, {}, {}, rng),
                std::invalid_argument);
   InjectedMessage oob;
   oob.src = 0;
   oob.dst = 9;
-  EXPECT_THROW(run_network_sim(t, dir, {oob}, {}, rng),
+  EXPECT_THROW(run_network_sim(t, dir, {oob}, {}, {}, rng),
                std::invalid_argument);
   InjectedMessage no_relays;
   no_relays.src = 0;
   no_relays.dst = 1;
   no_relays.num_relays = 0;
-  EXPECT_THROW(run_network_sim(t, dir, {no_relays}, {}, rng),
+  EXPECT_THROW(run_network_sim(t, dir, {no_relays}, {}, {}, rng),
                std::invalid_argument);
   groups::GroupDirectory mismatched(6, 1);
   InjectedMessage ok;
   ok.src = 0;
   ok.dst = 1;
-  EXPECT_THROW(run_network_sim(t, mismatched, {ok}, {}, rng),
+  EXPECT_THROW(run_network_sim(t, mismatched, {ok}, {}, {}, rng),
                std::invalid_argument);
+}
+
+TEST(NetworkSim, TwoWayDrainageOrderUnderBufferPressure) {
+  // Capacity 1 with drop-oldest makes one contact's execution order
+  // decide who survives: a->b (source tokens, then copies) runs before
+  // b->a. Groups are the contiguous pairs {0,1} {2,3} {4,5}, so every
+  // K = 1 message between the outer groups relays through {2,3} with no
+  // random choice.
+  groups::GroupDirectory dir(6, 2);
+  trace::ContactTrace t(6, {
+                               {5.0, 4, 2},   // m1's token -> 2
+                               {10.0, 0, 2},  // m0's token -> 2 first,
+                                              // evicting m1's copy, which
+                                              // 2 -> 0 would have delivered
+                               {15.0, 5, 3},  // m2's token -> 3
+                               {20.0, 3, 1},  // 3 -> 1 delivers m2 first,
+                                              // freeing 3 for m3's token
+                               {30.0, 2, 4},  // m0 delivered
+                               {40.0, 3, 5},  // m3 delivered
+                           });
+  auto message = [](NodeId src, NodeId dst) {
+    InjectedMessage m;
+    m.src = src;
+    m.dst = dst;
+    m.ttl = 100.0;
+    m.num_relays = 1;
+    return m;
+  };
+  NetworkSimConfig cfg;
+  cfg.buffer_capacity = 1;
+  cfg.policy = BufferPolicy::kDropOldest;
+  cfg.record_paths = true;
+  util::Rng rng(1);
+  auto r = run_network_sim(
+      t, dir, {message(0, 4), message(4, 0), message(5, 1), message(1, 5)}, {},
+      cfg, rng);
+
+  EXPECT_EQ(r.total_transmissions, 7u);
+  EXPECT_EQ(r.evicted_copies, 1u);
+  EXPECT_EQ(r.total_buffer_rejections, 0u);
+  EXPECT_EQ(r.expired_copies, 0u);
+  const bool delivered[] = {true, false, true, true};
+  const double delay[] = {30.0, kTimeInfinity, 20.0, 40.0};
+  const std::size_t transmissions[] = {2, 1, 2, 2};
+  const NodeId relay[] = {2, 2, 3, 3};
+  for (std::size_t i = 0; i < 4; ++i) {
+    const MessageOutcome& o = r.outcomes[i];
+    EXPECT_EQ(o.delivered, delivered[i]) << "message " << i;
+    EXPECT_EQ(o.delay, delay[i]) << "message " << i;
+    EXPECT_EQ(o.transmissions, transmissions[i]) << "message " << i;
+    EXPECT_EQ(o.relays_per_hop,
+              (std::vector<std::vector<NodeId>>{{relay[i]}}))
+        << "message " << i;
+  }
+}
+
+TEST(NetworkSim, MatchesSingleCopyWalkerOnPoissonTraces) {
+  // Differential oracle: one single-copy message pushed through
+  // run_network_sim and through routing::SingleCopyOnionRouting over the
+  // same trace must agree exactly. Both engines draw the relay groups
+  // first from the same seed, and Poisson contact times never tie, so
+  // "the holder's first qualifying contact" is the same event in both.
+  constexpr std::size_t kNodes = 40;
+  std::size_t delivered = 0;
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    util::Rng setup(seed);
+    auto graph = graph::random_contact_graph(kNodes, setup, 10.0, 360.0);
+    auto trace = trace::sample_poisson_trace(graph, 300.0, setup);
+    groups::GroupDirectory dir(kNodes, 5, &setup);
+    InjectedMessage m;
+    m.src = static_cast<NodeId>(setup.below(kNodes));
+    m.dst = static_cast<NodeId>(setup.below(kNodes - 1));
+    if (m.dst >= m.src) ++m.dst;
+    m.ttl = 250.0;
+    m.num_relays = 3;
+
+    NetworkSimConfig cfg;
+    cfg.record_paths = true;
+    util::Rng sim_rng(seed);
+    const MessageOutcome net =
+        run_network_sim(trace, dir, {m}, {}, cfg, sim_rng).outcomes[0];
+
+    TraceContactModel contacts(trace);
+    groups::KeyManager keys(dir, seed);
+    onion::OnionCodec codec;
+    routing::OnionContext ctx{&dir, &keys, &codec,
+                              routing::CryptoMode::kNone};
+    util::Rng walk_rng(seed);
+    const routing::DeliveryResult walk =
+        routing::SingleCopyOnionRouting(ctx).route(contacts, m, walk_rng);
+
+    ASSERT_EQ(net.delivered, walk.delivered) << "seed " << seed;
+    EXPECT_EQ(net.transmissions, walk.transmissions) << "seed " << seed;
+    if (!walk.delivered) continue;  // the walker keeps a partial path
+    ++delivered;
+    EXPECT_EQ(net.delay, walk.delay) << "seed " << seed;
+    EXPECT_EQ(net.relay_path, walk.relay_path) << "seed " << seed;
+  }
+  // Both outcomes are well represented at these parameters.
+  EXPECT_GT(delivered, 100u);
+  EXPECT_LT(delivered, 350u);
 }
 
 TEST(SamplePoissonTrace, RateMatchesGraph) {

@@ -22,9 +22,9 @@
 # 4. Configures a -DODTN_SANITIZE=thread tree in build-tsan/, builds only
 #    the tsan-labelled test targets, and runs `ctest -L tsan` under TSan.
 # 5. Configures a -DODTN_SANITIZE=address tree in build-asan/, builds the
-#    fault-injection, recovery, and circuit test targets, and runs
-#    `ctest -L faults`, `ctest -L recovery`, and `ctest -L circuit`
-#    under ASan.
+#    fault-injection, recovery, circuit, and network-sim test targets, and
+#    runs `ctest -L faults`, `ctest -L recovery`, `ctest -L circuit`, and
+#    the network_sim_test and traffic_sim_test binaries under ASan.
 # 6. Configures a -DODTN_SANITIZE=undefined tree in build-ubsan/, builds
 #    the analysis + crypto test targets (the numeric and bit-twiddling
 #    code most prone to UB), and runs `ctest -L ubsan` under UBSan.
@@ -110,7 +110,7 @@ echo "== scale smoke: fig_scale at n=1e5 on the sparse backend =="
 echo "scale smoke within memory bound"
 
 echo "== sustained-load smoke: n=1e4 sparse backend under offered load =="
-# The scheduled drainage path (finite bandwidth + finite buffers + spray
+# Budgeted contact drainage (finite bandwidth + finite buffers + spray
 # replication) at 10^4 nodes must stay interactive: ~2 s today, bounded
 # at 120 s so a superlinear regression in the queueing path fails CI.
 load_start=$(date +%s)
@@ -174,12 +174,13 @@ cmake --build "$repo/build-tsan" -j "$jobs" --target \
 echo "== tsan: ctest -L tsan =="
 ctest --test-dir "$repo/build-tsan" -L tsan --output-on-failure -j "$jobs"
 
-echo "== asan: configure + build fault + recovery test targets =="
+echo "== asan: configure + build fault, recovery, circuit, sim test targets =="
 cmake -B "$repo/build-asan" -S "$repo" -DODTN_SANITIZE=address
 cmake --build "$repo/build-asan" -j "$jobs" --target \
     faults_test fault_sim_test fault_experiment_test \
     recovery_unit_test recovery_sim_test recovery_experiment_test \
-    cell_test circuit_state_test circuit_manager_test wire_parity_test
+    cell_test circuit_state_test circuit_manager_test wire_parity_test \
+    network_sim_test traffic_sim_test
 
 echo "== asan: ctest -L faults =="
 ctest --test-dir "$repo/build-asan" -L faults --output-on-failure -j "$jobs"
@@ -189,6 +190,14 @@ ctest --test-dir "$repo/build-asan" -L recovery --output-on-failure -j "$jobs"
 
 echo "== asan: ctest -L circuit =="
 ctest --test-dir "$repo/build-asan" -L circuit --output-on-failure -j "$jobs"
+
+echo "== asan: network_sim_test + traffic_sim_test =="
+# The hand-off code holds Copy references next to copy creation, which
+# may reallocate the copy table; ASan is where a stale reference shows.
+# Run as binaries: their ctest labels (tsan, traffic) also name suites
+# this tree does not build.
+"$repo/build-asan/tests/sim/network_sim_test"
+"$repo/build-asan/tests/traffic/traffic_sim_test"
 
 echo "== ubsan: configure + build analysis + crypto test targets =="
 cmake -B "$repo/build-ubsan" -S "$repo" -DODTN_SANITIZE=undefined
