@@ -3,8 +3,9 @@
 // perf-regression gate.
 //
 // Custom flags (peeled off before google-benchmark sees argv):
-//   --json=FILE               write odtn.bench.v1 records (median real time
-//                             per benchmark) to FILE
+//   --json=FILE               append odtn.bench.v1 records (median real
+//                             time per benchmark) to FILE; a baseline
+//                             read back keeps each benchmark's last record
 //   --baseline=FILE           committed BENCH_<figure_id>.json to compare
 //                             against; adds baseline_median_real_time and
 //                             regression_pct to the records
@@ -159,7 +160,7 @@ inline int run(int argc, char** argv, const std::string& figure_id) {
   bool regressed = false;
   std::FILE* out = nullptr;
   if (!json_path.empty()) {
-    out = std::fopen(json_path.c_str(), "w");
+    out = std::fopen(json_path.c_str(), "a");
     if (out == nullptr) {
       std::fprintf(stderr, "%s: cannot write %s\n", figure_id.c_str(),
                    json_path.c_str());

@@ -1,14 +1,13 @@
 #include "sim/network_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <iterator>
 #include <limits>
 #include <optional>
 #include <queue>
 #include <set>
 #include <stdexcept>
-#include <unordered_set>
 #include <utility>
 
 #include "faults/faults.hpp"
@@ -85,7 +84,12 @@ struct Engine {
   std::vector<std::uint8_t> priorities;  // empty = all class 0
   std::vector<std::vector<GroupId>> relay_groups;  // per message
   std::vector<SourceToken> tokens;                 // per message
-  std::vector<std::unordered_set<NodeId>> seen;    // per message
+  /// msg -> nodes that held or received it (Forward() dedup). A few dozen
+  /// entries at most, so a linear scan beats hashing.
+  std::vector<std::vector<NodeId>> seen;
+  /// node -> ids of the messages it sources, ascending: the only source
+  /// tokens a contact at that node can move.
+  std::vector<std::vector<std::size_t>> msgs_by_src;
 
   std::vector<Copy> copies;
   std::vector<std::vector<NodeId>> copy_paths;  // record_paths only
@@ -104,9 +108,10 @@ struct Engine {
   recovery::SuspicionTracker* suspicion = nullptr;
   std::optional<recovery::SuspicionTracker> own_tracker;
   std::size_t tracker_flips_at_start = 0;
-  /// node -> delivery ACKs known (ordered: the exchange fold is
-  /// deterministic and lint-clean).
-  std::vector<std::set<std::size_t>> ack_known;
+  /// Delivery ACKs each node knows: one bitset of ack_words 64-bit words
+  /// per node, node-major (bit m of node v's words = message m).
+  std::vector<std::uint64_t> ack_known;
+  std::size_t ack_words = 0;
   std::vector<std::uint8_t> ack_exists;  // msg -> ACK record born at dst
   std::vector<std::uint8_t> src_acked;   // msg -> source learned the ACK
   std::vector<std::size_t> retx_attempts;      // msg -> retransmissions so far
@@ -289,7 +294,7 @@ struct Engine {
     tokens[m].tickets = msg.copies;
     tokens[m].alive = true;
     ++load[msg.src];
-    seen[m].insert(msg.src);
+    mark_seen(m, msg.src);
     expiries.emplace(deadline_of(m), 0, m);
   }
 
@@ -331,8 +336,8 @@ struct Engine {
       ++report.crash_flushed_copies;
       m_crash_flushed.inc();
     }
-    for (std::size_t m = 0; m < messages.size(); ++m) {
-      if (tokens[m].alive && messages[m].src == v) {
+    for (std::size_t m : msgs_by_src[v]) {
+      if (tokens[m].alive) {
         tokens[m].alive = false;
         --load[v];
         ++report.crash_flushed_copies;
@@ -397,7 +402,10 @@ struct Engine {
   /// pending retransmission is canceled, the ack delay recorded, and the
   /// delivering generation's groups exonerated in the suspicion tracker.
   void learn_ack(NodeId v, std::size_t m, Time t) {
-    if (!ack_known[v].insert(m).second) return;
+    std::uint64_t& word = ack_known[v * ack_words + m / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (m % 64);
+    if ((word & bit) != 0) return;
+    word |= bit;
     holdings_scratch.assign(holdings[v].begin(), holdings[v].end());
     for (std::size_t id : holdings_scratch) {
       if (!copies[id].alive || copies[id].msg != m) continue;
@@ -430,13 +438,18 @@ struct Engine {
 
   /// Anti-packet exchange at a surviving contact: both endpoints end up
   /// knowing the union of their ACK sets. Metadata-sized, so it consumes
-  /// no contact bandwidth budget.
+  /// no contact bandwidth budget. `to` learns the ACKs only `from` knows
+  /// in ascending message order.
   void exchange_acks(NodeId a, NodeId b, Time t) {
     auto pull = [&](NodeId to, NodeId from) {
       ack_diff_scratch.clear();
-      std::set_difference(ack_known[from].begin(), ack_known[from].end(),
-                          ack_known[to].begin(), ack_known[to].end(),
-                          std::back_inserter(ack_diff_scratch));
+      for (std::size_t w = 0; w < ack_words; ++w) {
+        std::uint64_t diff = ack_known[from * ack_words + w] &
+                             ~ack_known[to * ack_words + w];
+        for (; diff != 0; diff &= diff - 1) {
+          ack_diff_scratch.push_back(w * 64 + std::countr_zero(diff));
+        }
+      }
       for (std::size_t m : ack_diff_scratch) learn_ack(to, m, t);
     };
     pull(a, b);
@@ -514,12 +527,20 @@ struct Engine {
     }
   }
 
+  bool has_seen(std::size_t m, NodeId v) const {
+    return std::find(seen[m].begin(), seen[m].end(), v) != seen[m].end();
+  }
+
+  void mark_seen(std::size_t m, NodeId v) {
+    if (!has_seen(m, v)) seen[m].push_back(v);
+  }
+
   // Whether `receiver` is a valid next hop for message m at `hop` of
   // recovery generation `gen` (always 0 without the recovery layer).
   bool qualifies(std::size_t m, std::uint32_t gen, std::size_t hop,
                  NodeId receiver) const {
     const auto& msg = messages[m];
-    if (seen[m].count(receiver) > 0) return false;  // Forward() dedup
+    if (has_seen(m, receiver)) return false;  // Forward() dedup
     if (hop < msg.num_relays) {
       return directory->in_group(receiver, groups_of(m, gen)[hop]);
     }
@@ -564,7 +585,7 @@ struct Engine {
     if (config->record_paths) copy_paths.emplace_back();
     holdings[holder].insert(id);
     ++load[holder];
-    seen[m].insert(holder);
+    mark_seen(m, holder);
     expiries.emplace(deadline_of(m), 1, id);
     return id;
   }
@@ -592,7 +613,7 @@ struct Engine {
     Copy& c = copies[id];
     const std::size_t m = c.msg;
     count_transfer(m, c.arrival, t);
-    seen[m].insert(receiver);
+    mark_seen(m, receiver);
     MessageOutcome& out = report.outcomes[m];
     if (!out.delivered) {
       out.delivered = true;
@@ -656,7 +677,7 @@ struct Engine {
     ++c.hop;
     holdings[receiver].insert(id);
     ++load[receiver];
-    seen[m].insert(receiver);
+    mark_seen(m, receiver);
     note_blackhole(receiver);
     note_served(c.queued_since, t);
     return true;
@@ -672,7 +693,7 @@ struct Engine {
       return false;
     }
     std::size_t m = c.msg;
-    if (seen[m].count(receiver) > 0) return false;
+    if (has_seen(m, receiver)) return false;
     if (receiver == messages[m].dst) return true;
     return c.tickets > 1 &&
            utility->should_replicate(sender, receiver, messages[m].dst,
@@ -715,7 +736,9 @@ struct Engine {
   // contact (that wait is "sim.queue_wait"). Nothing at b becomes newly
   // eligible for a after an a->b transfer (a is in the seen set of every
   // copy it sent), so with one priority class and no budget limit this is
-  // exactly Algorithms 1-2 applied a->b, then b->a.
+  // exactly Algorithms 1-2 applied a->b, then b->a. Collection walks only
+  // the sender's own state (msgs_by_src, holdings), so a contact costs
+  // O(local state), not O(messages); drain_scanned counts that walk.
   void drain(NodeId a, NodeId b, Time t, std::size_t budget) {
     faults::FaultPlan* fp = config->faults;
     cand_scratch.clear();
@@ -723,6 +746,7 @@ struct Engine {
     auto collect = [&](NodeId sender, NodeId receiver) {
       // Blackholes accept copies but never forward them.
       if (fp != nullptr && fp->is_blackhole(sender)) return;
+      report.drain_scanned += holdings[sender].size();
       if (utility != nullptr) {
         for (std::size_t id : holdings[sender]) {
           if (!ucopy_eligible(id, sender, receiver, t)) continue;
@@ -731,7 +755,8 @@ struct Engine {
         }
         return;
       }
-      for (std::size_t m = 0; m < messages.size(); ++m) {
+      report.drain_scanned += msgs_by_src[sender].size();
+      for (std::size_t m : msgs_by_src[sender]) {
         if (!token_eligible(m, sender, receiver, t)) continue;
         cand_scratch.push_back({pri(m), seq++, 0, m, sender, receiver});
       }
@@ -861,7 +886,8 @@ struct Engine {
       m_ack_gc = metrics::counter(reg, "recovery.ack_gc_copies");
       m_suspicion_flips = metrics::counter(reg, "recovery.suspicion_flips");
 
-      ack_known.assign(trace->node_count(), {});
+      ack_words = (messages.size() + 63) / 64;
+      ack_known.assign(trace->node_count() * ack_words, 0);
       ack_exists.assign(messages.size(), 0);
       src_acked.assign(messages.size(), 0);
       delivered_gen.assign(messages.size(), 0);
@@ -890,6 +916,10 @@ struct Engine {
     report.outcomes.assign(messages.size(), {});
     tokens.assign(messages.size(), SourceToken{0, false, kTimeInfinity});
     seen.assign(messages.size(), {});
+    msgs_by_src.assign(trace->node_count(), {});
+    for (std::size_t m = 0; m < messages.size(); ++m) {
+      msgs_by_src[messages[m].src].push_back(m);
+    }
     holdings.assign(trace->node_count(), {});
     load.assign(trace->node_count(), 0);
 

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "faults/faults.hpp"
+#include "recovery/recovery.hpp"
 #include "routing/onion_routing.hpp"
+#include "routing/utility_forwarder.hpp"
 #include "sim/contact_model.hpp"
 #include "trace/synthetic.hpp"
 #include "util/stats.hpp"
@@ -465,6 +471,231 @@ TEST(NetworkSim, MatchesSingleCopyWalkerOnPoissonTraces) {
   // Both outcomes are well represented at these parameters.
   EXPECT_GT(delivered, 100u);
   EXPECT_LT(delivered, 350u);
+}
+
+// FNV-1a (64-bit), fed little-endian so the digests are host-independent.
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ull;
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void nodes(const std::vector<NodeId>& v) {
+    u64(v.size());
+    for (NodeId n : v) u64(n);
+  }
+};
+
+// Digest of every report counter and every MessageOutcome field.
+std::uint64_t report_digest(const NetworkSimReport& r) {
+  Fnv1a d;
+  const std::uint64_t counters[] = {
+      r.total_transmissions,  r.total_buffer_rejections, r.expired_copies,
+      r.evicted_copies,       r.suppressed_contacts,     r.transfer_failures,
+      r.crash_flushed_copies, r.blackhole_absorbed,      r.queue_deferred,
+      r.contacts_saturated,   r.max_contact_transfers,   r.retransmissions,
+      r.acks_created,         r.acked_at_source,         r.ack_gc_copies,
+      r.shed_messages,        r.suspicion_flips,         r.wire_cells,
+      r.wire_bytes};
+  for (std::uint64_t v : counters) d.u64(v);
+  d.u64(r.outcomes.size());
+  for (const MessageOutcome& o : r.outcomes) {
+    d.u64(o.delivered);
+    d.f64(o.delay);
+    d.u64(o.transmissions);
+    d.u64(o.buffer_rejections);
+    d.u64(o.injection_failed);
+    d.u64(o.shed);
+    d.u64(o.retransmissions);
+    d.nodes(o.relay_path);
+    d.u64(o.relays_per_hop.size());
+    for (const auto& hop : o.relays_per_hop) d.nodes(hop);
+  }
+  return d.h;
+}
+
+// `count` messages between random distinct endpoints, starting at random
+// times in [0, 100): index order and start order disagree, also within
+// one source's messages, and each source has several tokens in flight.
+std::vector<InjectedMessage> random_messages(util::Rng& rng, std::size_t nodes,
+                                             int count, std::size_t copies) {
+  std::vector<InjectedMessage> messages;
+  for (int i = 0; i < count; ++i) {
+    InjectedMessage m;
+    m.src = static_cast<NodeId>(rng.below(nodes));
+    m.dst = static_cast<NodeId>(rng.below(nodes - 1));
+    if (m.dst >= m.src) ++m.dst;
+    m.start = rng.uniform(0.0, 100.0);
+    m.ttl = 1500.0;
+    m.copies = copies;
+    messages.push_back(m);
+  }
+  return messages;
+}
+
+std::vector<std::uint8_t> alternating_priorities(std::size_t count) {
+  std::vector<std::uint8_t> p(count);
+  for (std::size_t i = 0; i < count; ++i) p[i] = i % 2;
+  return p;
+}
+
+// Pins the engine's complete output for six seeded configurations, one
+// per drainage mode and knob family: a change to execution order, RNG
+// draw order or bookkeeping changes a digest.
+TEST(NetworkSim, ReportDigestPinned) {
+  constexpr std::size_t kNodes = 30;
+  util::Rng setup(21);
+  auto graph = graph::random_contact_graph(kNodes, setup, 5.0, 40.0);
+  auto trace = trace::sample_poisson_trace(graph, 2000.0, setup);
+  groups::GroupDirectory dir(kNodes, 5, &setup);
+  auto digest = [&](const std::vector<InjectedMessage>& messages,
+                    std::vector<std::uint8_t> priorities,
+                    const NetworkSimConfig& cfg) {
+    util::Rng rng(22);
+    return report_digest(run_network_sim(trace, dir, messages,
+                                         std::move(priorities), cfg, rng));
+  };
+
+  {  // Every knob at zero.
+    util::Rng mrng(1);
+    auto messages = random_messages(mrng, kNodes, 60, 2);
+    EXPECT_EQ(digest(messages, {}, {}), 0x8c95725f8a836760ull) << "zero-knob";
+  }
+  {  // Bandwidth, two priority classes, drop-oldest buffers.
+    util::Rng mrng(2);
+    auto messages = random_messages(mrng, kNodes, 120, 3);
+    NetworkSimConfig cfg;
+    cfg.buffer_capacity = 4;
+    cfg.policy = BufferPolicy::kDropOldest;
+    cfg.bandwidth.mean_duration = 3.0;
+    cfg.bandwidth.transfer_time = 1.0;
+    EXPECT_EQ(digest(messages, alternating_priorities(120), cfg),
+              0x337977f6453cd7fbull)
+        << "bandwidth+priorities+drop-oldest";
+  }
+  {  // Faults and the full recovery stack. 140 messages: each node's ACK
+     // bitset spans three 64-bit words.
+    util::Rng mrng(3);
+    auto messages = random_messages(mrng, kNodes, 140, 3);
+    // At least one source's messages are indexed out of start order.
+    bool out_of_order = false;
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      for (std::size_t j = i + 1; j < messages.size(); ++j) {
+        out_of_order |= messages[i].src == messages[j].src &&
+                        messages[i].start > messages[j].start;
+      }
+    }
+    ASSERT_TRUE(out_of_order);
+    faults::FaultConfig fc;
+    fc.mean_uptime = 400.0;
+    fc.mean_downtime = 40.0;
+    fc.p_fail = 0.1;
+    fc.blackhole_fraction = 0.1;
+    faults::FaultPlan plan(fc, kNodes, 2000.0, 23);
+    recovery::RecoveryConfig rc;
+    rc.acks = true;
+    rc.retx_timeout = 150.0;
+    rc.suspicion_alpha = 0.3;
+    rc.shed_occupancy = 0.5;
+    rc.shed_saturation = 0.75;
+    NetworkSimConfig cfg;
+    cfg.buffer_capacity = 4;
+    cfg.bandwidth.messages_per_contact = 2;
+    cfg.faults = &plan;
+    cfg.recovery = &rc;
+    cfg.recovery_seed = 24;
+    EXPECT_EQ(digest(messages, alternating_priorities(140), cfg),
+              0x4256092f30149580ull)
+        << "faults+recovery";
+  }
+  {  // Utility forwarder.
+    util::Rng mrng(4);
+    auto messages = random_messages(mrng, kNodes, 120, 4);
+    routing::UtilityForwarder fwd(kNodes);
+    NetworkSimConfig cfg;
+    cfg.buffer_capacity = 6;
+    cfg.bandwidth.messages_per_contact = 1;
+    cfg.utility = &fwd;
+    EXPECT_EQ(digest(messages, alternating_priorities(120), cfg),
+              0x6e673f66227130caull)
+        << "utility";
+  }
+  {  // Wire cells: a cell-denominated budget.
+    util::Rng mrng(5);
+    auto messages = random_messages(mrng, kNodes, 120, 2);
+    NetworkSimConfig cfg;
+    cfg.buffer_capacity = 8;
+    cfg.bandwidth.messages_per_contact = 5;
+    cfg.cells_per_message = 2;
+    cfg.cell_size = 512;
+    EXPECT_EQ(digest(messages, {}, cfg), 0xe687cb58b9234dadull) << "wire";
+  }
+  {  // record_paths under buffer pressure.
+    util::Rng mrng(6);
+    auto messages = random_messages(mrng, kNodes, 80, 3);
+    NetworkSimConfig cfg;
+    cfg.buffer_capacity = 3;
+    cfg.record_paths = true;
+    EXPECT_EQ(digest(messages, {}, cfg), 0x52d5a1078563b47aull)
+        << "record_paths";
+  }
+}
+
+// A contact's drainage work is local: messages sourced at a node that
+// never meets anyone add nothing to any contact's scan and change no
+// other message's outcome. (An engine that scans every message per
+// contact would examine all 1000 extra tokens at every contact.)
+TEST(NetworkSim, DrainScanIgnoresMessagesOfIdleSources) {
+  constexpr std::size_t kNodes = 30;
+  constexpr NodeId kIdle = kNodes - 1;
+  util::Rng setup(31);
+  auto graph = graph::random_contact_graph(kNodes, setup, 5.0, 40.0);
+  auto sampled = trace::sample_poisson_trace(graph, 2000.0, setup);
+  std::vector<trace::ContactEvent> events;
+  for (const auto& e : sampled.events()) {
+    if (e.a != kIdle && e.b != kIdle) events.push_back(e);
+  }
+  trace::ContactTrace trace(kNodes, std::move(events));
+  groups::GroupDirectory dir(kNodes, 5, &setup);
+
+  util::Rng mrng(32);
+  auto messages = random_messages(mrng, kNodes - 1, 100, 2);
+  auto priorities = alternating_priorities(messages.size());
+  NetworkSimConfig cfg;
+  cfg.buffer_capacity = 8;
+  cfg.bandwidth.messages_per_contact = 2;
+  util::Rng r1(33);
+  const NetworkSimReport base =
+      run_network_sim(trace, dir, messages, priorities, cfg, r1);
+
+  for (int i = 0; i < 1000; ++i) {
+    InjectedMessage m;
+    m.src = kIdle;
+    m.dst = static_cast<NodeId>(mrng.below(kNodes - 1));
+    m.start = mrng.uniform(0.0, 500.0);
+    m.ttl = 1500.0;
+    messages.push_back(m);
+    priorities.push_back(0);
+  }
+  util::Rng r2(33);
+  const NetworkSimReport loaded =
+      run_network_sim(trace, dir, messages, priorities, cfg, r2);
+
+  EXPECT_GT(base.drain_scanned, 0u);
+  EXPECT_EQ(loaded.drain_scanned, base.drain_scanned);
+  EXPECT_EQ(loaded.total_transmissions, base.total_transmissions);
+  for (std::size_t i = 0; i < base.outcomes.size(); ++i) {
+    const MessageOutcome& a = base.outcomes[i];
+    const MessageOutcome& b = loaded.outcomes[i];
+    EXPECT_EQ(a.delivered, b.delivered) << "message " << i;
+    EXPECT_EQ(a.delay, b.delay) << "message " << i;
+    EXPECT_EQ(a.transmissions, b.transmissions) << "message " << i;
+    EXPECT_EQ(a.buffer_rejections, b.buffer_rejections) << "message " << i;
+    EXPECT_EQ(a.injection_failed, b.injection_failed) << "message " << i;
+  }
 }
 
 TEST(SamplePoissonTrace, RateMatchesGraph) {
