@@ -70,8 +70,8 @@ struct CircuitContext {
 class CircuitManager {
  public:
   /// What a relay peel must produce for the circuit to stay verified.
-  /// kAny accepts any layer that opens (a sprayed copy's mid-path peer
-  /// cannot predict the layer type it holds).
+  /// kAny accepts any layer that opens. The onion routing policies always
+  /// know the layer a copy must produce next and never pass kAny.
   struct Expect {
     enum class Kind : std::uint8_t {
       kAny,

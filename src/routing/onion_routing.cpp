@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "faults/faults.hpp"
 #include "recovery/recovery.hpp"
@@ -21,15 +20,13 @@ using Expect = circuit::CircuitManager::Expect;
 // pure forwarding policies deciding *when* and *between whom* the manager's
 // wire operations happen.
 circuit::CircuitContext circuit_context(const OnionContext& ctx) {
-  circuit::CircuitContext cc;
-  cc.keys = ctx.keys;
-  cc.codec = ctx.codec;
-  cc.crypto = (ctx.crypto == CryptoMode::kReal);
-  cc.metrics = ctx.metrics;
-  cc.wire = ctx.wire_cells;
-  cc.cell_size = ctx.cell_size;
-  cc.tap = ctx.cell_tap;
-  return cc;
+  return {.keys = ctx.keys,
+          .codec = ctx.codec,
+          .crypto = ctx.crypto == CryptoMode::kReal,
+          .metrics = ctx.metrics,
+          .wire = ctx.wire_cells,
+          .cell_size = ctx.cell_size,
+          .tap = ctx.cell_tap};
 }
 
 // Placeholder key for CryptoMode::kNone: the manager returns before touching
@@ -41,22 +38,26 @@ const util::Bytes& empty_key() {
 
 // One copy of the message in flight.
 struct Walker {
-  NodeId holder;
+  NodeId holder = kInvalidNode;
   /// Number of onion layers peeled so far; hop h < K means the copy still
-  /// needs to reach relay group R_{h+1}; h == K means next stop is dst.
+  /// needs to reach relay group R_{h+1}; h == K means the next stop is dst
+  /// (or, in destination-group mode, any member of dst's group); h > K
+  /// means the copy is circulating inside dst's group.
   std::size_t hop = 0;
   /// Which retransmission generation's relay groups this copy follows
   /// (0 = the original send). Fixed at spray time.
   std::size_t gen = 0;
   Time arrival = 0.0;        // when the current holder received the copy
   std::vector<NodeId> path;  // relays visited (r_1..)
-  CircuitId circ = 0;        // this copy's circuit in the manager
-  bool delivered = false;
-  bool lost = false;      // copy destroyed by a fault (crash or blackhole)
+  /// Destination-group mode: the nodes that passed this copy on inside
+  /// dst's group (starting with r_K); the walk never returns to them.
+  std::vector<NodeId> group_visits;
+  CircuitId circ = 0;     // this copy's circuit in the manager
+  bool done = false;      // delivered, or destroyed by a fault
   Time retry_from = 0.0;  // after a failed transfer, re-query from here
 
   // Prepared (holder -> current targets) query, rebuilt only when the hop
-  // advances or the global seen-set grows (plan_version tracks the
+  // advances or a hand-off happened anywhere (plan_version tracks the
   // latter); fault retries and lose-the-race iterations reuse it as-is.
   sim::ContactQuery plan;
   std::uint64_t plan_version = 0;
@@ -72,34 +73,65 @@ struct RoutingMetrics {
   metrics::HistogramHandle hop_delay;
 
   static RoutingMetrics resolve(metrics::Registry* reg) {
-    RoutingMetrics rm;
-    rm.forwards = metrics::counter(reg, "routing.forwards");
-    rm.tickets = metrics::counter(reg, "routing.tickets_spent");
-    rm.deliveries = metrics::counter(reg, "routing.deliveries");
-    rm.hop_delay = metrics::histogram(reg, "routing.hop_delay");
-    return rm;
+    return {metrics::counter(reg, "routing.forwards"),
+            metrics::counter(reg, "routing.tickets_spent"),
+            metrics::counter(reg, "routing.deliveries"),
+            metrics::histogram(reg, "routing.hop_delay")};
   }
 };
 
-// Fault-event counters, resolved only when a FaultPlan is attached so a
-// fault-free run's metrics export carries no faults.* entries.
-struct FaultMetrics {
+// The one fault gate every hand-off passes through. Its counters are
+// resolved only when a FaultPlan is attached, so a fault-free run's metrics
+// export carries no faults.* entries, and without a plan it takes no
+// branch and draws no RNG.
+struct FaultGate {
+  faults::FaultPlan* plan = nullptr;
   metrics::CounterHandle suppressed;
   metrics::CounterHandle transfer_failures;
   metrics::CounterHandle lost_to_crash;
   metrics::CounterHandle blackhole_absorbed;
   metrics::CounterHandle source_flushes;
 
-  static FaultMetrics resolve(const OnionContext& ctx) {
-    FaultMetrics fm;
-    if (ctx.faults == nullptr) return fm;
+  static FaultGate resolve(const OnionContext& ctx) {
+    FaultGate fg;
+    if (ctx.faults == nullptr) return fg;
     metrics::Registry* reg = ctx.metrics;
-    fm.suppressed = metrics::counter(reg, "faults.contacts_suppressed");
-    fm.transfer_failures = metrics::counter(reg, "faults.transfer_failures");
-    fm.lost_to_crash = metrics::counter(reg, "faults.copies_lost_to_crash");
-    fm.blackhole_absorbed = metrics::counter(reg, "faults.blackhole_absorbed");
-    fm.source_flushes = metrics::counter(reg, "faults.source_flushes");
-    return fm;
+    fg.plan = ctx.faults;
+    fg.suppressed = metrics::counter(reg, "faults.contacts_suppressed");
+    fg.transfer_failures = metrics::counter(reg, "faults.transfer_failures");
+    fg.lost_to_crash = metrics::counter(reg, "faults.copies_lost_to_crash");
+    fg.blackhole_absorbed = metrics::counter(reg, "faults.blackhole_absorbed");
+    fg.source_flushes = metrics::counter(reg, "faults.source_flushes");
+    return fg;
+  }
+
+  enum class Verdict { kPass, kRetry, kCrashed };
+
+  /// Can `from`, holding the copy since `since`, hand it to `to` at time
+  /// `t`? kCrashed: `from` crash-rebooted in (since, t] and its buffered
+  /// onion state is gone (the caller counts the loss under its own name);
+  /// kRetry: an endpoint is powered down or the transfer failed, so the
+  /// sender keeps the copy and re-queries from just after t.
+  Verdict check(NodeId from, Time since, NodeId to, Time t) {
+    if (plan == nullptr) return Verdict::kPass;
+    if (plan->crashed_in(from, since, t)) return Verdict::kCrashed;
+    if (!plan->node_up(from, t) || !plan->node_up(to, t)) {
+      suppressed.inc();
+      return Verdict::kRetry;
+    }
+    if (plan->transfer_fails(from, to)) {
+      transfer_failures.inc();
+      return Verdict::kRetry;
+    }
+    return Verdict::kPass;
+  }
+
+  /// After a completed hand-off: is the receiver a blackhole, which
+  /// accepts the copy and never forwards it?
+  bool absorbs(NodeId receiver) {
+    if (plan == nullptr || !plan->is_blackhole(receiver)) return false;
+    blackhole_absorbed.inc();
+    return true;
   }
 };
 
@@ -108,6 +140,10 @@ struct FaultMetrics {
 // moves past the consumed event while the (memoryless) Poisson model is
 // unaffected.
 Time skip_past(Time t) { return std::nextafter(t, kTimeInfinity); }
+
+bool contains(const std::vector<NodeId>& v, NodeId x) {
+  return std::find(v.begin(), v.end(), x) != v.end();
+}
 
 // The recovery config iff source-side retransmission is configured; null
 // keeps the historical zero-recovery code path (no extra RNG draws, no
@@ -142,349 +178,152 @@ std::vector<GroupId> retry_groups_for(const OnionContext& ctx,
   return dir.select_relay_groups(src, dst, k, rng);
 }
 
-}  // namespace
-
-SingleCopyOnionRouting::SingleCopyOnionRouting(const OnionContext& context)
-    : ctx_(context) {
-  if (ctx_.directory == nullptr || ctx_.keys == nullptr ||
-      ctx_.codec == nullptr) {
+const OnionContext& checked(const OnionContext& ctx) {
+  if (ctx.directory == nullptr || ctx.keys == nullptr ||
+      ctx.codec == nullptr) {
     throw std::invalid_argument("OnionContext: null component");
   }
+  return ctx;
 }
 
-DeliveryResult SingleCopyOnionRouting::route(
-    sim::ContactModel& contacts, const MessageSpec& spec, util::Rng& rng,
-    const std::vector<GroupId>* forced_groups) {
-  if (spec.copies != 1) {
-    throw std::invalid_argument("SingleCopyOnionRouting: copies must be 1");
-  }
+// The one onion walker behind both protocols: Algorithm 2 with L copies,
+// of which Algorithm 1 is the L = 1 configuration (spray-and-wait shape:
+// no tickets, one walker starting at the source). An event loop races the
+// source sprayer and every live copy to its next qualifying contact.
+DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
+                            sim::ContactModel& contacts,
+                            const MessageSpec& spec, util::Rng& rng,
+                            const std::vector<GroupId>* forced_groups) {
   if (spec.src == spec.dst) {
     throw std::invalid_argument("route: src == dst");
   }
-  const std::size_t k = spec.num_relays;
-  const auto& dir = *ctx_.directory;
-
-  DeliveryResult result;
-  result.relay_groups = forced_groups != nullptr
-                            ? *forced_groups
-                            : dir.select_relay_groups(spec.src, spec.dst, k, rng);
-  if (result.relay_groups.size() != k) {
-    throw std::invalid_argument("route: wrong relay group count");
-  }
-  result.relays_per_hop.assign(k, {});
-
   const bool group_mode = spec.destination_group_delivery;
+  if (group_mode && spec.copies != 1) {
+    throw std::invalid_argument(
+        "route: destination-group delivery is single-copy only");
+  }
+  const std::size_t k = spec.num_relays;
+  const bool spray_and_wait = mode == SprayMode::kSprayAndWait;
+  const auto& dir = *ctx.directory;
   const GroupId dst_group = group_mode ? dir.group_of(spec.dst) : kInvalidGroup;
 
-  // kReal: one rng draw here (the DRBG-seed position); kNone: none.
-  CircuitManager cm(circuit_context(ctx_), rng);
-  auto key_for = [&](GroupId g) -> const util::Bytes& {
-    return cm.crypto_enabled() ? ctx_.keys->group_key(g) : empty_key();
-  };
-  CircuitId circ = 0;
-
-  const Time deadline = spec.start + spec.ttl;
-  NodeId holder = spec.src;
-  Time now = spec.start;
-  Time hold_since = spec.start;  // when `holder` received the copy
-  Time horizon = deadline;       // current attempt's time budget
-  RoutingMetrics rm = RoutingMetrics::resolve(ctx_.metrics);
-  faults::FaultPlan* fp = ctx_.faults;
-  FaultMetrics fm = FaultMetrics::resolve(ctx_);
-  const recovery::RecoveryConfig* rc = retx_config(ctx_);
-  metrics::CounterHandle m_retx;
-  if (rc != nullptr) {
-    m_retx = metrics::counter(ctx_.metrics, "recovery.retransmits");
+  std::vector<GroupId> first_groups =
+      forced_groups != nullptr
+          ? *forced_groups
+          : dir.select_relay_groups(spec.src, spec.dst, k, rng);
+  if (first_groups.size() != k) {
+    throw std::invalid_argument("route: wrong relay group count");
   }
-
-  // One prepared (holder -> targets) query per hop, reused across fault
-  // retries; `targets` is the hop's scratch buffer.
-  sim::ContactQuery plan;
-  std::vector<NodeId> targets;
-
-  // Finds the holder's next usable contact via the current `plan`: skips
-  // contacts with a powered-down endpoint and retries failed transfers at
-  // the next contact. Returns nullopt when the attempt's horizon passes or
-  // the holder crash-reboots first (its buffered onion state is flushed,
-  // not leaked).
-  auto next_good_contact = [&](NodeId from,
-                               Time after) -> std::optional<sim::CrossContact> {
-    for (;;) {
-      auto contact = contacts.first_cross_contact(plan, after, horizon);
-      if (fp == nullptr || !contact.has_value()) return contact;
-      const Time t = contact->time;
-      if (fp->crashed_in(from, hold_since, t)) {
-        fm.lost_to_crash.inc();
-        return std::nullopt;  // copy lost in the crash
-      }
-      if (!fp->node_up(from, t) || !fp->node_up(contact->b, t)) {
-        fm.suppressed.inc();
-        after = skip_past(t);
-        continue;
-      }
-      if (fp->transfer_fails(from, contact->b)) {
-        fm.transfer_failures.inc();
-        after = skip_past(t);
-        continue;
-      }
-      return contact;
-    }
-  };
-
-  // One end-to-end copy: opens a fresh circuit over `groups` (re-onioning
-  // when crypto is on) and walks it from the source starting at `from`,
-  // bounded by `horizon`. Returns true iff the destination received the
-  // copy; a false return leaves `result` holding the partial path (cost
-  // counters always accumulate) and the circuit truncated.
-  auto attempt = [&](const std::vector<GroupId>& groups, Time from) -> bool {
-    holder = spec.src;
-    now = from;
-    hold_since = from;
-    circ = cm.open(spec.payload, spec.dst, groups, dst_group);
-
-    // Relay phase: hops through R_1..R_K.
-    for (std::size_t hop = 0; hop < k; ++hop) {
-      targets.clear();
-      for (NodeId m : dir.members(groups[hop])) {
-        if (m != holder) targets.push_back(m);
-      }
-      contacts.prepare(plan, std::span<const NodeId>(&holder, 1), targets);
-      auto contact = next_good_contact(holder, now);
-      if (!contact.has_value()) return false;  // horizon passed: Algorithm 1 FAIL
-
-      NodeId receiver = contact->b;
-      rm.hop_delay.observe(contact->time - now);
-      now = contact->time;
-      ++result.transmissions;
-      rm.forwards.inc();
-
-      // Peel at the receiver; the layer must name the hop we expect next.
-      // A mismatch taints the circuit but the walk continues (the policy
-      // cannot detect the failure — there is no in-band error channel).
-      const bool last = (hop + 1 == k);
-      const Expect expect = !last ? Expect::relay_to(groups[hop + 1])
-                            : group_mode ? Expect::relay_to(dst_group)
-                                         : Expect::deliver_to(spec.dst);
-      cm.extend(circ, holder, receiver, key_for(groups[hop]), expect);
-
-      result.relay_path.push_back(receiver);
-      result.relays_per_hop[hop].push_back(receiver);
-      if (fp != nullptr && fp->is_blackhole(receiver)) {
-        fm.blackhole_absorbed.inc();
-        return false;  // the relay accepts the copy but never forwards it
-      }
-      holder = receiver;
-      hold_since = now;
-    }
-
-    // Delivery phase.
-    if (!group_mode) {
-      contacts.prepare(plan, std::span<const NodeId>(&holder, 1),
-                       std::span<const NodeId>(&spec.dst, 1));
-      auto contact = next_good_contact(holder, now);
-      if (!contact.has_value()) return false;
-      rm.hop_delay.observe(contact->time - now);
-      now = contact->time;
-      ++result.transmissions;
-      rm.forwards.inc();
-      cm.deliver(circ, holder, spec.dst, spec.payload);
-    } else {
-      // Destination-group phase: the R_K relay hands the onion to *any*
-      // member of the destination's group; the packet then walks the group
-      // (skipping members that already held it) until the destination opens
-      // the final layer. Relays and carriers learn only the group.
-      std::unordered_set<NodeId> visited = {holder};
-      bool group_layer_peeled = false;
-      while (holder != spec.dst) {
-        targets.clear();
-        for (NodeId m : dir.members(dst_group)) {
-          if (m != holder && visited.count(m) == 0) targets.push_back(m);
-        }
-        contacts.prepare(plan, std::span<const NodeId>(&holder, 1), targets);
-        auto contact = next_good_contact(holder, now);
-        if (!contact.has_value()) return false;
-        NodeId receiver = contact->b;
-        rm.hop_delay.observe(contact->time - now);
-        now = contact->time;
-        ++result.transmissions;
-        rm.forwards.inc();
-        if (group_layer_peeled) ++result.intra_group_hops;
-
-        if (!group_layer_peeled) {
-          cm.extend(circ, holder, receiver, key_for(dst_group),
-                    Expect::deliver_group(dst_group));
-        } else {
-          cm.send(circ, holder, receiver);
-        }
-        if (receiver == spec.dst) {
-          cm.deliver_local(circ, spec.dst, spec.payload);
-        }
-        group_layer_peeled = true;
-        visited.insert(receiver);
-        if (receiver != spec.dst && fp != nullptr &&
-            fp->is_blackhole(receiver)) {
-          fm.blackhole_absorbed.inc();
-          return false;  // absorbed inside the destination group
-        }
-        holder = receiver;
-        hold_since = now;
-      }
-    }
-    return true;
-  };
-
-  // Attempt loop. The first attempt uses the original (analysis-shared,
-  // never biased) groups; each retransmission re-onions through a fresh
-  // selection after the previous attempt's timeout window elapses. The
-  // final permitted attempt runs to the message deadline. With recovery
-  // off this is exactly one attempt bounded by the deadline.
-  double base_interval = rc != nullptr ? rc->retx_timeout : 0.0;
-  Time attempt_start = spec.start;
-  std::vector<GroupId> retry_groups;
-  const std::vector<GroupId>* groups = &result.relay_groups;
-  for (std::size_t a = 0;; ++a) {
-    const bool final_attempt = rc == nullptr || a == rc->retx_max;
-    horizon = final_attempt
-                  ? deadline
-                  : std::min(deadline, attempt_start +
-                                           retx_window(*rc, base_interval, rng));
-    if (attempt(*groups, attempt_start)) {
-      result.delivered = true;
-      result.delay = now - spec.start;
-      result.crypto_verified = cm.verified(circ);
-      rm.deliveries.inc();
-      if (ctx_.suspicion != nullptr && rc != nullptr) {
-        for (GroupId g : *groups) ctx_.suspicion->record(g, true);
-      }
-      break;
-    }
-    cm.truncate(circ);  // the attempt's copy is gone (timeout or fault)
-    if (final_attempt || horizon >= deadline) break;  // out of time budget
-    // Timed out: the source assumes the copy is lost (there is no ACK
-    // channel in the abstract model), suspects this attempt's groups, and
-    // retransmits through a fresh selection.
-    if (ctx_.suspicion != nullptr) {
-      for (GroupId g : *groups) ctx_.suspicion->record(g, false);
-    }
-    retry_groups = retry_groups_for(ctx_, dir, spec.src, spec.dst, k, rng);
-    groups = &retry_groups;
-    result.relay_path.clear();  // only the delivered copy's path is reported
-    ++result.retransmissions;
-    m_retx.inc();
-    attempt_start = horizon;
-    base_interval *= rc->retx_backoff;
-  }
-  result.wire_cells = cm.wire_cells();
-  result.wire_bytes = cm.wire_bytes();
-  return result;
-}
-
-MultiCopyOnionRouting::MultiCopyOnionRouting(const OnionContext& context,
-                                             SprayMode mode)
-    : ctx_(context), mode_(mode) {
-  if (ctx_.directory == nullptr || ctx_.keys == nullptr ||
-      ctx_.codec == nullptr) {
-    throw std::invalid_argument("OnionContext: null component");
-  }
-}
-
-DeliveryResult MultiCopyOnionRouting::route(
-    sim::ContactModel& contacts, const MessageSpec& spec, util::Rng& rng,
-    const std::vector<GroupId>* forced_groups) {
-  if (spec.copies == 0) {
-    throw std::invalid_argument("MultiCopyOnionRouting: copies must be >= 1");
-  }
-  if (spec.destination_group_delivery) {
-    throw std::invalid_argument(
-        "MultiCopyOnionRouting: destination-group delivery is single-copy "
-        "only");
-  }
-  if (spec.src == spec.dst) {
-    throw std::invalid_argument("route: src == dst");
-  }
-  const std::size_t k = spec.num_relays;
-  const std::size_t l = spec.copies;
-  const auto& dir = *ctx_.directory;
-
   DeliveryResult result;
-  result.relay_groups = forced_groups != nullptr
-                            ? *forced_groups
-                            : dir.select_relay_groups(spec.src, spec.dst, k, rng);
   result.relays_per_hop.assign(k, {});
 
   // kReal: one rng draw here (the DRBG-seed position); kNone: none.
-  CircuitManager cm(circuit_context(ctx_), rng);
+  CircuitManager cm(circuit_context(ctx), rng);
   auto key_for = [&](GroupId g) -> const util::Bytes& {
-    return cm.crypto_enabled() ? ctx_.keys->group_key(g) : empty_key();
+    return cm.crypto_enabled() ? ctx.keys->group_key(g) : empty_key();
   };
+
+  // Retransmission generations: the relay groups each one follows and the
+  // template circuit holding its built onion (sprayed copies are clones of
+  // it). gens[0] is the original, analysis-shared and never biased
+  // selection; the source sprays the newest one and old copies keep racing.
+  struct Generation {
+    std::vector<GroupId> groups;
+    CircuitId onion;
+  };
+  std::vector<Generation> gens;
 
   const Time deadline = spec.start + spec.ttl;
   Time now = spec.start;
-  RoutingMetrics rm = RoutingMetrics::resolve(ctx_.metrics);
-  faults::FaultPlan* fp = ctx_.faults;
-  FaultMetrics fm = FaultMetrics::resolve(ctx_);
+  RoutingMetrics rm = RoutingMetrics::resolve(ctx.metrics);
+  FaultGate gate = FaultGate::resolve(ctx);
   Time source_retry_from = spec.start;
   Time source_since = spec.start;  // crash window start for the source
 
-  // Retransmission generations: gens[g] are the relay groups generation g
-  // follows, gen_circuits[g] the template circuit holding its built onion
-  // (sprayed copies are clones of it). Generation 0 is the original
-  // (analysis-shared, never biased) selection; the source sprays the
-  // newest generation, and copies of old generations keep racing.
-  const recovery::RecoveryConfig* rc = retx_config(ctx_);
-  metrics::CounterHandle m_retx;
-  std::vector<std::vector<GroupId>> gens = {result.relay_groups};
-  std::vector<CircuitId> gen_circuits = {
-      cm.open(spec.payload, spec.dst, gens[0])};
-  std::size_t cur_gen = 0;
-  double base_interval = 0.0;
-  Time next_retx = kTimeInfinity;
-  if (rc != nullptr) {
-    m_retx = metrics::counter(ctx_.metrics, "recovery.retransmits");
-    base_interval = rc->retx_timeout;
-    next_retx = spec.start + retx_window(*rc, base_interval, rng);
-  }
-
-  // Nodes that have ever held (or been handed) the message; Forward() in
-  // Algorithm 2 declines peers that already have m. `seen_version` bumps
-  // on every insertion so cached query plans know when to rebuild.
-  std::unordered_set<NodeId> seen = {spec.src};
+  // Nodes that have ever held (or been handed) the message, in insertion
+  // order; Forward() in Algorithm 2 declines peers that already have m.
+  // `seen_version` bumps on every hand-off (the only moment a holder or
+  // the seen set changes) so cached query plans know when to rebuild.
+  std::vector<NodeId> seen;
+  seen.reserve(spec.copies * (k + 1) + 1);
+  seen.push_back(spec.src);
   std::uint64_t seen_version = 1;
 
   // Source's remaining spray tickets (copies it may still hand out).
   // In kSprayAndWait the source retains one copy for itself and sprays the
-  // other l-1 to arbitrary nodes; in kDirectToFirstGroup all l tickets go
+  // other L-1 to arbitrary nodes; in kDirectToFirstGroup all L tickets go
   // to members of R_1.
-  std::size_t source_tickets = (mode_ == SprayMode::kSprayAndWait) ? l - 1 : l;
-  bool source_active = source_tickets > 0;
-
+  std::size_t source_tickets = 0;
+  std::size_t cur_gen = 0;
   std::vector<Walker> walkers;
-  if (mode_ == SprayMode::kSprayAndWait) {
-    // The source's own copy behaves like a carrier waiting for R_1.
-    Walker w;
-    w.holder = spec.src;
-    w.hop = 0;
-    w.arrival = spec.start;
-    w.circ = cm.clone(gen_circuits[0]);
-    walkers.push_back(std::move(w));
+
+  // A new copy of generation cur_gen on circuit `circ`, held by `holder`
+  // since `now`. (References into `walkers` die at the next spawn.)
+  auto spawn = [&](NodeId holder, CircuitId circ) -> Walker& {
+    Walker& w = walkers.emplace_back();
+    w.holder = holder;
+    w.gen = cur_gen;
+    w.arrival = now;
+    w.circ = circ;
+    w.path.reserve(k);
+    return w;
+  };
+
+  // Starts a generation over `groups` at `now`: builds its onion and
+  // re-arms the source (a reboot regenerates the message at the app
+  // layer). In spray-and-wait the source's own copy then waits for R_1
+  // like any carrier; it takes the template circuit itself when no sprays
+  // remain.
+  auto start_generation = [&](std::vector<GroupId> groups) {
+    const CircuitId onion = cm.open(spec.payload, spec.dst, groups, dst_group);
+    gens.push_back({std::move(groups), onion});
+    cur_gen = gens.size() - 1;
+    source_tickets = spec.copies - (spray_and_wait ? 1 : 0);
+    source_since = now;
+    if (spray_and_wait) {
+      spawn(spec.src, source_tickets > 0 ? cm.clone(onion) : onion);
+    }
+  };
+  start_generation(std::move(first_groups));
+
+  const recovery::RecoveryConfig* rc = retx_config(ctx);
+  metrics::CounterHandle m_retx;
+  double base_interval = 0.0;
+  Time next_retx = kTimeInfinity;
+  if (rc != nullptr) {
+    m_retx = metrics::counter(ctx.metrics, "recovery.retransmits");
+    base_interval = rc->retx_timeout;
+    next_retx = spec.start + retx_window(*rc, base_interval, rng);
   }
 
   std::vector<NodeId> targets;  // scratch for plan (re)builds
+  // Relay-hop targets: the members of relay group `g` minus the nodes that
+  // already have m (every holder among them) and minus dst, which must get
+  // its copy as the destination, never as a relay.
+  auto relay_targets = [&](GroupId g) {
+    targets.clear();
+    for (NodeId m : dir.members(g)) {
+      if (m != spec.dst && !contains(seen, m)) targets.push_back(m);
+    }
+  };
 
-  // Refreshes a walker's prepared query if its hop advanced or the seen
-  // set grew since the plan was built; otherwise keeps the plan (and its
-  // buffers) untouched. Targets: the walker's next relay group minus
-  // nodes that already have m, or dst once all layers are peeled.
+  // Refreshes a walker's prepared query if its hop advanced or a hand-off
+  // happened since the plan was built; otherwise keeps the plan (and its
+  // buffers) untouched. Targets: the relay targets of the next group; then
+  // dst unless a copy already reached it; in destination-group mode, dst's
+  // group minus the holder and this copy's own group-phase visits.
   auto ensure_walker_plan = [&](Walker& w) {
     if (w.plan_version == seen_version && w.plan_hop == w.hop) return;
     targets.clear();
     if (w.hop < k) {
-      for (NodeId m : dir.members(gens[w.gen][w.hop])) {
-        if (m != w.holder && seen.count(m) == 0) targets.push_back(m);
+      relay_targets(gens[w.gen].groups[w.hop]);
+    } else if (group_mode) {
+      for (NodeId m : dir.members(dst_group)) {
+        if (m != w.holder && !contains(w.group_visits, m)) {
+          targets.push_back(m);
+        }
       }
-    } else if (seen.count(spec.dst) == 0) {
-      // Forward() declines peers that already have m — once one copy has
-      // been delivered, dst is in `seen` and later copies are not re-sent.
+    } else if (!contains(seen, spec.dst)) {
       targets.push_back(spec.dst);
     }
     contacts.prepare(w.plan, std::span<const NodeId>(&w.holder, 1), targets);
@@ -500,22 +339,14 @@ DeliveryResult MultiCopyOnionRouting::route(
   std::vector<NodeId> excluded;  // scratch for complement plans
   auto ensure_spray_plan = [&] {
     if (spray_plan_version == seen_version && spray_plan_gen == cur_gen) return;
-    if (mode_ == SprayMode::kDirectToFirstGroup) {
-      targets.clear();
-      for (NodeId m : dir.members(gens[cur_gen][0])) {
-        if (seen.count(m) == 0) targets.push_back(m);
-      }
+    if (!spray_and_wait) {
+      relay_targets(gens[cur_gen].groups[0]);
       contacts.prepare(spray_plan, std::span<const NodeId>(&spec.src, 1),
                        targets);
     } else {
       // Spray to anyone new: a complement plan ("everyone except dst and
       // the seen set") instead of enumerating all n nodes — on sparse
       // backends this costs O(degree(src)), not O(n).
-      // odtn-lint: allow(unordered-iter) — the excluded list is a pure
-      // membership filter: prepare_complement stamps it into a bitmap and
-      // enumerates candidates in ascending node-id order, so the order the
-      // exclusions arrive in never reaches the plan (pair order, prefix
-      // sums, or RNG draw mapping).
       excluded.assign(seen.begin(), seen.end());
       excluded.push_back(spec.dst);
       contacts.prepare_complement(
@@ -523,6 +354,49 @@ DeliveryResult MultiCopyOnionRouting::route(
     }
     spray_plan_version = seen_version;
     spray_plan_gen = cur_gen;
+  };
+
+  // Bookkeeping of one completed hand-off to `receiver`.
+  auto hand_off = [&](NodeId receiver) {
+    ++result.transmissions;
+    rm.forwards.inc();
+    if (!contains(seen, receiver)) seen.push_back(receiver);
+    ++seen_version;
+  };
+
+  // Relay hop: `w`'s new holder peels one layer with the group key. The
+  // layer must name the hop expected next (the next relay group, then dst
+  // or dst's group); a mismatch taints the circuit but the walk goes on
+  // (there is no in-band error channel).
+  auto peel = [&](Walker& w, NodeId sender) {
+    const std::vector<GroupId>& groups = gens[w.gen].groups;
+    const std::size_t h = w.hop++;
+    const Expect expect = h + 1 < k ? Expect::relay_to(groups[h + 1])
+                          : group_mode ? Expect::relay_to(dst_group)
+                                       : Expect::deliver_to(spec.dst);
+    cm.extend(w.circ, sender, w.holder, key_for(groups[h]), expect);
+    w.path.push_back(w.holder);
+    result.relays_per_hop[h].push_back(w.holder);
+  };
+  // Suspicion learns from the outcome of generation `gen`'s groups.
+  auto record_outcome = [&](std::size_t gen, bool acked) {
+    if (ctx.suspicion == nullptr) return;
+    for (GroupId g : gens[gen].groups) ctx.suspicion->record(g, acked);
+  };
+  // The copy is gone (crash or blackhole): its circuit is truncated.
+  auto lose = [&](Walker& w) {
+    cm.truncate(w.circ);
+    w.done = true;
+  };
+  auto deliver = [&](Walker& w) {
+    w.done = true;
+    rm.deliveries.inc();
+    if (result.delivered) return;
+    result.delivered = true;
+    result.delay = now - spec.start;
+    result.relay_path = std::move(w.path);
+    result.crypto_verified = cm.verified(w.circ);
+    if (rc != nullptr) record_outcome(w.gen, true);  // exonerated
   };
 
   while (true) {
@@ -536,14 +410,14 @@ DeliveryResult MultiCopyOnionRouting::route(
     };
     std::optional<Pending> best;
 
-    if (source_active) {
+    if (source_tickets > 0) {
       ensure_spray_plan();
       auto ev = contacts.first_cross_contact(
           spray_plan, std::max(now, source_retry_from), deadline);
       if (ev.has_value()) best = Pending{ev->time, -1, ev->b};
     }
     for (std::size_t i = 0; i < walkers.size(); ++i) {
-      if (walkers[i].delivered || walkers[i].lost) continue;
+      if (walkers[i].done) continue;
       ensure_walker_plan(walkers[i]);
       auto ev = contacts.first_cross_contact(
           walkers[i].plan, std::max(now, walkers[i].retry_from), deadline);
@@ -560,24 +434,9 @@ DeliveryResult MultiCopyOnionRouting::route(
         result.retransmissions < rc->retx_max && next_retx < deadline &&
         (!best.has_value() || next_retx <= best->time)) {
       now = std::max(now, next_retx);
-      if (ctx_.suspicion != nullptr) {
-        for (GroupId g : gens[cur_gen]) ctx_.suspicion->record(g, false);
-      }
-      gens.push_back(retry_groups_for(ctx_, dir, spec.src, spec.dst, k, rng));
-      cur_gen = gens.size() - 1;
-      gen_circuits.push_back(cm.open(spec.payload, spec.dst, gens[cur_gen]));
-      source_tickets = (mode_ == SprayMode::kSprayAndWait) ? l - 1 : l;
-      source_active = source_tickets > 0;
-      source_since = now;  // a reboot regenerates the message at the app layer
-      if (mode_ == SprayMode::kSprayAndWait) {
-        Walker w;
-        w.holder = spec.src;
-        w.hop = 0;
-        w.gen = cur_gen;
-        w.arrival = now;
-        w.circ = cm.clone(gen_circuits[cur_gen]);
-        walkers.push_back(std::move(w));
-      }
+      record_outcome(cur_gen, false);
+      start_generation(
+          retry_groups_for(ctx, dir, spec.src, spec.dst, k, rng));
       ++result.retransmissions;
       m_retx.inc();
       base_interval *= rc->retx_backoff;
@@ -586,133 +445,121 @@ DeliveryResult MultiCopyOnionRouting::route(
     }
     if (!best.has_value()) break;  // every copy is stuck until the deadline
     now = best->time;
+    const NodeId receiver = best->receiver;
 
     if (best->agent == -1) {
-      if (fp != nullptr) {
-        if (fp->crashed_in(spec.src, source_since, now)) {
-          // The source crash-rebooted: its remaining spray tickets (copies
-          // it had yet to hand out) were flushed with its buffer. A later
-          // retransmission re-arms the source from the reboot onward.
-          fm.source_flushes.inc();
-          source_tickets = 0;
-          source_active = false;
-          source_since = now;
-          continue;
-        }
-        if (!fp->node_up(spec.src, now) || !fp->node_up(best->receiver, now)) {
-          fm.suppressed.inc();
-          source_retry_from = skip_past(now);
-          continue;
-        }
-        if (fp->transfer_fails(spec.src, best->receiver)) {
-          // Failed handoff: the spray ticket is NOT consumed; the source
-          // retries at its next contact.
-          fm.transfer_failures.inc();
-          source_retry_from = skip_past(now);
-          continue;
-        }
+      const auto verdict = gate.check(spec.src, source_since, receiver, now);
+      if (verdict == FaultGate::Verdict::kCrashed) {
+        // The source crash-rebooted: its remaining spray tickets (copies it
+        // had yet to hand out) were flushed with its buffer. A later
+        // retransmission re-arms the source from the reboot onward.
+        gate.source_flushes.inc();
+        source_tickets = 0;
+        source_since = now;
+        continue;
+      }
+      if (verdict == FaultGate::Verdict::kRetry) {
+        // The spray ticket is NOT consumed; the source retries at its next
+        // contact.
+        source_retry_from = skip_past(now);
+        continue;
       }
       // Source hands out one copy.
-      ++result.transmissions;
-      rm.forwards.inc();
+      hand_off(receiver);
       rm.tickets.inc();
-      seen.insert(best->receiver);
-      ++seen_version;
       --source_tickets;
-      if (source_tickets == 0) source_active = false;
 
-      Walker w;
-      w.holder = best->receiver;
-      w.gen = cur_gen;
-      w.arrival = now;
-      w.circ = cm.clone(gen_circuits[cur_gen]);
-      if (mode_ == SprayMode::kDirectToFirstGroup) {
-        // Receiver is a member of R_1 and peels layer 1 immediately. A
-        // sprayed copy's peer cannot predict the layer type it holds, so
-        // any layer that opens is accepted (Expect::any, as the legacy
-        // protocol checked only that the peel succeeded).
-        cm.extend(w.circ, spec.src, best->receiver,
-                  key_for(gens[cur_gen][0]), Expect::any());
-        w.hop = 1;
-        w.path.push_back(best->receiver);
-        result.relays_per_hop[0].push_back(best->receiver);
+      Walker& w = spawn(receiver, cm.clone(gens[cur_gen].onion));
+      if (!spray_and_wait) {
+        peel(w, spec.src);  // the receiver is a member of R_1
       } else {
-        // Receiver is a plain carrier; it cannot peel anything.
-        cm.send(w.circ, spec.src, best->receiver);
-        w.hop = 0;
+        cm.send(w.circ, spec.src, receiver);  // a carrier; it peels nothing
       }
-      if (fp != nullptr && fp->is_blackhole(best->receiver)) {
-        // The receiver banks the copy forever: the ticket is spent and the
-        // peer counts as holding m, but no live walker results.
-        fm.blackhole_absorbed.inc();
-        cm.truncate(w.circ);
-        w.lost = true;
-      }
-      walkers.push_back(std::move(w));
+      // A blackhole receiver spends the ticket and counts as holding m, but
+      // no live walker results.
+      if (gate.absorbs(receiver)) lose(w);
       continue;
     }
 
     // A walker forwards its copy.
     Walker& w = walkers[static_cast<std::size_t>(best->agent)];
-    NodeId receiver = best->receiver;
-    if (fp != nullptr) {
-      if (fp->crashed_in(w.holder, w.arrival, now)) {
-        fm.lost_to_crash.inc();
-        cm.truncate(w.circ);
-        w.lost = true;  // the holder's buffered copy died in the crash
-        continue;
-      }
-      if (!fp->node_up(w.holder, now) || !fp->node_up(receiver, now)) {
-        fm.suppressed.inc();
-        w.retry_from = skip_past(now);
-        continue;
-      }
-      if (fp->transfer_fails(w.holder, receiver)) {
-        fm.transfer_failures.inc();
-        w.retry_from = skip_past(now);
-        continue;
-      }
+    const auto verdict = gate.check(w.holder, w.arrival, receiver, now);
+    if (verdict == FaultGate::Verdict::kCrashed) {
+      gate.lost_to_crash.inc();
+      lose(w);  // the holder's buffered copy died in the crash
+      continue;
     }
-    ++result.transmissions;
-    rm.forwards.inc();
+    if (verdict == FaultGate::Verdict::kRetry) {
+      w.retry_from = skip_past(now);
+      continue;
+    }
+    hand_off(receiver);
     rm.hop_delay.observe(now - w.arrival);
-    seen.insert(receiver);
-    ++seen_version;
+    const NodeId sender = w.holder;
+    w.holder = receiver;
+    w.arrival = now;
 
     if (w.hop < k) {
-      cm.extend(w.circ, w.holder, receiver, key_for(gens[w.gen][w.hop]),
-                Expect::any());
-      w.path.push_back(receiver);
-      result.relays_per_hop[w.hop].push_back(receiver);
-      w.holder = receiver;
-      w.arrival = now;
-      ++w.hop;
-      if (fp != nullptr && fp->is_blackhole(receiver)) {
-        fm.blackhole_absorbed.inc();
-        cm.truncate(w.circ);
-        w.lost = true;  // relay accepts the copy but never forwards it
-      }
+      peel(w, sender);
+    } else if (!group_mode) {
+      cm.deliver(w.circ, sender, spec.dst, spec.payload);
+      deliver(w);
     } else {
-      // Delivered to dst.
-      cm.deliver(w.circ, w.holder, spec.dst, spec.payload);
-      w.delivered = true;
-      rm.deliveries.inc();
-      if (!result.delivered) {
-        result.delivered = true;
-        result.delay = now - spec.start;
-        result.relay_path = w.path;
-        result.crypto_verified = cm.verified(w.circ);
-        if (ctx_.suspicion != nullptr && rc != nullptr) {
-          // The delivering generation's groups are exonerated.
-          for (GroupId g : gens[w.gen]) ctx_.suspicion->record(g, true);
-        }
+      // Destination-group phase: r_K hands the onion to *any* member of
+      // dst's group, which peels the group layer; the packet then walks
+      // the group until dst opens the final layer. Relays and carriers
+      // learn only the group.
+      if (w.hop == k) {
+        cm.extend(w.circ, sender, receiver, key_for(dst_group),
+                  Expect::deliver_group(dst_group));
+        w.hop = k + 1;
+      } else {
+        cm.send(w.circ, sender, receiver);
+        ++result.intra_group_hops;
+      }
+      w.group_visits.push_back(sender);
+      if (receiver == spec.dst) {
+        cm.deliver_local(w.circ, spec.dst, spec.payload);
+        deliver(w);
       }
     }
+    // A blackhole relay or group member accepts the copy and never
+    // forwards it; dst itself always opens it.
+    if (!w.done && gate.absorbs(receiver)) lose(w);
   }
 
+  result.relay_groups = std::move(gens[0].groups);
   result.wire_cells = cm.wire_cells();
   result.wire_bytes = cm.wire_bytes();
   return result;
+}
+
+}  // namespace
+
+SingleCopyOnionRouting::SingleCopyOnionRouting(const OnionContext& context)
+    : ctx_(checked(context)) {}
+
+DeliveryResult SingleCopyOnionRouting::route(
+    sim::ContactModel& contacts, const MessageSpec& spec, util::Rng& rng,
+    const std::vector<GroupId>* forced_groups) {
+  if (spec.copies != 1) {
+    throw std::invalid_argument("SingleCopyOnionRouting: copies must be 1");
+  }
+  return route_copies(ctx_, SprayMode::kSprayAndWait, contacts, spec, rng,
+                      forced_groups);
+}
+
+MultiCopyOnionRouting::MultiCopyOnionRouting(const OnionContext& context,
+                                             SprayMode mode)
+    : ctx_(checked(context)), mode_(mode) {}
+
+DeliveryResult MultiCopyOnionRouting::route(
+    sim::ContactModel& contacts, const MessageSpec& spec, util::Rng& rng,
+    const std::vector<GroupId>* forced_groups) {
+  if (spec.copies == 0) {
+    throw std::invalid_argument("MultiCopyOnionRouting: copies must be >= 1");
+  }
+  return route_copies(ctx_, mode_, contacts, spec, rng, forced_groups);
 }
 
 }  // namespace odtn::routing

@@ -1,9 +1,5 @@
 // Onion-based anonymous routing for DTNs: the paper's abstract protocols.
 //
-// SingleCopyOnionRouting implements Algorithm 1 (ARDEN-like): exactly one
-// copy hops through K randomly-chosen relay onion groups; at each contact,
-// the holder forwards iff the peer belongs to the next group.
-//
 // MultiCopyOnionRouting implements Algorithm 2: up to L copies, managed
 // with spray-and-wait-style tickets. Two spray strategies are provided:
 //   * kDirectToFirstGroup — Algorithm 2 read literally: the source hands
@@ -13,7 +9,16 @@
 //     meets (any node); each sprayed holder then waits for a member of R_1.
 //     This matches the cost bound 1 + 2(L-1) + KL <= (K+2)L of Sec. IV-C.
 // After the first hop both modes behave identically (each holder has one
-// ticket).
+// ticket). A holder forwards iff the peer belongs to its copy's next group
+// and does not have the message yet; dst is never handed a relay copy.
+//
+// SingleCopyOnionRouting implements Algorithm 1 (ARDEN-like): exactly one
+// copy hops through K randomly-chosen relay onion groups. It is Algorithm
+// 2 at L = 1 — no tickets, one walker starting at the source — and both
+// classes run the same event loop, so from the same seed they return the
+// same DeliveryResult. ARDEN's destination-group delivery
+// (MessageSpec::destination_group_delivery) is single-copy only: L > 1
+// rejects it.
 #pragma once
 
 #include "circuit/circuit_manager.hpp"
@@ -39,9 +44,9 @@ namespace odtn::routing {
 /// Context shared by the onion protocols: group membership, keys, codec.
 /// All references must outlive the protocol objects.
 struct OnionContext {
-  const groups::GroupDirectory* directory;
-  const groups::KeyManager* keys;
-  const onion::OnionCodec* codec;
+  const groups::GroupDirectory* directory = nullptr;
+  const groups::KeyManager* keys = nullptr;
+  const onion::OnionCodec* codec = nullptr;
   CryptoMode crypto = CryptoMode::kNone;
   /// Observability sink (see odtn::metrics). When non-null the protocols
   /// record "routing.*" counters (forwards, peels, peel failures, spray
@@ -60,14 +65,15 @@ struct OnionContext {
   /// End-to-end reliability (see odtn::recovery). With retx_timeout > 0
   /// the source retransmits an undelivered message after a (backed-off,
   /// jittered) timeout, re-onioning it through freshly sampled relay
-  /// groups. Single-copy: each retransmission supersedes the outstanding
-  /// copy (the walk restarts — the abstract model has no ACK channel, so
-  /// the source assumes the copy is lost at timeout). Multi-copy: each
-  /// retransmission sprays a new generation of copies that races the old
-  /// ones. The first relay-group selection is never biased (it is shared
-  /// with the fault-blind analysis); only retry selections consult the
-  /// suspicion tracker. Null or disabled = the protocols draw no recovery
-  /// RNG and behave byte-identically to a build without the layer.
+  /// groups. At every L (single copy included) each retransmission
+  /// sprays a new generation of copies that races the ones already out:
+  /// the abstract model has no ACK channel, so the source assumes the
+  /// message is lost at timeout, but the network may still deliver an
+  /// older copy. The first relay-group selection is never biased (it is
+  /// shared with the fault-blind analysis); only retry selections consult
+  /// the suspicion tracker. Null or disabled = the protocols draw no
+  /// recovery RNG and behave byte-identically to a build without the
+  /// layer.
   const recovery::RecoveryConfig* recovery = nullptr;
   /// Suspicion state biasing retry relay-group selection; typically shared
   /// across a run's messages so later flows avoid groups earlier flows

@@ -83,9 +83,9 @@ TEST(RecoveryExperiment, RetransmissionIsBitIdenticalAcrossThreadCounts) {
 }
 
 // The unloaded onion protocols carry the retransmission semantics too
-// (supersede-on-timeout single copy, racing generations multi copy); they
-// must stay thread-count deterministic and at least as good as the
-// fire-and-forget baseline under faults.
+// (at every L a timeout sprays a new generation that races the copies
+// already out); they must stay thread-count deterministic and at least as
+// good as the fire-and-forget baseline under faults.
 TEST(RecoveryExperiment, UnloadedRetransmissionIsDeterministicAndHelps) {
   ExperimentConfig cfg;
   cfg.nodes = 30;

@@ -113,22 +113,35 @@ TEST(MultiCopy, RelaysBelongToGroups) {
 }
 
 TEST(MultiCopy, SingleCopySpecialCaseMatchesSingleCopyProtocol) {
-  // L=1 multi-copy should behave statistically like the single-copy
-  // protocol: same expected transmissions on success.
-  Fixture f;
-  MultiCopyOnionRouting multi(f.ctx);
-  SingleCopyOnionRouting single(f.ctx);
-  util::RunningStats dm, ds;
-  for (int trial = 0; trial < 200; ++trial) {
-    auto rm = multi.route(f.contacts, spec_for(0, 29, 200.0, 3, 1), f.rng);
-    auto rs = single.route(f.contacts, spec_for(0, 29, 200.0, 3, 1), f.rng);
-    dm.add(rm.delivered);
-    ds.add(rs.delivered);
-    if (rm.delivered) {
-      EXPECT_EQ(rm.transmissions, 4u);
+  // Algorithm 1 is Algorithm 2 at L = 1: from the same seed both classes
+  // produce the identical DeliveryResult, in either spray mode.
+  for (SprayMode mode :
+       {SprayMode::kSprayAndWait, SprayMode::kDirectToFirstGroup}) {
+    Fixture fm, fs;
+    MultiCopyOnionRouting multi(fm.ctx, mode);
+    SingleCopyOnionRouting single(fs.ctx);
+    int delivered = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+      auto spec = spec_for(0, 29, 40.0, 3, 1);
+      auto rm = multi.route(fm.contacts, spec, fm.rng);
+      auto rs = single.route(fs.contacts, spec, fs.rng);
+      ASSERT_EQ(rm.delivered, rs.delivered) << "trial " << trial;
+      EXPECT_EQ(rm.delay, rs.delay);
+      EXPECT_EQ(rm.transmissions, rs.transmissions);
+      EXPECT_EQ(rm.relay_path, rs.relay_path);
+      EXPECT_EQ(rm.relays_per_hop, rs.relays_per_hop);
+      EXPECT_EQ(rm.relay_groups, rs.relay_groups);
+      EXPECT_EQ(rm.intra_group_hops, rs.intra_group_hops);
+      EXPECT_EQ(rm.crypto_verified, rs.crypto_verified);
+      EXPECT_EQ(rm.retransmissions, rs.retransmissions);
+      EXPECT_EQ(rm.wire_cells, rs.wire_cells);
+      EXPECT_EQ(rm.wire_bytes, rs.wire_bytes);
+      delivered += rs.delivered ? 1 : 0;
     }
+    // Both outcomes occur, so the comparison covers partial walks too.
+    EXPECT_GT(delivered, 0);
+    EXPECT_LT(delivered, 200);
   }
-  EXPECT_NEAR(dm.mean(), ds.mean(), 0.12);
 }
 
 TEST(MultiCopy, RealCryptoVerifiesAllCopies) {
@@ -205,6 +218,13 @@ TEST(MultiCopy, Validation) {
   auto self = spec_for(2, 2, 100.0, 3, 2);
   EXPECT_THROW(protocol.route(f.contacts, self, f.rng),
                std::invalid_argument);
+  // Forced groups must name exactly K relay groups, at every L.
+  std::vector<GroupId> short_list = {1, 2};
+  for (std::size_t l : {1u, 3u}) {
+    EXPECT_THROW(protocol.route(f.contacts, spec_for(0, 29, 100.0, 3, l),
+                                f.rng, &short_list),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

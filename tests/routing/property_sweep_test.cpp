@@ -132,7 +132,10 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{3, 10, 1}, SweepCase{5, 5, 1},
                       SweepCase{8, 4, 1}, SweepCase{3, 5, 2},
                       SweepCase{3, 5, 5}, SweepCase{2, 10, 3},
-                      SweepCase{5, 5, 3}, SweepCase{1, 5, 4}),
+                      SweepCase{5, 5, 3}, SweepCase{1, 5, 4},
+                      // 4 groups < K + 2: relay selection falls back to all
+                      // groups, so dst's own group can be a relay group.
+                      SweepCase{3, 10, 3}),
     case_name);
 
 }  // namespace

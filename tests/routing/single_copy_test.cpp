@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "recovery/recovery.hpp"
 #include "routing/onion_routing.hpp"
 #include "util/stats.hpp"
 
@@ -76,7 +77,10 @@ TEST(SingleCopy, PartialProgressCountsTransmissions) {
   bool saw_partial = false;
   for (int trial = 0; trial < 200 && !saw_partial; ++trial) {
     auto r = protocol.route(f.contacts, spec_for(0, 29, 6.0, 3), f.rng);
-    if (!r.delivered && r.transmissions > 0) saw_partial = true;
+    if (r.delivered) continue;
+    // relay_path describes the delivered copy only (types.hpp).
+    EXPECT_TRUE(r.relay_path.empty());
+    if (r.transmissions > 0) saw_partial = true;
   }
   EXPECT_TRUE(saw_partial);
 }
@@ -186,6 +190,38 @@ TEST(SingleCopy, TraceDeadlineCutsDelivery) {
   auto fail = protocol.route(contacts, spec_for(0, 2, 45.0, 1), rng, &forced);
   EXPECT_FALSE(fail.delivered);
   EXPECT_EQ(fail.transmissions, 1u);  // reached r_1 but not dst
+}
+
+TEST(SingleCopy, FirstGenerationCopyDeliversAfterRetransmission) {
+  // L = 1 retransmission sprays a new generation; it does not truncate the
+  // outstanding copy. Generation 0 reaches r_1 = 1 at t=5, the timeout
+  // fires at t=10 while it waits for dst, and the retransmitted copy finds
+  // no usable contact — so the message is delivered by generation 0 at
+  // t=30, after one retransmission.
+  trace::ContactTrace t(5, {{5.0, 0, 1}, {30.0, 1, 3}});
+  sim::TraceContactModel contacts(t);
+  groups::GroupDirectory dir(5, 1);  // node i is group i
+  groups::KeyManager keys(dir, 1);
+  onion::OnionCodec codec;
+  recovery::RecoveryConfig rc;
+  rc.retx_timeout = 10.0;
+  rc.retx_max = 1;
+  rc.retx_jitter = 0.0;
+  OnionContext ctx{&dir, &keys, &codec, CryptoMode::kReal};
+  ctx.recovery = &rc;
+  SingleCopyOnionRouting protocol(ctx);
+  util::Rng rng(1);
+  auto spec = spec_for(0, 3, 100.0, 1);
+  spec.payload = util::to_bytes("first generation");
+  std::vector<GroupId> forced = {1};
+  auto r = protocol.route(contacts, spec, rng, &forced);
+  ASSERT_TRUE(r.delivered);
+  EXPECT_EQ(r.retransmissions, 1u);
+  EXPECT_EQ(r.delay, 30.0);
+  EXPECT_EQ(r.relay_path, (std::vector<NodeId>{1}));
+  EXPECT_EQ(r.relay_groups, forced);
+  EXPECT_EQ(r.transmissions, 2u);
+  EXPECT_TRUE(r.crypto_verified);
 }
 
 TEST(SingleCopy, Validation) {

@@ -463,7 +463,7 @@ TEST(NetworkSim, MatchesSingleCopyWalkerOnPoissonTraces) {
 
     ASSERT_EQ(net.delivered, walk.delivered) << "seed " << seed;
     EXPECT_EQ(net.transmissions, walk.transmissions) << "seed " << seed;
-    if (!walk.delivered) continue;  // the walker keeps a partial path
+    if (!walk.delivered) continue;  // relay_path: delivered copies only
     ++delivered;
     EXPECT_EQ(net.delay, walk.delay) << "seed " << seed;
     EXPECT_EQ(net.relay_path, walk.relay_path) << "seed " << seed;
