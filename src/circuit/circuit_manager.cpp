@@ -126,8 +126,6 @@ bool CircuitManager::peel_with(Circuit& c, const util::Bytes& key,
   bool ok = v.has_value();
   if (ok) {
     switch (expect.kind) {
-      case Expect::Kind::kAny:
-        break;
       case Expect::Kind::kRelayTo:
         ok = v->type == onion::Peeled::Type::kRelay &&
              v->next_group == expect.next_group;

@@ -70,20 +70,16 @@ struct CircuitContext {
 class CircuitManager {
  public:
   /// What a relay peel must produce for the circuit to stay verified.
-  /// kAny accepts any layer that opens. The onion routing policies always
-  /// know the layer a copy must produce next and never pass kAny.
   struct Expect {
     enum class Kind : std::uint8_t {
-      kAny,
       kRelayTo,         // kRelay naming this next group
       kDeliverTo,       // kDeliver naming this destination node
       kDeliverGroupTo,  // kDeliverGroup naming this destination group
     };
-    Kind kind = Kind::kAny;
+    Kind kind = Kind::kRelayTo;  // with no group: matches no layer
     GroupId next_group = kInvalidGroup;
     NodeId dest = kInvalidNode;
 
-    static Expect any() { return {}; }
     static Expect relay_to(GroupId g) {
       return {Kind::kRelayTo, g, kInvalidNode};
     }

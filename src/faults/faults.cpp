@@ -145,4 +145,49 @@ bool FaultPlan::transfer_fails(NodeId a, NodeId b) {
   return link_rng_.chance(bad ? ge.p_fail_bad : ge.p_fail_good);
 }
 
+FaultGate::FaultGate(FaultPlan* plan, metrics::Registry* reg)
+    : plan_(plan), reg_(reg) {
+  m_suppressed_ = counter("faults.contacts_suppressed");
+  m_failures_ = counter("faults.transfer_failures");
+  m_absorbed_ = counter("faults.blackhole_absorbed");
+}
+
+metrics::CounterHandle FaultGate::counter(const char* name) const {
+  return plan_ != nullptr ? metrics::counter(reg_, name)
+                          : metrics::CounterHandle{};
+}
+
+bool FaultGate::contact_up(NodeId a, NodeId b, Time t) {
+  if (plan_ == nullptr || (plan_->node_up(a, t) && plan_->node_up(b, t))) {
+    return true;
+  }
+  ++suppressed_;
+  m_suppressed_.inc();
+  return false;
+}
+
+bool FaultGate::transfer_fails(NodeId from, NodeId to) {
+  if (plan_ == nullptr || !plan_->transfer_fails(from, to)) return false;
+  ++failures_;
+  m_failures_.inc();
+  return true;
+}
+
+bool FaultGate::absorbs(NodeId receiver) {
+  if (plan_ == nullptr || !plan_->is_blackhole(receiver)) return false;
+  ++absorbed_;
+  m_absorbed_.inc();
+  return true;
+}
+
+FaultGate::Verdict FaultGate::check(NodeId from, Time since, NodeId to,
+                                    Time t) {
+  if (plan_ == nullptr) return Verdict::kPass;
+  if (plan_->crashed_in(from, since, t)) return Verdict::kCrashed;
+  if (!contact_up(from, to, t) || transfer_fails(from, to)) {
+    return Verdict::kRetry;
+  }
+  return Verdict::kPass;
+}
+
 }  // namespace odtn::faults

@@ -38,6 +38,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "metrics/metrics.hpp"
 #include "util/ids.hpp"
 #include "util/rng.hpp"
 
@@ -156,6 +157,54 @@ class FaultPlan {
   // constructor init list from derive_seed(seed, 1)
   util::Rng link_rng_;
   std::unordered_map<std::uint64_t, bool> link_bad_;  // Gilbert-Elliott state
+};
+
+/// The one fault gate both the per-message protocols and the
+/// whole-network simulator pass hand-offs through. Without a plan every
+/// check passes, no RNG is drawn and no metric is registered; with one it
+/// registers faults.contacts_suppressed, faults.transfer_failures and
+/// faults.blackhole_absorbed, and counts each outcome there and in its own
+/// tallies.
+class FaultGate {
+ public:
+  FaultGate() = default;
+  FaultGate(FaultPlan* plan, metrics::Registry* reg);
+
+  /// A further faults.* counter, registered only when a plan is attached.
+  metrics::CounterHandle counter(const char* name) const;
+
+  /// Are both endpoints of a contact at time t powered up? A contact with
+  /// a powered-down endpoint counts as suppressed.
+  bool contact_up(NodeId a, NodeId b, Time t);
+  /// One attempted transfer over (from, to): does it fail mid-contact?
+  /// Draws from the plan's link-loss stream, so call it exactly once per
+  /// attempt, in simulation order.
+  bool transfer_fails(NodeId from, NodeId to);
+  /// After a completed hand-off: is the receiver a blackhole, which
+  /// accepts the copy and never forwards it?
+  bool absorbs(NodeId receiver);
+
+  enum class Verdict { kPass, kRetry, kCrashed };
+  /// Can `from`, holding the copy since `since`, hand it to `to` at time
+  /// `t`? kCrashed: `from` crash-rebooted in (since, t] and its buffered
+  /// onion state is gone (the caller counts the loss under its own name);
+  /// kRetry: an endpoint is powered down or the transfer failed, so the
+  /// sender keeps the copy and tries again later.
+  Verdict check(NodeId from, Time since, NodeId to, Time t);
+
+  std::size_t suppressed() const { return suppressed_; }
+  std::size_t failures() const { return failures_; }
+  std::size_t absorbed() const { return absorbed_; }
+
+ private:
+  FaultPlan* plan_ = nullptr;
+  metrics::Registry* reg_ = nullptr;
+  metrics::CounterHandle m_suppressed_;
+  metrics::CounterHandle m_failures_;
+  metrics::CounterHandle m_absorbed_;
+  std::size_t suppressed_ = 0;
+  std::size_t failures_ = 0;
+  std::size_t absorbed_ = 0;
 };
 
 }  // namespace odtn::faults

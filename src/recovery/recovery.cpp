@@ -57,6 +57,10 @@ void SuspicionTracker::record(GroupId group, bool acked) {
   if ((s >= threshold_) != was) ++flips_;
 }
 
+void SuspicionTracker::record(std::span<const GroupId> groups, bool acked) {
+  for (GroupId g : groups) record(g, acked);
+}
+
 double SuspicionTracker::suspicion(GroupId group) const {
   auto it = score_.find(group);
   return it == score_.end() ? 0.0 : it->second;
@@ -73,7 +77,7 @@ std::size_t SuspicionTracker::suspected_count() const {
 }
 
 std::vector<GroupId> select_relay_groups_avoiding(
-    const groups::GroupDirectory& directory, const SuspicionTracker& tracker,
+    const groups::GroupDirectory& directory, const SuspicionTracker* tracker,
     NodeId src, NodeId dst, std::size_t k, util::Rng& rng,
     std::size_t attempts) {
   std::vector<GroupId> best;
@@ -82,7 +86,9 @@ std::vector<GroupId> select_relay_groups_avoiding(
     std::vector<GroupId> draw =
         directory.select_relay_groups(src, dst, k, rng);
     std::size_t tainted = 0;
-    for (GroupId g : draw) tainted += tracker.suspected(g);
+    if (tracker != nullptr) {
+      for (GroupId g : draw) tainted += tracker->suspected(g);
+    }
     if (tainted < best_tainted) {
       best_tainted = tainted;
       best = std::move(draw);
@@ -90,6 +96,16 @@ std::vector<GroupId> select_relay_groups_avoiding(
     }
   }
   return best;
+}
+
+Time RetxSchedule::arm(Time from, std::size_t sent, util::Rng& rng) {
+  double window = interval_;
+  if (config_->retx_jitter > 0.0) {
+    window *= 1.0 + config_->retx_jitter * (2.0 * rng.uniform01() - 1.0);
+  }
+  interval_ *= config_->retx_backoff;
+  const Time due = from + window;
+  return sent < config_->retx_max && due < deadline_ ? due : kTimeInfinity;
 }
 
 SaturationWindow::SaturationWindow(std::size_t window)

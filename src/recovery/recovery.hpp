@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "util/ids.hpp"
@@ -105,6 +106,8 @@ class SuspicionTracker {
   /// Folds one send outcome for `group`: EWMA steps toward 1 when the
   /// send timed out unacked, toward 0 when it was acked.
   void record(GroupId group, bool acked);
+  /// Folds one send outcome for each of a generation's relay groups.
+  void record(std::span<const GroupId> groups, bool acked);
 
   /// Current EWMA of unacked sends (0 for never-seen groups).
   double suspicion(GroupId group) const;
@@ -120,16 +123,42 @@ class SuspicionTracker {
   std::size_t flips_ = 0;
 };
 
-/// Suspicion-biased relay-group selection: draws up to `attempts`
-/// candidate sets via GroupDirectory::select_relay_groups and returns the
-/// first set containing no suspected group; if every draw is tainted, the
-/// set with the fewest suspected groups wins (first minimum — ties break
-/// toward the earlier draw, deterministically). Always draws from `rng`
-/// in a data-independent pattern apart from the early exit.
+/// Relay groups for a retransmission. Suspicion-biased: draws up to
+/// `attempts` candidate sets via GroupDirectory::select_relay_groups and
+/// returns the first set containing no suspected group; if every draw is
+/// tainted, the set with the fewest suspected groups wins (first minimum —
+/// ties break toward the earlier draw, deterministically). A null
+/// `tracker` suspects nothing, so the first draw wins: plain re-selection.
+/// Always draws from `rng` in a data-independent pattern apart from the
+/// early exit.
 std::vector<GroupId> select_relay_groups_avoiding(
-    const groups::GroupDirectory& directory, const SuspicionTracker& tracker,
+    const groups::GroupDirectory& directory, const SuspicionTracker* tracker,
     NodeId src, NodeId dst, std::size_t k, util::Rng& rng,
     std::size_t attempts = 4);
+
+/// The source-side retransmission timer of one message, shared by the
+/// per-message protocols and the whole-network simulator. Window n
+/// (n = 0 after the original send) lasts retx_timeout * retx_backoff^n,
+/// scaled by 1 + retx_jitter * (2u - 1) for one uniform draw u per arm
+/// (no draw when jitter is 0).
+class RetxSchedule {
+ public:
+  RetxSchedule() = default;
+  RetxSchedule(const RecoveryConfig& config, Time deadline)
+      : config_(&config), interval_(config.retx_timeout), deadline_(deadline) {}
+
+  /// Arms the timer at `from`, after `sent` retransmissions, and returns
+  /// when it comes due — or kTimeInfinity when `sent` reached retx_max or
+  /// the timer would come due at or after the deadline (a retransmission
+  /// sent then can never deliver). Every arm draws its jitter and backs
+  /// off, whether or not it returns a due time.
+  Time arm(Time from, std::size_t sent, util::Rng& rng);
+
+ private:
+  const RecoveryConfig* config_ = nullptr;
+  double interval_ = 0.0;  // un-jittered length of the next window
+  Time deadline_ = 0.0;
+};
 
 /// Sliding window over the saturation bit of the last `window` contacts —
 /// the congestion signal shed_saturation consults. fraction() is 0 until

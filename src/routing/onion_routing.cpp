@@ -80,61 +80,6 @@ struct RoutingMetrics {
   }
 };
 
-// The one fault gate every hand-off passes through. Its counters are
-// resolved only when a FaultPlan is attached, so a fault-free run's metrics
-// export carries no faults.* entries, and without a plan it takes no
-// branch and draws no RNG.
-struct FaultGate {
-  faults::FaultPlan* plan = nullptr;
-  metrics::CounterHandle suppressed;
-  metrics::CounterHandle transfer_failures;
-  metrics::CounterHandle lost_to_crash;
-  metrics::CounterHandle blackhole_absorbed;
-  metrics::CounterHandle source_flushes;
-
-  static FaultGate resolve(const OnionContext& ctx) {
-    FaultGate fg;
-    if (ctx.faults == nullptr) return fg;
-    metrics::Registry* reg = ctx.metrics;
-    fg.plan = ctx.faults;
-    fg.suppressed = metrics::counter(reg, "faults.contacts_suppressed");
-    fg.transfer_failures = metrics::counter(reg, "faults.transfer_failures");
-    fg.lost_to_crash = metrics::counter(reg, "faults.copies_lost_to_crash");
-    fg.blackhole_absorbed = metrics::counter(reg, "faults.blackhole_absorbed");
-    fg.source_flushes = metrics::counter(reg, "faults.source_flushes");
-    return fg;
-  }
-
-  enum class Verdict { kPass, kRetry, kCrashed };
-
-  /// Can `from`, holding the copy since `since`, hand it to `to` at time
-  /// `t`? kCrashed: `from` crash-rebooted in (since, t] and its buffered
-  /// onion state is gone (the caller counts the loss under its own name);
-  /// kRetry: an endpoint is powered down or the transfer failed, so the
-  /// sender keeps the copy and re-queries from just after t.
-  Verdict check(NodeId from, Time since, NodeId to, Time t) {
-    if (plan == nullptr) return Verdict::kPass;
-    if (plan->crashed_in(from, since, t)) return Verdict::kCrashed;
-    if (!plan->node_up(from, t) || !plan->node_up(to, t)) {
-      suppressed.inc();
-      return Verdict::kRetry;
-    }
-    if (plan->transfer_fails(from, to)) {
-      transfer_failures.inc();
-      return Verdict::kRetry;
-    }
-    return Verdict::kPass;
-  }
-
-  /// After a completed hand-off: is the receiver a blackhole, which
-  /// accepts the copy and never forwards it?
-  bool absorbs(NodeId receiver) {
-    if (plan == nullptr || !plan->is_blackhole(receiver)) return false;
-    blackhole_absorbed.inc();
-    return true;
-  }
-};
-
 // Smallest representable time strictly after t: after a suppressed or
 // failed contact the protocol re-queries from here, so a trace replay
 // moves past the consumed event while the (memoryless) Poisson model is
@@ -143,39 +88,6 @@ Time skip_past(Time t) { return std::nextafter(t, kTimeInfinity); }
 
 bool contains(const std::vector<NodeId>& v, NodeId x) {
   return std::find(v.begin(), v.end(), x) != v.end();
-}
-
-// The recovery config iff source-side retransmission is configured; null
-// keeps the historical zero-recovery code path (no extra RNG draws, no
-// recovery.* metrics).
-const recovery::RecoveryConfig* retx_config(const OnionContext& ctx) {
-  return (ctx.recovery != nullptr && ctx.recovery->retx_timeout > 0.0)
-             ? ctx.recovery
-             : nullptr;
-}
-
-// Length of the next retransmission window: the backed-off base interval,
-// desynchronized by +-retx_jitter (one uniform draw iff jitter is on).
-Time retx_window(const recovery::RecoveryConfig& rc, double base,
-                 util::Rng& rng) {
-  double win = base;
-  if (rc.retx_jitter > 0.0) {
-    win *= 1.0 + rc.retx_jitter * (2.0 * rng.uniform01() - 1.0);
-  }
-  return win;
-}
-
-// Fresh relay groups for a retransmission: suspicion-biased when a tracker
-// is attached, plain re-selection otherwise.
-std::vector<GroupId> retry_groups_for(const OnionContext& ctx,
-                                      const groups::GroupDirectory& dir,
-                                      NodeId src, NodeId dst, std::size_t k,
-                                      util::Rng& rng) {
-  if (ctx.suspicion != nullptr) {
-    return recovery::select_relay_groups_avoiding(dir, *ctx.suspicion, src,
-                                                  dst, k, rng);
-  }
-  return dir.select_relay_groups(src, dst, k, rng);
 }
 
 const OnionContext& checked(const OnionContext& ctx) {
@@ -236,7 +148,10 @@ DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
   const Time deadline = spec.start + spec.ttl;
   Time now = spec.start;
   RoutingMetrics rm = RoutingMetrics::resolve(ctx.metrics);
-  FaultGate gate = FaultGate::resolve(ctx);
+  faults::FaultGate gate(ctx.faults, ctx.metrics);
+  metrics::CounterHandle lost_to_crash =
+      gate.counter("faults.copies_lost_to_crash");
+  metrics::CounterHandle source_flushes = gate.counter("faults.source_flushes");
   Time source_retry_from = spec.start;
   Time source_since = spec.start;  // crash window start for the source
 
@@ -286,14 +201,17 @@ DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
   };
   start_generation(std::move(first_groups));
 
-  const recovery::RecoveryConfig* rc = retx_config(ctx);
+  // Source-side retransmission; off (a null config or a zero timeout)
+  // draws no RNG and registers no recovery.* metric.
+  const bool retx_on =
+      ctx.recovery != nullptr && ctx.recovery->retx_timeout > 0.0;
+  recovery::RetxSchedule retx;
   metrics::CounterHandle m_retx;
-  double base_interval = 0.0;
   Time next_retx = kTimeInfinity;
-  if (rc != nullptr) {
+  if (retx_on) {
+    retx = recovery::RetxSchedule(*ctx.recovery, deadline);
     m_retx = metrics::counter(ctx.metrics, "recovery.retransmits");
-    base_interval = rc->retx_timeout;
-    next_retx = spec.start + retx_window(*rc, base_interval, rng);
+    next_retx = retx.arm(spec.start, 0, rng);
   }
 
   std::vector<NodeId> targets;  // scratch for plan (re)builds
@@ -378,11 +296,6 @@ DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
     w.path.push_back(w.holder);
     result.relays_per_hop[h].push_back(w.holder);
   };
-  // Suspicion learns from the outcome of generation `gen`'s groups.
-  auto record_outcome = [&](std::size_t gen, bool acked) {
-    if (ctx.suspicion == nullptr) return;
-    for (GroupId g : gens[gen].groups) ctx.suspicion->record(g, acked);
-  };
   // The copy is gone (crash or blackhole): its circuit is truncated.
   auto lose = [&](Walker& w) {
     cm.truncate(w.circ);
@@ -396,7 +309,9 @@ DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
     result.delay = now - spec.start;
     result.relay_path = std::move(w.path);
     result.crypto_verified = cm.verified(w.circ);
-    if (rc != nullptr) record_outcome(w.gen, true);  // exonerated
+    if (retx_on && ctx.suspicion != nullptr) {
+      ctx.suspicion->record(gens[w.gen].groups, /*acked=*/true);
+    }
   };
 
   while (true) {
@@ -430,17 +345,17 @@ DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
     // is lost, suspects the current generation's groups, and sprays a new
     // generation through a fresh (bias-aware) selection. Old-generation
     // copies keep racing.
-    if (rc != nullptr && !result.delivered &&
-        result.retransmissions < rc->retx_max && next_retx < deadline &&
+    if (next_retx < deadline && !result.delivered &&
         (!best.has_value() || next_retx <= best->time)) {
       now = std::max(now, next_retx);
-      record_outcome(cur_gen, false);
-      start_generation(
-          retry_groups_for(ctx, dir, spec.src, spec.dst, k, rng));
+      if (ctx.suspicion != nullptr) {
+        ctx.suspicion->record(gens[cur_gen].groups, /*acked=*/false);
+      }
+      start_generation(recovery::select_relay_groups_avoiding(
+          dir, ctx.suspicion, spec.src, spec.dst, k, rng));
       ++result.retransmissions;
       m_retx.inc();
-      base_interval *= rc->retx_backoff;
-      next_retx = now + retx_window(*rc, base_interval, rng);
+      next_retx = retx.arm(now, result.retransmissions, rng);
       continue;
     }
     if (!best.has_value()) break;  // every copy is stuck until the deadline
@@ -449,16 +364,16 @@ DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
 
     if (best->agent == -1) {
       const auto verdict = gate.check(spec.src, source_since, receiver, now);
-      if (verdict == FaultGate::Verdict::kCrashed) {
+      if (verdict == faults::FaultGate::Verdict::kCrashed) {
         // The source crash-rebooted: its remaining spray tickets (copies it
         // had yet to hand out) were flushed with its buffer. A later
         // retransmission re-arms the source from the reboot onward.
-        gate.source_flushes.inc();
+        source_flushes.inc();
         source_tickets = 0;
         source_since = now;
         continue;
       }
-      if (verdict == FaultGate::Verdict::kRetry) {
+      if (verdict == faults::FaultGate::Verdict::kRetry) {
         // The spray ticket is NOT consumed; the source retries at its next
         // contact.
         source_retry_from = skip_past(now);
@@ -484,12 +399,12 @@ DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
     // A walker forwards its copy.
     Walker& w = walkers[static_cast<std::size_t>(best->agent)];
     const auto verdict = gate.check(w.holder, w.arrival, receiver, now);
-    if (verdict == FaultGate::Verdict::kCrashed) {
-      gate.lost_to_crash.inc();
+    if (verdict == faults::FaultGate::Verdict::kCrashed) {
+      lost_to_crash.inc();
       lose(w);  // the holder's buffered copy died in the crash
       continue;
     }
-    if (verdict == FaultGate::Verdict::kRetry) {
+    if (verdict == faults::FaultGate::Verdict::kRetry) {
       w.retry_from = skip_past(now);
       continue;
     }

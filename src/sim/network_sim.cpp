@@ -50,13 +50,20 @@ namespace {
 
 constexpr std::size_t kUnlimited = std::numeric_limits<std::size_t>::max();
 
+// In onion mode copy m is message m's source copy: it holds the L spray
+// tickets at the source from injection until the last is spent, and
+// relayed copies get ids from M up. So a node's holdings list its source
+// copies first, in message order, then its relayed copies in creation
+// order. Utility mode places source copies at injection instead: a
+// utility copy splits its tickets like any other.
 struct Copy {
   std::size_t msg;
-  std::size_t hop;  // onion groups traversed so far (1..K)
+  std::size_t hop;  // onion groups traversed so far (0 = at the source)
   NodeId holder;
   Time arrival = 0.0;  // when the current holder received it
-  bool alive = true;
-  /// Utility-forwarder mode only: spray tickets this copy still owns.
+  bool alive = false;  // iff in holdings[holder]
+  /// Spray tickets this copy still owns: L for a source copy, 1 for a
+  /// relayed onion copy, a binary-split share for a utility copy.
   std::size_t tickets = 1;
   /// First time an eligible transfer of this copy was deferred by contact
   /// bandwidth; kTimeInfinity = not queued (feeds "sim.queue_wait").
@@ -67,12 +74,26 @@ struct Copy {
   std::uint32_t gen = 0;
 };
 
-struct SourceToken {
-  std::size_t tickets;
-  bool alive = true;
-  Time queued_since = kTimeInfinity;
-  /// Generation the source is currently spraying (see Copy::gen).
-  std::uint32_t gen = 0;
+// Everything the engine tracks per message besides its outcome.
+struct MessageState {
+  /// Relay groups of each recovery generation: [0] is the original
+  /// selection, [n] the one sampled for the n-th retransmission (a single
+  /// empty generation in utility mode, which routes without onion groups).
+  std::vector<std::vector<GroupId>> gens;
+  /// Nodes that held or received the message (Forward() dedup). A few
+  /// dozen entries at most, so a linear scan beats hashing.
+  std::vector<NodeId> seen;
+  bool ack_exists = false;          // ACK record born at dst
+  bool src_acked = false;           // source learned the ACK
+  std::uint32_t delivered_gen = 0;  // generation that delivered
+  recovery::RetxSchedule retx;
+  /// Recovery RNG sub-stream: jitter and retry group resampling draw from
+  /// derive_seed(recovery_seed, msg index), so the draw sequence is
+  /// independent of event interleaving across messages and the main
+  /// simulation RNG is never consulted.
+  // odtn-lint: allow(rng) — declaration only: reseeded in run() from
+  // derive_seed(recovery_seed, m) when retransmission is on
+  util::Rng rng;
 };
 
 struct Engine {
@@ -82,21 +103,15 @@ struct Engine {
 
   std::vector<InjectedMessage> messages;
   std::vector<std::uint8_t> priorities;  // empty = all class 0
-  std::vector<std::vector<GroupId>> relay_groups;  // per message
-  std::vector<SourceToken> tokens;                 // per message
-  /// msg -> nodes that held or received it (Forward() dedup). A few dozen
-  /// entries at most, so a linear scan beats hashing.
-  std::vector<std::vector<NodeId>> seen;
-  /// node -> ids of the messages it sources, ascending: the only source
-  /// tokens a contact at that node can move.
-  std::vector<std::vector<std::size_t>> msgs_by_src;
+  std::vector<MessageState> state;       // per message
 
   std::vector<Copy> copies;
   std::vector<std::vector<NodeId>> copy_paths;  // record_paths only
-  std::vector<std::set<std::size_t>> holdings;  // node -> copy ids
-  std::vector<std::size_t> load;                // node -> buffered items
+  /// node -> ids of its live copies; the size is the node's buffer load.
+  std::vector<std::set<std::size_t>> holdings;
 
   routing::UtilityForwarder* utility = nullptr;
+  faults::FaultGate gate;
   // Budget units one executed transfer consumes: 1, or cells_per_message
   // in wire mode (the budget is then cell-denominated).
   std::size_t cell_cost = 1;
@@ -112,19 +127,6 @@ struct Engine {
   /// per node, node-major (bit m of node v's words = message m).
   std::vector<std::uint64_t> ack_known;
   std::size_t ack_words = 0;
-  std::vector<std::uint8_t> ack_exists;  // msg -> ACK record born at dst
-  std::vector<std::uint8_t> src_acked;   // msg -> source learned the ACK
-  std::vector<std::size_t> retx_attempts;      // msg -> retransmissions so far
-  std::vector<double> retx_interval;           // msg -> current backoff interval
-  std::vector<std::uint32_t> delivered_gen;    // msg -> generation that delivered
-  /// msg -> relay groups of generation n at [n-1] (generation 0 lives in
-  /// relay_groups, untouched by recovery).
-  std::vector<std::vector<std::vector<GroupId>>> retx_groups;
-  /// Per-message recovery RNG sub-streams: jitter and retry group
-  /// resampling draw from derive_seed(recovery_seed, msg index), so the
-  /// draw sequence is independent of event interleaving across messages
-  /// and the main simulation RNG is never consulted.
-  std::vector<util::Rng> msg_rng;
   // (due time, msg); at most one outstanding entry per message.
   std::priority_queue<std::pair<Time, std::size_t>,
                       std::vector<std::pair<Time, std::size_t>>,
@@ -142,24 +144,20 @@ struct Engine {
   metrics::CounterHandle m_deliveries;
   metrics::HistogramHandle m_hop_delay;
   metrics::HistogramHandle m_delivery_delay;
-  // Fault accounting (resolved only when a FaultPlan is attached, so the
-  // fault-free metrics export stays byte-identical).
-  metrics::CounterHandle m_suppressed;
-  metrics::CounterHandle m_transfer_failures;
+  // Resolved only when a FaultPlan is attached, like the gate's counters.
   metrics::CounterHandle m_crash_flushed;
-  metrics::CounterHandle m_blackhole_absorbed;
   // Congestion accounting (resolved only when a load knob is on —
-  // bandwidth, priorities, utility forwarder, wire cells — same
-  // byte-identity contract as the fault handles).
+  // bandwidth, priorities, utility forwarder, wire cells — so the
+  // unloaded metrics export stays byte-identical).
   metrics::CounterHandle m_queue_deferred;
   metrics::CounterHandle m_contacts_saturated;
   metrics::HistogramHandle m_queue_wait;
   metrics::HistogramHandle m_contact_capacity;
-  // Recovery accounting (resolved only when the recovery layer is
-  // enabled — same byte-identity contract again).
   // Wire accounting (resolved only in wire mode — same contract).
   metrics::CounterHandle m_wire_cells;
   metrics::CounterHandle m_wire_bytes;
+  // Recovery accounting (resolved only when the recovery layer is
+  // enabled — same contract again).
   metrics::CounterHandle m_retransmits;
   metrics::HistogramHandle m_ack_delay;
   metrics::CounterHandle m_shed;
@@ -169,21 +167,20 @@ struct Engine {
   metrics::CounterHandle m_suspicion_flips;
   std::size_t crash_cursor = 0;
 
-  // (deadline, kind, id): kind 0 = source token (id = msg), 1 = copy.
-  using Expiry = std::tuple<Time, int, std::size_t>;
+  // (deadline, copy id): at equal deadlines source copies expire first,
+  // in message order, then relayed copies in creation order.
+  using Expiry = std::pair<Time, std::size_t>;
   std::priority_queue<Expiry, std::vector<Expiry>, std::greater<>> expiries;
 
-  // Reused snapshot of a node's holdings, taken wherever the loop body
-  // mutates the set it walks (crash flush, ACK vaccination); one buffer
-  // serves every call site since the snapshots never overlap in time.
+  // Reused snapshot of a node's holdings for ACK vaccination, which
+  // mutates the set it walks.
   std::vector<std::size_t> holdings_scratch;
 
   // One contact's transfer candidates, reused.
   struct Cand {
     std::uint8_t pri;
-    std::uint32_t seq;   // collection order
-    std::uint8_t kind;   // 0 = source token, 1 = copy
-    std::size_t id;      // msg index (kind 0) or copy id (kind 1)
+    std::uint32_t seq;  // collection order
+    std::size_t id;     // copy id
     NodeId sender;
     NodeId receiver;
   };
@@ -197,33 +194,41 @@ struct Engine {
 
   bool buffer_full(NodeId v) const {
     return config->buffer_capacity != 0 &&
-           load[v] >= config->buffer_capacity;
+           holdings[v].size() >= config->buffer_capacity;
+  }
+
+  // Copy `id` (not alive) takes a buffer slot at its holder until its
+  // message's deadline.
+  void hold(std::size_t id) {
+    copies[id].alive = true;
+    holdings[copies[id].holder].insert(id);
+    expiries.emplace(deadline_of(copies[id].msg), id);
+  }
+
+  // Copy `id` leaves its holder's buffer.
+  void drop(std::size_t id) {
+    copies[id].alive = false;
+    holdings[copies[id].holder].erase(id);
   }
 
   // Tries to admit one more item at `v`, applying the buffer policy.
   // Returns false if the node stays full (transfer must be refused).
   bool make_room(NodeId v, std::size_t msg) {
     if (!buffer_full(v)) return true;
-    if (config->policy == BufferPolicy::kRejectNew) {
-      ++report.outcomes[msg].buffer_rejections;
-      ++report.total_buffer_rejections;
-      m_rejections.inc();
-      return false;
-    }
-    // kDropOldest: evict the relayed copy that has waited longest.
-    // Locally-originated state is never evicted: source tokens are not
-    // copies at all, and (utility mode) a copy still held by its own
-    // source is skipped. Tie-break on equal arrival times: the scan walks
-    // the ordered holdings set and keeps the *first* minimum, so the
-    // lowest copy id — the earliest-created copy — wins deterministically.
+    // kDropOldest: evict the relayed copy that has waited longest. A copy
+    // still held by its own source is locally originated and never
+    // evicted. Tie-break on equal arrival times: the scan walks the
+    // ordered holdings set and keeps the *first* minimum, so the lowest
+    // copy id — the earliest-created copy — wins deterministically.
     std::size_t victim = SIZE_MAX;
-    Time oldest = kTimeInfinity;
-    for (std::size_t id : holdings[v]) {
-      if (!copies[id].alive) continue;
-      if (copies[id].holder == messages[copies[id].msg].src) continue;
-      if (copies[id].arrival < oldest) {
-        oldest = copies[id].arrival;
-        victim = id;
+    if (config->policy == BufferPolicy::kDropOldest) {
+      Time oldest = kTimeInfinity;
+      for (std::size_t id : holdings[v]) {
+        if (copies[id].holder == messages[copies[id].msg].src) continue;
+        if (copies[id].arrival < oldest) {
+          oldest = copies[id].arrival;
+          victim = id;
+        }
       }
     }
     if (victim == SIZE_MAX) {
@@ -232,9 +237,7 @@ struct Engine {
       m_rejections.inc();
       return false;
     }
-    copies[victim].alive = false;
-    holdings[v].erase(victim);
-    --load[v];
+    drop(victim);
     ++report.evicted_copies;
     m_evictions.inc();
     return true;
@@ -244,14 +247,6 @@ struct Engine {
     return messages[msg].start + messages[msg].ttl;
   }
 
-  /// Relay groups of one recovery generation of message m (generation 0
-  /// is the original selection; later generations were freshly sampled at
-  /// retransmission time).
-  const std::vector<GroupId>& groups_of(std::size_t m,
-                                        std::uint32_t gen) const {
-    return gen == 0 ? relay_groups[m] : retx_groups[m][gen - 1];
-  }
-
   /// Overload shedding (recovery layer): admission control may refuse a
   /// sheddable-priority message when either congestion signal crossed its
   /// threshold. Pure function of simulated state — no RNG.
@@ -259,7 +254,7 @@ struct Engine {
     if (rec == nullptr || !rec->shedding()) return false;
     if (pri(m) < rec->shed_priority_floor) return false;
     if (rec->shed_occupancy > 0.0 && config->buffer_capacity > 0 &&
-        static_cast<double>(load[messages[m].src]) >=
+        static_cast<double>(holdings[messages[m].src].size()) >=
             rec->shed_occupancy *
                 static_cast<double>(config->buffer_capacity)) {
       return true;
@@ -282,68 +277,40 @@ struct Engine {
       return;
     }
     if (rec != nullptr && rec->retx_timeout > 0.0) {
-      retx_interval[m] = rec->retx_timeout;
-      schedule_retx(m, msg.start);
+      state[m].retx = recovery::RetxSchedule(*rec, deadline_of(m));
+      arm_retx(m, msg.start);
     }
     if (utility != nullptr) {
-      // Utility mode: the source holds a real copy carrying all L spray
-      // tickets (no token/relay-group machinery).
       place_copy(m, 0, msg.src, msg.start, msg.copies, 0);
       return;
     }
-    tokens[m].tickets = msg.copies;
-    tokens[m].alive = true;
-    ++load[msg.src];
+    copies[m].tickets = msg.copies;
+    hold(m);
     mark_seen(m, msg.src);
-    expiries.emplace(deadline_of(m), 0, m);
   }
 
   // Pops exactly one expiry-heap entry (the caller checked it is due).
   void expire_one() {
-    auto [deadline, kind, id] = expiries.top();
+    const std::size_t id = expiries.top().second;
     expiries.pop();
-    if (kind == 0) {
-      if (tokens[id].alive) {
-        tokens[id].alive = false;
-        --load[messages[id].src];
-        ++report.expired_copies;
-        m_expirations.inc();
-      }
-    } else if (copies[id].alive) {
-      copies[id].alive = false;
-      holdings[copies[id].holder].erase(id);
-      --load[copies[id].holder];
-      ++report.expired_copies;
-      m_expirations.inc();
-    }
+    if (!copies[id].alive) return;
+    drop(id);
+    ++report.expired_copies;
+    m_expirations.inc();
   }
 
   // Processes exactly one crash-reboot event (the caller checked it is
   // due): the crashed node's buffered copies — relayed copies and its own
-  // spray state — are flushed. Lost, not leaked: a flushed copy simply
-  // ceases to exist. The node's learned ACK set survives (it is durable
-  // metadata, not buffered payload).
+  // source copies with their spray tickets — are flushed. Lost, not
+  // leaked: a flushed copy simply ceases to exist. The node's learned ACK
+  // set survives (it is durable metadata, not buffered payload).
   void flush_one_crash() {
-    const auto& events = config->faults->crashes();
-    NodeId v = events[crash_cursor].node;
+    auto& held = holdings[config->faults->crashes()[crash_cursor].node];
     ++crash_cursor;
-    holdings_scratch.assign(holdings[v].begin(), holdings[v].end());
-    for (std::size_t id : holdings_scratch) {
-      if (!copies[id].alive) continue;
-      copies[id].alive = false;
-      holdings[v].erase(id);
-      --load[v];
-      ++report.crash_flushed_copies;
-      m_crash_flushed.inc();
-    }
-    for (std::size_t m : msgs_by_src[v]) {
-      if (tokens[m].alive) {
-        tokens[m].alive = false;
-        --load[v];
-        ++report.crash_flushed_copies;
-        m_crash_flushed.inc();
-      }
-    }
+    for (std::size_t id : held) copies[id].alive = false;
+    report.crash_flushed_copies += held.size();
+    m_crash_flushed.inc(held.size());
+    held.clear();
   }
 
   // Advances simulated time to t, interleaving TTL expirations (due
@@ -356,16 +323,13 @@ struct Engine {
   // expire first, matching the historical all-expiries-then-crashes pass.
   void advance_time(Time t) {
     if (config->faults == nullptr) {
-      while (!expiries.empty() && std::get<0>(expiries.top()) < t) {
-        expire_one();
-      }
+      while (!expiries.empty() && expiries.top().first < t) expire_one();
       return;
     }
     const auto& crashes = config->faults->crashes();
     for (;;) {
-      const Time next_expiry = expiries.empty()
-                                   ? kTimeInfinity
-                                   : std::get<0>(expiries.top());
+      const Time next_expiry =
+          expiries.empty() ? kTimeInfinity : expiries.top().first;
       const Time next_crash = crash_cursor < crashes.size()
                                   ? crashes[crash_cursor].time
                                   : kTimeInfinity;
@@ -388,9 +352,9 @@ struct Engine {
   /// message) and both contact endpoints learn it immediately.
   void born_ack(std::size_t m, std::uint32_t gen, NodeId sender, NodeId dst,
                 Time t) {
-    if (rec == nullptr || !rec->acks || ack_exists[m]) return;
-    ack_exists[m] = 1;
-    delivered_gen[m] = gen;
+    if (rec == nullptr || !rec->acks || state[m].ack_exists) return;
+    state[m].ack_exists = true;
+    state[m].delivered_gen = gen;
     ++report.acks_created;
     m_acks_created.inc();
     learn_ack(dst, m, t);
@@ -398,8 +362,9 @@ struct Engine {
   }
 
   /// Node v learns the delivery ACK of message m: its outstanding copies
-  /// of m are garbage-collected (vaccine), and — at the source — the
-  /// pending retransmission is canceled, the ack delay recorded, and the
+  /// of m — at the source, the source copy too, which stops spraying —
+  /// are garbage-collected (vaccine), and at the source the pending
+  /// retransmission is canceled, the ack delay recorded, and the
   /// delivering generation's groups exonerated in the suspicion tracker.
   void learn_ack(NodeId v, std::size_t m, Time t) {
     std::uint64_t& word = ack_known[v * ack_words + m / 64];
@@ -408,31 +373,19 @@ struct Engine {
     word |= bit;
     holdings_scratch.assign(holdings[v].begin(), holdings[v].end());
     for (std::size_t id : holdings_scratch) {
-      if (!copies[id].alive || copies[id].msg != m) continue;
-      copies[id].alive = false;
-      holdings[v].erase(id);
-      --load[v];
+      if (copies[id].msg != m) continue;
+      drop(id);
       ++report.ack_gc_copies;
       m_ack_gc.inc();
     }
-    if (messages[m].src != v) return;
-    if (tokens[m].alive) {
-      // The source stops spraying a message it knows was delivered.
-      tokens[m].alive = false;
-      --load[v];
-      ++report.ack_gc_copies;
-      m_ack_gc.inc();
-    }
-    if (!src_acked[m]) {
-      src_acked[m] = 1;
-      ++report.acked_at_source;
-      m_acked_at_source.inc();
-      m_ack_delay.observe(t - messages[m].start);
-      if (suspicion != nullptr && utility == nullptr) {
-        for (GroupId g : groups_of(m, delivered_gen[m])) {
-          suspicion->record(g, /*acked=*/true);
-        }
-      }
+    MessageState& st = state[m];
+    if (messages[m].src != v || st.src_acked) return;
+    st.src_acked = true;
+    ++report.acked_at_source;
+    m_acked_at_source.inc();
+    m_ack_delay.observe(t - messages[m].start);
+    if (suspicion != nullptr) {
+      suspicion->record(st.gens[st.delivered_gen], /*acked=*/true);
     }
   }
 
@@ -456,20 +409,12 @@ struct Engine {
     pull(b, a);
   }
 
-  /// Arms the next retransmission timer for m from `from`, consuming one
-  /// jitter draw from the message's recovery sub-stream. The interval
-  /// grows by retx_backoff per attempt; timers past the message deadline
-  /// or the attempt cap are not armed.
-  void schedule_retx(std::size_t m, Time from) {
-    double interval = retx_interval[m];
-    if (rec->retx_jitter > 0.0) {
-      interval *= 1.0 + rec->retx_jitter * (2.0 * msg_rng[m].uniform01() - 1.0);
-    }
-    retx_interval[m] *= rec->retx_backoff;
-    const Time due = from + interval;
-    if (due <= deadline_of(m) && retx_attempts[m] < rec->retx_max) {
-      retx_due.emplace(due, m);
-    }
+  /// Arms m's next retransmission timer from `from` (one jitter draw from
+  /// the message's recovery sub-stream; see recovery::RetxSchedule).
+  void arm_retx(std::size_t m, Time from) {
+    const Time due = state[m].retx.arm(
+        from, report.outcomes[m].retransmissions, state[m].rng);
+    if (due != kTimeInfinity) retx_due.emplace(due, m);
   }
 
   /// Fires every due retransmission timer up to time t, in due-time order
@@ -478,27 +423,24 @@ struct Engine {
     while (!retx_due.empty() && retx_due.top().first <= t) {
       auto [due, m] = retx_due.top();
       retx_due.pop();
-      if (src_acked[m]) continue;  // ACK arrived: retransmission canceled
+      if (state[m].src_acked) continue;  // ACK arrived: canceled
       // The timeout is the sender's failure signal: the timed-out
       // generation's relay groups take a suspicion penalty.
-      if (suspicion != nullptr && utility == nullptr) {
-        for (GroupId g : groups_of(m, tokens[m].gen)) {
-          suspicion->record(g, /*acked=*/false);
-        }
+      if (suspicion != nullptr) {
+        suspicion->record(state[m].gens.back(), /*acked=*/false);
       }
-      if (retx_attempts[m] >= rec->retx_max) continue;
       retransmit(m, due);
-      schedule_retx(m, due);
+      arm_retx(m, due);
     }
   }
 
   /// Re-onions message m at time t: a fresh generation through freshly
   /// sampled relay groups (suspicion-biased when the tracker is on), and
-  /// a full ticket allotment at the source. Utility mode re-injects a
-  /// fresh spray copy instead (no relay groups to sample).
+  /// a full ticket allotment for the source copy, revived if it is gone
+  /// and the source has room. Utility mode re-injects a fresh spray copy
+  /// instead (no relay groups to sample).
   void retransmit(std::size_t m, Time t) {
     const auto& msg = messages[m];
-    ++retx_attempts[m];
     ++report.retransmissions;
     ++report.outcomes[m].retransmissions;
     m_retransmits.inc();
@@ -507,44 +449,23 @@ struct Engine {
       place_copy(m, 0, msg.src, t, msg.copies, 0);
       return;
     }
-    retx_groups[m].push_back(
-        suspicion != nullptr
-            ? recovery::select_relay_groups_avoiding(
-                  *directory, *suspicion, msg.src, msg.dst, msg.num_relays,
-                  msg_rng[m])
-            : directory->select_relay_groups(msg.src, msg.dst,
-                                             msg.num_relays, msg_rng[m]));
-    tokens[m].gen = static_cast<std::uint32_t>(retx_groups[m].size());
-    tokens[m].tickets = msg.copies;
-    if (!tokens[m].alive) {
-      if (buffer_full(msg.src)) {
-        tokens[m].tickets = 0;
-        return;  // no room to re-enqueue: the attempt is spent
-      }
-      tokens[m].alive = true;
-      ++load[msg.src];
-      expiries.emplace(deadline_of(m), 0, m);
-    }
+    MessageState& st = state[m];
+    st.gens.push_back(recovery::select_relay_groups_avoiding(
+        *directory, suspicion, msg.src, msg.dst, msg.num_relays, st.rng));
+    Copy& src_copy = copies[m];
+    src_copy.gen = static_cast<std::uint32_t>(st.gens.size() - 1);
+    src_copy.tickets = msg.copies;
+    // No room to re-enqueue: the attempt is spent.
+    if (!src_copy.alive && !buffer_full(msg.src)) hold(m);
   }
 
   bool has_seen(std::size_t m, NodeId v) const {
-    return std::find(seen[m].begin(), seen[m].end(), v) != seen[m].end();
+    const auto& seen = state[m].seen;
+    return std::find(seen.begin(), seen.end(), v) != seen.end();
   }
 
   void mark_seen(std::size_t m, NodeId v) {
-    if (!has_seen(m, v)) seen[m].push_back(v);
-  }
-
-  // Whether `receiver` is a valid next hop for message m at `hop` of
-  // recovery generation `gen` (always 0 without the recovery layer).
-  bool qualifies(std::size_t m, std::uint32_t gen, std::size_t hop,
-                 NodeId receiver) const {
-    const auto& msg = messages[m];
-    if (has_seen(m, receiver)) return false;  // Forward() dedup
-    if (hop < msg.num_relays) {
-      return directory->in_group(receiver, groups_of(m, gen)[hop]);
-    }
-    return receiver == msg.dst;
+    if (!has_seen(m, v)) state[m].seen.push_back(v);
   }
 
   // Flushes a completed queue-wait interval into "sim.queue_wait".
@@ -569,24 +490,16 @@ struct Engine {
     }
   }
 
-  // --- transfer eligibility + execution ------------------------------
-  // drain() checks eligibility, the contact budget and the fault draw; an
-  // attempt_* helper then performs the transfer and returns true iff it
-  // executed (the unit that consumes contact bandwidth). Buffer refusals
-  // return false and consume nothing.
-
-  // Creates a live copy of message m at `holder` (buffer slot, holdings
-  // entry, dedup mark, TTL expiry, empty record_paths path) and returns
-  // its id. May reallocate `copies`.
+  // Creates a live copy of message m at `holder` (buffer slot, dedup
+  // mark, TTL expiry, empty record_paths path) and returns its id. May
+  // reallocate `copies`.
   std::size_t place_copy(std::size_t m, std::size_t hop, NodeId holder, Time t,
                          std::size_t tickets, std::uint32_t gen) {
     const std::size_t id = copies.size();
-    copies.push_back({m, hop, holder, t, true, tickets, kTimeInfinity, gen});
+    copies.push_back({m, hop, holder, t, false, tickets, kTimeInfinity, gen});
     if (config->record_paths) copy_paths.emplace_back();
-    holdings[holder].insert(id);
-    ++load[holder];
+    hold(id);
     mark_seen(m, holder);
-    expiries.emplace(deadline_of(m), 1, id);
     return id;
   }
 
@@ -599,17 +512,9 @@ struct Engine {
     m_hop_delay.observe(t - since);
   }
 
-  void note_blackhole(NodeId receiver) {
-    faults::FaultPlan* fp = config->faults;
-    if (fp != nullptr && fp->is_blackhole(receiver)) {
-      ++report.blackhole_absorbed;
-      m_blackhole_absorbed.inc();
-    }
-  }
-
   // Copy `id` reaches its destination, which consumes it (no buffer
   // cost); the first arrival delivers the message and bears its ACK.
-  void deliver(std::size_t id, NodeId sender, NodeId receiver, Time t) {
+  void deliver(std::size_t id, NodeId receiver, Time t) {
     Copy& c = copies[id];
     const std::size_t m = c.msg;
     count_transfer(m, c.arrival, t);
@@ -622,148 +527,112 @@ struct Engine {
       m_delivery_delay.observe(out.delay);
       if (config->record_paths) out.relay_path = copy_paths[id];
     }
-    c.alive = false;
-    holdings[sender].erase(id);
-    --load[sender];
+    const NodeId sender = c.holder;
+    drop(id);
     note_served(c.queued_since, t);
     born_ack(m, c.gen, sender, receiver, t);
   }
 
-  bool token_eligible(std::size_t m, NodeId sender, NodeId receiver,
-                      Time t) const {
-    return tokens[m].alive && messages[m].src == sender &&
-           t <= deadline_of(m) && qualifies(m, tokens[m].gen, 0, receiver);
-  }
+  // --- transfer eligibility + execution ------------------------------
+  // drain() checks eligibility, the contact budget and the fault draw;
+  // attempt() then performs the transfer and returns true iff it
+  // executed (the unit that consumes contact bandwidth). Buffer refusals
+  // return false and consume nothing.
 
-  // Source token: hand a fresh copy into R_1, spending one spray ticket.
-  bool attempt_token(std::size_t m, NodeId sender, NodeId receiver, Time t) {
-    if (!make_room(receiver, m)) return false;
-    // num_relays >= 1 (checked up front), so hop 1 is a relay position.
-    const std::size_t id = place_copy(m, 1, receiver, t, 1, tokens[m].gen);
-    record_relay(id, 0, receiver);
-    count_transfer(m, messages[m].start, t);
-    note_blackhole(receiver);
-    if (--tokens[m].tickets == 0) {
-      tokens[m].alive = false;
-      --load[sender];
-    }
-    note_served(tokens[m].queued_since, t);
-    return true;
-  }
-
-  bool copy_eligible(std::size_t id, NodeId sender, NodeId receiver,
-                     Time t) const {
+  // Onion mode: the receiver must be in the copy's next relay group (the
+  // destination after the last one) and not have the message yet.
+  // Utility mode: a copy may deliver to the destination or binary-split
+  // its spray tickets toward a higher-utility, uncongested custodian.
+  // Decisions are pure functions of simulated state (no RNG).
+  bool eligible(std::size_t id, NodeId sender, NodeId receiver,
+                Time t) const {
     const Copy& c = copies[id];
-    return c.alive && c.holder == sender && t <= deadline_of(c.msg) &&
-           qualifies(c.msg, c.gen, c.hop, receiver);
+    if (!c.alive || c.holder != sender || t > deadline_of(c.msg) ||
+        has_seen(c.msg, receiver)) {
+      return false;
+    }
+    const auto& msg = messages[c.msg];
+    if (utility != nullptr) {
+      return receiver == msg.dst ||
+             (c.tickets > 1 &&
+              utility->should_replicate(sender, receiver, msg.dst,
+                                        holdings[receiver].size(),
+                                        config->buffer_capacity));
+    }
+    if (c.hop < msg.num_relays) {
+      return directory->in_group(receiver, state[c.msg].gens[c.gen][c.hop]);
+    }
+    return receiver == msg.dst;
   }
 
-  bool attempt_copy(std::size_t id, NodeId sender, NodeId receiver, Time t) {
+  bool attempt(std::size_t id, NodeId sender, NodeId receiver, Time t) {
     Copy& c = copies[id];
     const std::size_t m = c.msg;
-    if (receiver == messages[m].dst && c.hop == messages[m].num_relays) {
-      deliver(id, sender, receiver, t);
+    if (receiver == messages[m].dst &&
+        (utility != nullptr || c.hop == messages[m].num_relays)) {
+      deliver(id, receiver, t);
       return true;
     }
     if (!make_room(receiver, m)) return false;
     if (!c.alive) return false;  // evicted by make_room on its own holder
-    // Forward and free the sender's slot (single ticket per copy).
     count_transfer(m, c.arrival, t);
-    holdings[sender].erase(id);
-    --load[sender];
-    record_relay(id, c.hop, receiver);
-    c.holder = receiver;
-    c.arrival = t;
-    ++c.hop;
-    holdings[receiver].insert(id);
-    ++load[receiver];
-    mark_seen(m, receiver);
-    note_blackhole(receiver);
     note_served(c.queued_since, t);
-    return true;
-  }
-
-  // Utility-forwarder mode: a copy may deliver to the destination or
-  // binary-split its spray tickets toward a higher-utility, uncongested
-  // custodian. Decisions are pure functions of simulated state (no RNG).
-  bool ucopy_eligible(std::size_t id, NodeId sender, NodeId receiver,
-                      Time t) const {
-    const Copy& c = copies[id];
-    if (!c.alive || c.holder != sender || t > deadline_of(c.msg)) {
-      return false;
+    if (utility == nullptr && c.hop > 0) {
+      // An onion relay forwards its copy and frees its slot.
+      record_relay(id, c.hop, receiver);
+      holdings[sender].erase(id);
+      c.holder = receiver;
+      c.arrival = t;
+      ++c.hop;
+      holdings[receiver].insert(id);
+      mark_seen(m, receiver);
+    } else {
+      // A spray: the receiver gets a fresh copy with `give` tickets — one
+      // into R_1 from the onion source copy, which is spent with its last
+      // ticket, or half of a utility copy's (spray-and-wait binary
+      // splitting) — and the sender keeps the rest.
+      const std::size_t give = utility != nullptr ? c.tickets / 2 : 1;
+      const std::size_t hop = c.hop;
+      const std::uint32_t gen = c.gen;
+      c.tickets -= give;
+      if (c.tickets == 0) drop(id);
+      const std::size_t id2 = place_copy(m, hop + 1, receiver, t, give, gen);
+      if (config->record_paths) copy_paths[id2] = copy_paths[id];
+      record_relay(id2, hop, receiver);
     }
-    std::size_t m = c.msg;
-    if (has_seen(m, receiver)) return false;
-    if (receiver == messages[m].dst) return true;
-    return c.tickets > 1 &&
-           utility->should_replicate(sender, receiver, messages[m].dst,
-                                     load[receiver],
-                                     config->buffer_capacity);
-  }
-
-  bool attempt_ucopy(std::size_t id, NodeId sender, NodeId receiver, Time t) {
-    const std::size_t m = copies[id].msg;
-    if (receiver == messages[m].dst) {
-      deliver(id, sender, receiver, t);
-      return true;
-    }
-    if (!make_room(receiver, m)) return false;
-    if (!copies[id].alive) return false;  // evicted out from under us
-    // Replicate: the receiver takes half the tickets, the sender keeps
-    // the rest (spray-and-wait binary splitting).
-    const std::size_t give = copies[id].tickets / 2;  // >= 1: tickets > 1
-    const std::size_t hop = copies[id].hop;
-    const std::size_t id2 = place_copy(m, hop + 1, receiver, t, give, 0);
-    if (config->record_paths) copy_paths[id2] = copy_paths[id];
-    record_relay(id2, hop, receiver);
-    Copy& c = copies[id];  // resolved after place_copy, which may reallocate
-    c.tickets -= give;
-    count_transfer(m, c.arrival, t);
-    note_blackhole(receiver);
-    note_served(c.queued_since, t);
+    gate.absorbs(receiver);
     return true;
   }
 
   // One contact's transfers. Both directions' candidates are collected
-  // against the state at contact start (a->b source tokens in message
-  // order, then a->b copies in copy-id order, then b->a likewise), sorted
-  // by (priority, collection order), and executed within the shared
-  // budget: kUnlimited without a bandwidth model, cell-denominated in
-  // wire mode (each executed transfer spends cell_cost units and lands in
-  // the sim.wire_* accounting). Eligibility is re-checked at execution —
-  // an earlier transfer may have evicted a candidate or spent a token —
-  // and eligible candidates past the budget are deferred to a later
-  // contact (that wait is "sim.queue_wait"). Nothing at b becomes newly
-  // eligible for a after an a->b transfer (a is in the seen set of every
-  // copy it sent), so with one priority class and no budget limit this is
-  // exactly Algorithms 1-2 applied a->b, then b->a. Collection walks only
-  // the sender's own state (msgs_by_src, holdings), so a contact costs
-  // O(local state), not O(messages); drain_scanned counts that walk.
+  // against the state at contact start (a's copies in copy-id order —
+  // its source copies in message order, then its relayed copies — then
+  // b's likewise), sorted by (priority, collection order), and executed
+  // within the shared budget: kUnlimited without a bandwidth model,
+  // cell-denominated in wire mode (each executed transfer spends
+  // cell_cost units and lands in the sim.wire_* accounting). Eligibility
+  // is re-checked at execution — an earlier transfer may have evicted a
+  // candidate or spent a source copy's last ticket — and eligible
+  // candidates past the budget are deferred to a later contact (that
+  // wait is "sim.queue_wait"). Nothing at b becomes newly eligible for a
+  // after an a->b transfer (a is in the seen set of every copy it sent),
+  // so with one priority class and no budget limit this is exactly
+  // Algorithms 1-2 applied a->b, then b->a. Collection walks only the
+  // sender's holdings, so a contact costs O(local state), not
+  // O(messages); drain_scanned counts that walk.
   void drain(NodeId a, NodeId b, Time t, std::size_t budget) {
-    faults::FaultPlan* fp = config->faults;
     cand_scratch.clear();
     std::uint32_t seq = 0;
     auto collect = [&](NodeId sender, NodeId receiver) {
       // Blackholes accept copies but never forward them.
-      if (fp != nullptr && fp->is_blackhole(sender)) return;
-      report.drain_scanned += holdings[sender].size();
-      if (utility != nullptr) {
-        for (std::size_t id : holdings[sender]) {
-          if (!ucopy_eligible(id, sender, receiver, t)) continue;
-          cand_scratch.push_back(
-              {pri(copies[id].msg), seq++, 1, id, sender, receiver});
-        }
+      if (config->faults != nullptr && config->faults->is_blackhole(sender)) {
         return;
       }
-      report.drain_scanned += msgs_by_src[sender].size();
-      for (std::size_t m : msgs_by_src[sender]) {
-        if (!token_eligible(m, sender, receiver, t)) continue;
-        cand_scratch.push_back({pri(m), seq++, 0, m, sender, receiver});
-      }
+      report.drain_scanned += holdings[sender].size();
       for (std::size_t id : holdings[sender]) {
-        if (!copy_eligible(id, sender, receiver, t)) continue;
+        if (!eligible(id, sender, receiver, t)) continue;
         cand_scratch.push_back(
-            {pri(copies[id].msg), seq++, 1, id, sender, receiver});
+            {pri(copies[id].msg), seq++, id, sender, receiver});
       }
     };
     collect(a, b);
@@ -778,34 +647,20 @@ struct Engine {
     std::size_t executed = 0;
     bool saturated = false;
     for (const Cand& c : cand_scratch) {
-      const bool eligible =
-          utility != nullptr ? ucopy_eligible(c.id, c.sender, c.receiver, t)
-          : c.kind == 0      ? token_eligible(c.id, c.sender, c.receiver, t)
-                             : copy_eligible(c.id, c.sender, c.receiver, t);
-      if (!eligible) continue;
+      if (!eligible(c.id, c.sender, c.receiver, t)) continue;
       if (executed + cell_cost > budget) {
         // Out of bandwidth: the item starts (or continues) queueing.
         saturated = true;
         ++report.queue_deferred;
         m_queue_deferred.inc();
-        Time& qs = c.kind == 0 ? tokens[c.id].queued_since
-                               : copies[c.id].queued_since;
+        Time& qs = copies[c.id].queued_since;
         if (qs == kTimeInfinity) qs = t;
         continue;
       }
       // Mid-contact failure: the sender keeps its copy and spray ticket,
       // and the receiver stays eligible for a retry at a later contact.
-      const bool lost =
-          fp != nullptr && fp->transfer_fails(c.sender, c.receiver);
-      if (lost) {
-        ++report.transfer_failures;
-        m_transfer_failures.inc();
-      }
-      const bool done =
-          !lost &&
-          (utility != nullptr ? attempt_ucopy(c.id, c.sender, c.receiver, t)
-           : c.kind == 0      ? attempt_token(c.id, c.sender, c.receiver, t)
-                              : attempt_copy(c.id, c.sender, c.receiver, t));
+      const bool lost = gate.transfer_fails(c.sender, c.receiver);
+      const bool done = !lost && attempt(c.id, c.sender, c.receiver, t);
       if (utility != nullptr && (lost || done)) {
         utility->observe_transfer_outcome(c.receiver, done);
       }
@@ -840,6 +695,7 @@ struct Engine {
     rec = (config->recovery != nullptr && config->recovery->enabled())
               ? config->recovery
               : nullptr;
+    const bool retx_on = rec != nullptr && rec->retx_timeout > 0.0;
 
     metrics::Registry* reg = config->metrics;
     m_transfers = metrics::counter(reg, "sim.transfers");
@@ -851,13 +707,11 @@ struct Engine {
     m_hop_delay = metrics::histogram(reg, "sim.hop_delay");
     m_delivery_delay = metrics::histogram(reg, "sim.delivery_delay");
     metrics::counter(reg, "sim.messages").inc(messages.size());
+    // The gate and the counters below register only under an active
+    // fault plan, so the fault-free export carries no faults.* entries.
+    gate = faults::FaultGate(config->faults, reg);
+    m_crash_flushed = gate.counter("faults.crash_flushed_copies");
     if (config->faults != nullptr) {
-      // Resolved only under an active fault plan so the fault-free metrics
-      // export carries no faults.* entries (byte-identity contract).
-      m_suppressed = metrics::counter(reg, "faults.contacts_suppressed");
-      m_transfer_failures = metrics::counter(reg, "faults.transfer_failures");
-      m_crash_flushed = metrics::counter(reg, "faults.crash_flushed_copies");
-      m_blackhole_absorbed = metrics::counter(reg, "faults.blackhole_absorbed");
       metrics::counter(reg, "faults.blackhole_nodes")
           .inc(config->faults->blackhole_count());
     }
@@ -888,18 +742,6 @@ struct Engine {
 
       ack_words = (messages.size() + 63) / 64;
       ack_known.assign(trace->node_count() * ack_words, 0);
-      ack_exists.assign(messages.size(), 0);
-      src_acked.assign(messages.size(), 0);
-      delivered_gen.assign(messages.size(), 0);
-      if (rec->retx_timeout > 0.0) {
-        retx_attempts.assign(messages.size(), 0);
-        retx_interval.assign(messages.size(), 0.0);
-        retx_groups.assign(messages.size(), {});
-        msg_rng.reserve(messages.size());
-        for (std::size_t m = 0; m < messages.size(); ++m) {
-          msg_rng.emplace_back(util::derive_seed(config->recovery_seed, m));
-        }
-      }
       if (rec->suspicion_alpha > 0.0) {
         suspicion = config->suspicion;
         if (suspicion == nullptr) {
@@ -908,28 +750,27 @@ struct Engine {
         }
         tracker_flips_at_start = suspicion->flips();
       }
-      if (rec->shed_saturation > 0.0) {
-        sat_window = recovery::SaturationWindow();
-      }
     }
 
     report.outcomes.assign(messages.size(), {});
-    tokens.assign(messages.size(), SourceToken{0, false, kTimeInfinity});
-    seen.assign(messages.size(), {});
-    msgs_by_src.assign(trace->node_count(), {});
-    for (std::size_t m = 0; m < messages.size(); ++m) {
-      msgs_by_src[messages[m].src].push_back(m);
-    }
     holdings.assign(trace->node_count(), {});
-    load.assign(trace->node_count(), 0);
-
-    // Select relay groups per message (skipped — with no RNG drawn — in
-    // utility-forwarder mode, which routes without onion groups).
-    if (utility == nullptr) {
-      relay_groups.resize(messages.size());
-      for (std::size_t m = 0; m < messages.size(); ++m) {
-        relay_groups[m] = directory->select_relay_groups(
-            messages[m].src, messages[m].dst, messages[m].num_relays, rng);
+    // Per message: the first generation's relay groups, in message order
+    // from the simulation RNG (utility mode routes without onion groups
+    // and draws none), the onion source copy, and the recovery sub-stream.
+    state.resize(messages.size());
+    for (std::size_t m = 0; m < messages.size(); ++m) {
+      const auto& msg = messages[m];
+      MessageState& st = state[m];
+      st.gens.emplace_back();
+      if (utility == nullptr) {
+        st.gens[0] = directory->select_relay_groups(msg.src, msg.dst,
+                                                    msg.num_relays, rng);
+        copies.push_back(
+            {m, 0, msg.src, msg.start, false, 0, kTimeInfinity, 0});
+        if (config->record_paths) copy_paths.emplace_back();
+      }
+      if (retx_on) {
+        st.rng.reseed(util::derive_seed(config->recovery_seed, m));
       }
     }
 
@@ -940,30 +781,18 @@ struct Engine {
       return messages[a].start < messages[b].start;
     });
 
-    faults::FaultPlan* fp = config->faults;
     std::size_t next_injection = 0;
     for (const auto& event : trace->events()) {
       while (next_injection < order.size() &&
              messages[order[next_injection]].start <= event.time) {
         advance_time(messages[order[next_injection]].start);
-        if (rec != nullptr && rec->retx_timeout > 0.0) {
-          process_retx_until(messages[order[next_injection]].start);
-        }
+        if (retx_on) process_retx_until(messages[order[next_injection]].start);
         inject(order[next_injection]);
         ++next_injection;
       }
       advance_time(event.time);
-      if (rec != nullptr && rec->retx_timeout > 0.0) {
-        process_retx_until(event.time);
-      }
-      if (fp != nullptr) {
-        if (!fp->node_up(event.a, event.time) ||
-            !fp->node_up(event.b, event.time)) {
-          ++report.suppressed_contacts;
-          m_suppressed.inc();
-          continue;
-        }
-      }
+      if (retx_on) process_retx_until(event.time);
+      if (!gate.contact_up(event.a, event.b, event.time)) continue;
       if (rec != nullptr && rec->acks) {
         // Anti-packets ride every surviving contact, ahead of payload
         // transfers: a vaccine may free buffer space the transfers below
@@ -998,6 +827,9 @@ struct Engine {
       inject(order[next_injection]);
       ++next_injection;
     }
+    report.suppressed_contacts = gate.suppressed();
+    report.transfer_failures = gate.failures();
+    report.blackhole_absorbed = gate.absorbed();
     if (suspicion != nullptr) {
       report.suspicion_flips = suspicion->flips() - tracker_flips_at_start;
       m_suspicion_flips.inc(report.suspicion_flips);

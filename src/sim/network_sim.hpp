@@ -205,8 +205,9 @@ struct NetworkSimReport {
   /// transfers, in cells in wire mode.
   std::size_t max_contact_transfers = 0;
   /// Deterministic work counter: transfer candidates contact drainage
-  /// examined, summed over contacts and directions (the sender's own
-  /// source tokens plus its buffered copies). Not exported as a metric.
+  /// examined, summed over contacts and directions — every copy the
+  /// sender buffers, its own source copies included. Not exported as a
+  /// metric.
   std::size_t drain_scanned = 0;
   // Recovery accounting (all zero when NetworkSimConfig::recovery is null
   // or disabled).

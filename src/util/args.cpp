@@ -1,9 +1,32 @@
 #include "util/args.hpp"
 
 #include <charconv>
-#include <stdexcept>
+#include <cstdio>
+// odtn-lint: allow(include) — std::exit for flag usage errors only
+#include <cstdlib>
 
 namespace odtn::util {
+
+namespace {
+
+// A numeric flag must parse completely: an empty, unparsable or
+// trailing-garbage value is a usage error, reported on one line naming the
+// flag, with exit status 2 (an exception would abort the bench binaries,
+// which do not catch).
+template <typename T>
+T parse_number(const std::string& name, const std::string& s) {
+  T v{};
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (s.empty() || ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "error: --%s=%s is not a number\n", name.c_str(),
+                 s.c_str());
+    std::exit(2);
+  }
+  return v;
+}
+
+}  // namespace
 
 Args::Args(int argc, char** argv) {
   if (argc > 0) program_ = argv[0];
@@ -34,22 +57,13 @@ std::string Args::get(const std::string& name, const std::string& def) const {
 
 std::int64_t Args::get_int(const std::string& name, std::int64_t def) const {
   auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  // Like strtoll, an unparsable value yields 0 (v stays as initialized) and
-  // trailing garbage after a numeric prefix is ignored.
-  const std::string& s = it->second;
-  std::int64_t v = 0;
-  std::from_chars(s.data(), s.data() + s.size(), v, 10);
-  return v;
+  return it == flags_.end() ? def
+                            : parse_number<std::int64_t>(name, it->second);
 }
 
 double Args::get_double(const std::string& name, double def) const {
   auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  const std::string& s = it->second;
-  double v = 0.0;
-  std::from_chars(s.data(), s.data() + s.size(), v);
-  return v;
+  return it == flags_.end() ? def : parse_number<double>(name, it->second);
 }
 
 bool Args::get_bool(const std::string& name, bool def) const {

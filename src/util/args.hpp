@@ -20,6 +20,9 @@ class Args {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& def) const;
+  /// Numeric flags must parse completely: an empty, unparsable or
+  /// trailing-garbage value (`--runs=12x`) prints a one-line error naming
+  /// the flag and exits with status 2.
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;

@@ -1,13 +1,15 @@
 // Recovery semantics inside the whole-network simulator: ACK (vaccine)
 // conservation, expiry-vs-crash reclamation ordering under churn, stale
 // state at tail injections, suspicion convergence against a known
-// blackhole set, and shed-before-collapse under saturating load.
+// blackhole set, shed-before-collapse under saturating load, and the
+// retransmission deadline rule it shares with the onion walker.
 #include "sim/network_sim.hpp"
 
 #include <gtest/gtest.h>
 
 #include "faults/faults.hpp"
 #include "recovery/recovery.hpp"
+#include "routing/onion_routing.hpp"
 #include "trace/synthetic.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -128,7 +130,7 @@ TEST(RecoverySim, TailInjectionSeesExpiredStateReclaimed) {
   first.dst = 2;
   first.num_relays = 1;
   first.start = 0.0;
-  first.ttl = 30.0;  // the source token expires at t=30, freeing the slot
+  first.ttl = 30.0;  // the source copy expires at t=30, freeing the slot
   InjectedMessage second = first;
   second.start = 100.0;  // injected after the last trace event
 
@@ -241,6 +243,44 @@ TEST(RecoverySim, ShedsLowPriorityBeforeCollapse) {
   // delivery, and queueing pressure drops.
   EXPECT_GE(urgent_on, urgent_off);
   EXPECT_LT(on.queue_deferred, off.queue_deferred);
+}
+
+// Both engines arm retransmissions through recovery::RetxSchedule, so
+// they agree at the deadline boundary: with timeout 100, backoff 2 and no
+// jitter the second timer comes due at 100 + 200 = 300, exactly the
+// deadline, and is never sent. The source (node 0) meets no one, so the
+// message never leaves it; the contacts only advance simulated time.
+TEST(RecoverySim, RetransmissionDueAtDeadlineIsNotSent) {
+  trace::ContactTrace trace(5, {{50.0, 2, 3}, {150.0, 2, 3}, {350.0, 2, 3}});
+  groups::GroupDirectory dir(5, 1);  // node i is group i
+  recovery::RecoveryConfig rc;
+  rc.retx_timeout = 100.0;
+  rc.retx_backoff = 2.0;
+  rc.retx_jitter = 0.0;
+  InjectedMessage m;
+  m.src = 0;
+  m.dst = 4;
+  m.ttl = 300.0;
+  m.num_relays = 1;
+
+  NetworkSimConfig cfg;
+  cfg.recovery = &rc;
+  util::Rng rng(1);
+  auto report = run_network_sim(trace, dir, {m}, {}, cfg, rng);
+  EXPECT_FALSE(report.outcomes[0].delivered);
+  EXPECT_EQ(report.outcomes[0].retransmissions, 1u);
+  EXPECT_EQ(report.retransmissions, 1u);
+
+  groups::KeyManager keys(dir, 1);
+  onion::OnionCodec codec;
+  routing::OnionContext ctx{&dir, &keys, &codec};
+  ctx.recovery = &rc;
+  sim::TraceContactModel contacts(trace);
+  std::vector<GroupId> forced = {2};
+  auto r = routing::SingleCopyOnionRouting(ctx).route(contacts, m, rng,
+                                                      &forced);
+  EXPECT_FALSE(r.delivered);
+  EXPECT_EQ(r.retransmissions, 1u);
 }
 
 }  // namespace

@@ -175,8 +175,8 @@ TEST(NetworkSim, DropOldestEvictsToAdmit) {
 }
 
 TEST(NetworkSim, DropOldestNeverEvictsSourceTokens) {
-  // Node 0 holds its own (source) token; capacity 1. Another message
-  // offered to node 0 cannot evict the token.
+  // Node 0 holds its own source copy; capacity 1. Another message
+  // offered to node 0 cannot evict it.
   groups::GroupDirectory dir(4, 1);
   trace::ContactTrace t(4, {{10.0, 1, 0}});
   InjectedMessage own;
@@ -230,7 +230,7 @@ TEST(NetworkSim, DropOldestThrashesAtTinyBuffers) {
   auto drp = run_network_sim(trace, dir, messages, {}, drop, r2);
   EXPECT_GT(drp.evicted_copies, 0u);
   // Drop-oldest only refuses when the buffer is pinned by unevictable
-  // source tokens, so it rejects far less often than reject-new.
+  // source copies, so it rejects far less often than reject-new.
   EXPECT_LT(drp.total_buffer_rejections, rej.total_buffer_rejections / 2);
   EXPECT_GE(rej.delivery_rate() + 0.03, drp.delivery_rate());
 
@@ -374,7 +374,7 @@ TEST(NetworkSim, Validation) {
 
 TEST(NetworkSim, TwoWayDrainageOrderUnderBufferPressure) {
   // Capacity 1 with drop-oldest makes one contact's execution order
-  // decide who survives: a->b (source tokens, then copies) runs before
+  // decide who survives: a->b (source copies, then relayed) runs before
   // b->a. Groups are the contiguous pairs {0,1} {2,3} {4,5}, so every
   // K = 1 message between the outer groups relays through {2,3} with no
   // random choice.
@@ -519,7 +519,7 @@ std::uint64_t report_digest(const NetworkSimReport& r) {
 
 // `count` messages between random distinct endpoints, starting at random
 // times in [0, 100): index order and start order disagree, also within
-// one source's messages, and each source has several tokens in flight.
+// one source's messages, and each source has several copies in flight.
 std::vector<InjectedMessage> random_messages(util::Rng& rng, std::size_t nodes,
                                              int count, std::size_t copies) {
   std::vector<InjectedMessage> messages;
@@ -647,7 +647,7 @@ TEST(NetworkSim, ReportDigestPinned) {
 // A contact's drainage work is local: messages sourced at a node that
 // never meets anyone add nothing to any contact's scan and change no
 // other message's outcome. (An engine that scans every message per
-// contact would examine all 1000 extra tokens at every contact.)
+// contact would examine all 1000 extra messages at every contact.)
 TEST(NetworkSim, DrainScanIgnoresMessagesOfIdleSources) {
   constexpr std::size_t kNodes = 30;
   constexpr NodeId kIdle = kNodes - 1;

@@ -73,6 +73,28 @@ TEST(Args, HasAndProgram) {
   EXPECT_EQ(a.program(), "my_bench");
 }
 
+TEST(Args, NumericFlagsRejectGarbage) {
+  EXPECT_EXIT(make_args({"prog", "--n=abc"}).get_int("n", 0),
+              ::testing::ExitedWithCode(2), "--n=abc is not a number");
+  EXPECT_EXIT(make_args({"prog", "--threads=xyz"}).get_int("threads", 0),
+              ::testing::ExitedWithCode(2), "--threads=xyz");
+  EXPECT_EXIT(make_args({"prog", "--runs=12x"}).get_int("runs", 0),
+              ::testing::ExitedWithCode(2), "--runs=12x");
+  EXPECT_EXIT(make_args({"prog", "--runs="}).get_int("runs", 0),
+              ::testing::ExitedWithCode(2), "--runs=");
+  EXPECT_EXIT(make_args({"prog", "--rate=0.5s"}).get_double("rate", 0),
+              ::testing::ExitedWithCode(2), "--rate=0.5s");
+  EXPECT_EXIT(make_args({"prog", "--rate"}).get_double("rate", 0),
+              ::testing::ExitedWithCode(2), "--rate=true");
+}
+
+TEST(Args, NumericFlagsAcceptWholeNumbers) {
+  Args a = make_args({"prog", "--k=-3", "--x=1e-3", "--y=-0.25"});
+  EXPECT_EQ(a.get_int("k", 0), -3);
+  EXPECT_DOUBLE_EQ(a.get_double("x", 0), 1e-3);
+  EXPECT_DOUBLE_EQ(a.get_double("y", 0), -0.25);
+}
+
 TEST(Args, FlagFollowedByFlagDoesNotConsume) {
   Args a = make_args({"prog", "--flag", "--runs=5"});
   EXPECT_TRUE(a.get_bool("flag", false));

@@ -22,9 +22,11 @@
 # 4. Configures a -DODTN_SANITIZE=thread tree in build-tsan/, builds only
 #    the tsan-labelled test targets, and runs `ctest -L tsan` under TSan.
 # 5. Configures a -DODTN_SANITIZE=address tree in build-asan/, builds the
-#    fault-injection, recovery, circuit, and network-sim test targets, and
-#    runs `ctest -L faults`, `ctest -L recovery`, `ctest -L circuit`, and
-#    the network_sim_test and traffic_sim_test binaries under ASan.
+#    fault-injection, recovery, circuit, network-sim, and onion-routing
+#    test targets, and runs `ctest -L faults`, `ctest -L recovery`,
+#    `ctest -L circuit`, and the network_sim_test, traffic_sim_test,
+#    route_digest_test, single_copy_test, and multi_copy_test binaries
+#    under ASan.
 # 6. Configures a -DODTN_SANITIZE=undefined tree in build-ubsan/, builds
 #    the analysis + crypto test targets (the numeric and bit-twiddling
 #    code most prone to UB), and runs `ctest -L ubsan` under UBSan.
@@ -174,13 +176,14 @@ cmake --build "$repo/build-tsan" -j "$jobs" --target \
 echo "== tsan: ctest -L tsan =="
 ctest --test-dir "$repo/build-tsan" -L tsan --output-on-failure -j "$jobs"
 
-echo "== asan: configure + build fault, recovery, circuit, sim test targets =="
+echo "== asan: configure + build fault, recovery, circuit, sim, routing test targets =="
 cmake -B "$repo/build-asan" -S "$repo" -DODTN_SANITIZE=address
 cmake --build "$repo/build-asan" -j "$jobs" --target \
     faults_test fault_sim_test fault_experiment_test \
     recovery_unit_test recovery_sim_test recovery_experiment_test \
     cell_test circuit_state_test circuit_manager_test wire_parity_test \
-    network_sim_test traffic_sim_test
+    network_sim_test traffic_sim_test \
+    route_digest_test single_copy_test multi_copy_test
 
 echo "== asan: ctest -L faults =="
 ctest --test-dir "$repo/build-asan" -L faults --output-on-failure -j "$jobs"
@@ -198,6 +201,13 @@ echo "== asan: network_sim_test + traffic_sim_test =="
 # this tree does not build.
 "$repo/build-asan/tests/sim/network_sim_test"
 "$repo/build-asan/tests/traffic/traffic_sim_test"
+
+echo "== asan: route_digest_test + single_copy_test + multi_copy_test =="
+# The onion walker's context and generation bookkeeping: an uninitialized
+# OnionContext field once passed every plain build and failed only here.
+"$repo/build-asan/tests/routing/route_digest_test"
+"$repo/build-asan/tests/routing/single_copy_test"
+"$repo/build-asan/tests/routing/multi_copy_test"
 
 echo "== ubsan: configure + build analysis + crypto test targets =="
 cmake -B "$repo/build-ubsan" -S "$repo" -DODTN_SANITIZE=undefined
