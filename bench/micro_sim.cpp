@@ -66,6 +66,20 @@ void BM_RandomGraphGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomGraphGeneration)->Arg(100)->Arg(500);
 
+// One contact trace of the loaded stack (ablation_recovery's, e2ebench's
+// loaded workloads): a Table II graph over n = 100 nodes, sampled over the
+// traffic horizon plus the TTL, 600 + 1800 = 2400 (about 120k events).
+void BM_PoissonTraceSample(benchmark::State& state) {
+  // odtn-lint: allow(rng) — bench-local stream: seeded directly so the
+  // sampled workload stays pinned across recordings
+  util::Rng rng(9);
+  auto g = graph::random_contact_graph(100, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(trace::sample_poisson_trace(g, 2400.0, rng));
+  }
+}
+BENCHMARK(BM_PoissonTraceSample)->Unit(benchmark::kMillisecond);
+
 void BM_PoissonFirstContact(benchmark::State& state) {
   // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
   // so published figure/ablation tables stay pinned to their historical

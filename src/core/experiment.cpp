@@ -666,12 +666,11 @@ ExperimentResult Experiment::run_random_graph(
                         std::max<std::size_t>(std::size_t{1}, cfg.communities),
                         rng, cfg.min_ict, cfg.max_ict);
           if (loaded) {
-            // The CSR rates sampler visits pairs in the same (i, j) order
-            // as the dense one, so paper-scale loaded runs match across
-            // backends bit-for-bit too.
+            // The sampler visits pairs in the same (i, j) order on both
+            // backends, so paper-scale loaded runs match across backends
+            // bit-for-bit too.
             trace::ContactTrace events = trace::sample_poisson_trace(
-                static_cast<const graph::ContactRates&>(graph),
-                loaded_trace_horizon(cfg), rng);
+                graph, loaded_trace_horizon(cfg), rng);
             return run_loaded(cfg, events, rng, reg);
           }
           sim::SparseContactModel contacts(graph, rng);
@@ -718,22 +717,28 @@ ExperimentResult Experiment::run_trace(const TraceScenario& scenario) const {
                : trace.estimate_rates();
   }();
 
+  // Each node's contact times, in trace order: a run starts at one of its
+  // source's contacts ("a source node initiates a message transmission at
+  // any time after it has a contact"). Built once, read by every worker.
+  std::vector<std::vector<Time>> contact_times(trace.node_count());
+  for (const trace::ContactEvent& e : trace.events()) {
+    contact_times[e.a].push_back(e.time);
+    contact_times[e.b].push_back(e.time);
+  }
+
   ExperimentResult result = run_engine(
       cfg, trace.node_count(), "trace",
       [&](std::size_t, util::Rng& rng, metrics::Registry* reg) {
         NodeId src, dst;
         pick_endpoints(rng, trace.node_count(), src, dst);
 
-        // Start at one of the source's contact events ("a source node
-        // initiates a message transmission at any time after it has a
-        // contact").
-        const auto& events = trace.contacts_of(src);
-        if (events.empty()) {
+        const std::vector<Time>& times = contact_times[src];
+        if (times.empty()) {
           metrics::counter(reg, "experiment.runs").inc();
           metrics::counter(reg, "experiment.isolated_sources").inc();
           return RunOutcome{};  // isolated node: a failed run
         }
-        Time start = events[rng.below(events.size())].time;
+        Time start = times[rng.below(times.size())];
 
         sim::TraceContactModel contacts(trace);
         return run_once(cfg, contacts, trained, src, dst, start, rng, reg);

@@ -1,6 +1,8 @@
 #include "graph/contact_graph.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace odtn::graph {
 
@@ -14,8 +16,7 @@ std::size_t ContactGraph::index(NodeId i, NodeId j) const {
     throw std::out_of_range("ContactGraph: bad node pair");
   }
   if (i > j) std::swap(i, j);
-  // Row-major upper triangle: row i starts at i*n - i*(i+1)/2 - i... use
-  // the standard formula for pair (i, j), i < j:
+  // Row-major upper triangle: pair (i, j), i < j.
   std::size_t row_start = static_cast<std::size_t>(i) * (2 * n_ - i - 1) / 2;
   return row_start + (j - i - 1);
 }
@@ -78,17 +79,25 @@ void ContactGraph::append_neighbors(NodeId i, std::vector<NodeId>& out) const {
   }
 }
 
+namespace {
+
+// A valid range makes every drawn ict finite and > 0, so the generators
+// need none of set_inter_contact_time's per-pair checks.
+void check_ict_range(const char* who, double min_ict, double max_ict) {
+  if (!(min_ict > 0.0 && max_ict >= min_ict && std::isfinite(max_ict))) {
+    throw std::invalid_argument(std::string(who) + ": bad ICT range");
+  }
+}
+
+}  // namespace
+
+// The generators visit pairs (i, j), i < j, in rates_'s row-major order.
+
 ContactGraph random_contact_graph(std::size_t n, util::Rng& rng,
                                   double min_ict, double max_ict) {
-  if (!(min_ict > 0.0) || max_ict < min_ict) {
-    throw std::invalid_argument("random_contact_graph: bad ICT range");
-  }
+  check_ict_range("random_contact_graph", min_ict, max_ict);
   ContactGraph g(n);
-  for (NodeId i = 0; i < n; ++i) {
-    for (NodeId j = i + 1; j < n; ++j) {
-      g.set_inter_contact_time(i, j, rng.uniform(min_ict, max_ict));
-    }
-  }
+  for (double& r : g.rates_) r = 1.0 / rng.uniform(min_ict, max_ict);
   return g;
 }
 
@@ -97,13 +106,10 @@ ContactGraph sparse_contact_graph(std::size_t n, double p, util::Rng& rng,
   if (p < 0.0 || p > 1.0) {
     throw std::invalid_argument("sparse_contact_graph: p out of [0,1]");
   }
+  check_ict_range("sparse_contact_graph", min_ict, max_ict);
   ContactGraph g(n);
-  for (NodeId i = 0; i < n; ++i) {
-    for (NodeId j = i + 1; j < n; ++j) {
-      if (rng.chance(p)) {
-        g.set_inter_contact_time(i, j, rng.uniform(min_ict, max_ict));
-      }
-    }
+  for (double& r : g.rates_) {
+    if (rng.chance(p)) r = 1.0 / rng.uniform(min_ict, max_ict);
   }
   return g;
 }
@@ -117,13 +123,15 @@ ContactGraph community_contact_graph(std::size_t n, std::size_t communities,
   if (!(slowdown >= 1.0)) {
     throw std::invalid_argument("community_contact_graph: slowdown must be >= 1");
   }
+  check_ict_range("community_contact_graph", min_ict, max_ict);
   ContactGraph g(n);
-  std::size_t block = (n + communities - 1) / communities;
+  const std::size_t block = (n + communities - 1) / communities;
+  std::size_t k = 0;
   for (NodeId i = 0; i < n; ++i) {
     for (NodeId j = i + 1; j < n; ++j) {
       double ict = rng.uniform(min_ict, max_ict);
       if (i / block != j / block) ict *= slowdown;
-      g.set_inter_contact_time(i, j, ict);
+      g.rates_[k++] = 1.0 / ict;
     }
   }
   return g;

@@ -85,6 +85,15 @@ class ContactGraph final : public ContactRates {
   void append_neighbors(NodeId i, std::vector<NodeId>& out) const override;
 
  private:
+  // The generators write rates_ directly, in its row-major order.
+  friend ContactGraph random_contact_graph(std::size_t, util::Rng&, double,
+                                           double);
+  friend ContactGraph sparse_contact_graph(std::size_t, double, util::Rng&,
+                                           double, double);
+  friend ContactGraph community_contact_graph(std::size_t, std::size_t,
+                                              double, util::Rng&, double,
+                                              double);
+
   std::size_t index(NodeId i, NodeId j) const;
 
   std::size_t n_;

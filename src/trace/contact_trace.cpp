@@ -1,6 +1,7 @@
 #include "trace/contact_trace.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -25,6 +26,52 @@ std::vector<ContactEvent> drain(TraceReader& reader) {
   return events;
 }
 
+// Stable sort by time of events whose times lie in [lo, hi]. The result
+// equals std::stable_sort's element for element: a stable counting sort
+// into ~E/2 time buckets, then a stable insertion sort inside each bucket.
+// The bucket index is monotone in time, so events in different buckets are
+// already in order. A bucket above kMaxInsertion events is handed to
+// std::stable_sort, so no input costs more than O(E log E).
+void sort_by_time(std::vector<ContactEvent>& events, Time lo, Time hi) {
+  constexpr std::size_t kMaxInsertion = 32;
+  const auto by_time = [](const ContactEvent& x, const ContactEvent& y) {
+    return x.time < y.time;
+  };
+  const std::size_t buckets = std::max<std::size_t>(1, events.size() / 2);
+  const double span = hi - lo;
+  const double scale = static_cast<double>(buckets) / span;
+  if (!std::isfinite(span) || !std::isfinite(scale)) {
+    std::stable_sort(events.begin(), events.end(), by_time);
+    return;
+  }
+  // t <= hi gives t - lo <= span after rounding, so the product is finite.
+  const auto bucket_of = [&](Time t) {
+    return std::min(buckets - 1, static_cast<std::size_t>((t - lo) * scale));
+  };
+  // end[b] counts bucket b - 1, then holds bucket b's first slot, and after
+  // the scatter bucket b's end.
+  std::vector<std::size_t> end(buckets + 1, 0);
+  for (const ContactEvent& e : events) ++end[bucket_of(e.time) + 1];
+  for (std::size_t b = 1; b <= buckets; ++b) end[b] += end[b - 1];
+  std::vector<ContactEvent> out(events.size());
+  for (const ContactEvent& e : events) out[end[bucket_of(e.time)]++] = e;
+
+  std::size_t begin = 0;
+  for (std::size_t b = 0; b < buckets; begin = end[b++]) {
+    if (end[b] - begin > kMaxInsertion) {
+      std::stable_sort(out.begin() + begin, out.begin() + end[b], by_time);
+      continue;
+    }
+    for (std::size_t i = begin + 1; i < end[b]; ++i) {
+      const ContactEvent e = out[i];
+      std::size_t k = i;
+      for (; k > begin && e.time < out[k - 1].time; --k) out[k] = out[k - 1];
+      out[k] = e;
+    }
+  }
+  events.swap(out);
+}
+
 }  // namespace
 
 ContactTrace::ContactTrace(std::size_t node_count,
@@ -33,23 +80,28 @@ ContactTrace::ContactTrace(std::size_t node_count,
   if (node_count < 2) {
     throw std::invalid_argument("ContactTrace: need >= 2 nodes");
   }
-  for (const auto& e : events_) {
+  // One pass validates every event and finds the time range and whether
+  // the input is already in order (parsed real traces usually are). Keep
+  // the checks in step with ingest_sparse_trace's.
+  bool sorted = true;
+  Time lo = events_.empty() ? 0.0 : events_.front().time;
+  Time hi = lo;
+  for (std::size_t k = 0; k < events_.size(); ++k) {
+    const ContactEvent& e = events_[k];
     if (e.a >= node_count || e.b >= node_count) {
       throw std::invalid_argument("ContactTrace: event references unknown node");
     }
     if (e.a == e.b) {
       throw std::invalid_argument("ContactTrace: self-contact event");
     }
+    if (!std::isfinite(e.time)) {
+      throw std::invalid_argument("ContactTrace: non-finite event time");
+    }
+    if (k > 0 && e.time < events_[k - 1].time) sorted = false;
+    lo = std::min(lo, e.time);
+    hi = std::max(hi, e.time);
   }
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const ContactEvent& x, const ContactEvent& y) {
-                     return x.time < y.time;
-                   });
-  per_node_.resize(node_count);
-  for (const auto& e : events_) {
-    per_node_[e.a].push_back({e.time, e.b});
-    per_node_[e.b].push_back({e.time, e.a});
-  }
+  if (!sorted) sort_by_time(events_, lo, hi);
 }
 
 Time ContactTrace::start_time() const {
@@ -58,28 +110,6 @@ Time ContactTrace::start_time() const {
 
 Time ContactTrace::end_time() const {
   return events_.empty() ? 0.0 : events_.back().time;
-}
-
-const std::vector<ContactTrace::NodeContact>& ContactTrace::contacts_of(
-    NodeId node) const {
-  if (node >= node_count_) throw std::out_of_range("contacts_of");
-  return per_node_[node];
-}
-
-std::optional<ContactTrace::NodeContact> ContactTrace::first_contact(
-    NodeId node, std::span<const NodeId> candidates, Time after,
-    Time horizon) const {
-  const auto& list = contacts_of(node);
-  auto it = std::lower_bound(
-      list.begin(), list.end(), after,
-      [](const NodeContact& c, Time t) { return c.time < t; });
-  for (; it != list.end() && it->time < horizon; ++it) {
-    const NodeId peer = it->peer;
-    for (const NodeId c : candidates) {
-      if (c == peer) return *it;
-    }
-  }
-  return std::nullopt;
 }
 
 Time ContactTrace::active_duration(Time max_idle_gap) const {

@@ -3,12 +3,9 @@
 // The paper's real-trace experiments replay CRAWDAD cambridge/haggle
 // contact logs. A trace here is a time-sorted list of instantaneous contact
 // events (the paper assumes every contact lasts long enough to transfer a
-// whole message), plus per-node indexes for fast "next contact of v with
-// any of S after t" queries.
+// whole message).
 #pragma once
 
-#include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -27,8 +24,10 @@ struct ContactEvent {
 
 class ContactTrace {
  public:
-  /// Builds a trace over `node_count` nodes; events are copied and sorted
-  /// by time. Throws on events referencing nodes >= node_count or a == b.
+  /// Builds a trace over `node_count` nodes; events are sorted by time,
+  /// stably (the order equals std::stable_sort's). Throws
+  /// std::invalid_argument on events referencing nodes >= node_count,
+  /// a == b, or a non-finite time.
   ContactTrace(std::size_t node_count, std::vector<ContactEvent> events);
 
   std::size_t node_count() const { return node_count_; }
@@ -38,20 +37,6 @@ class ContactTrace {
   /// First and last event times (0 if the trace is empty).
   Time start_time() const;
   Time end_time() const;
-
-  /// Events in which `node` participates, time-sorted, as (time, peer).
-  struct NodeContact {
-    Time time;
-    NodeId peer;
-  };
-  const std::vector<NodeContact>& contacts_of(NodeId node) const;
-
-  /// First contact of `node` with any member of `candidates` at time >=
-  /// `after` and < `horizon`; nullopt if none. `candidates` must not contain
-  /// `node` itself.
-  std::optional<NodeContact> first_contact(NodeId node,
-                                           std::span<const NodeId> candidates,
-                                           Time after, Time horizon) const;
 
   /// Maximum-likelihood contact-rate estimate over the trace duration:
   /// lambda_ij = (#contacts between i and j) / duration. This is the
@@ -74,7 +59,6 @@ class ContactTrace {
  private:
   std::size_t node_count_;
   std::vector<ContactEvent> events_;
-  std::vector<std::vector<NodeContact>> per_node_;
 };
 
 /// Parses the plain-text trace format: one event per line, `time a b`,

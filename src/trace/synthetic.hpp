@@ -50,16 +50,9 @@ ContactTrace make_infocom_like(std::uint64_t seed);
 
 /// Samples a concrete event trace from a contact graph's Poisson processes
 /// over [0, horizon). Bridges the random-graph model (Table II) and the
-/// trace-driven engines (TraceContactModel, run_network_sim).
-ContactTrace sample_poisson_trace(const graph::ContactGraph& graph,
-                                  Time horizon, util::Rng& rng);
-
-/// Backend-neutral overload over the ContactRates surface (dense graphs
-/// bind the exact-match overload above). Pairs are visited in ascending
-/// (i, j), i < j — append_neighbors' documented order — so on a dense
-/// graph this draws the identical RNG sequence as the dense sampler. Used
-/// by the loaded-traffic experiments on the sparse backend, where
-/// enumerating all n² pairs is exactly what the CSR representation avoids.
+/// trace-driven engines (TraceContactModel, run_network_sim). Pairs are
+/// visited in ascending (i, j), i < j (append_neighbors' order), so dense
+/// and sparse graphs with the same rates give identical events.
 ContactTrace sample_poisson_trace(const graph::ContactRates& rates,
                                   Time horizon, util::Rng& rng);
 

@@ -1,6 +1,7 @@
 #include "trace/trace_reader.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -15,6 +16,12 @@ namespace {
 // report's "up"/"down") don't capture a stray carriage return.
 void strip_cr(std::string& line) {
   if (!line.empty() && line.back() == '\r') line.pop_back();
+}
+
+// Only lines left blank once their comment is cut off are skipped; any
+// other line parses or throws, so a malformed contact never vanishes.
+bool blank(const std::string& line) {
+  return line.find_first_not_of(" \t\n\v\f\r") == std::string::npos;
 }
 
 }  // namespace
@@ -33,11 +40,11 @@ bool PlainTraceReader::next_record(TraceRecord& out) {
     strip_cr(line_);
     auto hash = line_.find('#');
     if (hash != std::string::npos) line_.resize(hash);
+    if (blank(line_)) continue;
     std::istringstream ls(line_);
     double t;
     long a, b;
-    if (!(ls >> t)) continue;  // blank or comment-only line
-    if (!(ls >> a >> b)) {
+    if (!(ls >> t >> a >> b)) {
       throw std::invalid_argument("line " + std::to_string(line_no_) +
                                   ": malformed contact (expected 'time a b')");
     }
@@ -57,11 +64,11 @@ bool CrawdadTraceReader::next_record(TraceRecord& out) {
     strip_cr(line_);
     auto hash = line_.find('#');
     if (hash != std::string::npos) line_.resize(hash);
+    if (blank(line_)) continue;
     std::istringstream ls(line_);
     long id1, id2;
     double start, end;
-    if (!(ls >> id1)) continue;  // blank line
-    if (!(ls >> id2 >> start >> end)) {
+    if (!(ls >> id1 >> id2 >> start >> end)) {
       throw std::invalid_argument(
           "line " + std::to_string(line_no_) +
           ": malformed contact (expected 'id1 id2 start end')");
@@ -139,31 +146,17 @@ std::unique_ptr<TraceReader> make_trace_reader(std::istream& in,
 namespace {
 
 /// A TraceReader that owns its file stream.
-template <typename Reader>
 class OwningFileReader final : public TraceReader {
  public:
-  OwningFileReader(std::ifstream in, std::size_t node_count)
-      : in_(std::move(in)), reader_(in_, node_count) {}
+  OwningFileReader(std::ifstream in, TraceFormat format, std::size_t node_count)
+      : in_(std::move(in)), reader_(make_trace_reader(in_, format, node_count)) {}
   bool next_record(TraceRecord& out) override {
-    return reader_.next_record(out);
+    return reader_->next_record(out);
   }
 
  private:
   std::ifstream in_;
-  Reader reader_;
-};
-
-template <>
-class OwningFileReader<PlainTraceReader> final : public TraceReader {
- public:
-  OwningFileReader(std::ifstream in, std::size_t) : in_(std::move(in)), reader_(in_) {}
-  bool next_record(TraceRecord& out) override {
-    return reader_.next_record(out);
-  }
-
- private:
-  std::ifstream in_;
-  PlainTraceReader reader_;
+  std::unique_ptr<TraceReader> reader_;
 };
 
 }  // namespace
@@ -175,18 +168,7 @@ std::unique_ptr<TraceReader> open_trace_reader(const std::string& path,
   if (!in) {
     throw std::runtime_error("open_trace_reader: cannot open " + path);
   }
-  switch (format) {
-    case TraceFormat::kPlain:
-      return std::make_unique<OwningFileReader<PlainTraceReader>>(
-          std::move(in), node_count);
-    case TraceFormat::kCrawdad:
-      return std::make_unique<OwningFileReader<CrawdadTraceReader>>(
-          std::move(in), node_count);
-    case TraceFormat::kOneReport:
-      return std::make_unique<OwningFileReader<OneReportTraceReader>>(
-          std::move(in), node_count);
-  }
-  throw std::invalid_argument("open_trace_reader: unknown format");
+  return std::make_unique<OwningFileReader>(std::move(in), format, node_count);
 }
 
 SparseTraceSummary ingest_sparse_trace(TraceReader& reader,
@@ -215,6 +197,9 @@ SparseTraceSummary ingest_sparse_trace(TraceReader& reader,
     }
     if (rec.a == rec.b) {
       throw std::invalid_argument("ContactTrace: self-contact event");
+    }
+    if (!std::isfinite(rec.time)) {
+      throw std::invalid_argument("ContactTrace: non-finite event time");
     }
     if (!any) {
       any = true;

@@ -52,8 +52,9 @@ class TraceReader {
   virtual bool next_record(TraceRecord& out) = 0;
 };
 
-/// `time a b` lines; '#' comments; blank lines skipped. Emits every parsed
-/// record (no range filtering — ContactTrace / the ingester validate).
+/// `time a b` lines; '#' comments; blank lines skipped, and any other line
+/// that does not parse throws. Emits every parsed record (no range
+/// filtering — ContactTrace / the ingester validate).
 class PlainTraceReader final : public TraceReader {
  public:
   /// The stream must outlive the reader.
@@ -67,7 +68,8 @@ class PlainTraceReader final : public TraceReader {
 };
 
 /// CRAWDAD cambridge/haggle `id1 id2 start end` intervals, 1-based ids;
-/// drops ids above node_count (external devices) and self-contacts.
+/// drops ids above node_count (external devices) and self-contacts. Blank
+/// lines are skipped; any other line that does not parse throws.
 class CrawdadTraceReader final : public TraceReader {
  public:
   CrawdadTraceReader(std::istream& in, std::size_t node_count)
@@ -130,8 +132,9 @@ struct SparseTraceSummary {
 /// a decreasing timestamp throws std::invalid_argument.
 ///
 /// Validation matches ContactTrace's constructor: node ids >= node_count
-/// ("event references unknown node") and self-contacts ("self-contact
-/// event") throw std::invalid_argument.
+/// ("event references unknown node"), self-contacts ("self-contact
+/// event") and NaN or infinite times ("non-finite event time") throw
+/// std::invalid_argument.
 SparseTraceSummary ingest_sparse_trace(TraceReader& reader,
                                        std::size_t node_count,
                                        Time max_idle_gap);

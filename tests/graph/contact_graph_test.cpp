@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+
 namespace odtn::graph {
 namespace {
 
@@ -117,6 +120,77 @@ TEST(RandomContactGraph, BadRangeRejected) {
   util::Rng rng(4);
   EXPECT_THROW(random_contact_graph(5, rng, 0.0, 10.0), std::invalid_argument);
   EXPECT_THROW(random_contact_graph(5, rng, 20.0, 10.0), std::invalid_argument);
+}
+
+// The generators write 1 / ict straight into the rate array. Pin them to
+// the checked set_inter_contact_time loop they replaced: every rate, and
+// the RNG's next draw afterwards, must match a reference built with it.
+void expect_same_draws(const ContactGraph& got, util::Rng& got_rng,
+                       const ContactGraph& want, util::Rng& want_rng) {
+  ASSERT_EQ(got.node_count(), want.node_count());
+  for (NodeId i = 0; i < got.node_count(); ++i) {
+    for (NodeId j = i + 1; j < got.node_count(); ++j) {
+      EXPECT_EQ(got.rate(i, j), want.rate(i, j)) << i << "," << j;
+    }
+  }
+  EXPECT_EQ(got_rng.next(), want_rng.next());
+}
+
+TEST(GraphGenerators, RandomMatchesCheckedReference) {
+  util::Rng rng(31), ref_rng(31);
+  ContactGraph g = random_contact_graph(37, rng, 10.0, 360.0);
+  ContactGraph ref(37);
+  for (NodeId i = 0; i < 37; ++i) {
+    for (NodeId j = i + 1; j < 37; ++j) {
+      ref.set_inter_contact_time(i, j, ref_rng.uniform(10.0, 360.0));
+    }
+  }
+  expect_same_draws(g, rng, ref, ref_rng);
+}
+
+TEST(GraphGenerators, SparseMatchesCheckedReference) {
+  util::Rng rng(32), ref_rng(32);
+  ContactGraph g = sparse_contact_graph(37, 0.4, rng, 5.0, 60.0);
+  ContactGraph ref(37);
+  for (NodeId i = 0; i < 37; ++i) {
+    for (NodeId j = i + 1; j < 37; ++j) {
+      if (ref_rng.chance(0.4)) {
+        ref.set_inter_contact_time(i, j, ref_rng.uniform(5.0, 60.0));
+      }
+    }
+  }
+  expect_same_draws(g, rng, ref, ref_rng);
+}
+
+TEST(GraphGenerators, CommunityMatchesCheckedReference) {
+  util::Rng rng(33), ref_rng(33);
+  ContactGraph g = community_contact_graph(37, 4, 6.0, rng, 10.0, 360.0);
+  ContactGraph ref(37);
+  const std::size_t block = (37 + 4 - 1) / 4;
+  for (NodeId i = 0; i < 37; ++i) {
+    for (NodeId j = i + 1; j < 37; ++j) {
+      double ict = ref_rng.uniform(10.0, 360.0);
+      if (i / block != j / block) ict *= 6.0;
+      ref.set_inter_contact_time(i, j, ict);
+    }
+  }
+  expect_same_draws(g, rng, ref, ref_rng);
+}
+
+TEST(GraphGenerators, BadIctRangeRejectedByEveryGenerator) {
+  util::Rng rng(34);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> bad[] = {
+      {0.0, 10.0}, {-1.0, 10.0}, {20.0, 10.0}, {nan, 10.0}, {1.0, nan},
+      {1.0, inf}};
+  for (auto [lo, hi] : bad) {
+    EXPECT_THROW(random_contact_graph(5, rng, lo, hi), std::invalid_argument);
+    EXPECT_THROW(sparse_contact_graph(5, 0.5, rng, lo, hi),
+                 std::invalid_argument);
+    EXPECT_THROW(community_contact_graph(5, 2, 2.0, rng, lo, hi),
+                 std::invalid_argument);
+  }
 }
 
 TEST(SparseContactGraph, DensityRoughlyMatchesP) {

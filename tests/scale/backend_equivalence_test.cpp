@@ -12,6 +12,7 @@
 #include "graph/contact_graph.hpp"
 #include "graph/sparse_contact_graph.hpp"
 #include "sim/contact_model.hpp"
+#include "trace/synthetic.hpp"
 #include "util/rng.hpp"
 
 namespace odtn {
@@ -109,6 +110,21 @@ TEST(BackendEquivalence, ContactModelsSampleIdenticalEvents) {
     EXPECT_EQ(ca->a, cb->a);
     EXPECT_EQ(ca->b, cb->b);
   }
+}
+
+TEST(BackendEquivalence, PoissonTraceIdenticalAcrossBackends) {
+  // One sampler serves both backends; it must draw the same sequence and
+  // give the same events whichever storage holds the rates.
+  util::Rng graph_rng(8);
+  auto dense = graph::sparse_contact_graph(40, 0.5, graph_rng);
+  auto sparse = graph::sparse_from_dense(dense);
+
+  util::Rng rng_a(9), rng_b(9);
+  auto ta = trace::sample_poisson_trace(dense, 900.0, rng_a);
+  auto tb = trace::sample_poisson_trace(sparse, 900.0, rng_b);
+  EXPECT_GT(ta.event_count(), 1000u);
+  EXPECT_EQ(ta.events(), tb.events());
+  EXPECT_EQ(rng_a.next(), rng_b.next());
 }
 
 TEST(BackendEquivalence, ComplementPlanMatchesExplicitTargetList) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -213,6 +214,39 @@ TEST(SparseIngest, ValidationMatchesContactTrace) {
     std::istringstream in("10 0 1\n5 1 2\n");
     PlainTraceReader reader(in);
     EXPECT_THROW(ingest_sparse_trace(reader, 3, 100.0), std::invalid_argument);
+  }
+}
+
+// Replays fixed records, so the ingester's own checks can be fed values
+// that no text reader produces.
+class RecordsReader final : public TraceReader {
+ public:
+  explicit RecordsReader(std::vector<TraceRecord> records)
+      : records_(std::move(records)) {}
+  bool next_record(TraceRecord& out) override {
+    if (next_ == records_.size()) return false;
+    out = records_[next_++];
+    return true;
+  }
+
+ private:
+  std::vector<TraceRecord> records_;
+  std::size_t next_ = 0;
+};
+
+TEST(SparseIngest, NonFiniteTimeRejectedLikeContactTrace) {
+  for (Time t : {std::numeric_limits<Time>::quiet_NaN(),
+                 std::numeric_limits<Time>::infinity(),
+                 -std::numeric_limits<Time>::infinity()}) {
+    for (Time gap : {0.0, 100.0}) {
+      RecordsReader reader({{1.0, 0, 1}, {t, 1, 2}});
+      try {
+        ingest_sparse_trace(reader, 3, gap);
+        FAIL() << "expected non-finite throw for time " << t;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(), "ContactTrace: non-finite event time");
+      }
+    }
   }
 }
 

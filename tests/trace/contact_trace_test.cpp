@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+
+#include "util/rng.hpp"
 
 namespace odtn::trace {
 namespace {
@@ -29,41 +34,106 @@ TEST(ContactTrace, Validation) {
   EXPECT_THROW(ContactTrace(3, {{1.0, 2, 2}}), std::invalid_argument);
 }
 
+TEST(ContactTrace, NonFiniteTimeRejected) {
+  for (Time t : {std::numeric_limits<Time>::quiet_NaN(),
+                 std::numeric_limits<Time>::infinity(),
+                 -std::numeric_limits<Time>::infinity()}) {
+    try {
+      ContactTrace(3, {{1.0, 0, 1}, {t, 1, 2}});
+      FAIL() << "expected std::invalid_argument for time " << t;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "ContactTrace: non-finite event time");
+    }
+  }
+}
+
+// The constructor's order must equal std::stable_sort by time, element for
+// element: ties keep their input order.
+std::vector<ContactEvent> stable_sorted(std::vector<ContactEvent> events) {
+  std::stable_sort(events.begin(), events.end(),
+                   [](const ContactEvent& x, const ContactEvent& y) {
+                     return x.time < y.time;
+                   });
+  return events;
+}
+
+// Events at the given times, with (a, b) numbering them in input order so
+// that a misordered tie shows.
+std::vector<ContactEvent> events_at(const std::vector<Time>& times) {
+  std::vector<ContactEvent> events;
+  for (std::size_t k = 0; k < times.size(); ++k) {
+    events.push_back({times[k], static_cast<NodeId>(k % 1000),
+                      static_cast<NodeId>(1000 + k / 1000)});
+  }
+  return events;
+}
+
+void expect_stable_sort_order(const std::vector<Time>& times) {
+  std::vector<ContactEvent> events = events_at(times);
+  ContactTrace t(2000, events);
+  EXPECT_EQ(t.events(), stable_sorted(events));
+}
+
+TEST(ContactTraceSort, TinyInputs) {
+  expect_stable_sort_order({});
+  expect_stable_sort_order({5.0});
+  expect_stable_sort_order({5.0, 1.0});
+  expect_stable_sort_order({1.0, 5.0});
+  expect_stable_sort_order({3.0, 3.0});
+}
+
+TEST(ContactTraceSort, SortedReversedAndEqual) {
+  std::vector<Time> up, down, equal(500, 42.0);
+  for (int k = 0; k < 500; ++k) {
+    up.push_back(k * 0.5);
+    down.push_back(1000.0 - k * 0.25);
+  }
+  expect_stable_sort_order(up);
+  expect_stable_sort_order(down);
+  expect_stable_sort_order(equal);
+}
+
+TEST(ContactTraceSort, RandomInputWithTies) {
+  util::Rng rng(17);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t count = 2 + rng.below(3000);
+    // Even trials: an integer grid about as wide as the bucket count, so
+    // most buckets hold a few tied events and take the insertion path.
+    // Odd trials: ties packed at one end of a wide range, so they share
+    // one large bucket and take the std::stable_sort path.
+    const bool narrow = trial % 2 == 0;
+    std::vector<Time> times;
+    for (std::size_t k = 0; k < count; ++k) {
+      const Time tie = static_cast<Time>(rng.below(narrow ? count / 2 : 50));
+      times.push_back(rng.chance(narrow ? 0.8 : 0.5)
+                          ? tie - 10.0
+                          : rng.uniform(-10.0, narrow ? count / 2.0 : 1e6));
+    }
+    expect_stable_sort_order(times);
+  }
+}
+
+TEST(ContactTraceSort, OneFarOutlierPacksOneBucket) {
+  // 1e5 events inside [0, 1) plus one at 1e12: every other event shares
+  // the first bucket, which must take the O(E log E) path, not insertion.
+  util::Rng rng(23);
+  std::vector<Time> times;
+  for (int k = 0; k < 100000; ++k) {
+    times.push_back(rng.chance(0.1) ? 0.5 : rng.uniform01());
+  }
+  times.insert(times.begin() + 50000, 1e12);
+  const auto start = std::chrono::steady_clock::now();
+  expect_stable_sort_order(times);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took.count(), 1.0);
+}
+
 TEST(ContactTrace, EmptyTraceTimes) {
   ContactTrace t(2, {});
   EXPECT_EQ(t.start_time(), 0.0);
   EXPECT_EQ(t.end_time(), 0.0);
   EXPECT_EQ(t.event_count(), 0u);
-}
-
-TEST(ContactTrace, ContactsOfIncludesBothDirections) {
-  ContactTrace t(3, sample_events());
-  const auto& c1 = t.contacts_of(1);
-  ASSERT_EQ(c1.size(), 3u);
-  EXPECT_EQ(c1[0].time, 10.0);
-  EXPECT_EQ(c1[0].peer, 2u);
-  EXPECT_EQ(c1[1].time, 30.0);
-  EXPECT_EQ(c1[1].peer, 0u);
-  EXPECT_THROW(t.contacts_of(5), std::out_of_range);
-}
-
-TEST(ContactTrace, FirstContactRespectsWindowAndCandidates) {
-  ContactTrace t(3, sample_events());
-  auto c = t.first_contact(0, std::vector<NodeId>{1, 2}, 0.0, 100.0);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(c->time, 20.0);
-  EXPECT_EQ(c->peer, 2u);
-
-  c = t.first_contact(0, std::vector<NodeId>{1}, 0.0, 100.0);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(c->time, 30.0);
-
-  // `after` is inclusive, horizon exclusive.
-  c = t.first_contact(0, std::vector<NodeId>{2}, 20.0, 100.0);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(c->time, 20.0);
-  EXPECT_FALSE(t.first_contact(0, std::vector<NodeId>{2}, 20.5, 100.0).has_value());
-  EXPECT_FALSE(t.first_contact(0, std::vector<NodeId>{1}, 0.0, 30.0).has_value());
 }
 
 TEST(ContactTrace, EstimateRatesMatchesCounts) {
@@ -97,6 +167,24 @@ TEST(ParseTrace, MalformedRejected) {
   EXPECT_THROW(parse_trace("10 0\n", 2), std::invalid_argument);
   EXPECT_THROW(parse_trace("10 -1 1\n", 2), std::invalid_argument);
   EXPECT_THROW(parse_trace("10 0 5\n", 2), std::invalid_argument);
+}
+
+TEST(ParseTrace, UnparsableLinesRejectedNotSkipped) {
+  // Only lines blank after comment stripping are skipped; a line whose
+  // first token is not a number is malformed, not blank.
+  for (const char* text : {"10 0 1\nx 0 1\n", "10 0 1\nnan 0 1\n",
+                           "10 0 1\n  # note\n-\n", "10 0 1\n0x 1 0\n"}) {
+    try {
+      parse_trace(text, 2);
+      FAIL() << "expected std::invalid_argument for " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed contact"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  auto t = parse_trace(" \t \n\t# only a comment\n10 0 1\n", 2);
+  EXPECT_EQ(t.event_count(), 1u);
 }
 
 TEST(ParseTrace, TrailingBlankAndCommentLines) {

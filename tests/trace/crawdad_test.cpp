@@ -43,6 +43,21 @@ TEST(CrawdadParser, MalformedRejected) {
   EXPECT_THROW(parse_crawdad_trace("1 2 30 20\n", 2), std::invalid_argument);
 }
 
+TEST(CrawdadParser, UnparsableLinesRejectedNotSkipped) {
+  // A line whose first token is not an id is malformed, not blank.
+  for (const char* text : {"1 2 10 20\nx 2 30 40\n", "1 2 10 20\nnan 1 2 3\n",
+                           "1 2 10 20\n\t# note\n?\n"}) {
+    try {
+      parse_crawdad_trace(text, 2);
+      FAIL() << "expected std::invalid_argument for " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed contact"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CrawdadParser, TrailingBlankAndCommentLinesTolerated) {
   auto t = parse_crawdad_trace("1 2 10 20\n\n# trailing comment\n\n", 2);
   EXPECT_EQ(t.event_count(), 1u);
