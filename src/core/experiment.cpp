@@ -673,7 +673,7 @@ ExperimentResult Experiment::run_random_graph(
                 graph, loaded_trace_horizon(cfg), rng);
             return run_loaded(cfg, events, rng, reg);
           }
-          sim::SparseContactModel contacts(graph, rng);
+          sim::PoissonContactModel contacts(graph, rng);
 
           NodeId src, dst;
           pick_endpoints(rng, cfg.nodes, src, dst);
@@ -784,7 +784,7 @@ ExperimentResult Experiment::run_sparse_trace(
           return RunOutcome{};  // isolated node: a failed run
         }
 
-        sim::SparseContactModel contacts(summary.rates, rng);
+        sim::PoissonContactModel contacts(summary.rates, rng);
         return run_once(cfg, contacts, summary.rates, src, dst,
                         /*start=*/summary.start_time, rng, reg);
       });

@@ -109,7 +109,7 @@ struct TraceScenario {
 /// ingested in ONE bounded-memory pass (trace::ingest_sparse_trace_file)
 /// that trains a sparse contact-rate graph directly — events are never
 /// materialized. Runs then sample live Poisson contacts from the trained
-/// rates (sim::SparseContactModel), which is the analytical contact model
+/// rates (sim::PoissonContactModel), which is the analytical contact model
 /// the training fits; the analysis side reads the same sparse rates.
 /// Requires config.backend == ContactBackend::kSparse.
 struct SparseTraceScenario {

@@ -79,8 +79,6 @@ void ContactGraph::append_neighbors(NodeId i, std::vector<NodeId>& out) const {
   }
 }
 
-namespace {
-
 // A valid range makes every drawn ict finite and > 0, so the generators
 // need none of set_inter_contact_time's per-pair checks.
 void check_ict_range(const char* who, double min_ict, double max_ict) {
@@ -88,8 +86,6 @@ void check_ict_range(const char* who, double min_ict, double max_ict) {
     throw std::invalid_argument(std::string(who) + ": bad ICT range");
   }
 }
-
-}  // namespace
 
 // The generators visit pairs (i, j), i < j, in rates_'s row-major order.
 

@@ -101,6 +101,11 @@ class ContactGraph final : public ContactRates {
   std::vector<double> rates_;
 };
 
+/// Throws std::invalid_argument("<who>: bad ICT range") unless
+/// 0 < min_ict <= max_ict < inf: the range every generator draws uniform
+/// inter-contact times from (an infinite bound would draw rate-0 pairs).
+void check_ict_range(const char* who, double min_ict, double max_ict);
+
 /// Random contact graph of Table II: every pair gets an inter-contact time
 /// drawn uniformly from [min_ict, max_ict] (paper: 10..360 minutes).
 ContactGraph random_contact_graph(std::size_t n, util::Rng& rng,

@@ -4,44 +4,12 @@
 
 namespace odtn::graph {
 
-double ContactRates::rate_to_set(NodeId i,
-                                 std::span<const NodeId> targets) const {
-  double sum = 0.0;
-  for (NodeId t : targets) {
-    if (t != i) sum += rate(i, t);
-  }
-  return sum;
-}
-
 double ContactRates::mean_set_to_set_rate(std::span<const NodeId> from,
                                           std::span<const NodeId> to) const {
   if (from.empty()) throw std::invalid_argument("mean_set_to_set_rate: empty");
   double sum = 0.0;
   for (NodeId i : from) sum += rate_to_set(i, to);
   return sum / static_cast<double>(from.size());
-}
-
-double ContactRates::row_rate_sum(NodeId i) const {
-  const std::size_t n = node_count();
-  double sum = 0.0;
-  for (NodeId j = 0; j < n; ++j) sum += rate(i, j);
-  return sum;
-}
-
-double ContactRates::total_rate() const {
-  const std::size_t n = node_count();
-  double sum = 0.0;
-  for (NodeId i = 0; i < n; ++i) {
-    for (NodeId j = i + 1; j < n; ++j) sum += rate(i, j);
-  }
-  return sum;
-}
-
-void ContactRates::append_neighbors(NodeId i, std::vector<NodeId>& out) const {
-  const std::size_t n = node_count();
-  for (NodeId j = 0; j < n; ++j) {
-    if (j != i && rate(i, j) > 0.0) out.push_back(j);
-  }
 }
 
 }  // namespace odtn::graph

@@ -35,7 +35,8 @@ class ContactRates {
   /// Sum of rates from `i` into the node set `targets` (skipping i itself),
   /// accumulated in span order: the anycast rate of the opportunistic onion
   /// path model (Eq. 4, first/last cases).
-  virtual double rate_to_set(NodeId i, std::span<const NodeId> targets) const;
+  virtual double rate_to_set(NodeId i,
+                             std::span<const NodeId> targets) const = 0;
 
   /// Average over senders in `from` of the summed rate into `to`
   /// (Eq. 4, middle case): (1/|from|) * sum_{i in from} sum_{j in to} rate.
@@ -45,15 +46,16 @@ class ContactRates {
   /// Total rate of node `i` against every other node, accumulated in
   /// ascending peer id (used by the targeted-adversary model to rank nodes
   /// by contact activity).
-  virtual double row_rate_sum(NodeId i) const;
+  virtual double row_rate_sum(NodeId i) const = 0;
 
   /// Total pairwise rate over the whole graph, accumulated in ascending
   /// (i, j), i < j — the dense triangular storage order.
-  virtual double total_rate() const;
+  virtual double total_rate() const = 0;
 
   /// Appends the peers of `i` with non-zero rate to `out`, in ascending id
   /// order. O(degree) on sparse backends, O(n) on dense ones.
-  virtual void append_neighbors(NodeId i, std::vector<NodeId>& out) const;
+  virtual void append_neighbors(NodeId i,
+                                std::vector<NodeId>& out) const = 0;
 };
 
 }  // namespace odtn::graph

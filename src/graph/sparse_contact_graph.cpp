@@ -181,18 +181,7 @@ SparseContactGraph sparse_from_dense(const ContactGraph& dense) {
 SparseContactGraph sparse_random_contact_graph(std::size_t n, util::Rng& rng,
                                                double min_ict,
                                                double max_ict) {
-  if (!(min_ict > 0.0) || max_ict < min_ict) {
-    throw std::invalid_argument("sparse_random_contact_graph: bad ICT range");
-  }
-  SparseContactGraph::Builder b(n);
-  // Identical pair enumeration and draw sequence to random_contact_graph:
-  // a run seeded the same way sees the same rates on either backend.
-  for (NodeId i = 0; i < n; ++i) {
-    for (NodeId j = i + 1; j < n; ++j) {
-      b.add_inter_contact_time(i, j, rng.uniform(min_ict, max_ict));
-    }
-  }
-  return std::move(b).build();
+  return sparse_from_dense(random_contact_graph(n, rng, min_ict, max_ict));
 }
 
 SparseContactGraph sparse_community_contact_graph(
@@ -218,10 +207,7 @@ SparseContactGraph sparse_community_contact_graph(
     throw std::invalid_argument(
         "sparse_community_contact_graph: intra_fraction out of [0,1]");
   }
-  if (!(min_ict > 0.0) || max_ict < min_ict) {
-    throw std::invalid_argument(
-        "sparse_community_contact_graph: bad ICT range");
-  }
+  check_ict_range("sparse_community_contact_graph", min_ict, max_ict);
 
   const std::size_t block = (n + communities - 1) / communities;
   SparseContactGraph::Builder b(n);

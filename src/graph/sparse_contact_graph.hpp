@@ -95,11 +95,12 @@ class SparseContactGraph final : public ContactRates {
 /// Exact sparse copy of a dense graph (every positive-rate pair).
 SparseContactGraph sparse_from_dense(const ContactGraph& dense);
 
-/// The Table II random graph in sparse form: draws the *identical*
-/// uniform-ICT sequence as random_contact_graph (every pair, (i, j)
-/// ascending), so at paper scale the sparse backend reproduces dense
-/// experiments bit-for-bit. O(n²) — intended for equivalence testing and
-/// paper-scale runs, not the scale regime.
+/// The Table II random graph in sparse form: sparse_from_dense of
+/// random_contact_graph, so it draws the *identical* uniform-ICT sequence
+/// and holds the identical rates, and at paper scale the sparse backend
+/// reproduces dense experiments bit-for-bit. O(n²) time and a transient
+/// dense copy — intended for equivalence testing and paper-scale runs, not
+/// the scale regime.
 SparseContactGraph sparse_random_contact_graph(std::size_t n, util::Rng& rng,
                                                double min_ict = 10.0,
                                                double max_ict = 360.0);

@@ -5,10 +5,11 @@
 // t?". Two implementations exist:
 //
 //  * PoissonContactModel — samples live from the contact graph's Poisson
-//    processes. Memorylessness makes state-by-state resampling an *exact*
-//    simulation of the contact processes (no approximation is introduced),
-//    while never touching the analytical delivery-rate model the simulator
-//    is supposed to validate.
+//    processes, over either rate backend (dense ContactGraph or CSR
+//    SparseContactGraph). Memorylessness makes state-by-state resampling an
+//    *exact* simulation of the contact processes (no approximation is
+//    introduced), while never touching the analytical delivery-rate model
+//    the simulator is supposed to validate.
 //  * TraceContactModel — replays a recorded or synthetic ContactTrace.
 //
 // The query surface is built around *prepared plans*: `prepare()` compiles
@@ -79,12 +80,21 @@ class ContactQuery {
   double total_rate() const { return total_; }
 
  private:
-  friend class ContactModel;
   friend class PoissonContactModel;
-  friend class SparseContactModel;
   friend class TraceContactModel;
 
   enum class Backend : std::uint8_t { kNone, kPoisson, kTrace };
+
+  /// Empties the plan (keeping its buffers) and marks it as `owner`'s.
+  void reset(Backend backend, const void* owner) {
+    backend_ = backend;
+    owner_ = owner;
+    pair_a_.clear();
+    pair_b_.clear();
+    prefix_.clear();
+    total_ = 0.0;
+    has_candidates_ = false;
+  }
 
   Backend backend_ = Backend::kNone;
   const void* owner_ = nullptr;
@@ -133,14 +143,6 @@ class ContactModel {
   virtual void prepare_complement(ContactQuery& q, std::span<const NodeId> from,
                                   std::span<const NodeId> excluded) = 0;
 
-  /// Convenience: returns a freshly allocated complement plan.
-  ContactQuery prepare_complement(std::span<const NodeId> from,
-                                  std::span<const NodeId> excluded) {
-    ContactQuery q;
-    prepare_complement(q, from, excluded);
-    return q;
-  }
-
   /// Answers a prepared query: first contact in [after, horizon). Zero
   /// heap allocations. `q` must have been prepared by this model.
   virtual std::optional<CrossContact> first_cross_contact(
@@ -169,17 +171,23 @@ class ContactModel {
   ContactQuery scratch_;
 };
 
-/// Live-sampled Poisson contacts over a ContactGraph.
+/// Live-sampled Poisson contacts over a dense ContactGraph or a CSR
+/// SparseContactGraph. prepare() costs |from| * |to| rate lookups (O(1)
+/// dense, O(log degree) CSR); prepare_complement() walks each from-node's
+/// positive-rate peers, O(n) dense and O(degree) CSR. Both backends
+/// enumerate pairs in the same order, so a sparse graph holding the same
+/// rates as a dense one yields bit-identical plans (same pair order, same
+/// prefix sums), hence identical simulations.
 class PoissonContactModel final : public ContactModel {
  public:
   /// Both references must outlive the model.
   PoissonContactModel(const graph::ContactGraph& graph, util::Rng& rng);
+  PoissonContactModel(const graph::SparseContactGraph& graph, util::Rng& rng);
 
-  std::size_t node_count() const override { return graph_->node_count(); }
+  std::size_t node_count() const override { return n_; }
 
   using ContactModel::first_cross_contact;
   using ContactModel::prepare;
-  using ContactModel::prepare_complement;
 
   void prepare(ContactQuery& q, std::span<const NodeId> from,
                std::span<const NodeId> to) override;
@@ -192,52 +200,24 @@ class PoissonContactModel final : public ContactModel {
                                                   Time horizon) override;
 
  private:
-  const graph::ContactGraph* graph_;
+  /// The one plan builder. kComplement = false reads `to` as the explicit
+  /// target list; true reads it as the excluded set, the targets being
+  /// every other node. A compile-time parameter so that neither inner loop
+  /// pays a per-pair branch on the plan kind.
+  template <bool kComplement, class Graph>
+  void build_plan(const Graph& graph, ContactQuery& q,
+                  std::span<const NodeId> from, std::span<const NodeId> to);
+
+  // Exactly one backend is set.
+  const graph::ContactGraph* dense_ = nullptr;
+  const graph::SparseContactGraph* sparse_ = nullptr;
+  std::size_t n_;
   util::Rng* rng_;
 
   // Epoch-stamped first-occurrence tables for exact pair dedup without a
   // per-call hash set. stamp[v] == epoch_ means v was seen during the
-  // current prepare() and pos[v] is its first index in the span.
-  std::uint64_t epoch_ = 0;
-  std::vector<std::uint64_t> from_stamp_;
-  std::vector<std::uint64_t> to_stamp_;
-  std::vector<std::uint32_t> from_pos_;
-  std::vector<std::uint32_t> to_pos_;
-};
-
-/// Live-sampled Poisson contacts over a SparseContactGraph. Same plan
-/// structure, draw sequence and selection math as PoissonContactModel, but
-/// prepare() costs O(|from| * |to| log degree) rate lookups and
-/// prepare_complement() walks adjacency rows in O(sum degree) — never O(n).
-/// A sparse graph holding the same rates as a dense one yields bit-identical
-/// plans (same pair order, same prefix sums), hence identical simulations.
-class SparseContactModel final : public ContactModel {
- public:
-  /// Both references must outlive the model.
-  SparseContactModel(const graph::SparseContactGraph& graph, util::Rng& rng);
-
-  std::size_t node_count() const override { return graph_->node_count(); }
-
-  using ContactModel::first_cross_contact;
-  using ContactModel::prepare;
-  using ContactModel::prepare_complement;
-
-  void prepare(ContactQuery& q, std::span<const NodeId> from,
-               std::span<const NodeId> to) override;
-
-  void prepare_complement(ContactQuery& q, std::span<const NodeId> from,
-                          std::span<const NodeId> excluded) override;
-
-  std::optional<CrossContact> first_cross_contact(const ContactQuery& q,
-                                                  Time after,
-                                                  Time horizon) override;
-
- private:
-  const graph::SparseContactGraph* graph_;
-  util::Rng* rng_;
-
-  // Same epoch-stamped dedup tables as the dense Poisson model; to_stamp_
-  // doubles as the excluded-set stamp for prepare_complement.
+  // current build and pos[v] is its first index in the span; for a
+  // complement plan to_stamp_ marks the excluded nodes.
   std::uint64_t epoch_ = 0;
   std::vector<std::uint64_t> from_stamp_;
   std::vector<std::uint64_t> to_stamp_;
@@ -255,7 +235,6 @@ class TraceContactModel final : public ContactModel {
 
   using ContactModel::first_cross_contact;
   using ContactModel::prepare;
-  using ContactModel::prepare_complement;
 
   void prepare(ContactQuery& q, std::span<const NodeId> from,
                std::span<const NodeId> to) override;

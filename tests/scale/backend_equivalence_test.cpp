@@ -55,7 +55,9 @@ TEST(BackendEquivalence, SparseFromDenseAnswersIdentically) {
     EXPECT_EQ(sparse.row_rate_sum(i), dense.row_rate_sum(i));
     EXPECT_EQ(sparse.rate_to_set(i, set), dense.rate_to_set(i, set));
     for (NodeId j = 0; j < 60; ++j) {
-      if (i != j) EXPECT_EQ(sparse.rate(i, j), dense.rate(i, j));
+      if (i != j) {
+        EXPECT_EQ(sparse.rate(i, j), dense.rate(i, j));
+      }
     }
   }
   EXPECT_EQ(sparse.total_rate(), dense.total_rate());
@@ -85,7 +87,7 @@ TEST(BackendEquivalence, ContactModelsSampleIdenticalEvents) {
 
   util::Rng rng_a(42), rng_b(42);
   sim::PoissonContactModel ma(dense, rng_a);
-  sim::SparseContactModel mb(sparse, rng_b);
+  sim::PoissonContactModel mb(sparse, rng_b);
 
   std::vector<NodeId> from = {0, 5, 9};
   std::vector<NodeId> to = {2, 7, 11, 20};

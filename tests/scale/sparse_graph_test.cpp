@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -146,6 +147,32 @@ TEST(SparseContactGraph, CommunityGeneratorValidates) {
   EXPECT_THROW(sparse_community_contact_graph(10, 10, 2, rng),
                std::invalid_argument);
   EXPECT_THROW(sparse_community_contact_graph(10, 4, 11, rng),
+               std::invalid_argument);
+  // An infinite or NaN ICT bound would draw rate-0 pairs, i.e. an edgeless
+  // graph; the dense generators reject the same ranges.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(sparse_community_contact_graph(100, 8, 4, rng, 10.0, inf),
+               std::invalid_argument);
+  EXPECT_THROW(sparse_community_contact_graph(100, 8, 4, rng, 10.0, nan),
+               std::invalid_argument);
+  EXPECT_THROW(sparse_community_contact_graph(100, 8, 4, rng, nan, 360.0),
+               std::invalid_argument);
+}
+
+TEST(SparseContactGraph, RandomGeneratorValidates) {
+  util::Rng rng(1);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(sparse_random_contact_graph(10, rng, 0.0, 360.0),
+               std::invalid_argument);
+  EXPECT_THROW(sparse_random_contact_graph(10, rng, 360.0, 10.0),
+               std::invalid_argument);
+  EXPECT_THROW(sparse_random_contact_graph(10, rng, 10.0, inf),
+               std::invalid_argument);
+  EXPECT_THROW(sparse_random_contact_graph(10, rng, 10.0, nan),
+               std::invalid_argument);
+  EXPECT_THROW(sparse_random_contact_graph(10, rng, nan, 360.0),
                std::invalid_argument);
 }
 

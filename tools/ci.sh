@@ -22,11 +22,12 @@
 # 4. Configures a -DODTN_SANITIZE=thread tree in build-tsan/, builds only
 #    the tsan-labelled test targets, and runs `ctest -L tsan` under TSan.
 # 5. Configures a -DODTN_SANITIZE=address tree in build-asan/, builds the
-#    fault-injection, recovery, circuit, network-sim, and onion-routing
-#    test targets, and runs `ctest -L faults`, `ctest -L recovery`,
-#    `ctest -L circuit`, and the network_sim_test, traffic_sim_test,
-#    route_digest_test, single_copy_test, and multi_copy_test binaries
-#    under ASan.
+#    fault-injection, recovery, circuit, network-sim, onion-routing, and
+#    contact-model test targets, and runs `ctest -L faults`,
+#    `ctest -L recovery`, `ctest -L circuit`, and the network_sim_test,
+#    traffic_sim_test, route_digest_test, single_copy_test,
+#    multi_copy_test, contact_query_property_test, contact_model_test,
+#    backend_equivalence_test, and sparse_graph_test binaries under ASan.
 # 6. Configures a -DODTN_SANITIZE=undefined tree in build-ubsan/, builds
 #    the analysis + crypto test targets (the numeric and bit-twiddling
 #    code most prone to UB), and runs `ctest -L ubsan` under UBSan.
@@ -176,14 +177,16 @@ cmake --build "$repo/build-tsan" -j "$jobs" --target \
 echo "== tsan: ctest -L tsan =="
 ctest --test-dir "$repo/build-tsan" -L tsan --output-on-failure -j "$jobs"
 
-echo "== asan: configure + build fault, recovery, circuit, sim, routing test targets =="
+echo "== asan: configure + build fault, recovery, circuit, sim, routing, contact-model test targets =="
 cmake -B "$repo/build-asan" -S "$repo" -DODTN_SANITIZE=address
 cmake --build "$repo/build-asan" -j "$jobs" --target \
     faults_test fault_sim_test fault_experiment_test \
     recovery_unit_test recovery_sim_test recovery_experiment_test \
     cell_test circuit_state_test circuit_manager_test wire_parity_test \
     network_sim_test traffic_sim_test \
-    route_digest_test single_copy_test multi_copy_test
+    route_digest_test single_copy_test multi_copy_test \
+    contact_query_property_test contact_model_test backend_equivalence_test \
+    sparse_graph_test
 
 echo "== asan: ctest -L faults =="
 ctest --test-dir "$repo/build-asan" -L faults --output-on-failure -j "$jobs"
@@ -208,6 +211,15 @@ echo "== asan: route_digest_test + single_copy_test + multi_copy_test =="
 "$repo/build-asan/tests/routing/route_digest_test"
 "$repo/build-asan/tests/routing/single_copy_test"
 "$repo/build-asan/tests/routing/multi_copy_test"
+
+echo "== asan: contact-model plan builder (both backends, both plan kinds) =="
+# One templated builder indexes four node-id stamp arrays for both rate
+# backends and both plan kinds; an id that slips past the bounds check
+# shows here first.
+"$repo/build-asan/tests/contact_query/contact_query_property_test"
+"$repo/build-asan/tests/sim/contact_model_test"
+"$repo/build-asan/tests/scale/backend_equivalence_test"
+"$repo/build-asan/tests/scale/sparse_graph_test"
 
 echo "== ubsan: configure + build analysis + crypto test targets =="
 cmake -B "$repo/build-ubsan" -S "$repo" -DODTN_SANITIZE=undefined
