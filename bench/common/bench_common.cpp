@@ -1,5 +1,7 @@
 #include "common/bench_common.hpp"
 
+#include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -9,7 +11,47 @@
 
 namespace odtn::bench {
 
-core::ExperimentConfig base_config(const util::Args& args) {
+namespace {
+
+// An exception that escapes a bench's main ends the process here: a
+// std::invalid_argument (bad flag value or configuration) is a usage error
+// and exits 2, anything else exits 1 — one line on stderr either way,
+// never an abort.
+[[noreturn]] void report_uncaught() {
+  int code = 1;
+  std::string what = "terminated";
+  if (std::exception_ptr current = std::current_exception()) {
+    try {
+      std::rethrow_exception(current);
+    } catch (const std::invalid_argument& e) {
+      code = 2;
+      what = e.what();
+    } catch (const std::exception& e) {
+      what = e.what();
+    } catch (...) {
+      what = "unknown exception";
+    }
+  }
+  std::cout.flush();
+  std::cerr << "error: " << what << "\n";
+  std::_Exit(code);
+}
+
+}  // namespace
+
+core::ExperimentConfig base_config(
+    const util::Args& args, const std::vector<std::string>& extra_flags) {
+  std::set_terminate(report_uncaught);
+  std::vector<std::string> known = {"runs",        "seed",
+                                    "threads",     "json",
+                                    "metrics-out", "contact-backend",
+                                    "avg-degree",  "communities",
+                                    "group-shards"};
+  known.insert(known.end(), extra_flags.begin(), extra_flags.end());
+  args.reject_unknown(known);
+  args.get_output("json");
+  args.get_output("metrics-out");
+
   core::ExperimentConfig cfg;
   cfg.runs = static_cast<std::size_t>(args.get_int("runs", 200));
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));

@@ -38,7 +38,13 @@ namespace odtn::bench {
 
 /// Builds the Table II default configuration, with --runs / --seed /
 /// --threads applied; --metrics-out switches cfg.collect_metrics on.
-core::ExperimentConfig base_config(const util::Args& args);
+/// Every bench calls it first, before any run: it rejects a flag that is
+/// neither a common one nor in `extra_flags`, checks that --json and
+/// --metrics-out can be written, and from then on reports an exception
+/// escaping main as one line on stderr — exit 2 for std::invalid_argument
+/// (bad input), exit 1 for anything else.
+core::ExperimentConfig base_config(
+    const util::Args& args, const std::vector<std::string>& extra_flags = {});
 
 /// Runs the experiment and folds its metrics into the bench-wide registry
 /// (bench_metrics()), which finish() exports when --metrics-out was given.

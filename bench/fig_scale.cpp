@@ -23,6 +23,7 @@
 // --avg-degree=12 --communities=16 --group-shards=64
 // --max-bytes-per-node=B (exit 1 if any point exceeds B — the CI memory
 // bound).
+#include <charconv>
 #include <cstdint>
 #include <iostream>
 #include <sstream>
@@ -41,7 +42,13 @@ std::vector<std::size_t> parse_n_list(const std::string& spec) {
   std::string tok;
   while (std::getline(in, tok, ',')) {
     if (tok.empty()) continue;
-    ns.push_back(static_cast<std::size_t>(std::stoull(tok)));
+    std::size_t n = 0;
+    const char* end = tok.data() + tok.size();
+    if (std::from_chars(tok.data(), end, n).ptr != end) {
+      throw std::invalid_argument(
+          "fig_scale: --n-list entries must be integers");
+    }
+    ns.push_back(n);
   }
   if (ns.empty()) {
     throw std::invalid_argument("fig_scale: --n-list must name at least one n");
@@ -55,7 +62,8 @@ int main(int argc, char** argv) {
   using namespace odtn;
   util::Args args(argc, argv);
   bench::WallTimer timer;
-  auto base = bench::base_config(args);
+  auto base = bench::base_config(
+      args, {"g", "K", "L", "T", "n-list", "max-bytes-per-node"});
   if (!args.has("runs")) base.runs = 8;  // big-n points; keep the sweep fast
   base.backend = core::ContactBackend::kSparse;
   if (base.avg_degree == 0) {

@@ -199,7 +199,7 @@ void BM_CellSeal(benchmark::State& state) {
 }
 BENCHMARK(BM_CellSeal)->Arg(512)->Arg(4096);
 
-// One full circuit lifecycle — open, three extends, final delivery — with
+// One full circuit lifecycle (open, three relay peels, the inbox open) with
 // the manager (and its circuit table) rebuilt per iteration so memory
 // stays bounded. Arg 0 = one-blob secure links, 1 = wire cells.
 void BM_CircuitExtend(benchmark::State& state) {
@@ -217,14 +217,14 @@ void BM_CircuitExtend(benchmark::State& state) {
   cctx.wire = state.range(0) != 0;
   util::Bytes payload(200, 0x11);
   std::vector<GroupId> route = {1, 2, 3};
-  using Expect = circuit::CircuitManager::Expect;
+  using Peel = circuit::CircuitManager::Peel;
   for (auto _ : state) {
     circuit::CircuitManager cm(cctx, rng);
     circuit::CircuitId id = cm.open(payload, 99, route);
-    cm.extend(id, 0, 5, keys.group_key(1), Expect::relay_to(2));
-    cm.extend(id, 5, 9, keys.group_key(2), Expect::relay_to(3));
-    cm.extend(id, 9, 20, keys.group_key(3), Expect::deliver_to(99));
-    benchmark::DoNotOptimize(cm.deliver(id, 20, 99, payload));
+    cm.forward(id, 0, 5, Peel::relay(1, 2));
+    cm.forward(id, 5, 9, Peel::relay(2, 3));
+    cm.forward(id, 9, 20, Peel::last_relay(3, 99));
+    benchmark::DoNotOptimize(cm.forward(id, 20, 99, Peel::inbox(payload)));
   }
 }
 BENCHMARK(BM_CircuitExtend)->Arg(0)->Arg(1);

@@ -40,49 +40,43 @@ CircuitManager::CircuitManager(const CircuitContext& ctx, util::Rng& rng)
 CircuitId CircuitManager::open(const util::Bytes& payload, NodeId dest,
                                const std::vector<GroupId>& path,
                                GroupId destination_group) {
-  Circuit c;
-  c.id = static_cast<CircuitId>(circuits_.size());
+  Circuit& c = circuits_.emplace_back();
   if (enabled_) {
     c.wire = ctx_.codec->build(payload, dest, path, *ctx_.keys, drbg_,
                                destination_group);
   }
-  circuits_.push_back(std::move(c));
-  return circuits_.back().id;
+  return static_cast<CircuitId>(circuits_.size() - 1);
 }
 
 CircuitId CircuitManager::clone(CircuitId id) {
   Circuit c;
-  c.id = static_cast<CircuitId>(circuits_.size());
   c.wire = at(id).wire;
   circuits_.push_back(std::move(c));
-  return circuits_.back().id;
+  return static_cast<CircuitId>(circuits_.size() - 1);
 }
 
-void CircuitManager::truncate(CircuitId id) {
-  if (!at(id).advance(CircuitStatus::kTruncated)) {
-    at(id).advance(CircuitStatus::kDestroyed);
-  }
+bool CircuitManager::forward(CircuitId id, NodeId sender, NodeId receiver,
+                             const Peel& peel) {
+  Circuit& c = at(id);
+  const CellCommand cmd = peel.kind != Peel::Kind::kRelay ? CellCommand::kRelay
+                          : c.crossed ? CellCommand::kExtend
+                                      : CellCommand::kCreate;
+  if (sender != kNoSender) c.crossed = true;
+  if (!enabled_) return true;
+  if (sender != kNoSender) cross_link(id, sender, receiver, cmd);
+  return peel.kind == Peel::Kind::kCarry || apply(c, receiver, peel);
 }
 
-void CircuitManager::advance_on_hop(Circuit& c) {
-  if (c.status == CircuitStatus::kCreate) {
-    c.advance(CircuitStatus::kCreated);
-  } else {
-    // Legal from kCreated, kExtend, and kTruncated (rebuild); rejected —
-    // deterministically, state unchanged — from anywhere else.
-    c.advance(CircuitStatus::kExtend);
-  }
-}
-
-void CircuitManager::cross_link(Circuit& c, NodeId sender, NodeId receiver,
+void CircuitManager::cross_link(CircuitId id, NodeId sender, NodeId receiver,
                                 CellCommand command) {
+  const util::Bytes& packet = at(id).wire;
   const util::Bytes& sk = ctx_.keys->session_key(sender, receiver);
   if (!wire_) {
     // Legacy secure link: the whole packet as one AEAD blob. Content is
     // preserved (seal-then-open round trip); only a failed open is
     // observable.
     drbg_.generate_into(crypto::kAeadNonceSize, nonce_);
-    crypto::aead_seal_into(sk, nonce_, {}, c.wire, sealed_, link_scratch_);
+    crypto::aead_seal_into(sk, nonce_, {}, packet, sealed_, link_scratch_);
     if (!crypto::aead_open_into(sk, nonce_, {}, sealed_, opened_,
                                 link_scratch_)) {
       link_ok_ = false;
@@ -94,23 +88,23 @@ void CircuitManager::cross_link(Circuit& c, NodeId sender, NodeId receiver,
   // reassembly must reproduce the packet bit-for-bit.
   reasm_.clear();
   const std::size_t chunk = cells_.max_payload();
-  const std::size_t n = cells_.cells_for(c.wire.size());
+  const std::size_t n = cells_.cells_for(packet.size());
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t off = i * chunk;
-    const std::size_t len = std::min(chunk, c.wire.size() - off);
-    cells_.seal_into(c.id, command,
-                     std::span<const std::uint8_t>(c.wire.data() + off, len),
+    const std::size_t len = std::min(chunk, packet.size() - off);
+    cells_.seal_into(id, command,
+                     std::span<const std::uint8_t>(packet.data() + off, len),
                      sk, drbg_, cell_buf_, cell_scratch_);
     ++wire_cells_;
     wire_bytes_ += cells_.cell_size();
     m_wire_cells_.inc();
     m_wire_bytes_.inc(cells_.cell_size());
     if (ctx_.tap) {
-      ctx_.tap(CellEvent{sender, receiver, c.id, command, cells_.cell_size()});
+      ctx_.tap(CellEvent{sender, receiver, id, command, cells_.cell_size()});
     }
     if (!on_cell(sk, cell_buf_)) link_ok_ = false;
   }
-  if (reasm_ != c.wire) link_ok_ = false;
+  if (reasm_ != packet) link_ok_ = false;
 }
 
 bool CircuitManager::on_cell(const util::Bytes& key, const util::Bytes& cell) {
@@ -119,92 +113,26 @@ bool CircuitManager::on_cell(const util::Bytes& key, const util::Bytes& cell) {
   return true;
 }
 
-bool CircuitManager::peel_with(Circuit& c, const util::Bytes& key,
-                               const Expect& expect) {
+bool CircuitManager::apply(Circuit& c, NodeId receiver, const Peel& peel) {
   m_peels_.inc();
+  const bool inbox = peel.kind == Peel::Kind::kInbox;
+  const util::Bytes& key = inbox ? ctx_.keys->inbox_key(receiver)
+                                 : ctx_.keys->group_key(peel.group);
   auto v = ctx_.codec->peel_view(c.wire, key, drbg_, peel_scratch_);
-  bool ok = v.has_value();
+  bool ok = v.has_value() && v->type == peel.layer;
   if (ok) {
-    switch (expect.kind) {
-      case Expect::Kind::kRelayTo:
-        ok = v->type == onion::Peeled::Type::kRelay &&
-             v->next_group == expect.next_group;
-        break;
-      case Expect::Kind::kDeliverTo:
-        ok = v->type == onion::Peeled::Type::kDeliver &&
-             v->dest == expect.dest;
-        break;
-      case Expect::Kind::kDeliverGroupTo:
-        ok = v->type == onion::Peeled::Type::kDeliverGroup &&
-             v->next_group == expect.next_group;
-        break;
-    }
+    ok = inbox ? std::ranges::equal(v->payload, *peel.payload)
+               : (peel.layer == onion::Peeled::Type::kDeliver
+                      ? v->dest
+                      : v->next_group) == peel.next;
   }
   if (!ok) {
     c.ok = false;
     m_peel_failures_.inc();
     return false;
   }
-  c.wire.assign(v->next_wire.begin(), v->next_wire.end());
-  ++c.hops;
+  if (!inbox) c.wire.assign(v->next_wire.begin(), v->next_wire.end());
   return true;
-}
-
-bool CircuitManager::final_peel(Circuit& c, NodeId dst,
-                                const util::Bytes& payload) {
-  m_peels_.inc();
-  auto v =
-      ctx_.codec->peel_view(c.wire, ctx_.keys->inbox_key(dst), drbg_,
-                            peel_scratch_);
-  const bool ok = v.has_value() && v->type == onion::Peeled::Type::kFinal &&
-                  v->payload.size() == payload.size() &&
-                  std::equal(v->payload.begin(), v->payload.end(),
-                             payload.begin());
-  if (!ok) {
-    c.ok = false;
-    m_peel_failures_.inc();
-  }
-  return ok;
-}
-
-bool CircuitManager::extend(CircuitId id, NodeId sender, NodeId receiver,
-                            const util::Bytes& key, const Expect& expect) {
-  Circuit& c = at(id);
-  const CellCommand cmd = (c.status == CircuitStatus::kCreate)
-                              ? CellCommand::kCreate
-                              : CellCommand::kExtend;
-  advance_on_hop(c);
-  if (!enabled_) return true;
-  cross_link(c, sender, receiver, cmd);
-  return peel_with(c, key, expect);
-}
-
-void CircuitManager::send(CircuitId id, NodeId sender, NodeId receiver) {
-  Circuit& c = at(id);
-  if (c.status == CircuitStatus::kCreate) c.advance(CircuitStatus::kCreated);
-  if (!enabled_) return;
-  cross_link(c, sender, receiver, CellCommand::kRelay);
-}
-
-bool CircuitManager::deliver(CircuitId id, NodeId sender, NodeId dst,
-                             const util::Bytes& payload) {
-  Circuit& c = at(id);
-  bool ok = true;
-  if (enabled_) {
-    cross_link(c, sender, dst, CellCommand::kRelay);
-    ok = final_peel(c, dst, payload);
-  }
-  c.advance(CircuitStatus::kEstablished);
-  return ok;
-}
-
-bool CircuitManager::deliver_local(CircuitId id, NodeId dst,
-                                   const util::Bytes& payload) {
-  Circuit& c = at(id);
-  bool ok = true;
-  if (enabled_) ok = final_peel(c, dst, payload);
-  c.advance(CircuitStatus::kEstablished);
-  return ok;
 }
 
 }  // namespace odtn::circuit

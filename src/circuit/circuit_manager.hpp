@@ -2,12 +2,12 @@
 // onion routing protocols are thin policies over.
 //
 // The manager owns every cryptographic operation of a message's lifetime:
-// building the layered onion (open), crossing a contact under the pair's
-// X25519/HKDF session key (send/extend/deliver), peeling a layer at the
-// receiver, and the per-circuit state machine (circuit.hpp). Policies —
-// single-copy walking, spray-and-wait ticketing, retransmission — decide
-// *when* and *between whom* these operations happen; they never touch key
-// material or wire bytes themselves.
+// building the layered onion (open), and carrying it across a contact under
+// the pair's X25519/HKDF session key, after which the receiver peels a layer
+// or opens the inbox layer (forward). Policies — single-copy walking,
+// spray-and-wait ticketing, retransmission — decide *when* and *between
+// whom* these operations happen; they never touch key material or wire
+// bytes themselves.
 //
 // Two link representations, selected by CircuitContext::wire:
 //   * off (default) — the whole onion packet crosses the contact as one
@@ -19,17 +19,16 @@
 //     accounted in wire_cells()/wire_bytes().
 //
 // Determinism: in CryptoMode::kNone the manager draws no randomness and
-// performs no crypto — only the state machine advances — so the zero-knob
-// configuration's RNG sequence and metrics are untouched. In kReal the
-// constructor makes exactly one rng draw (the legacy DRBG-seed position)
-// and forks the circuit layer's DRBG onto its own derive_seed sub-stream.
+// performs no crypto, so the zero-knob configuration's RNG sequence and
+// metrics are untouched. In kReal the constructor makes exactly one rng
+// draw (the legacy DRBG-seed position) and forks the circuit layer's DRBG
+// onto its own derive_seed sub-stream.
 #pragma once
 
 #include <functional>
 #include <vector>
 
 #include "circuit/cell.hpp"
-#include "circuit/circuit.hpp"
 #include "crypto/drbg.hpp"
 #include "groups/key_manager.hpp"
 #include "metrics/metrics.hpp"
@@ -69,25 +68,36 @@ struct CircuitContext {
 
 class CircuitManager {
  public:
-  /// What a relay peel must produce for the circuit to stay verified.
-  struct Expect {
+  /// What the receiver of a crossing does with the packet.
+  struct Peel {
     enum class Kind : std::uint8_t {
-      kRelayTo,         // kRelay naming this next group
-      kDeliverTo,       // kDeliver naming this destination node
-      kDeliverGroupTo,  // kDeliverGroup naming this destination group
+      kCarry,  // nothing: a carrier holds the packet as it is
+      kRelay,  // peels `group`'s layer, which must be a `layer` naming `next`
+      kInbox,  // opens its inbox layer, which must hold `*payload`
     };
-    Kind kind = Kind::kRelayTo;  // with no group: matches no layer
-    GroupId next_group = kInvalidGroup;
-    NodeId dest = kInvalidNode;
+    Kind kind = Kind::kCarry;
+    GroupId group = kInvalidGroup;
+    onion::Peeled::Type layer = onion::Peeled::Type::kFinal;
+    std::uint32_t next = 0;  // a GroupId, or the NodeId of a kDeliver layer
+    const util::Bytes* payload = nullptr;
 
-    static Expect relay_to(GroupId g) {
-      return {Kind::kRelayTo, g, kInvalidNode};
+    static Peel carry() { return {}; }
+    /// A relay of `group` peels a layer forwarding to group `next_group`.
+    static Peel relay(GroupId group, GroupId next_group) {
+      return {Kind::kRelay, group, onion::Peeled::Type::kRelay, next_group};
     }
-    static Expect deliver_to(NodeId d) {
-      return {Kind::kDeliverTo, kInvalidGroup, d};
+    /// The last relay (of `group`) peels the layer naming destination `dst`.
+    static Peel last_relay(GroupId group, NodeId dst) {
+      return {Kind::kRelay, group, onion::Peeled::Type::kDeliver, dst};
     }
-    static Expect deliver_group(GroupId g) {
-      return {Kind::kDeliverGroupTo, g, kInvalidNode};
+    /// A member of the destination group peels the group layer.
+    static Peel dest_group(GroupId group) {
+      return {Kind::kRelay, group, onion::Peeled::Type::kDeliverGroup, group};
+    }
+    /// The destination opens the inbox layer; it must hold `payload`.
+    static Peel inbox(const util::Bytes& payload) {
+      return {Kind::kInbox, kInvalidGroup, onion::Peeled::Type::kFinal, 0,
+              &payload};
     }
   };
 
@@ -102,7 +112,7 @@ class CircuitManager {
   /// Every secure-link crossing so far authenticated and (wire mode)
   /// reassembled correctly.
   bool link_ok() const { return link_ok_; }
-  /// Every peel on this circuit matched its Expect.
+  /// Every peel on this circuit matched its Peel.
   bool circuit_ok(CircuitId id) const { return at(id).ok; }
   /// The delivered-copy verification bit policies report as
   /// DeliveryResult::crypto_verified.
@@ -110,63 +120,34 @@ class CircuitManager {
     return enabled_ && link_ok_ && at(id).ok;
   }
 
-  // -- Lifecycle ----------------------------------------------------------
-
-  /// Opens a circuit for `payload` to `dest` through `path` (status
-  /// kCreate). In kReal mode this builds the layered onion.
+  /// Opens a circuit for `payload` to `dest` through `path`. In kReal mode
+  /// this builds the layered onion.
   CircuitId open(const util::Bytes& payload, NodeId dest,
                  const std::vector<GroupId>& path,
                  GroupId destination_group = kInvalidGroup);
 
-  /// A sprayed copy: a fresh circuit (status kCreate) sharing `id`'s
-  /// current packet.
+  /// A sprayed copy: a fresh, never-crossed circuit sharing `id`'s current
+  /// packet.
   CircuitId clone(CircuitId id);
 
-  CircuitStatus status(CircuitId id) const { return at(id).status; }
-  std::size_t hops(CircuitId id) const { return at(id).hops; }
   const util::Bytes& wire(CircuitId id) const { return at(id).wire; }
-  std::size_t size() const { return circuits_.size(); }
 
-  /// Advances `id`'s state machine; illegal transitions are rejected
-  /// (false, state unchanged).
-  bool advance(CircuitId id, CircuitStatus next) {
-    return at(id).advance(next);
-  }
-  /// The copy was lost (crash, blackhole, timeout): kTruncated when legal,
-  /// else kDestroyed.
-  void truncate(CircuitId id);
-  void destroy(CircuitId id) { at(id).advance(CircuitStatus::kDestroyed); }
-
-  // -- The wire surface ---------------------------------------------------
-
-  /// Extends the circuit one hop: crosses the contact, peels one layer at
-  /// `receiver` with `key` (a group key), checks `expect`, and advances
-  /// the state machine (kCreate -> kCreated, then kExtend). Returns false
-  /// — and records a peel failure — iff crypto is on and the peel failed
-  /// or mismatched; the packet is then left unchanged (the policy keeps
-  /// walking, as the legacy protocols did).
-  bool extend(CircuitId id, NodeId sender, NodeId receiver,
-              const util::Bytes& key, const Expect& expect);
-
-  /// Crosses the contact without peeling (a plain carrier handoff, or a
-  /// pass inside the destination group). Status is unchanged.
-  void send(CircuitId id, NodeId sender, NodeId receiver);
-
-  /// Final hop: crosses the contact to `dst`, opens the inbox layer, and
-  /// checks the payload round-tripped. Advances to kEstablished. Returns
-  /// the crypto verdict (true when crypto is off).
-  bool deliver(CircuitId id, NodeId sender, NodeId dst,
-               const util::Bytes& payload);
-
-  /// Final open at a node already holding the packet (destination-group
-  /// circulation ends without a dedicated contact crossing).
-  bool deliver_local(CircuitId id, NodeId dst, const util::Bytes& payload);
+  static constexpr NodeId kNoSender = kInvalidNode;
+  /// Carries `id`'s packet from `sender` across a contact to `receiver`,
+  /// which then applies `peel`. A `sender` of kNoSender skips the crossing:
+  /// the receiver already holds the packet. A crossing ending in a relay
+  /// peel sends kCreate cells on the circuit's first crossing and kExtend
+  /// cells after it; carrier and inbox crossings send kRelay cells.
+  /// Returns false — and records a peel failure — iff crypto is on and the
+  /// peel failed or did not match; the packet is then left unchanged (the
+  /// policy keeps walking, as the legacy protocols did).
+  bool forward(CircuitId id, NodeId sender, NodeId receiver,
+               const Peel& peel);
 
   /// Receiver-side ingestion of one sealed cell from the current sender:
   /// authenticates under `key`, strips the framing, and appends the body
   /// to the reassembly buffer. Returns false on tamper/truncation. Driven
-  /// internally by send/extend/deliver; exposed for the cell-stream
-  /// experiments.
+  /// internally by forward; exposed for the cell-stream experiments.
   bool on_cell(const util::Bytes& key, const util::Bytes& cell);
   const util::Bytes& reassembled() const { return reasm_; }
 
@@ -184,17 +165,20 @@ class CircuitManager {
   crypto::Drbg& drbg() { return drbg_; }
 
  private:
+  struct Circuit {
+    util::Bytes wire;      // current onion packet (kReal only; else empty)
+    bool ok = true;        // every peel so far matched its Peel
+    bool crossed = false;  // has crossed a contact
+  };
   Circuit& at(CircuitId id) { return circuits_[id]; }
   const Circuit& at(CircuitId id) const { return circuits_[id]; }
 
-  /// Moves `c`'s packet across a contact under the pair's session key;
+  /// Moves `id`'s packet across a contact under the pair's session key;
   /// content-preserving (seal-then-open round trip), so only failures and
   /// wire accounting are observable.
-  void cross_link(Circuit& c, NodeId sender, NodeId receiver,
+  void cross_link(CircuitId id, NodeId sender, NodeId receiver,
                   CellCommand command);
-  void advance_on_hop(Circuit& c);
-  bool peel_with(Circuit& c, const util::Bytes& key, const Expect& expect);
-  bool final_peel(Circuit& c, NodeId dst, const util::Bytes& payload);
+  bool apply(Circuit& c, NodeId receiver, const Peel& peel);
 
   CircuitContext ctx_;
   bool enabled_ = false;

@@ -54,13 +54,25 @@ double parse_double(const std::string& token, const std::string& context) {
   return v;
 }
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
+
+// FNV-1a over `size` bytes at `data`, continuing from `h`.
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t size) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    h ^= p[i];
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+  return fnv1a(kFnvBasis, s.data(), s.size());
+}
+
+template <typename T>
+std::uint64_t fold(std::uint64_t h, T v) {
+  return fnv1a(h, &v, sizeof v);
 }
 
 [[noreturn]] void malformed(const std::string& line) {
@@ -133,6 +145,24 @@ std::uint64_t checkpoint_config_hash(const ExperimentConfig& c,
     os << "|w.cells=1|w.cs=" << c.cell_size;
   }
   return fnv1a(os.str());
+}
+
+std::string trace_scenario_tag(const trace::ContactTrace& trace) {
+  std::uint64_t h = fold(kFnvBasis, trace.node_count());
+  for (const trace::ContactEvent& e : trace.events()) {
+    h = fold(fold(fold(h, e.time), e.a), e.b);
+  }
+  return "trace#" + std::to_string(h);
+}
+
+std::string trace_scenario_tag(const trace::SparseTraceSummary& summary) {
+  std::uint64_t h =
+      fold(fold(kFnvBasis, summary.node_count), summary.start_time);
+  for (NodeId i = 0; i < summary.node_count; ++i) {
+    for (NodeId j : summary.rates.neighbor_ids(i)) h = fold(h, j);
+    for (double r : summary.rates.neighbor_rates(i)) h = fold(h, r);
+  }
+  return "sparse_trace#" + std::to_string(h);
 }
 
 void save_checkpoint(const std::string& path, std::uint64_t config_hash,

@@ -25,12 +25,19 @@ namespace odtn::core {
 
 /// Hash over the config fields that determine run outcomes (network,
 /// protocol, adversary, fault and seed parameters) plus `scenario_tag`
-/// ("random_graph" or "trace"). Deliberately excludes runs, threads and the
-/// checkpoint knobs themselves: extending a sweep to more runs or resuming
-/// with a different thread count is legitimate and changes nothing about
-/// the runs already folded.
+/// ("random_graph", or a trace_scenario_tag). Deliberately excludes runs,
+/// threads and the checkpoint knobs themselves: extending a sweep to more
+/// runs or resuming with a different thread count is legitimate and
+/// changes nothing about the runs already folded.
 std::uint64_t checkpoint_config_hash(const ExperimentConfig& config,
                                      const std::string& scenario_tag);
+
+/// Scenario tags of the trace scenarios: the name ("trace",
+/// "sparse_trace") plus a digest of the contact data the runs consume —
+/// the event list, or the ingested summary's node count, start time and
+/// every rate — so a checkpoint of one trace is refused against another.
+std::string trace_scenario_tag(const trace::ContactTrace& trace);
+std::string trace_scenario_tag(const trace::SparseTraceSummary& summary);
 
 struct CheckpointData {
   /// Runs [0, completed_runs) are folded into `result`.

@@ -386,7 +386,8 @@ AnalysisConstants analysis_constants(const ExperimentConfig& cfg,
 // engine — and a resumed one — produces byte-identical results.
 template <typename RunBody>
 ExperimentResult run_engine(const ExperimentConfig& config, std::size_t n,
-                            const char* scenario_tag, const RunBody& body) {
+                            const std::string& scenario_tag,
+                            const RunBody& body) {
   if (config.runs == 0) {
     throw std::invalid_argument("experiment: runs must be >= 1");
   }
@@ -727,7 +728,8 @@ ExperimentResult Experiment::run_trace(const TraceScenario& scenario) const {
   }
 
   ExperimentResult result = run_engine(
-      cfg, trace.node_count(), "trace",
+      cfg, trace.node_count(),
+      cfg.checkpoint_path.empty() ? "trace" : trace_scenario_tag(trace),
       [&](std::size_t, util::Rng& rng, metrics::Registry* reg) {
         NodeId src, dst;
         pick_endpoints(rng, trace.node_count(), src, dst);
@@ -773,7 +775,9 @@ ExperimentResult Experiment::run_sparse_trace(
   }();
 
   ExperimentResult result = run_engine(
-      cfg, summary.node_count, "sparse_trace",
+      cfg, summary.node_count,
+      cfg.checkpoint_path.empty() ? "sparse_trace"
+                                  : trace_scenario_tag(summary),
       [&](std::size_t, util::Rng& rng, metrics::Registry* reg) {
         NodeId src, dst;
         pick_endpoints(rng, summary.node_count, src, dst);

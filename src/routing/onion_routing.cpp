@@ -13,7 +13,7 @@ namespace {
 
 using circuit::CircuitId;
 using circuit::CircuitManager;
-using Expect = circuit::CircuitManager::Expect;
+using Peel = circuit::CircuitManager::Peel;
 
 // All cryptographic work — onion build, secure-link crossings, layer peels,
 // cell framing — lives in circuit::CircuitManager; the protocols below are
@@ -27,13 +27,6 @@ circuit::CircuitContext circuit_context(const OnionContext& ctx) {
           .wire = ctx.wire_cells,
           .cell_size = ctx.cell_size,
           .tap = ctx.cell_tap};
-}
-
-// Placeholder key for CryptoMode::kNone: the manager returns before touching
-// it, and the historical code path never resolved key material either.
-const util::Bytes& empty_key() {
-  static const util::Bytes k;
-  return k;
 }
 
 // One copy of the message in flight.
@@ -131,9 +124,6 @@ DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
 
   // kReal: one rng draw here (the DRBG-seed position); kNone: none.
   CircuitManager cm(circuit_context(ctx), rng);
-  auto key_for = [&](GroupId g) -> const util::Bytes& {
-    return cm.crypto_enabled() ? ctx.keys->group_key(g) : empty_key();
-  };
 
   // Retransmission generations: the relay groups each one follows and the
   // template circuit holding its built onion (sprayed copies are clones of
@@ -289,17 +279,12 @@ DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
   auto peel = [&](Walker& w, NodeId sender) {
     const std::vector<GroupId>& groups = gens[w.gen].groups;
     const std::size_t h = w.hop++;
-    const Expect expect = h + 1 < k ? Expect::relay_to(groups[h + 1])
-                          : group_mode ? Expect::relay_to(dst_group)
-                                       : Expect::deliver_to(spec.dst);
-    cm.extend(w.circ, sender, w.holder, key_for(groups[h]), expect);
+    cm.forward(w.circ, sender, w.holder,
+               h + 1 < k    ? Peel::relay(groups[h], groups[h + 1])
+               : group_mode ? Peel::relay(groups[h], dst_group)
+                            : Peel::last_relay(groups[h], spec.dst));
     w.path.push_back(w.holder);
     result.relays_per_hop[h].push_back(w.holder);
-  };
-  // The copy is gone (crash or blackhole): its circuit is truncated.
-  auto lose = [&](Walker& w) {
-    cm.truncate(w.circ);
-    w.done = true;
   };
   auto deliver = [&](Walker& w) {
     w.done = true;
@@ -388,11 +373,11 @@ DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
       if (!spray_and_wait) {
         peel(w, spec.src);  // the receiver is a member of R_1
       } else {
-        cm.send(w.circ, spec.src, receiver);  // a carrier; it peels nothing
+        cm.forward(w.circ, spec.src, receiver, Peel::carry());
       }
       // A blackhole receiver spends the ticket and counts as holding m, but
       // no live walker results.
-      if (gate.absorbs(receiver)) lose(w);
+      if (gate.absorbs(receiver)) w.done = true;
       continue;
     }
 
@@ -401,7 +386,7 @@ DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
     const auto verdict = gate.check(w.holder, w.arrival, receiver, now);
     if (verdict == faults::FaultGate::Verdict::kCrashed) {
       lost_to_crash.inc();
-      lose(w);  // the holder's buffered copy died in the crash
+      w.done = true;  // the holder's buffered copy died in the crash
       continue;
     }
     if (verdict == faults::FaultGate::Verdict::kRetry) {
@@ -417,7 +402,7 @@ DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
     if (w.hop < k) {
       peel(w, sender);
     } else if (!group_mode) {
-      cm.deliver(w.circ, sender, spec.dst, spec.payload);
+      cm.forward(w.circ, sender, spec.dst, Peel::inbox(spec.payload));
       deliver(w);
     } else {
       // Destination-group phase: r_K hands the onion to *any* member of
@@ -425,22 +410,22 @@ DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
       // the group until dst opens the final layer. Relays and carriers
       // learn only the group.
       if (w.hop == k) {
-        cm.extend(w.circ, sender, receiver, key_for(dst_group),
-                  Expect::deliver_group(dst_group));
+        cm.forward(w.circ, sender, receiver, Peel::dest_group(dst_group));
         w.hop = k + 1;
       } else {
-        cm.send(w.circ, sender, receiver);
+        cm.forward(w.circ, sender, receiver, Peel::carry());
         ++result.intra_group_hops;
       }
       w.group_visits.push_back(sender);
       if (receiver == spec.dst) {
-        cm.deliver_local(w.circ, spec.dst, spec.payload);
+        cm.forward(w.circ, CircuitManager::kNoSender, spec.dst,
+                   Peel::inbox(spec.payload));
         deliver(w);
       }
     }
     // A blackhole relay or group member accepts the copy and never
     // forwards it; dst itself always opens it.
-    if (!w.done && gate.absorbs(receiver)) lose(w);
+    if (!w.done && gate.absorbs(receiver)) w.done = true;
   }
 
   result.relay_groups = std::move(gens[0].groups);

@@ -1,7 +1,10 @@
 #include "util/args.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 // odtn-lint: allow(include) — std::exit for flag usage errors only
 #include <cstdlib>
 
@@ -9,19 +12,27 @@ namespace odtn::util {
 
 namespace {
 
+// Flag usage errors are reported on one line naming the flag, with exit
+// status 2, before the binary does any work.
+[[noreturn]] void usage_error(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  std::exit(2);
+}
+
+[[noreturn]] void bad_value(const std::string& name, const std::string& value,
+                            const char* what) {
+  usage_error("--" + name + "=" + value + " " + what);
+}
+
 // A numeric flag must parse completely: an empty, unparsable or
-// trailing-garbage value is a usage error, reported on one line naming the
-// flag, with exit status 2 (an exception would abort the bench binaries,
-// which do not catch).
+// trailing-garbage value is a usage error.
 template <typename T>
 T parse_number(const std::string& name, const std::string& s) {
   T v{};
   const char* end = s.data() + s.size();
   auto [ptr, ec] = std::from_chars(s.data(), end, v);
   if (s.empty() || ec != std::errc() || ptr != end) {
-    std::fprintf(stderr, "error: --%s=%s is not a number\n", name.c_str(),
-                 s.c_str());
-    std::exit(2);
+    bad_value(name, s, "is not a number");
   }
   return v;
 }
@@ -70,7 +81,29 @@ bool Args::get_bool(const std::string& name, bool def) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return def;
   const std::string& v = it->second;
-  return v == "true" || v == "1" || v == "yes" || v == "on";
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  bad_value(name, v, "is not a boolean");
+}
+
+std::string Args::get_output(const std::string& name) const {
+  const std::string path = get(name, "");
+  if (path.empty()) return path;
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  if (!std::ofstream(path, std::ios::app)) {
+    bad_value(name, path, "cannot be opened for writing");
+  }
+  if (!existed) std::filesystem::remove(path, ec);
+  return path;
+}
+
+void Args::reject_unknown(const std::vector<std::string>& known) const {
+  for (const auto& flag : flags_) {
+    if (std::find(known.begin(), known.end(), flag.first) == known.end()) {
+      usage_error("unknown flag --" + flag.first);
+    }
+  }
 }
 
 }  // namespace odtn::util

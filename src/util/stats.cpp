@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace odtn::util {
 
@@ -50,55 +49,6 @@ void RunningStats::merge(const RunningStats& other) {
   n_ = n;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)) {
-  if (!(hi > lo) || bins == 0) {
-    throw std::invalid_argument("Histogram: need hi > lo and bins > 0");
-  }
-  counts_.assign(bins, 0);
-}
-
-void Histogram::add(double x) {
-  double pos = (x - lo_) / width_;
-  std::size_t i;
-  if (pos < 0) {
-    i = 0;
-  } else if (pos >= static_cast<double>(counts_.size())) {
-    i = counts_.size() - 1;
-  } else {
-    i = static_cast<std::size_t>(pos);
-  }
-  ++counts_[i];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_high(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += static_cast<double>(counts_[i]);
-    if (cum >= target) return 0.5 * (bin_low(i) + bin_high(i));
-  }
-  return hi_;
-}
-
-double mean_of(const std::vector<double>& v) {
-  if (v.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : v) s += x;
-  return s / static_cast<double>(v.size());
 }
 
 }  // namespace odtn::util

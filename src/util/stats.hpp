@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace odtn::util {
 
@@ -53,31 +52,5 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Fixed-bin histogram over [lo, hi); values outside are clamped into the
-/// first/last bin. Used for delay distributions in the examples.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t total() const { return total_; }
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const;
-  /// Empirical quantile (0 <= q <= 1) from bin midpoints.
-  double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::size_t total_ = 0;
-  std::vector<std::size_t> counts_;
-};
-
-/// Mean of a vector; 0 for empty input.
-double mean_of(const std::vector<double>& v);
 
 }  // namespace odtn::util

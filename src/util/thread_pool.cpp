@@ -2,77 +2,21 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <exception>
-#include <utility>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace odtn::util {
-
-ThreadPool::ThreadPool(std::size_t threads) {
-  std::size_t count = std::max<std::size_t>(1, threads);
-  workers_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(job));
-    ++stats_.submitted;
-    stats_.peak_queue = std::max(stats_.peak_queue, queue_.size());
-  }
-  work_cv_.notify_one();
-}
-
-ThreadPool::Stats ThreadPool::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-void ThreadPool::wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-std::size_t ThreadPool::hardware_threads() {
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to run
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-    }
-    job();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
-    }
-  }
-}
 
 void parallel_for(std::size_t n, std::size_t threads,
                   const std::function<void(std::size_t)>& fn,
                   metrics::Registry* pool_metrics) {
   if (n == 0) return;
-  if (threads == 0) threads = ThreadPool::hardware_threads();
+  if (threads == 0) {
+    threads = std::max(1u, std::thread::hardware_concurrency());
+  }
   threads = std::min(threads, n);
 
   // Per-task wall latency, written into fixed slots so aggregation needs no
@@ -94,22 +38,19 @@ void parallel_for(std::size_t n, std::size_t threads,
     task_seconds[i] = std::chrono::duration<double>(t1 - t0).count();
   };
 
-  auto export_pool_metrics = [&](std::size_t workers,
-                                 std::size_t peak_queue) {
+  auto export_pool_metrics = [&](std::size_t workers) {
     if (pool_metrics == nullptr) return;
     metrics::counter(pool_metrics, "pool.tasks", metrics::Stability::kWall)
         .inc(n);
     metrics::gauge(pool_metrics, "pool.workers", metrics::Stability::kWall)
         .set(static_cast<double>(workers));
-    metrics::gauge(pool_metrics, "pool.queue_peak", metrics::Stability::kWall)
-        .set_max(static_cast<double>(peak_queue));
     auto latency = metrics::timer(pool_metrics, "pool.task_seconds");
     for (double s : task_seconds) latency.observe(s);
   };
 
   if (threads <= 1) {
     for (std::size_t i = 0; i < n; ++i) run_task(i);
-    export_pool_metrics(1, 0);
+    export_pool_metrics(1);
     return;
   }
 
@@ -128,11 +69,19 @@ void parallel_for(std::size_t n, std::size_t threads,
     }
   };
 
-  ThreadPool pool(threads - 1);  // the calling thread is the extra worker
-  for (std::size_t t = 0; t + 1 < threads; ++t) pool.submit(drain);
+  std::vector<std::thread> workers;  // the calling thread is the extra one
+  workers.reserve(threads - 1);
+  try {
+    for (std::size_t t = 0; t + 1 < threads; ++t) workers.emplace_back(drain);
+  } catch (...) {
+    // A thread failed to start: the started ones and the calling thread
+    // still drain every index (so every started thread is joined), then
+    // the failure is rethrown.
+    std::call_once(error_once, [&] { error = std::current_exception(); });
+  }
   drain();
-  pool.wait();
-  export_pool_metrics(threads, pool.stats().peak_queue);
+  for (std::thread& w : workers) w.join();
+  export_pool_metrics(threads);
   if (error) std::rethrow_exception(error);
 }
 

@@ -1,79 +1,28 @@
-// A small fixed-size worker pool for embarrassingly parallel workloads.
+// Fan-out for embarrassingly parallel workloads.
 //
 // The experiment engine shards independent realizations across workers
-// (core/experiment.cpp). Jobs are type-erased closures; `wait()` blocks
-// until every submitted job has finished, so one pool can be reused across
-// sweep points. `parallel_for` is the common case: run `fn(i)` for
-// i in [0, n) on `threads` workers with dynamic (atomic-counter) scheduling.
+// (core/experiment.cpp): `parallel_for` runs `fn(i)` for i in [0, n) on
+// `threads` workers with dynamic (atomic-counter) scheduling.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "metrics/metrics.hpp"
 
 namespace odtn::util {
 
-class ThreadPool {
- public:
-  /// Spawns `threads` workers (at least 1).
-  explicit ThreadPool(std::size_t threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  std::size_t thread_count() const { return workers_.size(); }
-
-  /// Enqueues a job. Jobs must not throw (wrap and capture exceptions on
-  /// the caller's side; parallel_for does exactly that).
-  void submit(std::function<void()> job);
-
-  /// Blocks until every submitted job has completed.
-  void wait();
-
-  /// Hardware concurrency with a floor of 1 (hardware_concurrency() may
-  /// return 0 on exotic platforms).
-  static std::size_t hardware_threads();
-
-  /// Scheduling statistics since construction (snapshot under the queue
-  /// lock). Scheduling-dependent by nature — export only as
-  /// metrics::Stability::kWall.
-  struct Stats {
-    std::size_t submitted = 0;
-    std::size_t peak_queue = 0;
-  };
-  Stats stats() const;
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
-  Stats stats_;
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // workers: queue non-empty or stopping
-  std::condition_variable idle_cv_;   // wait(): queue empty and nothing running
-  std::size_t in_flight_ = 0;
-  bool stop_ = false;
-};
-
 /// Runs `fn(i)` for every i in [0, n), fanned out over up to `threads`
-/// workers (`0` = ThreadPool::hardware_threads()). Indices are handed out
+/// workers (`0` = every hardware thread). Indices are handed out
 /// dynamically, so the mapping of index to worker is unspecified — bodies
 /// must be independent. Runs inline on the calling thread when a single
-/// worker suffices. The first exception thrown by any body is rethrown
-/// here after all workers drain.
+/// worker suffices; otherwise the calling thread works alongside
+/// `threads - 1` plain std::threads, joined before return. The first
+/// exception thrown by any body is rethrown here after all workers drain.
 ///
 /// When `pool_metrics` is non-null, per-task wall latency ("pool.task
-/// _seconds" timer), task count, worker count, and the pool's peak queue
-/// depth are recorded — all Stability::kWall, so a default MetricsWriter
-/// export stays deterministic.
+/// _seconds" timer), task count and worker count are recorded — all
+/// Stability::kWall, so a default MetricsWriter export stays deterministic.
 void parallel_for(std::size_t n, std::size_t threads,
                   const std::function<void(std::size_t)>& fn,
                   metrics::Registry* pool_metrics = nullptr);

@@ -1,7 +1,7 @@
 // CircuitManager tests: the one audited build/peel/forward implementation
 // both onion protocols are policies over. Covers the wire-mode end-to-end
-// lifecycle, cell-stream tamper detection, Expect mismatches, the kNone
-// zero-knob contract (no RNG draws, no crypto), and truncate semantics.
+// lifecycle, cell-stream tamper detection, peel mismatches, the kNone
+// zero-knob contract (no RNG draws, no crypto), and the cell-command rule.
 #include "circuit/circuit_manager.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,7 @@
 namespace odtn::circuit {
 namespace {
 
-using Expect = CircuitManager::Expect;
+using Peel = CircuitManager::Peel;
 
 struct Fixture {
   explicit Fixture(bool wire, bool crypto = true)
@@ -41,26 +41,17 @@ struct Fixture {
 // Walks one circuit source(0) -> 5 -> 9 -> 20 -> dest(99) through the
 // manager, the same shape the single-copy policy drives.
 bool walk(CircuitManager& cm, Fixture& f, CircuitId id) {
-  if (!cm.extend(id, 0, 5, f.keys.group_key(1), Expect::relay_to(2))) {
-    return false;
-  }
-  if (!cm.extend(id, 5, 9, f.keys.group_key(2), Expect::relay_to(3))) {
-    return false;
-  }
-  if (!cm.extend(id, 9, 20, f.keys.group_key(3), Expect::deliver_to(99))) {
-    return false;
-  }
-  return cm.deliver(id, 20, 99, f.payload);
+  return cm.forward(id, 0, 5, Peel::relay(1, 2)) &&
+         cm.forward(id, 5, 9, Peel::relay(2, 3)) &&
+         cm.forward(id, 9, 20, Peel::last_relay(3, 99)) &&
+         cm.forward(id, 20, 99, Peel::inbox(f.payload));
 }
 
 TEST(CircuitManager, WireModeEndToEndVerifies) {
   Fixture f(/*wire=*/true);
   auto cm = f.make();
   CircuitId id = cm.open(f.payload, 99, f.route);
-  EXPECT_EQ(cm.status(id), CircuitStatus::kCreate);
   EXPECT_TRUE(walk(cm, f, id));
-  EXPECT_EQ(cm.status(id), CircuitStatus::kEstablished);
-  EXPECT_EQ(cm.hops(id), 3u);
   EXPECT_TRUE(cm.link_ok());
   EXPECT_TRUE(cm.circuit_ok(id));
   EXPECT_TRUE(cm.verified(id));
@@ -83,7 +74,7 @@ TEST(CircuitManager, WireAccountingMatchesCrossings) {
   auto cm = f.make();
   CircuitId id = cm.open(f.payload, 99, f.route);
   ASSERT_TRUE(walk(cm, f, id));
-  // 3 extends + 1 deliver = 4 contact crossings; the onion packet is
+  // 3 relay peels + 1 inbox open = 4 contact crossings; the onion packet is
   // constant-size, so each costs exactly cells_per_packet() cells.
   const std::uint64_t expected = 4 * cm.cells_per_packet();
   EXPECT_EQ(cm.wire_cells(), expected);
@@ -159,7 +150,7 @@ TEST(CircuitManager, ExpectMismatchMarksCircuitNotVerified) {
   auto cm = f.make();
   CircuitId id = cm.open(f.payload, 99, f.route);
   // Right key, wrong expectation: the peel opens but names group 2, not 4.
-  EXPECT_FALSE(cm.extend(id, 0, 5, f.keys.group_key(1), Expect::relay_to(4)));
+  EXPECT_FALSE(cm.forward(id, 0, 5, Peel::relay(1, 4)));
   EXPECT_FALSE(cm.circuit_ok(id));
   EXPECT_FALSE(cm.verified(id));
   EXPECT_TRUE(cm.link_ok());  // the link itself was fine
@@ -170,7 +161,7 @@ TEST(CircuitManager, WrongKeyPeelFailsAndLeavesPacketIntact) {
   auto cm = f.make();
   CircuitId id = cm.open(f.payload, 99, f.route);
   const util::Bytes before = cm.wire(id);
-  EXPECT_FALSE(cm.extend(id, 0, 5, f.keys.group_key(4), Expect::relay_to(2)));
+  EXPECT_FALSE(cm.forward(id, 0, 5, Peel::relay(4, 2)));
   EXPECT_EQ(cm.wire(id), before);  // policy may keep walking with the packet
   EXPECT_FALSE(cm.verified(id));
 }
@@ -181,7 +172,6 @@ TEST(CircuitManager, CloneSharesThePacketAndStartsFresh) {
   CircuitId id = cm.open(f.payload, 99, f.route);
   CircuitId copy = cm.clone(id);
   EXPECT_NE(copy, id);
-  EXPECT_EQ(cm.status(copy), CircuitStatus::kCreate);
   EXPECT_EQ(cm.wire(copy), cm.wire(id));
   // Both copies can be walked independently.
   EXPECT_TRUE(walk(cm, f, id));
@@ -190,21 +180,59 @@ TEST(CircuitManager, CloneSharesThePacketAndStartsFresh) {
   EXPECT_TRUE(cm.verified(copy));
 }
 
-TEST(CircuitManager, TruncateFollowsTheStateMachine) {
+TEST(CircuitManager, CellCommandsFollowTheFirstCrossing) {
+  Fixture f(/*wire=*/true);
+  std::vector<CellEvent> events;
+  f.cctx.tap = [&events](const CellEvent& e) { events.push_back(e); };
+  auto cm = f.make();
+  const std::size_t per_packet = cm.cells_per_packet();
+  // The command of crossing `i` (0-based) in the tap's stream.
+  auto command = [&](std::size_t i) {
+    return events.at(i * per_packet).command;
+  };
+
+  // A relay peel on a circuit's first crossing creates it; later relay
+  // peels extend it; the inbox crossing relays.
+  CircuitId walked = cm.open(f.payload, 99, f.route);
+  CircuitId clone = cm.clone(walked);
+  ASSERT_TRUE(walk(cm, f, walked));
+  EXPECT_EQ(command(0), CellCommand::kCreate);
+  EXPECT_EQ(command(1), CellCommand::kExtend);
+  EXPECT_EQ(command(2), CellCommand::kExtend);
+  EXPECT_EQ(command(3), CellCommand::kRelay);
+
+  // A clone has never crossed: its first relay peel creates it too.
+  ASSERT_TRUE(cm.forward(clone, 0, 5, Peel::relay(1, 2)));
+  EXPECT_EQ(command(4), CellCommand::kCreate);
+
+  // A carrier crossing relays, and the relay peel after it extends: a
+  // carrier-first circuit never sends kCreate.
+  CircuitId carried = cm.open(f.payload, 99, f.route);
+  cm.forward(carried, 0, 7, Peel::carry());
+  ASSERT_TRUE(cm.forward(carried, 7, 5, Peel::relay(1, 2)));
+  EXPECT_EQ(command(5), CellCommand::kRelay);
+  EXPECT_EQ(command(6), CellCommand::kExtend);
+  EXPECT_EQ(events.size(), 7 * per_packet);
+}
+
+TEST(CircuitManager, InboxWithoutSenderOpensInPlace) {
   Fixture f(/*wire=*/true);
   auto cm = f.make();
-  // From kCreate, kTruncated is illegal -> falls through to kDestroyed.
-  CircuitId fresh = cm.open(f.payload, 99, f.route);
-  cm.truncate(fresh);
-  EXPECT_EQ(cm.status(fresh), CircuitStatus::kDestroyed);
-
-  // After a hop the circuit is in flight -> kTruncated, and may rebuild.
-  CircuitId walked = cm.open(f.payload, 99, f.route);
-  ASSERT_TRUE(cm.extend(walked, 0, 5, f.keys.group_key(1),
-                        Expect::relay_to(2)));
-  cm.truncate(walked);
-  EXPECT_EQ(cm.status(walked), CircuitStatus::kTruncated);
-  EXPECT_TRUE(cm.advance(walked, CircuitStatus::kExtend));
+  CircuitId id = cm.open(f.payload, 99, f.route);
+  ASSERT_TRUE(cm.forward(id, 0, 5, Peel::relay(1, 2)));
+  ASSERT_TRUE(cm.forward(id, 5, 9, Peel::relay(2, 3)));
+  ASSERT_TRUE(cm.forward(id, 9, 20, Peel::last_relay(3, 99)));
+  const std::uint64_t cells = cm.wire_cells();
+  // dst already holds the packet: no contact is crossed, only opened.
+  EXPECT_TRUE(cm.forward(id, CircuitManager::kNoSender, 99,
+                         Peel::inbox(f.payload)));
+  EXPECT_EQ(cm.wire_cells(), cells);
+  EXPECT_TRUE(cm.verified(id));
+  // Anyone else's inbox key cannot open it.
+  CircuitId other = cm.clone(id);
+  EXPECT_FALSE(cm.forward(other, CircuitManager::kNoSender, 98,
+                          Peel::inbox(f.payload)));
+  EXPECT_FALSE(cm.verified(other));
 }
 
 TEST(CircuitManager, RealModeDrawsExactlyOneSeed) {
@@ -226,12 +254,9 @@ TEST(CircuitManager, NoCryptoModeDrawsNothingAndSkipsCrypto) {
   EXPECT_FALSE(cm.crypto_enabled());
   CircuitId id = cm.open(f.payload, 99, f.route);
   EXPECT_TRUE(cm.wire(id).empty());  // no onion is built
-  // The state machine still advances; peels succeed vacuously.
-  util::Bytes no_key;
-  EXPECT_TRUE(cm.extend(id, 0, 5, no_key, Expect::relay_to(2)));
-  EXPECT_EQ(cm.status(id), CircuitStatus::kCreated);
-  EXPECT_TRUE(cm.deliver(id, 5, 99, f.payload));
-  EXPECT_EQ(cm.status(id), CircuitStatus::kEstablished);
+  // Peels succeed vacuously.
+  EXPECT_TRUE(cm.forward(id, 0, 5, Peel::relay(1, 2)));
+  EXPECT_TRUE(cm.forward(id, 5, 99, Peel::inbox(f.payload)));
   // ... but nothing is "verified" without crypto.
   EXPECT_FALSE(cm.verified(id));
   EXPECT_EQ(cm.wire_cells(), 0u);
@@ -262,9 +287,7 @@ TEST(CircuitManager, SendCrossesWithoutPeeling) {
   auto cm = f.make();
   CircuitId id = cm.open(f.payload, 99, f.route);
   const util::Bytes before = cm.wire(id);
-  cm.send(id, 0, 7);  // plain carrier handoff
-  EXPECT_EQ(cm.status(id), CircuitStatus::kCreated);
-  EXPECT_EQ(cm.hops(id), 0u);
+  EXPECT_TRUE(cm.forward(id, 0, 7, Peel::carry()));  // plain carrier handoff
   EXPECT_EQ(cm.wire(id), before);
   EXPECT_TRUE(cm.link_ok());
   EXPECT_EQ(cm.wire_cells(), cm.cells_per_packet());

@@ -311,6 +311,34 @@ TEST(Checkpoint, ResumeRejectsForeignCheckpoint) {
   std::remove(cfg.checkpoint_path.c_str());
 }
 
+TEST(Checkpoint, ResumeRejectsADifferentTrace) {
+  auto first = trace::make_cambridge_like(2);
+  auto second = trace::make_cambridge_like(3);
+  ExperimentConfig cfg;
+  cfg.group_size = 1;
+  cfg.runs = 6;
+  cfg.checkpoint_path = temp_path("odtn_checkpoint_trace");
+  Experiment(cfg).run(TraceScenario{&first});
+
+  // Same config, same trace: the checkpoint resumes.
+  auto more = cfg;
+  more.runs = 8;
+  more.resume = true;
+  EXPECT_NO_THROW(Experiment(more).run(TraceScenario{&first}));
+
+  // Same config, other contact data: refused, never silently mixed.
+  try {
+    Experiment(more).run(TraceScenario{&second});
+    ADD_FAILURE() << "resume against a different trace did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "different experiment configuration"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(cfg.checkpoint_path.c_str());
+}
+
 TEST(Checkpoint, ResumeOfCompleteSweepIsANoOp) {
   auto cfg = faulty_config();
   cfg.runs = 12;

@@ -169,6 +169,16 @@ TEST(OnionRouting, RouteDigestPinned) {
        .expected = 0xa6b4d708f8630645},
       {.name = "L3_faults_retx_suspicion", .copies = 3, .faults = true,
        .retx = true, .expected = 0x2030b8602c1ed0ac},
+      // Wire cell streams beyond L1_real_wire: carrier-then-relay copies
+      // (kRelay, then kExtend, never kCreate), direct sprays into R_1, and
+      // the destination-group walk.
+      {.name = "L3_sw_real_wire", .copies = 3, .real_crypto = true,
+       .wire = true, .expected = 0xa58d0191aecd23cc},
+      {.name = "L3_direct_real_wire", .copies = 3,
+       .spray = SprayMode::kDirectToFirstGroup, .real_crypto = true,
+       .wire = true, .expected = 0x1ce47fc42b1240cc},
+      {.name = "L1_dest_group_real_wire", .real_crypto = true, .wire = true,
+       .dest_group = true, .expected = 0x5ae5f99557723f18},
   };
   for (const PinCase& c : cases) {
     const Outcome out = run_case(c);

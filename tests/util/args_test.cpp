@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <vector>
 
 namespace odtn::util {
@@ -58,12 +60,23 @@ TEST(Args, Positional) {
 
 TEST(Args, BoolSpellings) {
   Args a = make_args({"prog", "--a=true", "--b=1", "--c=yes", "--d=false",
-                      "--e=0"});
+                      "--e=0", "--f=on", "--g=no", "--h=off"});
   EXPECT_TRUE(a.get_bool("a", false));
   EXPECT_TRUE(a.get_bool("b", false));
   EXPECT_TRUE(a.get_bool("c", false));
   EXPECT_FALSE(a.get_bool("d", true));
   EXPECT_FALSE(a.get_bool("e", true));
+  EXPECT_TRUE(a.get_bool("f", false));
+  EXPECT_FALSE(a.get_bool("g", true));
+  EXPECT_FALSE(a.get_bool("h", true));
+  // Any other value is a usage error, never a silent false.
+  EXPECT_EXIT(make_args({"prog", "--resume=maybe"}).get_bool("resume", false),
+              ::testing::ExitedWithCode(2), "--resume=maybe is not a boolean");
+  EXPECT_EXIT(make_args({"prog", "--wire-cells=yes1"})
+                  .get_bool("wire-cells", false),
+              ::testing::ExitedWithCode(2), "--wire-cells=yes1");
+  EXPECT_EXIT(make_args({"prog", "--x="}).get_bool("x", true),
+              ::testing::ExitedWithCode(2), "--x= is not a boolean");
 }
 
 TEST(Args, HasAndProgram) {
@@ -86,6 +99,36 @@ TEST(Args, NumericFlagsRejectGarbage) {
               ::testing::ExitedWithCode(2), "--rate=0.5s");
   EXPECT_EXIT(make_args({"prog", "--rate"}).get_double("rate", 0),
               ::testing::ExitedWithCode(2), "--rate=true");
+  EXPECT_EXIT(make_args({"prog", "--p=0.4junk"}).get_double("p", 0),
+              ::testing::ExitedWithCode(2), "--p=0.4junk");
+  EXPECT_EXIT(make_args({"prog", "--k=1x"}).get_int("k", 0),
+              ::testing::ExitedWithCode(2), "--k=1x");
+  EXPECT_EXIT(make_args({"prog", "--k= 3"}).get_int("k", 0),
+              ::testing::ExitedWithCode(2), "--k= 3");
+}
+
+TEST(Args, UnknownFlagsRejected) {
+  Args a = make_args({"prog", "--runs=5", "--seed", "7", "input.txt"});
+  a.reject_unknown({"runs", "seed", "threads"});  // all known: no exit
+  EXPECT_EQ(a.get_int("runs", 0), 5);
+  EXPECT_EXIT(make_args({"prog", "--runs=5", "--no-such-flag=1"})
+                  .reject_unknown({"runs"}),
+              ::testing::ExitedWithCode(2), "unknown flag --no-such-flag");
+  EXPECT_EXIT(make_args({"prog", "--verbose"}).reject_unknown({}),
+              ::testing::ExitedWithCode(2), "unknown flag --verbose");
+}
+
+TEST(Args, OutputPathMustBeWritable) {
+  EXPECT_EQ(make_args({"prog"}).get_output("json"), "");
+  const std::string path = testing::TempDir() + "odtn_args_output_check";
+  std::remove(path.c_str());
+  EXPECT_EQ(make_args({"prog", "--json=" + path}).get_output("json"), path);
+  // The check leaves no file behind.
+  EXPECT_EQ(std::fopen(path.c_str(), "r"), nullptr);
+  EXPECT_EXIT(make_args({"prog", "--json=/nonexistent-dir/x.json"})
+                  .get_output("json"),
+              ::testing::ExitedWithCode(2),
+              "--json=/nonexistent-dir/x.json cannot be opened for writing");
 }
 
 TEST(Args, NumericFlagsAcceptWholeNumbers) {

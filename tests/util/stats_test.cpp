@@ -121,43 +121,5 @@ TEST(RunningStats, Ci95ShrinksWithSamples) {
   EXPECT_GT(small.ci95_halfwidth(), large.ci95_halfwidth());
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(1.0);   // bin 0
-  h.add(3.0);   // bin 1
-  h.add(-5.0);  // clamped to bin 0
-  h.add(42.0);  // clamped to bin 4
-  h.add(10.0);  // boundary -> clamped to last bin
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_low(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(4), 10.0);
-}
-
-TEST(Histogram, Quantile) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-}
-
-TEST(Histogram, InvalidConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 5), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(MeanOf, Basics) {
-  EXPECT_EQ(mean_of({}), 0.0);
-  EXPECT_DOUBLE_EQ(mean_of({1.0, 2.0, 3.0}), 2.0);
-}
-
 }  // namespace
 }  // namespace odtn::util

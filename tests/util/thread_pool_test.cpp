@@ -12,37 +12,6 @@
 namespace odtn::util {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedJobs) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] { counter.fetch_add(1); });
-  }
-  pool.wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.submit([&] { counter.fetch_add(1); });
-  pool.wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.submit([&] { counter.fetch_add(1); });
-  pool.wait();
-  EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ThreadPool, ZeroThreadsClampedToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.thread_count(), 1u);
-}
-
-TEST(ThreadPool, HardwareThreadsAtLeastOne) {
-  EXPECT_GE(ThreadPool::hardware_threads(), 1u);
-}
-
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   for (std::size_t threads : {1u, 2u, 7u}) {
     std::vector<std::atomic<int>> hits(257);

@@ -7,7 +7,8 @@
 #    (the tier-1 gate from ROADMAP.md), then the metrics, traffic,
 #    recovery, and circuit suites by label, a wire-mode (--wire-cells)
 #    thread-count byte-identity smoke, and a checkpoint/resume
-#    byte-identity smoke check on the CLI.
+#    byte-identity smoke check on the CLI (whose negative leg resumes
+#    against a different trace and must fail).
 # 2. Runs the contact-query byte-identity suite by label, the scale suite
 #    (cross-backend equivalence; ctest -L scale) plus a fig_scale smoke at
 #    n=1e5 with a bytes/node bound, then the perf smokes: the micro_sim
@@ -27,7 +28,8 @@
 #    `ctest -L recovery`, `ctest -L circuit`, and the network_sim_test,
 #    traffic_sim_test, route_digest_test, single_copy_test,
 #    multi_copy_test, contact_query_property_test, contact_model_test,
-#    backend_equivalence_test, and sparse_graph_test binaries under ASan.
+#    backend_equivalence_test, sparse_graph_test, and args_test binaries
+#    under ASan.
 # 6. Configures a -DODTN_SANITIZE=undefined tree in build-ubsan/, builds
 #    the analysis + crypto test targets (the numeric and bit-twiddling
 #    code most prone to UB), and runs `ctest -L ubsan` under UBSan.
@@ -97,6 +99,21 @@ grep -v -e '^# wall_time_s' -e '^# metrics:' "$smoke/resumed.txt" > "$smoke/resu
 cmp "$smoke/ref.stable" "$smoke/resumed.stable"
 cmp "$smoke/ref.jsonl" "$smoke/resumed.jsonl"
 echo "checkpoint/resume output byte-identical"
+# Negative leg: a checkpoint is bound to the contact data it folded. A
+# streamed-trace sweep resumed against a different --trace must fail.
+"$cli" gen-trace --kind=poisson --nodes=30 --seed=1 --horizon=2000 \
+    --out="$smoke/t1.txt" > /dev/null
+"$cli" gen-trace --kind=poisson --nodes=30 --seed=2 --horizon=2000 \
+    --out="$smoke/t2.txt" > /dev/null
+"$cli" simulate --contact-backend=sparse --trace="$smoke/t1.txt" \
+    --trace-nodes=30 --runs=10 --checkpoint="$smoke/trace-cp" > /dev/null
+if "$cli" simulate --contact-backend=sparse --trace="$smoke/t2.txt" \
+    --trace-nodes=30 --runs=20 --checkpoint="$smoke/trace-cp" --resume \
+    > /dev/null 2>&1; then
+    echo "resume against a different --trace was accepted" >&2
+    exit 1
+fi
+echo "resume against a different trace refused"
 
 echo "== contact-query byte-identity suite (ctest -L contact_query) =="
 ctest --test-dir "$repo/build" -L contact_query --output-on-failure -j "$jobs"
@@ -182,13 +199,15 @@ cmake -B "$repo/build-asan" -S "$repo" -DODTN_SANITIZE=address
 cmake --build "$repo/build-asan" -j "$jobs" --target \
     faults_test fault_sim_test fault_experiment_test \
     recovery_unit_test recovery_sim_test recovery_experiment_test \
-    cell_test circuit_state_test circuit_manager_test wire_parity_test \
+    cell_test circuit_manager_test wire_parity_test \
     network_sim_test traffic_sim_test \
     route_digest_test single_copy_test multi_copy_test \
     contact_query_property_test contact_model_test backend_equivalence_test \
-    sparse_graph_test
+    sparse_graph_test args_test
 
 echo "== asan: ctest -L faults =="
+# Includes fault_experiment_test: the checkpoint parser and the trace-data
+# digest of the checkpoint scenario tag.
 ctest --test-dir "$repo/build-asan" -L faults --output-on-failure -j "$jobs"
 
 echo "== asan: ctest -L recovery =="
@@ -220,6 +239,9 @@ echo "== asan: contact-model plan builder (both backends, both plan kinds) =="
 "$repo/build-asan/tests/sim/contact_model_test"
 "$repo/build-asan/tests/scale/backend_equivalence_test"
 "$repo/build-asan/tests/scale/sparse_graph_test"
+
+echo "== asan: args_test (strict flag parsing) =="
+"$repo/build-asan/tests/util/args_test"
 
 echo "== ubsan: configure + build analysis + crypto test targets =="
 cmake -B "$repo/build-ubsan" -S "$repo" -DODTN_SANITIZE=undefined

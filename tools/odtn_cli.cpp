@@ -8,6 +8,8 @@
 //   model       --n --g --K --L --T --compromised  (prints every analytical metric)
 //   simulate    --runs ... (Table II experiment; analysis vs simulation row)
 //   help
+#include <algorithm>
+#include <charconv>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -260,7 +262,7 @@ int cmd_simulate(const util::Args& args) {
   cfg.runs = static_cast<std::size_t>(args.get_int("runs", 200));
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   cfg.threads = static_cast<std::size_t>(args.get_int("threads", 0));
-  std::string metrics_path = args.get("metrics-out", "");
+  std::string metrics_path = args.get_output("metrics-out");
   cfg.collect_metrics = !metrics_path.empty();
 
   std::string backend = args.get("contact-backend", "dense");
@@ -283,11 +285,11 @@ int cmd_simulate(const util::Args& args) {
   std::string ge = args.get("fault-ge", "");
   if (!ge.empty()) {
     faults::GilbertElliott chain;
-    char sep1, sep2, sep3;
+    char sep1, sep2, sep3, rest;
     std::istringstream gs(ge);
     if (!(gs >> chain.p_good_to_bad >> sep1 >> chain.p_bad_to_good >> sep2 >>
           chain.p_fail_good >> sep3 >> chain.p_fail_bad) ||
-        sep1 != ':' || sep2 != ':' || sep3 != ':') {
+        sep1 != ':' || sep2 != ':' || sep3 != ':' || gs >> rest) {
       throw std::invalid_argument(
           "simulate: --fault-ge expects pgb:pbg:pfg:pfb");
     }
@@ -324,10 +326,13 @@ int cmd_simulate(const util::Args& args) {
     std::istringstream ps(args.get("traffic-priorities", "0"));
     std::string tok;
     while (std::getline(ps, tok, ',')) {
-      int p = std::stoi(tok);
-      if (p < 0 || p > 255) {
+      int p = -1;
+      const char* end = tok.data() + tok.size();
+      if (std::from_chars(tok.data(), end, p).ptr != end || p < 0 ||
+          p > 255) {
         throw std::invalid_argument(
-            "simulate: --traffic-priorities entries must be in [0, 255]");
+            "simulate: --traffic-priorities entries must be integers in "
+            "[0, 255]");
       }
       priorities.push_back(static_cast<std::uint8_t>(p));
     }
@@ -493,19 +498,54 @@ int cmd_simulate(const util::Args& args) {
   return 0;
 }
 
+// Each subcommand with every flag it reads, in any mode.
+struct Command {
+  const char* name;
+  int (*run)(const util::Args&);
+  std::vector<std::string> flags;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> kCommands = {
+      {"gen-graph",
+       cmd_gen_graph,
+       {"nodes", "min-ict", "max-ict", "seed", "out"}},
+      {"gen-trace", cmd_gen_trace, {"kind", "seed", "nodes", "horizon", "out"}},
+      {"rates", cmd_rates, {"trace", "nodes", "active-gap"}},
+      {"model", cmd_model, {"n", "g", "K", "L", "T", "compromised", "threads"}},
+      {"simulate",
+       cmd_simulate,
+       {"n", "g", "K", "L", "T", "compromised", "runs", "seed", "threads",
+        "metrics-out", "contact-backend", "avg-degree", "communities",
+        "group-shards", "fault-mean-uptime", "fault-mean-downtime",
+        "fault-p-fail", "fault-blackhole-fraction", "fault-p-run-abort",
+        "fault-ge", "checkpoint", "checkpoint-interval", "resume",
+        "traffic-rate", "traffic-horizon", "traffic-flows", "traffic-arrival",
+        "traffic-burst-factor", "traffic-priorities", "bandwidth-capacity",
+        "bandwidth-mean-duration", "bandwidth-transfer-time",
+        "buffer-capacity", "buffer-policy", "ack-vaccine",
+        "recovery-retx-timeout", "recovery-retx-max", "recovery-retx-backoff",
+        "recovery-retx-jitter", "recovery-suspicion-alpha",
+        "recovery-suspicion-threshold", "shed-occupancy", "shed-saturation",
+        "shed-priority-floor", "wire-cells", "cell-size", "load-forwarder",
+        "utility-failure-penalty", "trace", "trace-format", "trace-nodes"}},
+  };
+  return kCommands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   util::Args args(argc, argv);
   if (args.positional().empty()) return usage();
   const std::string& cmd = args.positional()[0];
+  const auto& cmds = commands();
+  auto it = std::find_if(cmds.begin(), cmds.end(),
+                         [&](const Command& c) { return cmd == c.name; });
+  if (it == cmds.end()) return usage();
+  args.reject_unknown(it->flags);
   try {
-    if (cmd == "gen-graph") return cmd_gen_graph(args);
-    if (cmd == "gen-trace") return cmd_gen_trace(args);
-    if (cmd == "rates") return cmd_rates(args);
-    if (cmd == "model") return cmd_model(args);
-    if (cmd == "simulate") return cmd_simulate(args);
-    return usage();
+    return it->run(args);
   } catch (const std::invalid_argument& e) {
     // Bad input (malformed trace/graph file, out-of-range flag): usage-class
     // failure with a one-line file:line diagnostic.
