@@ -106,6 +106,20 @@ void BM_X25519(benchmark::State& state) {
 }
 BENCHMARK(BM_X25519);
 
+// The base-point ladder: what KeyManager::node_identity pays for an
+// identity's public key.
+void BM_X25519Base(benchmark::State& state) {
+  // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
+  // so published figure/ablation tables stay pinned to their historical
+  // sequences
+  util::Rng rng(1);
+  auto a = crypto::generate_keypair(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::x25519_base(a.private_key));
+  }
+}
+BENCHMARK(BM_X25519Base);
+
 void BM_Drbg(benchmark::State& state) {
   crypto::Drbg drbg(std::uint64_t{7});
   for (auto _ : state) {
@@ -201,7 +215,10 @@ BENCHMARK(BM_CellSeal)->Arg(512)->Arg(4096);
 
 // One full circuit lifecycle (open, three relay peels, the inbox open) with
 // the manager (and its circuit table) rebuilt per iteration so memory
-// stays bounded. Arg 0 = one-blob secure links, 1 = wire cells.
+// stays bounded. Arg 0 = one-blob secure links, 1 = wire cells. The
+// KeyManager lives across iterations, so its session keys are cached after
+// the first one: this times the AEAD and onion work of a circuit, not the
+// X25519 secure-link handshakes (BM_X25519 / BM_X25519Base time those).
 void BM_CircuitExtend(benchmark::State& state) {
   groups::GroupDirectory dir(100, 5);
   groups::KeyManager keys(dir, 1);

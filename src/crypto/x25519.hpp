@@ -18,7 +18,9 @@ constexpr std::size_t kX25519KeySize = 32;
 /// endian). The scalar is clamped internally per RFC 7748.
 util::Bytes x25519(const util::Bytes& scalar, const util::Bytes& point);
 
-/// Computes scalar * basepoint (9).
+/// Computes scalar * basepoint (u = 9); equal to x25519(scalar, {9, 0, ...})
+/// but runs the same ladder with the multiplication by u reduced to a small
+/// constant, and builds no base-point encoding.
 util::Bytes x25519_base(const util::Bytes& scalar);
 
 struct KeyPair {

@@ -36,18 +36,25 @@ const util::Bytes& KeyManager::group_key(GroupId group) const {
   return it->second;
 }
 
-const crypto::KeyPair& KeyManager::node_identity(NodeId node) const {
-  if (node >= node_count_) {
-    throw std::out_of_range("KeyManager::node_identity");
-  }
+crypto::KeyPair& KeyManager::identity(NodeId node) const {
   auto it = identities_.find(node);
   if (it == identities_.end()) {
     crypto::KeyPair kp;
     kp.private_key = derive(master_, "identity-key", node);
-    kp.public_key = crypto::x25519_base(kp.private_key);
     it = identities_.emplace(node, std::move(kp)).first;
   }
   return it->second;
+}
+
+const crypto::KeyPair& KeyManager::node_identity(NodeId node) const {
+  if (node >= node_count_) {
+    throw std::out_of_range("KeyManager::node_identity");
+  }
+  crypto::KeyPair& kp = identity(node);
+  if (kp.public_key.empty()) {
+    kp.public_key = crypto::x25519_base(kp.private_key);
+  }
+  return kp;
 }
 
 const util::Bytes& KeyManager::inbox_key(NodeId node) const {
@@ -71,7 +78,7 @@ const util::Bytes& KeyManager::session_key(NodeId a, NodeId b) const {
   auto it = session_cache_.find(cache_key);
   if (it != session_cache_.end()) return it->second;
 
-  util::Bytes shared = crypto::shared_secret(node_identity(lo).private_key,
+  util::Bytes shared = crypto::shared_secret(identity(lo).private_key,
                                              node_identity(hi).public_key);
   util::Bytes info = util::to_bytes("odtn-session");
   util::put_u32le(info, lo);

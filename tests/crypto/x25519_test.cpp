@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "crypto/drbg.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -109,9 +112,9 @@ TEST(X25519, LowOrderPointYieldsAllZeroOutput) {
   util::Bytes out = x25519(scalar, zero_point);
   EXPECT_EQ(out, util::Bytes(32, 0));
   util::Bytes one_point(32, 0);
-  one_point[0] = 1;  // order-1 point u = 1... order 2 on the twist family
+  one_point[0] = 1;  // u = 1: a point of order 4 on the curve
   util::Bytes out2 = x25519(scalar, one_point);
-  // u = 1 is also low-order: output must again be all zero.
+  // The clamped scalar is a multiple of 8, so the output is again all zero.
   EXPECT_EQ(out2, util::Bytes(32, 0));
 }
 
@@ -124,6 +127,24 @@ TEST(X25519, HighBitOfPointIsMasked) {
   util::Bytes masked = point;
   masked[31] |= 0x80;
   EXPECT_EQ(x25519(scalar, point), x25519(scalar, masked));
+}
+
+// x25519_base runs the ladder specialized to u = 9; it must agree with the
+// general ladder fed the encoded base point, including at edge scalars.
+TEST(X25519, BaseMatchesGenericLadder) {
+  util::Bytes base(kX25519KeySize, 0);
+  base[0] = 9;
+  std::vector<util::Bytes> scalars = {
+      util::Bytes(32, 0x00), util::Bytes(32, 0xff),
+      from_hex(
+          "77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a"),
+      from_hex(
+          "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb")};
+  Drbg drbg(std::uint64_t{2551});
+  for (int i = 0; i < 256; ++i) scalars.push_back(drbg.generate(32));
+  for (const util::Bytes& k : scalars) {
+    EXPECT_EQ(x25519_base(k), x25519(k, base)) << to_hex(k);
+  }
 }
 
 TEST(X25519, KeypairDeterministicPerSeed) {

@@ -61,6 +61,24 @@ TEST(KeyManager, SessionKeySymmetric) {
   EXPECT_EQ(km.session_key(2, 9).size(), 32u);
 }
 
+// An identity's public half is derived only when read; neither the keys
+// nor the identities may depend on which call touched a node first.
+TEST(KeyManager, SessionKeyIndependentOfIdentityOrder) {
+  auto dir = make_dir();
+  KeyManager session_first(dir, 11), identity_first(dir, 11);
+  const util::Bytes k1 = session_first.session_key(2, 9);
+  const crypto::KeyPair id2 = session_first.node_identity(2);
+  const crypto::KeyPair id9 = session_first.node_identity(9);
+  EXPECT_EQ(identity_first.node_identity(9).public_key, id9.public_key);
+  EXPECT_EQ(identity_first.node_identity(2).public_key, id2.public_key);
+  EXPECT_EQ(identity_first.node_identity(2).private_key, id2.private_key);
+  EXPECT_EQ(identity_first.node_identity(9).private_key, id9.private_key);
+  EXPECT_EQ(identity_first.session_key(9, 2), k1);
+  // Node 2 was first touched only as the lo endpoint of session_key.
+  EXPECT_EQ(crypto::x25519_base(id2.private_key), id2.public_key);
+  EXPECT_EQ(crypto::x25519_base(id9.private_key), id9.public_key);
+}
+
 TEST(KeyManager, SessionKeysDifferPerPair) {
   auto dir = make_dir();
   KeyManager km(dir, 5);

@@ -28,11 +28,12 @@
 #    `ctest -L recovery`, `ctest -L circuit`, and the network_sim_test,
 #    traffic_sim_test, route_digest_test, single_copy_test,
 #    multi_copy_test, contact_query_property_test, contact_model_test,
-#    backend_equivalence_test, sparse_graph_test, and args_test binaries
-#    under ASan.
+#    backend_equivalence_test, sparse_graph_test, args_test, x25519_test
+#    and key_manager_test binaries under ASan.
 # 6. Configures a -DODTN_SANITIZE=undefined tree in build-ubsan/, builds
-#    the analysis + crypto test targets (the numeric and bit-twiddling
-#    code most prone to UB), and runs `ctest -L ubsan` under UBSan.
+#    the analysis + crypto + key-manager test targets (the numeric and
+#    bit-twiddling code most prone to UB), and runs `ctest -L ubsan` under
+#    UBSan.
 #
 # Exits non-zero on the first failure.
 set -eu
@@ -163,7 +164,7 @@ echo "== perf smoke: micro_crypto per-forward costs vs BENCH_micro_crypto.json =
 # pays). Crypto microbenches are noisier at the ~10us scale, hence the
 # wider 25% band.
 "$repo/build/bench/micro_crypto" \
-    --benchmark_filter='^BM_HmacSha256$|^BM_X25519$|^BM_OnionBuild/3$|^BM_OnionPeel$|^BM_CellSeal/512$|^BM_CircuitExtend/1$' \
+    --benchmark_filter='^BM_HmacSha256$|^BM_X25519$|^BM_X25519Base$|^BM_OnionBuild/3$|^BM_OnionPeel$|^BM_CellSeal/512$|^BM_CircuitExtend/1$' \
     --benchmark_repetitions=5 \
     --baseline="$repo/BENCH_micro_crypto.json" --max-regression-pct=25 \
     > /dev/null
@@ -194,7 +195,7 @@ cmake --build "$repo/build-tsan" -j "$jobs" --target \
 echo "== tsan: ctest -L tsan =="
 ctest --test-dir "$repo/build-tsan" -L tsan --output-on-failure -j "$jobs"
 
-echo "== asan: configure + build fault, recovery, circuit, sim, routing, contact-model test targets =="
+echo "== asan: configure + build fault, recovery, circuit, sim, routing, contact-model, crypto test targets =="
 cmake -B "$repo/build-asan" -S "$repo" -DODTN_SANITIZE=address
 cmake --build "$repo/build-asan" -j "$jobs" --target \
     faults_test fault_sim_test fault_experiment_test \
@@ -203,7 +204,7 @@ cmake --build "$repo/build-asan" -j "$jobs" --target \
     network_sim_test traffic_sim_test \
     route_digest_test single_copy_test multi_copy_test \
     contact_query_property_test contact_model_test backend_equivalence_test \
-    sparse_graph_test args_test
+    sparse_graph_test args_test x25519_test key_manager_test
 
 echo "== asan: ctest -L faults =="
 # Includes fault_experiment_test: the checkpoint parser and the trace-data
@@ -243,12 +244,19 @@ echo "== asan: contact-model plan builder (both backends, both plan kinds) =="
 echo "== asan: args_test (strict flag parsing) =="
 "$repo/build-asan/tests/util/args_test"
 
-echo "== ubsan: configure + build analysis + crypto test targets =="
+echo "== asan: x25519_test + key_manager_test =="
+# The ladder reads its scalar and point through raw pointers, and
+# node_identity fills an identity's public key in place behind a returned
+# reference.
+"$repo/build-asan/tests/crypto/x25519_test"
+"$repo/build-asan/tests/groups/key_manager_test"
+
+echo "== ubsan: configure + build analysis, crypto and key-manager test targets =="
 cmake -B "$repo/build-ubsan" -S "$repo" -DODTN_SANITIZE=undefined
 cmake --build "$repo/build-ubsan" -j "$jobs" --target \
     hypoexp_test delivery_test cost_test traceable_test anonymity_test \
     goodness_of_fit_test sha256_test hmac_test chacha20_test poly1305_test \
-    aead_test x25519_test drbg_test shamir_test
+    aead_test x25519_test drbg_test shamir_test key_manager_test
 
 echo "== ubsan: ctest -L ubsan =="
 ctest --test-dir "$repo/build-ubsan" -L ubsan --output-on-failure -j "$jobs"
