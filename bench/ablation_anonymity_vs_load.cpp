@@ -25,9 +25,10 @@ int main(int argc, char** argv) {
   using namespace odtn;
   util::Args args(argc, argv);
   bench::WallTimer timer;
-  auto base = bench::base_config(args);
-  if (!args.has("runs")) base.runs = 20;  // whole-workload runs, not messages
-  base.copies = 4;  // spray regime: utility vs blind needs tickets to split
+  auto defaults = core::entry_defaults();
+  defaults.runs = 20;  // whole-workload runs, not messages
+  defaults.copies = 4;  // spray regime: utility vs blind needs tickets to split
+  auto base = bench::base_config(args, {}, defaults);
   bench::print_header(
       "Ablation", "Anonymity and p99 delay vs offered load",
       "n=100, K=3, g=5, L=4, T=1800, horizon=600, bandwidth=2/contact, "
@@ -42,18 +43,7 @@ int main(int argc, char** argv) {
                       "spray_tput", "spray_p99"},
                      offered, bench::Sweep::XFormat::kFixed2);
   sweep.run([&](double rate, util::Table& table) {
-    core::ExperimentConfig cfg = base;
-    traffic::FlowConfig flow;
-    flow.rate = rate;
-    flow.ttl = cfg.ttl;
-    flow.num_relays = cfg.num_relays;
-    flow.copies = cfg.copies;
-    cfg.traffic.flows.push_back(flow);
-    cfg.traffic.horizon = 600.0;
-    cfg.bandwidth.messages_per_contact = 2;
-    cfg.buffer_capacity = 8;
-    cfg.buffer_policy = sim::BufferPolicy::kDropOldest;
-
+    core::ExperimentConfig cfg = bench::loaded(base, rate);
     cfg.load_forwarder = core::LoadForwarder::kOnion;
     auto onion = bench::run_experiment(cfg, core::RandomGraphScenario{});
     cfg.load_forwarder = core::LoadForwarder::kUtility;

@@ -46,9 +46,10 @@ int main(int argc, char** argv) {
   using namespace odtn;
   util::Args args(argc, argv);
   bench::WallTimer timer;
-  auto base = bench::base_config(args);
-  if (!args.has("runs")) base.runs = 10;  // whole-workload runs, not messages
-  base.copies = 4;
+  auto defaults = core::entry_defaults();
+  defaults.runs = 10;  // whole-workload runs, not messages
+  defaults.copies = 4;
+  auto base = bench::base_config(args, {}, defaults);
   bench::print_header(
       "Ablation", "Recovery layer vs faults and offered load",
       "n=100, K=3, g=5, L=4, T=1800, horizon=600, bandwidth=2/contact, "
@@ -60,21 +61,6 @@ int main(int argc, char** argv) {
   const double eq7 =
       bench::run_experiment(base, core::RandomGraphScenario{})
           .ana_delivery.mean();
-
-  auto loaded_config = [&](double rate) {
-    core::ExperimentConfig cfg = base;
-    traffic::FlowConfig flow;
-    flow.rate = rate;
-    flow.ttl = cfg.ttl;
-    flow.num_relays = cfg.num_relays;
-    flow.copies = cfg.copies;
-    cfg.traffic.flows.push_back(flow);
-    cfg.traffic.horizon = 600.0;
-    cfg.bandwidth.messages_per_contact = 2;
-    cfg.buffer_capacity = 8;
-    cfg.buffer_policy = sim::BufferPolicy::kDropOldest;
-    return cfg;
-  };
 
   std::vector<double> off_col, on_col;
   auto off_on_cells = [&](core::ExperimentConfig cfg, util::Table& table) {
@@ -98,7 +84,7 @@ int main(int argc, char** argv) {
                             "recovery_on", "recovered", "off_p99", "on_p99"},
                            blackholes, bench::Sweep::XFormat::kFixed2);
   fault_sweep.run([&](double fraction, util::Table& table) {
-    auto cfg = loaded_config(0.4);
+    auto cfg = bench::loaded(base, 0.4);
     cfg.faults.p_fail = 0.2;
     cfg.faults.mean_uptime = 400.0;
     cfg.faults.mean_downtime = 100.0;
@@ -114,7 +100,7 @@ int main(int argc, char** argv) {
                            "recovery_on", "recovered", "off_p99", "on_p99"},
                           offered, bench::Sweep::XFormat::kFixed2);
   load_sweep.run([&](double rate, util::Table& table) {
-    auto cfg = loaded_config(rate);
+    auto cfg = bench::loaded(base, rate);
     cfg.faults.p_fail = 0.2;
     cfg.faults.mean_uptime = 400.0;
     cfg.faults.mean_downtime = 100.0;

@@ -39,35 +39,33 @@ namespace {
 
 }  // namespace
 
-core::ExperimentConfig base_config(
-    const util::Args& args, const std::vector<std::string>& extra_flags) {
+core::ExperimentConfig base_config(const util::Args& args,
+                                   const std::vector<std::string>& extra_flags,
+                                   core::ExperimentConfig config) {
   std::set_terminate(report_uncaught);
-  std::vector<std::string> known = {"runs",        "seed",
-                                    "threads",     "json",
-                                    "metrics-out", "contact-backend",
-                                    "avg-degree",  "communities",
-                                    "group-shards"};
+  std::vector<std::string> known = {
+      "runs",        "seed",        "threads",     "contact-backend",
+      "avg-degree",  "communities", "group-shards", "json",
+      "metrics-out"};
   known.insert(known.end(), extra_flags.begin(), extra_flags.end());
   args.reject_unknown(known);
   args.get_output("json");
   args.get_output("metrics-out");
+  config.collect_metrics = args.has("metrics-out");
+  core::parse_knobs(args, config, known);
+  return config;
+}
 
-  core::ExperimentConfig cfg;
-  cfg.runs = static_cast<std::size_t>(args.get_int("runs", 200));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  cfg.threads = static_cast<std::size_t>(args.get_int("threads", 0));
-  cfg.collect_metrics = args.has("metrics-out");
-  std::string backend = args.get("contact-backend", "dense");
-  if (backend == "sparse") {
-    cfg.backend = core::ContactBackend::kSparse;
-  } else if (backend != "dense") {
-    throw std::invalid_argument(
-        "bench: --contact-backend must be dense or sparse");
-  }
-  cfg.avg_degree = static_cast<std::size_t>(args.get_int("avg-degree", 0));
-  cfg.communities = static_cast<std::size_t>(args.get_int("communities", 0));
-  cfg.group_shards = static_cast<std::size_t>(args.get_int("group-shards", 0));
-  return cfg;
+core::ExperimentConfig loaded(core::ExperimentConfig config, double rate) {
+  config.traffic.flows.push_back({.rate = rate,
+                                  .num_relays = config.num_relays,
+                                  .copies = config.copies,
+                                  .ttl = config.ttl});
+  config.traffic.horizon = 600.0;
+  config.bandwidth.messages_per_contact = 2;
+  config.buffer_capacity = 8;
+  config.buffer_policy = sim::BufferPolicy::kDropOldest;
+  return config;
 }
 
 metrics::Registry& bench_metrics() {

@@ -2,24 +2,15 @@
 //
 // Every bench binary regenerates one figure of the paper: it prints one row
 // per x-value with analysis and simulation columns side by side — the same
-// series the figure plots. Common flags:
-//   --runs=N           simulation runs per point (default 200)
-//   --seed=S           experiment seed (default 1)
-//   --threads=T        worker threads per experiment (default 0 = all
-//                      hardware threads; results are bit-identical at
-//                      every T)
+// series the figure plots. Common flags: the knob-table rows --runs
+// (default 200), --seed, --threads (0 = all hardware threads; results are
+// bit-identical at every value) and the contact-backend knobs, plus
 //   --json=FILE        append a one-line odtn.bench.v1 JSON record (figure
-//                      id, parameters, wall time) so perf accumulates run
-//                      over run — the repo convention is
+//                      id, parameters, wall time); the repo convention is
 //                      BENCH_<figure_id>.json at the repo root
-//   --metrics-out=FILE write the deterministic odtn::metrics collected
-//                      across every experiment of the sweep (JSONL, or CSV
-//                      when FILE ends in .csv); byte-identical at every
+//   --metrics-out=FILE write the sweep's deterministic odtn::metrics
+//                      (JSONL, or CSV for *.csv), byte-identical at every
 //                      --threads value
-//   --contact-backend=dense|sparse
-//                      contact-rate storage (default dense; sparse enables
-//                      the scale regime), plus --avg-degree / --communities
-//                      / --group-shards sparse-side knobs
 #pragma once
 
 #include <chrono>
@@ -29,6 +20,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/config_schema.hpp"
 #include "core/experiment.hpp"
 #include "metrics/metrics.hpp"
 #include "util/args.hpp"
@@ -36,15 +28,23 @@
 
 namespace odtn::bench {
 
-/// Builds the Table II default configuration, with --runs / --seed /
-/// --threads applied; --metrics-out switches cfg.collect_metrics on.
+/// Parses the common knob flags (--runs / --seed / --threads and the
+/// contact-backend knobs), plus any knob flag named in `extra_flags`, onto
+/// `config` — a bench sets its own defaults there first, so an explicit
+/// flag always wins. --metrics-out switches config.collect_metrics on.
 /// Every bench calls it first, before any run: it rejects a flag that is
 /// neither a common one nor in `extra_flags`, checks that --json and
 /// --metrics-out can be written, and from then on reports an exception
 /// escaping main as one line on stderr — exit 2 for std::invalid_argument
 /// (bad input), exit 1 for anything else.
 core::ExperimentConfig base_config(
-    const util::Args& args, const std::vector<std::string>& extra_flags = {});
+    const util::Args& args, const std::vector<std::string>& extra_flags = {},
+    core::ExperimentConfig config = core::entry_defaults());
+
+/// The loaded stack of the load ablations: `config` plus one Poisson flow
+/// of `rate` msgs per time unit (with its K, L and T) over [0, 600), two
+/// transfers per contact and 8-slot drop-oldest buffers.
+core::ExperimentConfig loaded(core::ExperimentConfig config, double rate);
 
 /// Runs the experiment and folds its metrics into the bench-wide registry
 /// (bench_metrics()), which finish() exports when --metrics-out was given.

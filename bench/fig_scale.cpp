@@ -20,10 +20,9 @@
 //                     delivery-oriented sweep.
 //
 // Flags (besides the common ones): --n-list=1000,10000,100000
-// --avg-degree=12 --communities=16 --group-shards=64
+// --avg-degree=12 --communities=16 --group-shards=64 --g --K --L --T
 // --max-bytes-per-node=B (exit 1 if any point exceeds B — the CI memory
 // bound).
-#include <charconv>
 #include <cstdint>
 #include <iostream>
 #include <sstream>
@@ -34,57 +33,26 @@
 #include "graph/sparse_contact_graph.hpp"
 #include "metrics/writer.hpp"
 
-namespace {
-
-std::vector<std::size_t> parse_n_list(const std::string& spec) {
-  std::vector<std::size_t> ns;
-  std::istringstream in(spec);
-  std::string tok;
-  while (std::getline(in, tok, ',')) {
-    if (tok.empty()) continue;
-    std::size_t n = 0;
-    const char* end = tok.data() + tok.size();
-    if (std::from_chars(tok.data(), end, n).ptr != end) {
-      throw std::invalid_argument(
-          "fig_scale: --n-list entries must be integers");
-    }
-    ns.push_back(n);
-  }
-  if (ns.empty()) {
-    throw std::invalid_argument("fig_scale: --n-list must name at least one n");
-  }
-  return ns;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace odtn;
   util::Args args(argc, argv);
   bench::WallTimer timer;
+  auto defaults = core::entry_defaults();
+  defaults.runs = 8;  // big-n points; keep the sweep fast
+  defaults.backend = core::ContactBackend::kSparse;
+  defaults.avg_degree = 12;
+  defaults.communities = 16;
+  defaults.group_shards = 64;
   auto base = bench::base_config(
-      args, {"g", "K", "L", "T", "n-list", "max-bytes-per-node"});
-  if (!args.has("runs")) base.runs = 8;  // big-n points; keep the sweep fast
-  base.backend = core::ContactBackend::kSparse;
-  if (base.avg_degree == 0) {
-    base.avg_degree = static_cast<std::size_t>(args.get_int("avg-degree", 12));
-  }
-  if (base.communities == 0) {
-    base.communities = static_cast<std::size_t>(args.get_int("communities", 16));
-  }
-  if (base.group_shards == 0) {
-    base.group_shards =
-        static_cast<std::size_t>(args.get_int("group-shards", 64));
-  }
-  base.group_size = static_cast<std::size_t>(
-      args.get_int("g", static_cast<std::int64_t>(base.group_size)));
-  base.num_relays = static_cast<std::size_t>(
-      args.get_int("K", static_cast<std::int64_t>(base.num_relays)));
-  base.copies = static_cast<std::size_t>(
-      args.get_int("L", static_cast<std::int64_t>(base.copies)));
-  base.ttl = args.get_double("T", base.ttl);
-  auto ns = parse_n_list(args.get("n-list", "1000,10000,100000"));
+      args, {"g", "K", "L", "T", "n-list", "max-bytes-per-node"}, defaults);
+  auto ns = args.get_unsigned_list("n-list", "1000,10000,100000");
   double max_bytes_per_node = args.get_double("max-bytes-per-node", 0.0);
+  // Every point's configuration is checked before the first one runs.
+  for (std::size_t n : ns) {
+    auto cfg = base;
+    cfg.nodes = n;
+    core::Experiment(cfg).validate(core::RandomGraphScenario{});
+  }
 
   std::ostringstream fixed;
   fixed << "sparse backend, avg_degree=" << base.avg_degree

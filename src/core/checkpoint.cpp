@@ -1,42 +1,20 @@
 #include "core/checkpoint.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/config_schema.hpp"
 #include "metrics/writer.hpp"
 
 namespace odtn::core {
 
 namespace {
 
-constexpr const char* kMagic = "odtn.checkpoint.v1";
-
-struct StatField {
-  const char* name;
-  util::RunningStats ExperimentResult::*member;
-};
-
-constexpr StatField kStatFields[] = {
-    {"sim_delivered", &ExperimentResult::sim_delivered},
-    {"sim_delay", &ExperimentResult::sim_delay},
-    {"sim_transmissions", &ExperimentResult::sim_transmissions},
-    {"sim_traceable", &ExperimentResult::sim_traceable},
-    {"sim_anonymity", &ExperimentResult::sim_anonymity},
-    {"ana_delivery", &ExperimentResult::ana_delivery},
-    {"ana_traceable_paper", &ExperimentResult::ana_traceable_paper},
-    {"ana_traceable_exact", &ExperimentResult::ana_traceable_exact},
-    {"ana_anonymity", &ExperimentResult::ana_anonymity},
-    {"ana_cost_bound", &ExperimentResult::ana_cost_bound},
-    {"ana_cost_non_anonymous", &ExperimentResult::ana_cost_non_anonymous},
-    // Loaded-traffic stats (appended in PR 7; the loader tolerates their
-    // absence from older checkpoint files, which zero-traffic configs can
-    // still resume from).
-    {"sim_throughput", &ExperimentResult::sim_throughput},
-    {"sim_p99_delay", &ExperimentResult::sim_p99_delay},
-};
+constexpr const char* kMagic = "odtn.checkpoint.v2";
 
 std::string fmt(double v) { return metrics::format_double(v); }
 
@@ -66,10 +44,6 @@ std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t size) {
   return h;
 }
 
-std::uint64_t fnv1a(const std::string& s) {
-  return fnv1a(kFnvBasis, s.data(), s.size());
-}
-
 template <typename T>
 std::uint64_t fold(std::uint64_t h, T v) {
   return fnv1a(h, &v, sizeof v);
@@ -83,68 +57,8 @@ std::uint64_t fold(std::uint64_t h, T v) {
 
 std::uint64_t checkpoint_config_hash(const ExperimentConfig& c,
                                      const std::string& scenario_tag) {
-  std::ostringstream os;
-  os << scenario_tag << "|nodes=" << c.nodes << "|min_ict=" << fmt(c.min_ict)
-     << "|max_ict=" << fmt(c.max_ict)
-     << "|backend=" << static_cast<int>(c.backend)
-     << "|deg=" << c.avg_degree << "|comm=" << c.communities
-     << "|shards=" << c.group_shards << "|g=" << c.group_size
-     << "|K=" << c.num_relays << "|L=" << c.copies << "|ttl=" << fmt(c.ttl)
-     << "|p=" << fmt(c.compromise_fraction)
-     << "|gap=" << fmt(c.trace_training_gap) << "|seed=" << c.seed
-     << "|crypto=" << static_cast<int>(c.crypto)
-     << "|spray=" << static_cast<int>(c.spray)
-     << "|metrics=" << (c.collect_metrics ? 1 : 0)
-     << "|f.up=" << fmt(c.faults.mean_uptime)
-     << "|f.down=" << fmt(c.faults.mean_downtime)
-     << "|f.pfail=" << fmt(c.faults.p_fail);
-  if (c.faults.gilbert_elliott.has_value()) {
-    const auto& ge = *c.faults.gilbert_elliott;
-    os << "|f.ge=" << fmt(ge.p_good_to_bad) << "," << fmt(ge.p_bad_to_good)
-       << "," << fmt(ge.p_fail_good) << "," << fmt(ge.p_fail_bad);
-  }
-  os << "|f.bh=" << fmt(c.faults.blackhole_fraction)
-     << "|f.abort=" << fmt(c.faults.p_run_abort);
-  // Traffic/load fields are appended only when the workload engine is on,
-  // preserving every pre-traffic config hash (zero-knob configs resume
-  // from checkpoints written by older builds).
-  if (c.traffic.enabled()) {
-    os << "|t.h=" << fmt(c.traffic.horizon)
-       << "|t.fwd=" << static_cast<int>(c.load_forwarder)
-       << "|t.cap=" << c.buffer_capacity
-       << "|t.pol=" << static_cast<int>(c.buffer_policy)
-       << "|t.bw=" << c.bandwidth.messages_per_contact << ","
-       << fmt(c.bandwidth.mean_duration) << ","
-       << fmt(c.bandwidth.transfer_time);
-    for (const auto& f : c.traffic.flows) {
-      os << "|t.flow=" << static_cast<int>(f.arrival) << "," << fmt(f.rate)
-         << "," << fmt(f.burst_factor) << "," << fmt(f.mean_burst) << ","
-         << fmt(f.mean_idle) << "," << static_cast<int>(f.priority) << ","
-         << f.src_lo << "," << f.src_hi << "," << f.dst_lo << "," << f.dst_hi
-         << "," << f.num_relays << "," << f.copies << "," << fmt(f.ttl);
-    }
-  }
-  // Recovery fields follow the same append-only-when-enabled pattern:
-  // zero-knob configs hash identically to builds without the layer.
-  if (c.recovery.enabled()) {
-    const auto& r = c.recovery;
-    os << "|r.ack=" << (r.acks ? 1 : 0) << "|r.to=" << fmt(r.retx_timeout)
-       << "|r.max=" << r.retx_max << "|r.bo=" << fmt(r.retx_backoff)
-       << "|r.j=" << fmt(r.retx_jitter) << "|r.sa=" << fmt(r.suspicion_alpha)
-       << "|r.st=" << fmt(r.suspicion_threshold)
-       << "|r.so=" << fmt(r.shed_occupancy)
-       << "|r.ss=" << fmt(r.shed_saturation)
-       << "|r.sp=" << static_cast<int>(r.shed_priority_floor);
-  }
-  if (c.utility_failure_penalty > 0.0) {
-    os << "|r.ufp=" << fmt(c.utility_failure_penalty);
-  }
-  // Wire-accurate circuit fields: same append-only-when-enabled pattern,
-  // so wire-off configs keep every pre-circuit hash.
-  if (c.wire_cells) {
-    os << "|w.cells=1|w.cs=" << c.cell_size;
-  }
-  return fnv1a(os.str());
+  const std::string canonical = scenario_tag + canonical_identity(c);
+  return fnv1a(kFnvBasis, canonical.data(), canonical.size());
 }
 
 std::string trace_scenario_tag(const trace::ContactTrace& trace) {
@@ -173,7 +87,7 @@ void save_checkpoint(const std::string& path, std::uint64_t config_hash,
   os << "hash " << config_hash << "\n";
   os << "completed " << data.completed_runs << "\n";
   os << "delivered_runs " << r.delivered_runs << "\n";
-  for (const StatField& f : kStatFields) {
+  for (const ResultStat& f : kResultStats) {
     util::RunningStats::State s = (r.*(f.member)).state();
     os << "stat " << f.name << " " << s.n << " " << fmt(s.mean) << " "
        << fmt(s.m2) << " " << fmt(s.min) << " " << fmt(s.max) << "\n";
@@ -234,8 +148,12 @@ std::optional<CheckpointData> load_checkpoint(const std::string& path,
 
   std::string line;
   if (!std::getline(in, line) || line != kMagic) {
-    throw std::runtime_error("checkpoint: " + path +
-                             " is not an odtn.checkpoint.v1 file");
+    throw std::runtime_error(
+        "checkpoint: " + path +
+        (line == "odtn.checkpoint.v1"
+             ? " is an odtn.checkpoint.v1 file, whose config hash this build "
+               "no longer computes; rerun the sweep"
+             : " is not an odtn.checkpoint.v2 file"));
   }
 
   CheckpointData data;
@@ -268,17 +186,13 @@ std::optional<CheckpointData> load_checkpoint(const std::string& path,
       s.m2 = parse_double(m2, line);
       s.min = parse_double(mn, line);
       s.max = parse_double(mx, line);
-      bool known = false;
-      for (const StatField& f : kStatFields) {
-        if (name == f.name) {
-          data.result.*(f.member) = util::RunningStats::from_state(s);
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
+      const ResultStat* f = std::find_if(
+          std::begin(kResultStats), std::end(kResultStats),
+          [&](const ResultStat& r) { return name == r.name; });
+      if (f == std::end(kResultStats)) {
         throw std::runtime_error("checkpoint: unknown stat '" + name + "'");
       }
+      data.result.*(f->member) = util::RunningStats::from_state(s);
     } else if (tag == "failed") {
       ExperimentResult::FailedRun fr;
       if (!(ls >> fr.run >> fr.seed)) malformed(line);

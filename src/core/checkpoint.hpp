@@ -11,8 +11,9 @@
 // parsed back with strtod, so the round trip is exact, not approximate.
 //
 // A checkpoint is only valid for the experiment that wrote it: the file
-// carries a hash of the outcome-determining config fields plus a scenario
-// tag, and load_checkpoint refuses a mismatch.
+// (odtn.checkpoint.v2) carries a hash of the config's identity knobs plus a
+// scenario tag, and load_checkpoint refuses a mismatch — and any v1 file,
+// whose hash was computed differently.
 #pragma once
 
 #include <cstdint>
@@ -23,12 +24,12 @@
 
 namespace odtn::core {
 
-/// Hash over the config fields that determine run outcomes (network,
-/// protocol, adversary, fault and seed parameters) plus `scenario_tag`
-/// ("random_graph", or a trace_scenario_tag). Deliberately excludes runs,
-/// threads and the checkpoint knobs themselves: extending a sweep to more
-/// runs or resuming with a different thread count is legitimate and
-/// changes nothing about the runs already folded.
+/// FNV-1a over `scenario_tag` ("random_graph", or a trace_scenario_tag)
+/// and the canonical serialization of every identity row of the knob
+/// table (canonical_identity in core/config_schema.hpp). The harness rows
+/// — runs, threads and the checkpoint knobs — are not identity rows:
+/// extending a sweep to more runs or resuming with a different thread
+/// count is legitimate and changes nothing about the runs already folded.
 std::uint64_t checkpoint_config_hash(const ExperimentConfig& config,
                                      const std::string& scenario_tag);
 

@@ -13,22 +13,17 @@
 
 namespace odtn::core {
 
-/// Contact-rate storage backend for experiments.
-///
-///  * kDense — the historical O(n²) triangular ContactGraph. Byte-identical
-///    to every recorded baseline; the default.
-///  * kSparse — the CSR SparseContactGraph. O(n + m) memory; required for
-///    the scale regime (n = 10⁵–10⁶), and byte-identical to kDense on
-///    complete graphs at paper scale (same RNG draw sequence).
+/// Contact-rate storage: the historical O(n²) triangular ContactGraph
+/// (kDense, the default), or the CSR SparseContactGraph (kSparse: O(n + m)
+/// memory for n = 10⁵–10⁶, byte-identical to kDense on complete graphs at
+/// paper scale — the same RNG draw sequence).
 enum class ContactBackend : std::uint8_t { kDense, kSparse };
 
-/// Forwarding family for loaded-traffic experiments (config.traffic):
-///  * kOnion      — the paper's onion-group forwarding, per-flow K/L.
-///  * kUtility    — routing::UtilityForwarder: replicate by marginal
-///    delivery utility, back off from saturated next-hop buffers.
-///  * kSprayBlind — the same forwarder with the utility gate and the
-///    congestion backoff disabled: congestion-ignorant spray, the control
-///    that isolates what utility awareness buys under load.
+/// Forwarding family for loaded-traffic experiments: the paper's onion
+/// groups (kOnion, per-flow K/L); routing::UtilityForwarder (kUtility:
+/// replicate by marginal delivery utility, back off from saturated
+/// buffers); or the same forwarder with both gates off (kSprayBlind, the
+/// congestion-ignorant control).
 enum class LoadForwarder : std::uint8_t { kOnion, kUtility, kSprayBlind };
 
 /// "onion", "utility", or "spray-blind".
@@ -37,23 +32,28 @@ const char* load_forwarder_name(LoadForwarder f);
 /// Default values are the paper's defaults (Table II and Sec. V-A):
 /// n = 100 nodes, inter-contact times uniform in [10, 360] minutes,
 /// g = 5, K = 3, L = 1, T up to 1800 minutes, 10% compromised nodes.
+///
+/// Every field is one row of the knob table (core/config_schema.cpp): its
+/// flag, usage line, and whether it enters the checkpoint hash.
+///
+/// Each optional layer — faults, traffic, recovery, wire cells — is off at
+/// its defaults: no plan is built, no RNG stream is drawn or derived, no
+/// metric of the layer registers, and every export is byte-identical to a
+/// build without it. When on, a run seeds the layer from its own RNG
+/// stream, so output stays bit-identical at every thread count.
 struct ExperimentConfig {
   // Network (random contact graph).
   std::size_t nodes = 100;
   double min_ict = 10.0;
   double max_ict = 360.0;
 
-  /// Contact storage backend. Sparse-only knobs below must stay 0 on the
-  /// dense backend (validated with a one-line error).
+  /// avg_degree and communities shape sparse random graphs and must stay 0
+  /// on the dense backend (validated); avg_degree 0 is the paper's complete
+  /// graph. group_shards > 0 permutes the group directory lazily per shard:
+  /// O((K+2) * shard_size) directory work per run instead of O(n).
   ContactBackend backend = ContactBackend::kDense;
-  /// Sparse random graphs: target mean contact degree per node. 0 keeps the
-  /// paper's complete graph (only feasible up to a few thousand nodes).
   std::size_t avg_degree = 0;
-  /// With avg_degree > 0: number of community blocks (0 = one community).
   std::size_t communities = 0;
-  /// Group-directory sharding: nodes are permuted per contiguous shard
-  /// instead of globally, lazily — O((K+2) * shard_size) directory work per
-  /// run instead of O(n). 0 keeps the explicit global permutation.
   std::size_t group_shards = 0;
 
   // Protocol parameters.
@@ -65,89 +65,62 @@ struct ExperimentConfig {
   // Adversary.
   double compromise_fraction = 0.1;  // c / n
 
-  // Trace experiments only: rate training caps network-wide silent gaps at
-  // this many time units when estimating contact rates (the paper's
-  // "training the traces"). 0 disables the correction (wall-clock rates).
+  // Trace experiments only: the paper's "training the traces" caps
+  // network-wide silent gaps at this many time units (0 = wall-clock rates).
   double trace_training_gap = 1800.0;
 
   // Harness.
   std::size_t runs = 100;
   std::uint64_t seed = 1;
-  /// Worker threads for the experiment engine (0 = all hardware threads).
-  /// Each run draws from an RNG seeded with derive_seed(seed, run_index)
-  /// and outcomes fold in run order, so results are bit-identical at every
-  /// thread count — `threads` only changes wall-clock time.
+  /// Worker threads (0 = all hardware threads). Run i draws from
+  /// derive_seed(seed, i) and outcomes fold in run order, so results are
+  /// bit-identical at every thread count.
   std::size_t threads = 1;
   routing::CryptoMode crypto = routing::CryptoMode::kNone;
   routing::SprayMode spray = routing::SprayMode::kSprayAndWait;
-  /// Collect odtn::metrics during the experiment: each run writes to its
-  /// own per-run Registry (no cross-thread sharing) and the registries fold
-  /// into ExperimentResult::metrics in run order, so the collected metrics
-  /// are bit-identical at every thread count. Off by default: the engine
-  /// then passes null sinks and instrumentation costs one dead branch.
+  /// Collect odtn::metrics: per-run registries fold into
+  /// ExperimentResult::metrics in run order (bit-identical at every thread
+  /// count). Off, the engine passes null sinks.
   bool collect_metrics = false;
 
-  // Robustness (see odtn::faults). All-zero (the default) disables the
-  // fault layer entirely: no FaultPlan is built, the run RNG draws exactly
-  // the same sequence, and results are byte-identical to a fault-free
-  // build. When enabled, each run realizes its own plan seeded from the
-  // run's RNG stream, so faulty sweeps keep the bit-identical-at-any-
-  // thread-count guarantee.
+  // Robustness (see odtn::faults): churn, link loss, blackholes, aborts.
   faults::FaultConfig faults;
 
-  /// When non-empty, the engine writes a progress checkpoint (completed-run
-  /// count + folded stats + quarantine list) to this file atomically
-  /// (tmp + rename) after every `checkpoint_interval` runs.
+  /// When non-empty, the engine snapshots its folded progress to this file
+  /// atomically after every `checkpoint_interval` runs (minimum 1); with
+  /// `resume` it continues from the file, byte-identically, if the file's
+  /// hash of the identity knobs and the scenario matches (core/checkpoint).
   std::string checkpoint_path;
-  /// Runs folded per checkpoint chunk (minimum 1).
   std::size_t checkpoint_interval = 16;
-  /// Resume from checkpoint_path if it exists. The file is validated
-  /// against a hash of the outcome-determining config fields (protocol,
-  /// network, faults, seed, scenario — not runs/threads/checkpoint knobs);
-  /// a resumed sweep is byte-identical to an uninterrupted one.
   bool resume = false;
 
-  // Heavy traffic (see odtn::traffic). Default-disabled: with no flows the
-  // engine runs the historical one-message-per-run realizations, draws the
-  // identical RNG sequence, and exports byte-identical results — the same
-  // zero-knob contract as the fault layer. When traffic.enabled(), each
-  // run samples a contact trace over [0, horizon + max ttl), expands the
-  // flows into a TrafficPlan seeded from the run's RNG stream, and pushes
-  // the whole workload through sim::run_network_sim. Random-graph
-  // scenarios only (dense or sparse backend).
+  // Heavy traffic (see odtn::traffic). When traffic.enabled(), each run
+  // samples a contact trace over [0, horizon + max ttl), expands the flows
+  // into a TrafficPlan and pushes the whole workload through
+  // sim::run_network_sim. Random-graph scenarios only (either backend).
   traffic::TrafficConfig traffic;
-  /// Finite contact bandwidth for loaded runs (requires traffic).
+  /// Contact bandwidth, per-node buffers (0 slots = unlimited) and the
+  /// forwarding family of loaded runs; they require traffic (validated).
   sim::ContactBandwidth bandwidth;
-  /// Per-node buffer capacity for loaded runs; 0 = unlimited (requires
-  /// traffic to have any effect — validated).
   std::size_t buffer_capacity = 0;
   sim::BufferPolicy buffer_policy = sim::BufferPolicy::kRejectNew;
-  /// Forwarding family under load (requires traffic).
   LoadForwarder load_forwarder = LoadForwarder::kOnion;
   /// Utility/spray-blind forwarders only: discount a receiver's utility by
   /// an EWMA of its observed transfer failures (recovery feedback; see
   /// routing::UtilityForwarderConfig::failure_penalty). 0 disables.
   double utility_failure_penalty = 0.0;
 
-  // End-to-end reliability (see odtn::recovery). Default-disabled with the
-  // same zero-knob contract as faults and traffic: no recovery RNG stream
-  // is derived, no recovery.* metrics register, and every export is
-  // byte-identical to a build without the layer. Retransmission and
-  // suspicion-biased retry groups apply to both the unloaded onion
-  // protocols and loaded runs; ACK anti-packets and overload shedding are
-  // network-simulator semantics and require traffic (validated).
+  // End-to-end reliability (see odtn::recovery). Retransmission and
+  // suspicion-biased retries apply to unloaded and loaded runs; ACK
+  // anti-packets and overload shedding require traffic (validated).
   recovery::RecoveryConfig recovery;
 
-  // Wire-accurate circuit layer (see src/circuit). Default-off with the
-  // same zero-knob contract as every other layer: the historical one-blob
-  // secure links are used, no circuit.* or sim.wire_* metrics register,
-  // and every export stays byte-identical. When on, unloaded runs
-  // fragment each contact crossing into sealed fixed-size cells (requires
-  // CryptoMode::kReal — validated) and loaded runs charge each transfer
-  // its cell cost against the contact-bandwidth budget.
+  // Wire-accurate circuit layer (see src/circuit). Unloaded runs fragment
+  // each contact crossing into sealed fixed-size cells (requires
+  // CryptoMode::kReal — validated); loaded runs charge each transfer its
+  // cell cost against the contact-bandwidth budget.
   bool wire_cells = false;
-  /// On-the-wire cell size in bytes (wire mode only; validated against
-  /// circuit::kMinCellSize/kMaxCellSize at run() time).
+  /// In [circuit::kMinCellSize, kMaxCellSize] (validated in wire mode).
   std::size_t cell_size = circuit::kDefaultCellSize;
 };
 

@@ -42,19 +42,9 @@ const char* load_forwarder_name(LoadForwarder f) {
 }
 
 void ExperimentResult::merge(const ExperimentResult& other) {
-  sim_delivered.merge(other.sim_delivered);
-  sim_delay.merge(other.sim_delay);
-  sim_transmissions.merge(other.sim_transmissions);
-  sim_traceable.merge(other.sim_traceable);
-  sim_anonymity.merge(other.sim_anonymity);
-  sim_throughput.merge(other.sim_throughput);
-  sim_p99_delay.merge(other.sim_p99_delay);
-  ana_delivery.merge(other.ana_delivery);
-  ana_traceable_paper.merge(other.ana_traceable_paper);
-  ana_traceable_exact.merge(other.ana_traceable_exact);
-  ana_anonymity.merge(other.ana_anonymity);
-  ana_cost_bound.merge(other.ana_cost_bound);
-  ana_cost_non_anonymous.merge(other.ana_cost_non_anonymous);
+  for (const ResultStat& s : kResultStats) {
+    (this->*s.member).merge(other.*s.member);
+  }
   delivered_runs += other.delivered_runs;
   failed_runs.insert(failed_runs.end(), other.failed_runs.begin(),
                      other.failed_runs.end());
@@ -91,6 +81,15 @@ struct RunOutcome {
   metrics::Registry metrics;
 };
 
+// group_shards == 0 is the historical global permutation (same RNG draws
+// as ever); a sharded directory draws one seed and permutes lazily.
+groups::GroupDirectory make_directory(const ExperimentConfig& cfg,
+                                      std::size_t n, util::Rng& rng) {
+  if (cfg.group_shards == 0) return {n, cfg.group_size, &rng};
+  return {n, cfg.group_size,
+          groups::GroupDirectory::Sharded{cfg.group_shards, rng.next()}};
+}
+
 // Shared per-realization kernel, once a contact model, rates-for-analysis,
 // endpoints and start time are fixed. Every random draw comes from `rng`,
 // which the engine seeds from (config.seed, run index). `reg` is the run's
@@ -103,15 +102,7 @@ RunOutcome run_once(const ExperimentConfig& cfg, sim::ContactModel& contacts,
   RunOutcome out;
   std::size_t n = contacts.node_count();
 
-  // group_shards == 0 is the historical global permutation (same RNG
-  // consumption as ever); sharded directories draw one seed and permute
-  // lazily per shard.
-  groups::GroupDirectory directory =
-      cfg.group_shards > 0
-          ? groups::GroupDirectory(
-                n, cfg.group_size,
-                groups::GroupDirectory::Sharded{cfg.group_shards, rng.next()})
-          : groups::GroupDirectory(n, cfg.group_size, &rng);
+  groups::GroupDirectory directory = make_directory(cfg, n, rng);
   groups::KeyManager keys(directory, rng.next());
   onion::OnionCodec codec;
 
@@ -224,12 +215,7 @@ RunOutcome run_loaded(const ExperimentConfig& cfg,
   out.loaded = true;
   const std::size_t n = contact_trace.node_count();
 
-  groups::GroupDirectory directory =
-      cfg.group_shards > 0
-          ? groups::GroupDirectory(
-                n, cfg.group_size,
-                groups::GroupDirectory::Sharded{cfg.group_shards, rng.next()})
-          : groups::GroupDirectory(n, cfg.group_size, &rng);
+  groups::GroupDirectory directory = make_directory(cfg, n, rng);
 
   traffic::TrafficPlan plan(cfg.traffic, n, rng.next());
 
@@ -419,10 +405,8 @@ ExperimentResult run_engine(const ExperimentConfig& config, std::size_t n,
   }
 
   AnalysisConstants k = analysis_constants(config, n);
-  const std::size_t chunk_size =
-      checkpointing
-          ? std::max<std::size_t>(std::size_t{1}, config.checkpoint_interval)
-          : std::max<std::size_t>(std::size_t{1}, config.runs);
+  const std::size_t chunk_size = std::max<std::size_t>(
+      1, checkpointing ? config.checkpoint_interval : config.runs);
 
   for (std::size_t chunk_start = start_run; chunk_start < config.runs;
        chunk_start += chunk_size) {
@@ -511,6 +495,13 @@ void pick_endpoints(util::Rng& rng, std::size_t n, NodeId& src, NodeId& dst) {
   src = static_cast<NodeId>(rng.below(n));
   dst = static_cast<NodeId>(rng.below(n - 1));
   if (dst >= src) ++dst;
+}
+
+// A source with no contacts at all: the run counts, undelivered.
+RunOutcome isolated_source(metrics::Registry* reg) {
+  metrics::counter(reg, "experiment.runs").inc();
+  metrics::counter(reg, "experiment.isolated_sources").inc();
+  return RunOutcome{};
 }
 
 // Sparse complete graphs store n(n-1)/2 edges explicitly; past a few
@@ -629,10 +620,14 @@ Time loaded_trace_horizon(const ExperimentConfig& cfg) {
 
 }  // namespace
 
-ExperimentResult Experiment::run(const Scenario& scenario) const {
+void Experiment::validate(const Scenario& scenario) const {
   validate_backend(config_, scenario);
   validate_traffic(config_, scenario);
   validate_wire(config_);
+}
+
+ExperimentResult Experiment::run(const Scenario& scenario) const {
+  validate(scenario);
   return std::visit(
       [this](const auto& s) -> ExperimentResult {
         using S = std::decay_t<decltype(s)>;
@@ -650,52 +645,39 @@ ExperimentResult Experiment::run(const Scenario& scenario) const {
 ExperimentResult Experiment::run_random_graph(
     const RandomGraphScenario&) const {
   const ExperimentConfig& cfg = config_;
-  const bool loaded = cfg.traffic.enabled();
-  if (cfg.backend == ContactBackend::kSparse) {
-    return run_engine(
-        cfg, cfg.nodes, "random_graph",
-        [&](std::size_t, util::Rng& rng, metrics::Registry* reg) {
-          // avg_degree == 0 draws the identical RNG sequence as the dense
-          // generator, so paper-scale sparse runs reproduce dense results
-          // bit-for-bit; avg_degree > 0 is the O(n·degree) scale regime.
-          graph::SparseContactGraph graph =
-              cfg.avg_degree == 0
-                  ? graph::sparse_random_contact_graph(cfg.nodes, rng,
-                                                       cfg.min_ict, cfg.max_ict)
-                  : graph::sparse_community_contact_graph(
-                        cfg.nodes, cfg.avg_degree,
-                        std::max<std::size_t>(std::size_t{1}, cfg.communities),
-                        rng, cfg.min_ict, cfg.max_ict);
-          if (loaded) {
-            // The sampler visits pairs in the same (i, j) order on both
-            // backends, so paper-scale loaded runs match across backends
-            // bit-for-bit too.
-            trace::ContactTrace events = trace::sample_poisson_trace(
-                graph, loaded_trace_horizon(cfg), rng);
-            return run_loaded(cfg, events, rng, reg);
-          }
-          sim::PoissonContactModel contacts(graph, rng);
-
-          NodeId src, dst;
-          pick_endpoints(rng, cfg.nodes, src, dst);
-          return run_once(cfg, contacts, graph, src, dst, /*start=*/0.0, rng,
-                          reg);
-        });
-  }
-  return run_engine(cfg, cfg.nodes, "random_graph",
-                    [&](std::size_t, util::Rng& rng, metrics::Registry* reg) {
-    graph::ContactGraph graph = graph::random_contact_graph(
-        cfg.nodes, rng, cfg.min_ict, cfg.max_ict);
-    if (loaded) {
+  // One realization on a freshly drawn graph of either backend: the
+  // sampler and the contact model visit pairs in the same (i, j) order on
+  // both, so paper-scale runs match across backends bit-for-bit.
+  auto realize = [&](const auto& graph, util::Rng& rng,
+                     metrics::Registry* reg) {
+    if (cfg.traffic.enabled()) {
       trace::ContactTrace events =
           trace::sample_poisson_trace(graph, loaded_trace_horizon(cfg), rng);
       return run_loaded(cfg, events, rng, reg);
     }
     sim::PoissonContactModel contacts(graph, rng);
-
     NodeId src, dst;
     pick_endpoints(rng, cfg.nodes, src, dst);
     return run_once(cfg, contacts, graph, src, dst, /*start=*/0.0, rng, reg);
+  };
+  return run_engine(cfg, cfg.nodes, "random_graph",
+                    [&](std::size_t, util::Rng& rng, metrics::Registry* reg) {
+    if (cfg.backend == ContactBackend::kDense) {
+      return realize(graph::random_contact_graph(cfg.nodes, rng, cfg.min_ict,
+                                                 cfg.max_ict),
+                     rng, reg);
+    }
+    // avg_degree == 0 draws the identical RNG sequence as the dense
+    // generator; avg_degree > 0 is the O(n·degree) scale regime.
+    return realize(
+        cfg.avg_degree == 0
+            ? graph::sparse_random_contact_graph(cfg.nodes, rng, cfg.min_ict,
+                                                 cfg.max_ict)
+            : graph::sparse_community_contact_graph(
+                  cfg.nodes, cfg.avg_degree,
+                  std::max<std::size_t>(std::size_t{1}, cfg.communities), rng,
+                  cfg.min_ict, cfg.max_ict),
+        rng, reg);
   });
 }
 
@@ -735,11 +717,7 @@ ExperimentResult Experiment::run_trace(const TraceScenario& scenario) const {
         pick_endpoints(rng, trace.node_count(), src, dst);
 
         const std::vector<Time>& times = contact_times[src];
-        if (times.empty()) {
-          metrics::counter(reg, "experiment.runs").inc();
-          metrics::counter(reg, "experiment.isolated_sources").inc();
-          return RunOutcome{};  // isolated node: a failed run
-        }
+        if (times.empty()) return isolated_source(reg);
         Time start = times[rng.below(times.size())];
 
         sim::TraceContactModel contacts(trace);
@@ -782,11 +760,7 @@ ExperimentResult Experiment::run_sparse_trace(
         NodeId src, dst;
         pick_endpoints(rng, summary.node_count, src, dst);
 
-        if (summary.rates.degree(src) == 0) {
-          metrics::counter(reg, "experiment.runs").inc();
-          metrics::counter(reg, "experiment.isolated_sources").inc();
-          return RunOutcome{};  // isolated node: a failed run
-        }
+        if (summary.rates.degree(src) == 0) return isolated_source(reg);
 
         sim::PoissonContactModel contacts(summary.rates, rng);
         return run_once(cfg, contacts, summary.rates, src, dst,

@@ -89,6 +89,28 @@ struct ExperimentResult {
   void merge(const ExperimentResult& other);
 };
 
+/// Every RunningStats member of ExperimentResult with its name: merge and
+/// the checkpoint reader and writer walk this one list.
+struct ResultStat {
+  const char* name;
+  util::RunningStats ExperimentResult::*member;
+};
+inline constexpr ResultStat kResultStats[] = {
+    {"sim_delivered", &ExperimentResult::sim_delivered},
+    {"sim_delay", &ExperimentResult::sim_delay},
+    {"sim_transmissions", &ExperimentResult::sim_transmissions},
+    {"sim_traceable", &ExperimentResult::sim_traceable},
+    {"sim_anonymity", &ExperimentResult::sim_anonymity},
+    {"ana_delivery", &ExperimentResult::ana_delivery},
+    {"ana_traceable_paper", &ExperimentResult::ana_traceable_paper},
+    {"ana_traceable_exact", &ExperimentResult::ana_traceable_exact},
+    {"ana_anonymity", &ExperimentResult::ana_anonymity},
+    {"ana_cost_bound", &ExperimentResult::ana_cost_bound},
+    {"ana_cost_non_anonymous", &ExperimentResult::ana_cost_non_anonymous},
+    {"sim_throughput", &ExperimentResult::sim_throughput},
+    {"sim_p99_delay", &ExperimentResult::sim_p99_delay},
+};
+
 /// Random-contact-graph experiments (Sec. V-A "Random graphs"). Each run:
 /// fresh graph, random (src, dst), random relay groups, random compromise
 /// set. Graph parameters come from the ExperimentConfig (nodes, min_ict,
@@ -139,6 +161,10 @@ class Experiment {
   const ExperimentConfig& config() const { return config_; }
 
   ExperimentResult run(const Scenario& scenario) const;
+
+  /// The checks run() makes before any run: throws std::invalid_argument
+  /// (one line) on an unsupported knob combination for `scenario`.
+  void validate(const Scenario& scenario) const;
 
  private:
   ExperimentResult run_random_graph(const RandomGraphScenario& s) const;

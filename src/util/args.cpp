@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 // odtn-lint: allow(include) — std::exit for flag usage errors only
 #include <cstdlib>
 
@@ -25,14 +26,27 @@ namespace {
 }
 
 // A numeric flag must parse completely: an empty, unparsable or
-// trailing-garbage value is a usage error.
+// trailing-garbage `token` — all of `value`, or one entry of a list value —
+// is a usage error.
 template <typename T>
-T parse_number(const std::string& name, const std::string& s) {
+T parse_number(const std::string& name, const std::string& value,
+               const std::string& token, const char* what) {
   T v{};
-  const char* end = s.data() + s.size();
-  auto [ptr, ec] = std::from_chars(s.data(), end, v);
-  if (s.empty() || ec != std::errc() || ptr != end) {
-    bad_value(name, s, "is not a number");
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  if (token.empty() || ec != std::errc() || ptr != end) {
+    bad_value(name, value, what);
+  }
+  return v;
+}
+
+// One count or size `token` of `value`: a whole number in [0, max].
+std::uint64_t parse_unsigned(const std::string& name, const std::string& value,
+                             const std::string& token, std::uint64_t max) {
+  const auto v = parse_number<std::uint64_t>(name, value, token,
+                                             "is not a non-negative integer");
+  if (v > max) {
+    bad_value(name, value, ("exceeds " + std::to_string(max)).c_str());
   }
   return v;
 }
@@ -68,13 +82,36 @@ std::string Args::get(const std::string& name, const std::string& def) const {
 
 std::int64_t Args::get_int(const std::string& name, std::int64_t def) const {
   auto it = flags_.find(name);
-  return it == flags_.end() ? def
-                            : parse_number<std::int64_t>(name, it->second);
+  if (it == flags_.end()) return def;
+  return parse_number<std::int64_t>(name, it->second, it->second,
+                                    "is not a number");
+}
+
+std::uint64_t Args::get_unsigned(const std::string& name, std::uint64_t def,
+                                 std::uint64_t max) const {
+  auto it = flags_.find(name);
+  return it == flags_.end()
+             ? def
+             : parse_unsigned(name, it->second, it->second, max);
+}
+
+std::vector<std::uint64_t> Args::get_unsigned_list(const std::string& name,
+                                                   const std::string& def,
+                                                   std::uint64_t max) const {
+  const std::string value = get(name, def);
+  std::vector<std::uint64_t> values;
+  std::istringstream in(value);
+  for (std::string tok; std::getline(in, tok, ',');) {
+    values.push_back(parse_unsigned(name, value, tok, max));
+  }
+  if (values.empty()) bad_value(name, value, "names no value");
+  return values;
 }
 
 double Args::get_double(const std::string& name, double def) const {
   auto it = flags_.find(name);
-  return it == flags_.end() ? def : parse_number<double>(name, it->second);
+  if (it == flags_.end()) return def;
+  return parse_number<double>(name, it->second, it->second, "is not a number");
 }
 
 bool Args::get_bool(const std::string& name, bool def) const {

@@ -1,10 +1,8 @@
-// Minimal command-line flag parsing for the bench/example binaries.
+// Minimal command-line flag parsing for the odtn and bench binaries.
 //
 // Accepts flags of the form `--name=value` or `--name value`; anything else
 // is collected as a positional argument. A binary lists the flags it
-// accepts (reject_unknown), so a misspelt flag is an error, not a no-op.
-// Benches use this so runs, seeds and sweep ranges can be overridden
-// without recompiling:
+// accepts (reject_unknown), so a misspelt flag is an error, not a no-op:
 //
 //   fig04_delivery_vs_deadline_group --runs=500 --seed=7
 #pragma once
@@ -26,6 +24,16 @@ class Args {
   /// trailing-garbage value (`--runs=12x`) prints a one-line error naming
   /// the flag and exits with status 2.
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  /// Count and size flags: a whole number in [0, max]. A negative, garbage
+  /// or out-of-range value is a usage error (one line naming the flag, exit
+  /// 2) — never a wrapped-around size_t.
+  std::uint64_t get_unsigned(const std::string& name, std::uint64_t def,
+                             std::uint64_t max = UINT64_MAX) const;
+  /// A comma-separated list of such values (`def` when the flag is
+  /// absent); an empty list is a usage error too.
+  std::vector<std::uint64_t> get_unsigned_list(
+      const std::string& name, const std::string& def,
+      std::uint64_t max = UINT64_MAX) const;
   double get_double(const std::string& name, double def) const;
   /// Boolean flags take true/false, 1/0, yes/no or on/off (a bare `--flag`
   /// is true); any other value is a usage error (one line, exit 2).

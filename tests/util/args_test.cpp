@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -136,6 +137,26 @@ TEST(Args, NumericFlagsAcceptWholeNumbers) {
   EXPECT_EQ(a.get_int("k", 0), -3);
   EXPECT_DOUBLE_EQ(a.get_double("x", 0), 1e-3);
   EXPECT_DOUBLE_EQ(a.get_double("y", 0), -0.25);
+}
+
+TEST(Args, UnsignedFlagsRejectNegativeValues) {
+  Args a = make_args({"prog", "--runs=12", "--big=18446744073709551615"});
+  EXPECT_EQ(a.get_unsigned("runs", 0), 12u);
+  EXPECT_EQ(a.get_unsigned("big", 0), UINT64_MAX);
+  EXPECT_EQ(a.get_unsigned("absent", 7), 7u);
+  EXPECT_EXIT(make_args({"prog", "--runs=-1"}).get_unsigned("runs", 0),
+              ::testing::ExitedWithCode(2),
+              "--runs=-1 is not a non-negative integer");
+  EXPECT_EXIT(make_args({"prog", "--threads=-1"}).get_unsigned("threads", 0),
+              ::testing::ExitedWithCode(2), "--threads=-1");
+  EXPECT_EXIT(make_args({"prog", "--n=3x"}).get_unsigned("n", 0),
+              ::testing::ExitedWithCode(2), "--n=3x");
+  EXPECT_EXIT(make_args({"prog", "--n=18446744073709551616"})
+                  .get_unsigned("n", 0),
+              ::testing::ExitedWithCode(2), "--n=18446744073709551616");
+  EXPECT_EXIT(make_args({"prog", "--p=256"}).get_unsigned("p", 0, 255),
+              ::testing::ExitedWithCode(2), "--p=256 exceeds 255");
+  EXPECT_EQ(make_args({"prog", "--p=255"}).get_unsigned("p", 0, 255), 255u);
 }
 
 TEST(Args, FlagFollowedByFlagDoesNotConsume) {

@@ -28,12 +28,14 @@
 #    `ctest -L recovery`, `ctest -L circuit`, and the network_sim_test,
 #    traffic_sim_test, route_digest_test, single_copy_test,
 #    multi_copy_test, contact_query_property_test, contact_model_test,
-#    backend_equivalence_test, sparse_graph_test, args_test, x25519_test
-#    and key_manager_test binaries under ASan.
+#    backend_equivalence_test, sparse_graph_test, args_test,
+#    config_schema_test, x25519_test and key_manager_test binaries under
+#    ASan.
 # 6. Configures a -DODTN_SANITIZE=undefined tree in build-ubsan/, builds
 #    the analysis + crypto + key-manager test targets (the numeric and
 #    bit-twiddling code most prone to UB), and runs `ctest -L ubsan` under
-#    UBSan.
+#    UBSan, then the args_test and config_schema_test binaries (flag
+#    parsing and the knob table).
 #
 # Exits non-zero on the first failure.
 set -eu
@@ -204,7 +206,8 @@ cmake --build "$repo/build-asan" -j "$jobs" --target \
     network_sim_test traffic_sim_test \
     route_digest_test single_copy_test multi_copy_test \
     contact_query_property_test contact_model_test backend_equivalence_test \
-    sparse_graph_test args_test x25519_test key_manager_test
+    sparse_graph_test args_test config_schema_test x25519_test \
+    key_manager_test
 
 echo "== asan: ctest -L faults =="
 # Includes fault_experiment_test: the checkpoint parser and the trace-data
@@ -241,8 +244,9 @@ echo "== asan: contact-model plan builder (both backends, both plan kinds) =="
 "$repo/build-asan/tests/scale/backend_equivalence_test"
 "$repo/build-asan/tests/scale/sparse_graph_test"
 
-echo "== asan: args_test (strict flag parsing) =="
+echo "== asan: args_test + config_schema_test (flag parsing, knob table) =="
 "$repo/build-asan/tests/util/args_test"
+"$repo/build-asan/tests/core/config_schema_test"
 
 echo "== asan: x25519_test + key_manager_test =="
 # The ladder reads its scalar and point through raw pointers, and
@@ -256,9 +260,15 @@ cmake -B "$repo/build-ubsan" -S "$repo" -DODTN_SANITIZE=undefined
 cmake --build "$repo/build-ubsan" -j "$jobs" --target \
     hypoexp_test delivery_test cost_test traceable_test anonymity_test \
     goodness_of_fit_test sha256_test hmac_test chacha20_test poly1305_test \
-    aead_test x25519_test drbg_test shamir_test key_manager_test
+    aead_test x25519_test drbg_test shamir_test key_manager_test \
+    args_test config_schema_test
 
 echo "== ubsan: ctest -L ubsan =="
 ctest --test-dir "$repo/build-ubsan" -L ubsan --output-on-failure -j "$jobs"
+
+echo "== ubsan: args_test + config_schema_test =="
+# Unsigned flag parsing and the knob table's narrowing reads.
+"$repo/build-ubsan/tests/util/args_test"
+"$repo/build-ubsan/tests/core/config_schema_test"
 
 echo "== ci.sh: all green =="
