@@ -73,9 +73,9 @@ int main(int argc, char** argv) {
       auto spray_spec = spec;
       spray_spec.copies = 3;
       d_sw.add(spray.route(contacts, spray_spec).delivered);
-
-      routing::DirectDelivery direct;
-      d_dir.add(direct.route(contacts, spec).delivered);
+      // Direct delivery: spray-and-wait with one copy.
+      spray_spec.copies = 1;
+      d_dir.add(spray.route(contacts, spray_spec).delivered);
 
       routing::SingleCopyOnionRouting onion_p(ctx);
       d_on.add(onion_p.route(contacts, spec, rng).delivered);

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
       auto r2 = tps_p.route(contacts, spec, rng);
       d_tps.add(r2.delivered);
       t_tps.add(static_cast<double>(r2.transmissions));
-      auto r3 = alar_p.route(trace, spec, rng);
+      auto r3 = alar_p.route(trace, spec);
       d_alar.add(r3.delivered);
       t_alar.add(static_cast<double>(r3.transmissions));
       auto r4 = epi_p.route(contacts, spec);

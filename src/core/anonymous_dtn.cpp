@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "routing/baselines.hpp"
+
 namespace odtn::core {
 
 AnonymousDtn::AnonymousDtn(std::unique_ptr<graph::ContactGraph> graph,
@@ -56,16 +58,6 @@ AnonymousDtn AnonymousDtn::over_trace(trace::ContactTrace trace,
                       group_size, seed);
 }
 
-AnonymousDtn AnonymousDtn::over_random_waypoint(
-    const mobility::RandomWaypointParams& params, std::size_t group_size,
-    std::uint64_t seed) {
-  // odtn-lint: allow(rng) — xor-tweaked sub-stream, pinned like the graph
-  // stream above
-  util::Rng mob_rng(seed ^ 0x52b9a7e31dULL);
-  return over_trace(mobility::random_waypoint_trace(params, mob_rng),
-                    group_size, seed);
-}
-
 std::size_t AnonymousDtn::node_count() const {
   return contacts_->node_count();
 }
@@ -116,20 +108,6 @@ routing::DeliveryResult AnonymousDtn::send_epidemic(NodeId src, NodeId dst,
   spec.ttl = ttl;
   routing::EpidemicRouting protocol;
   return protocol.route(*contacts_, spec);
-}
-
-routing::TpsResult AnonymousDtn::send_threshold_pivot(
-    NodeId src, NodeId dst, const util::Bytes& payload, Time ttl,
-    routing::TpsOptions options, Time start) {
-  routing::MessageSpec spec;
-  spec.src = src;
-  spec.dst = dst;
-  spec.start = start;
-  spec.ttl = ttl;
-  spec.payload = payload;
-  routing::ThresholdPivotRouting protocol(*directory_, *keys_, options,
-                                          routing::CryptoMode::kReal);
-  return protocol.route(*contacts_, spec, rng_);
 }
 
 }  // namespace odtn::core

@@ -13,15 +13,11 @@
 
 #include <memory>
 
-#include "adversary/adversary.hpp"
 #include "graph/contact_graph.hpp"
 #include "groups/group_directory.hpp"
-#include "mobility/random_waypoint.hpp"
 #include "groups/key_manager.hpp"
 #include "onion/onion.hpp"
-#include "routing/baselines.hpp"
 #include "routing/onion_routing.hpp"
-#include "routing/threshold_pivot.hpp"
 #include "routing/types.hpp"
 #include "sim/contact_model.hpp"
 #include "trace/contact_trace.hpp"
@@ -54,12 +50,6 @@ class AnonymousDtn {
   static AnonymousDtn over_trace(trace::ContactTrace trace,
                                  std::size_t group_size, std::uint64_t seed);
 
-  /// A network whose contacts come from simulated random-waypoint
-  /// mobility (geometry-level contact generation).
-  static AnonymousDtn over_random_waypoint(
-      const mobility::RandomWaypointParams& params, std::size_t group_size,
-      std::uint64_t seed);
-
   /// Sends `payload` anonymously from src to dst with real onion crypto.
   routing::DeliveryResult send(NodeId src, NodeId dst,
                                const util::Bytes& payload,
@@ -72,19 +62,10 @@ class AnonymousDtn {
   routing::DeliveryResult send_epidemic(NodeId src, NodeId dst, Time ttl,
                                         Time start = 0.0);
 
-  /// The Threshold Pivot Scheme alternative (Sec. VI-C of the paper), with
-  /// real Shamir share splitting and per-share crypto.
-  routing::TpsResult send_threshold_pivot(NodeId src, NodeId dst,
-                                          const util::Bytes& payload,
-                                          Time ttl,
-                                          routing::TpsOptions options = {},
-                                          Time start = 0.0);
-
   std::size_t node_count() const;
   const groups::GroupDirectory& directory() const { return *directory_; }
   const groups::KeyManager& keys() const { return *keys_; }
   const graph::ContactGraph& contact_rates() const { return *rates_; }
-  util::Rng& rng() { return rng_; }
 
  private:
   AnonymousDtn(std::unique_ptr<graph::ContactGraph> graph,

@@ -23,8 +23,7 @@ AlarRouting::AlarRouting(AlarOptions options, CryptoMode crypto,
 }
 
 AlarResult AlarRouting::route(const trace::ContactTrace& trace,
-                              const MessageSpec& spec, util::Rng& rng) {
-  (void)rng;
+                              const MessageSpec& spec) {
   if (spec.src == spec.dst) {
     throw std::invalid_argument("route: src == dst");
   }
@@ -69,7 +68,7 @@ AlarResult AlarRouting::route(const trace::ContactTrace& trace,
   std::size_t next_segment_to_release = 0;
   std::size_t dst_segments = 0;
 
-  auto give = [&](NodeId from, NodeId to, std::size_t seg, Time t) {
+  auto give = [&](NodeId to, std::size_t seg, Time t) {
     holdings[to] |= (std::uint64_t{1} << seg);
     ++result.transmissions;
     if (to == spec.dst) {
@@ -79,7 +78,6 @@ AlarResult AlarRouting::route(const trace::ContactTrace& trace,
         result.delay = t - spec.start;
       }
     }
-    (void)from;
   };
 
   // Events are time-sorted: jump straight to the message's start instead of
@@ -103,7 +101,7 @@ AlarResult AlarRouting::route(const trace::ContactTrace& trace,
           !was_initial_receiver[v] && v != spec.dst) {
         was_initial_receiver[v] = true;
         result.initial_receivers[next_segment_to_release] = v;
-        give(u, v, next_segment_to_release, event.time);
+        give(v, next_segment_to_release, event.time);
         ++next_segment_to_release;
         continue;
       }
@@ -113,7 +111,7 @@ AlarResult AlarRouting::route(const trace::ContactTrace& trace,
       for (std::size_t seg = 0; seg < s && missing != 0; ++seg) {
         std::uint64_t bit = std::uint64_t{1} << seg;
         if (missing & bit) {
-          give(u, v, seg, event.time);
+          give(v, seg, event.time);
           missing &= ~bit;
           if (result.delivered) break;
         }

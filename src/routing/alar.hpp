@@ -21,7 +21,6 @@
 #include "groups/key_manager.hpp"
 #include "routing/types.hpp"
 #include "trace/contact_trace.hpp"
-#include "util/rng.hpp"
 
 namespace odtn::routing {
 
@@ -52,10 +51,7 @@ class AlarRouting {
   /// Routes one message over the trace. `spec.num_relays`/`spec.copies`
   /// are ignored (ALAR has its own segment parameters). In
   /// CryptoMode::kReal a KeyManager must have been supplied.
-  AlarResult route(const trace::ContactTrace& trace, const MessageSpec& spec,
-                   util::Rng& rng);
-
-  const AlarOptions& options() const { return options_; }
+  AlarResult route(const trace::ContactTrace& trace, const MessageSpec& spec);
 
  private:
   AlarOptions options_;

@@ -8,30 +8,19 @@ namespace odtn::routing {
 
 namespace {
 
-void check_endpoints(const MessageSpec& spec) {
+void check_endpoints(const sim::ContactModel& contacts,
+                     const MessageSpec& spec) {
   if (spec.src == spec.dst) throw std::invalid_argument("route: src == dst");
+  if (spec.src >= contacts.node_count() || spec.dst >= contacts.node_count()) {
+    throw std::invalid_argument("route: unknown endpoint");
+  }
 }
 
 }  // namespace
 
-DeliveryResult DirectDelivery::route(sim::ContactModel& contacts,
-                                     const MessageSpec& spec) {
-  check_endpoints(spec);
-  DeliveryResult result;
-  auto ev = contacts.first_cross_contact(std::span<const NodeId>(&spec.src, 1),
-                                         std::span<const NodeId>(&spec.dst, 1),
-                                         spec.start, spec.start + spec.ttl);
-  if (ev.has_value()) {
-    result.delivered = true;
-    result.delay = ev->time - spec.start;
-    result.transmissions = 1;
-  }
-  return result;
-}
-
 DeliveryResult SprayAndWaitRouting::route(sim::ContactModel& contacts,
                                           const MessageSpec& spec) {
-  check_endpoints(spec);
+  check_endpoints(contacts, spec);
   if (spec.copies == 0) {
     throw std::invalid_argument("SprayAndWaitRouting: copies must be >= 1");
   }
@@ -39,83 +28,32 @@ DeliveryResult SprayAndWaitRouting::route(sim::ContactModel& contacts,
   const Time deadline = spec.start + spec.ttl;
   Time now = spec.start;
 
-  // Holders in spray order (source first). A vector, not a hash set: the
-  // holder list seeds the contact plan's pair enumeration, and the prefix-sum
-  // pick maps RNG draws through that order — hash-iteration order here would
-  // tie results to the stdlib's hash/bucket scheme instead of the program.
-  // Membership never needs checking: the complement plan below excludes every
-  // current holder, so a sprayed node is new by construction.
-  std::vector<NodeId> holders = {spec.src};
-  std::size_t tickets = spec.copies - 1;  // copies the source may spray
-  std::vector<NodeId> excluded;
-
-  while (true) {
-    // Wait phase event: any holder meets dst. Spray phase event: source
-    // meets a non-holder (while tickets remain). Take whichever is first.
-    auto deliver = contacts.first_cross_contact(
-        holders, std::span<const NodeId>(&spec.dst, 1), now, deadline);
-    std::optional<sim::CrossContact> spray;
-    if (tickets > 0) {
-      // Complement plan: anyone who is not dst and not already a holder —
-      // built without enumerating all n nodes.
-      excluded.assign(holders.begin(), holders.end());
-      excluded.push_back(spec.dst);
-      spray = contacts.first_cross_contact_complement(
-          std::span<const NodeId>(&spec.src, 1), excluded, now, deadline);
-    }
-
-    if (deliver.has_value() &&
-        (!spray.has_value() || deliver->time <= spray->time)) {
-      result.delivered = true;
-      result.delay = deliver->time - spec.start;
-      ++result.transmissions;
-      return result;
-    }
-    if (!spray.has_value()) return result;  // deadline with no delivery
-
-    now = spray->time;
-    holders.push_back(spray->b);
-    --tickets;
-    ++result.transmissions;
-  }
-}
-
-DeliveryResult BinarySprayAndWaitRouting::route(sim::ContactModel& contacts,
-                                                const MessageSpec& spec) {
-  check_endpoints(spec);
-  if (spec.copies == 0) {
-    throw std::invalid_argument(
-        "BinarySprayAndWaitRouting: copies must be >= 1");
-  }
-  DeliveryResult result;
-  const Time deadline = spec.start + spec.ttl;
-  Time now = spec.start;
-
   // Holders and their remaining tickets, as parallel vectors in spray order
   // (source first). Not a hash map: the holder and sprayer lists seed the
-  // contact plan's pair enumeration, so hash-iteration order would leak the
-  // stdlib's bucket scheme into RNG draw mapping. The holder population is
-  // bounded by `copies`, so the linear index scan below is trivially cheap.
-  std::vector<NodeId> holder_list = {spec.src};
-  std::vector<std::size_t> ticket_count = {spec.copies};
+  // contact plan's pair enumeration, so hash-iteration order would tie the
+  // RNG draw mapping to the stdlib's bucket scheme. At most `copies` holders,
+  // so the linear index scan below is cheap.
+  std::vector<NodeId> holders = {spec.src};
+  std::vector<std::size_t> tickets = {spec.copies};
   std::vector<NodeId> sprayers;
   std::vector<NodeId> excluded;
 
   while (true) {
-    // Delivery event: any holder meets dst.
+    // Wait phase event: any holder meets dst.
     auto deliver = contacts.first_cross_contact(
-        holder_list, std::span<const NodeId>(&spec.dst, 1), now, deadline);
+        holders, std::span<const NodeId>(&spec.dst, 1), now, deadline);
 
-    // Spray event: a holder with > 1 tickets meets a ticketless node.
+    // Spray phase event: a holder with > 1 tickets meets a ticketless node.
     sprayers.clear();
-    for (std::size_t i = 0; i < holder_list.size(); ++i) {
-      if (ticket_count[i] > 1) sprayers.push_back(holder_list[i]);
+    for (std::size_t i = 0; i < holders.size(); ++i) {
+      if (tickets[i] > 1) sprayers.push_back(holders[i]);
     }
     std::optional<sim::CrossContact> spray;
     if (!sprayers.empty()) {
-      // Complement plan: ticketless nodes other than dst, without the O(n)
-      // enumeration.
-      excluded.assign(holder_list.begin(), holder_list.end());
+      // Complement plan: anyone who is not dst and not already a holder —
+      // built without enumerating all n nodes. A sprayed node is therefore
+      // new by construction.
+      excluded.assign(holders.begin(), holders.end());
       excluded.push_back(spec.dst);
       spray = contacts.first_cross_contact_complement(sprayers, excluded, now,
                                                       deadline);
@@ -128,24 +66,22 @@ DeliveryResult BinarySprayAndWaitRouting::route(sim::ContactModel& contacts,
       ++result.transmissions;
       return result;
     }
-    if (!spray.has_value()) return result;
+    if (!spray.has_value()) return result;  // deadline with no delivery
 
     now = spray->time;
     const auto at = static_cast<std::size_t>(
-        std::find(holder_list.begin(), holder_list.end(), spray->a) -
-        holder_list.begin());
-    std::size_t& t = ticket_count[at];
-    std::size_t give = t / 2;
-    t -= give;
-    holder_list.push_back(spray->b);
-    ticket_count.push_back(give);
+        std::find(holders.begin(), holders.end(), spray->a) - holders.begin());
+    const std::size_t give = split_ == Split::kBinary ? tickets[at] / 2 : 1;
+    tickets[at] -= give;
+    holders.push_back(spray->b);
+    tickets.push_back(give);
     ++result.transmissions;
   }
 }
 
 DeliveryResult EpidemicRouting::route(sim::ContactModel& contacts,
                                       const MessageSpec& spec) {
-  check_endpoints(spec);
+  check_endpoints(contacts, spec);
   DeliveryResult result;
   const Time deadline = spec.start + spec.ttl;
   Time now = spec.start;

@@ -5,12 +5,14 @@
 // built on these classics — so the library ships them as first-class
 // protocols:
 //
-//  * DirectDelivery — the source holds the message until it meets the
-//    destination. 1 transmission; the 2L-cost reference point uses its
-//    sprayed variant.
-//  * SprayAndWaitRouting — source spray-and-wait [Spyropoulos et al. 2005]:
-//    the source sprays L-1 copies to the first distinct nodes it meets and
-//    every holder waits for the destination. Cost <= 2L - 1.
+//  * SprayAndWaitRouting — spray-and-wait [Spyropoulos et al. 2005]: the
+//    message starts with L tickets at the source; a holder with t > 1
+//    tickets hands some to the first ticketless node it meets, and every
+//    holder waits for the destination. Cost <= 2L - 1. Source spray hands
+//    one ticket per contact, so only the source sprays; binary spray (the
+//    variant shown optimal in their analysis) hands floor(t/2) and spreads
+//    the copies exponentially faster. Direct delivery is L = 1: the source
+//    holds the message until it meets the destination.
 //  * EpidemicRouting — flooding [Vahdat & Becker 2000]: every holder copies
 //    the message at every contact with a node that lacks it. Maximal
 //    delivery rate, maximal cost.
@@ -18,20 +20,24 @@
 
 #include "routing/types.hpp"
 #include "sim/contact_model.hpp"
-#include "util/rng.hpp"
 
 namespace odtn::routing {
 
-class DirectDelivery {
- public:
-  /// `spec.num_relays` and `spec.copies` are ignored (K = 0, L = 1).
-  DeliveryResult route(sim::ContactModel& contacts, const MessageSpec& spec);
-};
-
 class SprayAndWaitRouting {
  public:
+  /// How a holder with t > 1 tickets splits them at a spray contact.
+  enum class Split {
+    kSource,  // hand 1 ticket: the source sprays L - 1 copies itself
+    kBinary,  // hand floor(t/2) tickets
+  };
+
+  explicit SprayAndWaitRouting(Split split = Split::kSource) : split_(split) {}
+
   /// Uses `spec.copies` as L; `spec.num_relays` is ignored.
   DeliveryResult route(sim::ContactModel& contacts, const MessageSpec& spec);
+
+ private:
+  Split split_;
 };
 
 class EpidemicRouting {
@@ -40,17 +46,6 @@ class EpidemicRouting {
   /// made (including those after first delivery up to the stop condition:
   /// epidemic keeps spreading until the deadline, but the simulation stops
   /// early once every node is infected).
-  DeliveryResult route(sim::ContactModel& contacts, const MessageSpec& spec);
-};
-
-/// Binary spray-and-wait [Spyropoulos et al. 2005, the variant shown
-/// optimal in their analysis]: a holder with t > 1 tickets hands floor(t/2)
-/// to the first ticketless node it meets and keeps the rest; holders with
-/// one ticket wait for the destination. Spreads copies exponentially
-/// faster than source spray while keeping the same 2L - 1 cost bound.
-class BinarySprayAndWaitRouting {
- public:
-  /// Uses `spec.copies` as L; `spec.num_relays` is ignored.
   DeliveryResult route(sim::ContactModel& contacts, const MessageSpec& spec);
 };
 

@@ -53,33 +53,6 @@ TEST(AnonymousDtn, OverTrace) {
   EXPECT_TRUE(r.crypto_verified);
 }
 
-TEST(AnonymousDtn, OverRandomWaypointMobility) {
-  mobility::RandomWaypointParams p;
-  p.nodes = 15;
-  p.width = 300.0;
-  p.height = 300.0;
-  p.range = 60.0;
-  p.duration = 8000.0;
-  p.max_pause = 10.0;
-  auto net = core::AnonymousDtn::over_random_waypoint(p, /*g=*/3, 11);
-  EXPECT_EQ(net.node_count(), 15u);
-  core::SendOptions opts;
-  opts.num_relays = 2;
-  opts.ttl = 8000.0;
-  auto r = net.send(0, 14, util::to_bytes("from geometry"), opts);
-  EXPECT_TRUE(r.delivered);
-  EXPECT_TRUE(r.crypto_verified);
-}
-
-TEST(AnonymousDtn, ThresholdPivotSend) {
-  auto net = core::AnonymousDtn::over_random_graph(40, 5, 12);
-  auto r = net.send_threshold_pivot(0, 39, util::to_bytes("pivot me"), 1e7);
-  ASSERT_TRUE(r.delivered);
-  EXPECT_TRUE(r.crypto_verified);
-  EXPECT_NE(r.pivot, 0u);
-  EXPECT_NE(r.pivot, 39u);
-}
-
 TEST(AnonymousDtn, BaselinesRunOnSameNetwork) {
   auto net = AnonymousDtn::over_random_graph(30, 5, 6);
   auto sw = net.send_spray_and_wait(0, 29, 4, 1e7);

@@ -29,8 +29,7 @@ MessageSpec spec_for(NodeId src, NodeId dst, double ttl) {
 TEST(Alar, DeliversOnDenseTrace) {
   auto t = dense_trace(1);
   AlarRouting protocol;
-  util::Rng rng(1);
-  auto r = protocol.route(t, spec_for(0, 29, 3000.0), rng);
+  auto r = protocol.route(t, spec_for(0, 29, 3000.0));
   ASSERT_TRUE(r.delivered);
   EXPECT_EQ(r.segments_at_destination, 4u);
   EXPECT_GT(r.delay, 0.0);
@@ -39,8 +38,7 @@ TEST(Alar, DeliversOnDenseTrace) {
 TEST(Alar, InitialReceiversAreDistinctAndNotEndpoints) {
   auto t = dense_trace(2);
   AlarRouting protocol(AlarOptions{5, 5});
-  util::Rng rng(2);
-  auto r = protocol.route(t, spec_for(0, 29, 3000.0), rng);
+  auto r = protocol.route(t, spec_for(0, 29, 3000.0));
   std::set<NodeId> uniq;
   for (NodeId v : r.initial_receivers) {
     if (v == kInvalidNode) continue;
@@ -56,8 +54,7 @@ TEST(Alar, CostIsEpidemicScale) {
   // transmissions are an order of magnitude above K+1.
   auto t = dense_trace(3);
   AlarRouting protocol;
-  util::Rng rng(3);
-  auto r = protocol.route(t, spec_for(0, 29, 3000.0), rng);
+  auto r = protocol.route(t, spec_for(0, 29, 3000.0));
   ASSERT_TRUE(r.delivered);
   EXPECT_GT(r.transmissions, 20u);
 }
@@ -66,11 +63,10 @@ TEST(Alar, ThresholdBelowSegmentsDeliversFaster) {
   auto t = dense_trace(4, 30, 6000.0);
   AlarRouting all_needed(AlarOptions{5, 5});
   AlarRouting majority(AlarOptions{5, 3});
-  util::Rng rng(4);
   util::RunningStats d_all, d_maj;
   for (NodeId dst = 10; dst < 29; ++dst) {
-    auto ra = all_needed.route(t, spec_for(0, dst, 6000.0), rng);
-    auto rm = majority.route(t, spec_for(0, dst, 6000.0), rng);
+    auto ra = all_needed.route(t, spec_for(0, dst, 6000.0));
+    auto rm = majority.route(t, spec_for(0, dst, 6000.0));
     if (ra.delivered) d_all.add(ra.delay);
     if (rm.delivered) d_maj.add(rm.delay);
   }
@@ -81,8 +77,7 @@ TEST(Alar, ThresholdBelowSegmentsDeliversFaster) {
 TEST(Alar, FailsWithTinyDeadline) {
   auto t = dense_trace(5);
   AlarRouting protocol;
-  util::Rng rng(5);
-  auto r = protocol.route(t, spec_for(0, 29, 1e-9), rng);
+  auto r = protocol.route(t, spec_for(0, 29, 1e-9));
   EXPECT_FALSE(r.delivered);
   EXPECT_EQ(r.transmissions, 0u);
 }
@@ -92,10 +87,9 @@ TEST(Alar, RealCryptoReconstructs) {
   groups::GroupDirectory dir(30, 5);
   groups::KeyManager keys(dir, 6);
   AlarRouting protocol(AlarOptions{4, 3}, CryptoMode::kReal, &keys);
-  util::Rng rng(6);
   auto spec = spec_for(0, 29, 3000.0);
   spec.payload = util::to_bytes("anti-localization payload");
-  auto r = protocol.route(t, spec, rng);
+  auto r = protocol.route(t, spec);
   ASSERT_TRUE(r.delivered);
   EXPECT_TRUE(r.crypto_verified);
 }
@@ -111,8 +105,7 @@ TEST(Alar, DeterministicSmallTrace) {
                                {50.0, 2, 3},  // seg1 -> dst: delivered
                            });
   AlarRouting protocol(AlarOptions{2, 2});
-  util::Rng rng(7);
-  auto r = protocol.route(t, spec_for(0, 3, 100.0), rng);
+  auto r = protocol.route(t, spec_for(0, 3, 100.0));
   ASSERT_TRUE(r.delivered);
   EXPECT_EQ(r.delay, 50.0);
   EXPECT_EQ(r.transmissions, 4u);
@@ -130,8 +123,7 @@ TEST(Alar, SourceNeverHandsSegmentDirectlyToDestination) {
                                {50.0, 2, 3},
                            });
   AlarRouting protocol(AlarOptions{2, 2});
-  util::Rng rng(8);
-  auto r = protocol.route(t, spec_for(0, 3, 100.0), rng);
+  auto r = protocol.route(t, spec_for(0, 3, 100.0));
   ASSERT_TRUE(r.delivered);
   EXPECT_EQ(r.delay, 50.0);
   for (NodeId v : r.initial_receivers) EXPECT_NE(v, 3u);
@@ -145,10 +137,9 @@ TEST(Alar, Validation) {
                std::invalid_argument);
   auto t = dense_trace(9);
   AlarRouting protocol;
-  util::Rng rng(9);
-  EXPECT_THROW(protocol.route(t, spec_for(3, 3, 10.0), rng),
+  EXPECT_THROW(protocol.route(t, spec_for(3, 3, 10.0)),
                std::invalid_argument);
-  EXPECT_THROW(protocol.route(t, spec_for(0, 99, 10.0), rng),
+  EXPECT_THROW(protocol.route(t, spec_for(0, 99, 10.0)),
                std::invalid_argument);
 }
 

@@ -26,7 +26,7 @@
 #    fault-injection, recovery, circuit, network-sim, onion-routing, and
 #    contact-model test targets, and runs `ctest -L faults`,
 #    `ctest -L recovery`, `ctest -L circuit`, and the network_sim_test,
-#    traffic_sim_test, route_digest_test, single_copy_test,
+#    traffic_sim_test, route_digest_test, baselines_test, single_copy_test,
 #    multi_copy_test, contact_query_property_test, contact_model_test,
 #    backend_equivalence_test, sparse_graph_test, args_test,
 #    config_schema_test, x25519_test and key_manager_test binaries under
@@ -204,7 +204,7 @@ cmake --build "$repo/build-asan" -j "$jobs" --target \
     recovery_unit_test recovery_sim_test recovery_experiment_test \
     cell_test circuit_manager_test wire_parity_test \
     network_sim_test traffic_sim_test \
-    route_digest_test single_copy_test multi_copy_test \
+    route_digest_test baselines_test single_copy_test multi_copy_test \
     contact_query_property_test contact_model_test backend_equivalence_test \
     sparse_graph_test args_test config_schema_test x25519_test \
     key_manager_test
@@ -228,10 +228,13 @@ echo "== asan: network_sim_test + traffic_sim_test =="
 "$repo/build-asan/tests/sim/network_sim_test"
 "$repo/build-asan/tests/traffic/traffic_sim_test"
 
-echo "== asan: route_digest_test + single_copy_test + multi_copy_test =="
+echo "== asan: route_digest_test + baselines_test + single_copy_test + multi_copy_test =="
 # The onion walker's context and generation bookkeeping: an uninitialized
 # OnionContext field once passed every plain build and failed only here.
+# The spray baselines index parallel holder/ticket vectors by a found
+# holder position.
 "$repo/build-asan/tests/routing/route_digest_test"
+"$repo/build-asan/tests/routing/baselines_test"
 "$repo/build-asan/tests/routing/single_copy_test"
 "$repo/build-asan/tests/routing/multi_copy_test"
 
