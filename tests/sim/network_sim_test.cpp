@@ -4,8 +4,11 @@
 
 #include <bit>
 #include <cstdint>
+#include <iterator>
+#include <string>
 
 #include "faults/faults.hpp"
+#include "metrics/writer.hpp"
 #include "recovery/recovery.hpp"
 #include "routing/onion_routing.hpp"
 #include "routing/utility_forwarder.hpp"
@@ -476,11 +479,12 @@ TEST(NetworkSim, MatchesSingleCopyWalkerOnPoissonTraces) {
 // FNV-1a (64-bit), fed little-endian so the digests are host-independent.
 struct Fnv1a {
   std::uint64_t h = 14695981039346656037ull;
+  void byte(std::uint8_t b) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
   void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
+    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
   }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void nodes(const std::vector<NodeId>& v) {
@@ -542,27 +546,36 @@ std::vector<std::uint8_t> alternating_priorities(std::size_t count) {
   return p;
 }
 
-// Pins the engine's complete output for six seeded configurations, one
-// per drainage mode and knob family: a change to execution order, RNG
-// draw order or bookkeeping changes a digest.
-TEST(NetworkSim, ReportDigestPinned) {
+// The six pinned configurations, one per drainage mode and knob family:
+// every knob at zero; bandwidth + two priority classes + drop-oldest
+// buffers; faults + the full recovery stack; the utility forwarder; wire
+// cells; record_paths under buffer pressure. Runs each and returns the
+// reports in that order; when `regs` is non-null, run i also fills
+// (*regs)[i].
+constexpr const char* kPinnedLabels[] = {
+    "zero-knob", "bandwidth+priorities+drop-oldest", "faults+recovery",
+    "utility",   "wire",                             "record_paths"};
+
+std::vector<NetworkSimReport> run_pinned_configs(
+    std::vector<metrics::Registry>* regs) {
   constexpr std::size_t kNodes = 30;
   util::Rng setup(21);
   auto graph = graph::random_contact_graph(kNodes, setup, 5.0, 40.0);
   auto trace = trace::sample_poisson_trace(graph, 2000.0, setup);
   groups::GroupDirectory dir(kNodes, 5, &setup);
-  auto digest = [&](const std::vector<InjectedMessage>& messages,
-                    std::vector<std::uint8_t> priorities,
-                    const NetworkSimConfig& cfg) {
+  if (regs != nullptr) regs->assign(std::size(kPinnedLabels), {});
+  std::vector<NetworkSimReport> reports;
+  auto run = [&](const std::vector<InjectedMessage>& messages,
+                 std::vector<std::uint8_t> priorities, NetworkSimConfig cfg) {
+    if (regs != nullptr) cfg.metrics = &(*regs)[reports.size()];
     util::Rng rng(22);
-    return report_digest(run_network_sim(trace, dir, messages,
-                                         std::move(priorities), cfg, rng));
+    reports.push_back(run_network_sim(trace, dir, messages,
+                                      std::move(priorities), cfg, rng));
   };
 
   {  // Every knob at zero.
     util::Rng mrng(1);
-    auto messages = random_messages(mrng, kNodes, 60, 2);
-    EXPECT_EQ(digest(messages, {}, {}), 0x8c95725f8a836760ull) << "zero-knob";
+    run(random_messages(mrng, kNodes, 60, 2), {}, {});
   }
   {  // Bandwidth, two priority classes, drop-oldest buffers.
     util::Rng mrng(2);
@@ -572,9 +585,7 @@ TEST(NetworkSim, ReportDigestPinned) {
     cfg.policy = BufferPolicy::kDropOldest;
     cfg.bandwidth.mean_duration = 3.0;
     cfg.bandwidth.transfer_time = 1.0;
-    EXPECT_EQ(digest(messages, alternating_priorities(120), cfg),
-              0x337977f6453cd7fbull)
-        << "bandwidth+priorities+drop-oldest";
+    run(messages, alternating_priorities(120), cfg);
   }
   {  // Faults and the full recovery stack. 140 messages: each node's ACK
      // bitset spans three 64-bit words.
@@ -588,7 +599,7 @@ TEST(NetworkSim, ReportDigestPinned) {
                         messages[i].start > messages[j].start;
       }
     }
-    ASSERT_TRUE(out_of_order);
+    EXPECT_TRUE(out_of_order);
     faults::FaultConfig fc;
     fc.mean_uptime = 400.0;
     fc.mean_downtime = 40.0;
@@ -607,9 +618,7 @@ TEST(NetworkSim, ReportDigestPinned) {
     cfg.faults = &plan;
     cfg.recovery = &rc;
     cfg.recovery_seed = 24;
-    EXPECT_EQ(digest(messages, alternating_priorities(140), cfg),
-              0x4256092f30149580ull)
-        << "faults+recovery";
+    run(messages, alternating_priorities(140), cfg);
   }
   {  // Utility forwarder.
     util::Rng mrng(4);
@@ -619,28 +628,54 @@ TEST(NetworkSim, ReportDigestPinned) {
     cfg.buffer_capacity = 6;
     cfg.bandwidth.messages_per_contact = 1;
     cfg.utility = &fwd;
-    EXPECT_EQ(digest(messages, alternating_priorities(120), cfg),
-              0x6e673f66227130caull)
-        << "utility";
+    run(messages, alternating_priorities(120), cfg);
   }
   {  // Wire cells: a cell-denominated budget.
     util::Rng mrng(5);
-    auto messages = random_messages(mrng, kNodes, 120, 2);
     NetworkSimConfig cfg;
     cfg.buffer_capacity = 8;
     cfg.bandwidth.messages_per_contact = 5;
     cfg.cells_per_message = 2;
     cfg.cell_size = 512;
-    EXPECT_EQ(digest(messages, {}, cfg), 0xe687cb58b9234dadull) << "wire";
+    run(random_messages(mrng, kNodes, 120, 2), {}, cfg);
   }
   {  // record_paths under buffer pressure.
     util::Rng mrng(6);
-    auto messages = random_messages(mrng, kNodes, 80, 3);
     NetworkSimConfig cfg;
     cfg.buffer_capacity = 3;
     cfg.record_paths = true;
-    EXPECT_EQ(digest(messages, {}, cfg), 0x52d5a1078563b47aull)
-        << "record_paths";
+    run(random_messages(mrng, kNodes, 80, 3), {}, cfg);
+  }
+  return reports;
+}
+
+// Pins the engine's complete output for the six configurations: a change
+// to execution order, RNG draw order or bookkeeping changes a digest.
+TEST(NetworkSim, ReportDigestPinned) {
+  const std::uint64_t kDigests[] = {
+      0x8c95725f8a836760ull, 0x337977f6453cd7fbull, 0x4256092f30149580ull,
+      0x6e673f66227130caull, 0xe687cb58b9234dadull, 0x52d5a1078563b47aull};
+  const auto reports = run_pinned_configs(nullptr);
+  ASSERT_EQ(reports.size(), std::size(kDigests));
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    EXPECT_EQ(report_digest(reports[i]), kDigests[i]) << kPinnedLabels[i];
+  }
+}
+
+// Pins the metrics export of the same six runs: which counters and
+// histograms register under which knobs, and every value they hold.
+TEST(NetworkSim, MetricsExportPinned) {
+  const std::uint64_t kDigests[] = {
+      0x2adf4edcd2f9a964ull, 0xd24be925770445eeull, 0x54dc9259e9a15a81ull,
+      0xf1aaf6a216e028b3ull, 0x488f29656a0af0e1ull, 0xd7a91d6e51562331ull};
+  std::vector<metrics::Registry> regs;
+  run_pinned_configs(&regs);
+  ASSERT_EQ(regs.size(), std::size(kDigests));
+  for (std::size_t i = 0; i < regs.size(); ++i) {
+    const std::string jsonl = metrics::to_jsonl(regs[i]);
+    Fnv1a d;
+    for (char c : jsonl) d.byte(static_cast<std::uint8_t>(c));
+    EXPECT_EQ(d.h, kDigests[i]) << kPinnedLabels[i] << "\n" << jsonl;
   }
 }
 
