@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   using namespace odtn;
   util::Args args(argc, argv);
   bench::WallTimer timer;
-  auto base = bench::base_config(args);
+  auto base = bench::direct_config(args, {"metrics-out"});
   std::size_t repeats = std::max<std::size_t>(1, base.runs / 20);
   bench::print_header("Ablation", "Delivery under buffer contention",
                       "n=100, K=3, g=5, T=1800; x = concurrent messages",

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   using namespace odtn;
   util::Args args(argc, argv);
   bench::WallTimer timer;
-  auto base = bench::base_config(args);
+  auto base = bench::direct_config(args);
   bench::print_header("Ablation", "Delay quantiles: model vs simulation",
                       "n=100, K=3, g=5, L=1; one graph realization, many "
                       "messages per row",

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   using namespace odtn;
   util::Args args(argc, argv);
   bench::WallTimer timer;
-  auto base = bench::base_config(args);
+  auto base = bench::direct_config(args);
   base.ttl = 1800.0;
   bench::print_header("Ablation", "Destination-group delivery on/off",
                       "n=100, K=3, L=1, T=1800; x = group size", base);

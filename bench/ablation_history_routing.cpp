@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   using namespace odtn;
   util::Args args(argc, argv);
   bench::WallTimer timer;
-  auto base = bench::base_config(args);
+  auto base = bench::direct_config(args);
   bench::print_header("Ablation", "History-based routing on community graphs",
                       "n=60, 3 communities (10x slowdown), K=3, g=5; "
                       "message starts after 1000 min of history",

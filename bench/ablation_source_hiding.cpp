@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   using namespace odtn;
   util::Args args(argc, argv);
   bench::WallTimer timer;
-  auto base = bench::base_config(args);
+  auto base = bench::direct_config(args);
   bench::print_header("Ablation",
                       "Source-hiding schemes: onion vs TPS vs ALAR",
                       "n=100, g=5, onion K=3, TPS tau=3/s=5, ALAR s=4",

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   using namespace odtn;
   util::Args args(argc, argv);
   bench::WallTimer timer;
-  auto base = bench::base_config(args);
+  auto base = bench::direct_config(args);
   base.ttl = 900.0;
   bench::print_header("Ablation", "Model accuracy vs contact-graph density",
                       "n=100, K=3, g=5, L=1, T=900; x = edge probability",

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   using namespace odtn;
   util::Args args(argc, argv);
   bench::WallTimer timer;
-  auto base = bench::base_config(args);
+  auto base = bench::direct_config(args);
   base.copies = 3;
   bench::print_header("Ablation", "Multi-copy spray strategy",
                       "n=100, K=3, g=5, L=3; x = deadline", base);

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   using namespace odtn;
   util::Args args(argc, argv);
   bench::WallTimer timer;
-  auto base = bench::base_config(args);
+  auto base = bench::direct_config(args);
   bench::print_header("Ablation", "Uniform vs targeted (top-rate) compromise",
                       "n=100 community graph (2 communities, 8x slowdown), "
                       "K=3, g=5; x = compromise budget",

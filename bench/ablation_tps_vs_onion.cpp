@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   using namespace odtn;
   util::Args args(argc, argv);
   bench::WallTimer timer;
-  auto base = bench::base_config(args);
+  auto base = bench::direct_config(args);
   bench::print_header("Ablation", "TPS (tau=3 of s=5 shares) vs onion routing",
                       "n=100, g=5; onion K in {3,5}; x = deadline", base);
 

@@ -38,7 +38,7 @@ struct WirePoint {
 int main(int argc, char** argv) {
   util::Args args(argc, argv);
   bench::WallTimer timer;
-  auto base = bench::base_config(args);
+  auto base = bench::direct_config(args);
   bench::print_header(
       "Ablation", "Wire-accurate cell overhead and cell-stream adversary",
       "n=100 Table II graph, K=3, g=5, 10% compromised; x = cell size; "

@@ -37,16 +37,13 @@ namespace {
   std::_Exit(code);
 }
 
-}  // namespace
-
-core::ExperimentConfig base_config(const util::Args& args,
-                                   const std::vector<std::string>& extra_flags,
-                                   core::ExperimentConfig config) {
+// The shared body of base_config and direct_config: `known` is the
+// entry point's common flag list.
+core::ExperimentConfig parse_config(const util::Args& args,
+                                    std::vector<std::string> known,
+                                    const std::vector<std::string>& extra_flags,
+                                    core::ExperimentConfig config) {
   std::set_terminate(report_uncaught);
-  std::vector<std::string> known = {
-      "runs",        "seed",        "threads",     "contact-backend",
-      "avg-degree",  "communities", "group-shards", "json",
-      "metrics-out"};
   known.insert(known.end(), extra_flags.begin(), extra_flags.end());
   args.reject_unknown(known);
   args.get_output("json");
@@ -54,6 +51,25 @@ core::ExperimentConfig base_config(const util::Args& args,
   config.collect_metrics = args.has("metrics-out");
   core::parse_knobs(args, config, known);
   return config;
+}
+
+}  // namespace
+
+core::ExperimentConfig base_config(const util::Args& args,
+                                   const std::vector<std::string>& extra_flags,
+                                   core::ExperimentConfig config) {
+  return parse_config(args,
+                      {"runs", "seed", "threads", "contact-backend",
+                       "avg-degree", "communities", "group-shards", "json",
+                       "metrics-out"},
+                      extra_flags, std::move(config));
+}
+
+core::ExperimentConfig direct_config(
+    const util::Args& args, const std::vector<std::string>& extra_flags,
+    core::ExperimentConfig config) {
+  return parse_config(args, {"runs", "seed", "threads", "json"}, extra_flags,
+                      std::move(config));
 }
 
 core::ExperimentConfig loaded(core::ExperimentConfig config, double rate) {

@@ -11,6 +11,8 @@
 //   --metrics-out=FILE write the sweep's deterministic odtn::metrics
 //                      (JSONL, or CSV for *.csv), byte-identical at every
 //                      --threads value
+// The benches that drive the protocols directly (direct_config) take only
+// --runs, --seed, --threads and --json, plus the flags they name.
 #pragma once
 
 #include <chrono>
@@ -41,6 +43,14 @@ core::ExperimentConfig base_config(
     const util::Args& args, const std::vector<std::string>& extra_flags = {},
     core::ExperimentConfig config = core::entry_defaults());
 
+/// base_config for the benches that drive the protocols directly instead
+/// of through run_experiment: the common flags are only --runs, --seed,
+/// --threads and --json, since such a bench reads no contact-backend knob
+/// and exports no metrics unless it names "metrics-out" in `extra_flags`.
+core::ExperimentConfig direct_config(
+    const util::Args& args, const std::vector<std::string>& extra_flags = {},
+    core::ExperimentConfig config = core::entry_defaults());
+
 /// The loaded stack of the load ablations: `config` plus one Poisson flow
 /// of `rate` msgs per time unit (with its K, L and T) over [0, 600), two
 /// transfers per contact and 8-slot drop-oldest buffers.
@@ -65,19 +75,19 @@ void print_header(const std::string& figure_id, const std::string& title,
 /// thing in main() and hand it to finish().
 class WallTimer {
  public:
-  // odtn-lint: allow(banned-api) — kWall timer site: the bench stopwatch
+  // odtn-lint: allow(banned-api) — wall-clock site: the bench stopwatch
   // feeds only the `# wall_time_s` banner line and --json timing records,
   // which the byte-identity goldens strip before comparing.
   WallTimer() : start_(std::chrono::steady_clock::now()) {}
   double seconds() const {
-    // odtn-lint: allow(banned-api) — kWall timer site (same stopwatch).
+    // odtn-lint: allow(banned-api) — wall-clock site (same stopwatch).
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start_)
         .count();
   }
 
  private:
-  // odtn-lint: allow(banned-api) — kWall timer state for the stopwatch above.
+  // odtn-lint: allow(banned-api) — wall-clock state for the stopwatch above.
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -14,7 +14,7 @@ namespace odtn::core {
 
 namespace {
 
-constexpr const char* kMagic = "odtn.checkpoint.v2";
+constexpr const char* kMagic = "odtn.checkpoint.v3";
 
 std::string fmt(double v) { return metrics::format_double(v); }
 
@@ -100,25 +100,16 @@ void save_checkpoint(const std::string& path, std::uint64_t config_hash,
     os << "failed " << fr.run << " " << fr.seed << " " << msg << "\n";
   }
   for (const auto& [name, m] : r.metrics.entries()) {
-    os << "metric " << name << " " << static_cast<int>(m.kind) << " "
-       << static_cast<int>(m.stability);
-    switch (m.kind) {
-      case metrics::Kind::kCounter:
-        os << " " << m.counter;
-        break;
-      case metrics::Kind::kGauge:
-        os << " " << (m.gauge_set ? 1 : 0) << " " << fmt(m.gauge);
-        break;
-      case metrics::Kind::kHistogram:
-      case metrics::Kind::kTimer: {
-        const auto& buckets = m.hist.raw_buckets();
-        os << " " << m.hist.count() << " " << fmt(m.hist.sum()) << " "
-           << fmt(m.hist.min()) << " " << fmt(m.hist.max()) << " "
-           << buckets.size();
-        for (const auto& [index, n] : buckets) {
-          os << " " << index << " " << n;
-        }
-        break;
+    os << "metric " << name << " " << metrics::kind_name(m.kind);
+    if (m.kind == metrics::Kind::kCounter) {
+      os << " " << m.counter;
+    } else {
+      const auto& buckets = m.hist.raw_buckets();
+      os << " " << m.hist.count() << " " << fmt(m.hist.sum()) << " "
+         << fmt(m.hist.min()) << " " << fmt(m.hist.max()) << " "
+         << buckets.size();
+      for (const auto& [index, n] : buckets) {
+        os << " " << index << " " << n;
       }
     }
     os << "\n";
@@ -148,12 +139,14 @@ std::optional<CheckpointData> load_checkpoint(const std::string& path,
 
   std::string line;
   if (!std::getline(in, line) || line != kMagic) {
+    const bool retired =
+        line == "odtn.checkpoint.v1" || line == "odtn.checkpoint.v2";
     throw std::runtime_error(
         "checkpoint: " + path +
-        (line == "odtn.checkpoint.v1"
-             ? " is an odtn.checkpoint.v1 file, whose config hash this build "
-               "no longer computes; rerun the sweep"
-             : " is not an odtn.checkpoint.v2 file"));
+        (retired ? " is an " + line +
+                       " file, which this build no longer reads; rerun the "
+                       "sweep"
+                 : std::string(" is not an ") + kMagic + " file"));
   }
 
   CheckpointData data;
@@ -202,44 +195,30 @@ std::optional<CheckpointData> load_checkpoint(const std::string& path,
       }
       data.result.failed_runs.push_back(std::move(fr));
     } else if (tag == "metric") {
-      std::string name;
-      int kind_i = 0, stability_i = 0;
-      if (!(ls >> name >> kind_i >> stability_i)) malformed(line);
+      std::string name, kind;
+      if (!(ls >> name >> kind)) malformed(line);
       metrics::Registry::Metric m;
-      m.kind = static_cast<metrics::Kind>(kind_i);
-      m.stability = static_cast<metrics::Stability>(stability_i);
-      switch (m.kind) {
-        case metrics::Kind::kCounter:
-          if (!(ls >> m.counter)) malformed(line);
-          break;
-        case metrics::Kind::kGauge: {
-          int set = 0;
-          std::string value;
-          if (!(ls >> set >> value)) malformed(line);
-          m.gauge_set = (set != 0);
-          m.gauge = parse_double(value, line);
-          break;
+      if (kind == "counter") {
+        m.kind = metrics::Kind::kCounter;
+        if (!(ls >> m.counter)) malformed(line);
+      } else if (kind == "histogram") {
+        m.kind = metrics::Kind::kHistogram;
+        std::uint64_t count = 0;
+        std::string sum, mn, mx;
+        std::size_t n_buckets = 0;
+        if (!(ls >> count >> sum >> mn >> mx >> n_buckets)) malformed(line);
+        std::map<int, std::uint64_t> buckets;
+        for (std::size_t i = 0; i < n_buckets; ++i) {
+          int index = 0;
+          std::uint64_t n = 0;
+          if (!(ls >> index >> n)) malformed(line);
+          buckets[index] = n;
         }
-        case metrics::Kind::kHistogram:
-        case metrics::Kind::kTimer: {
-          std::uint64_t count = 0;
-          std::string sum, mn, mx;
-          std::size_t n_buckets = 0;
-          if (!(ls >> count >> sum >> mn >> mx >> n_buckets)) malformed(line);
-          std::map<int, std::uint64_t> buckets;
-          for (std::size_t i = 0; i < n_buckets; ++i) {
-            int index = 0;
-            std::uint64_t n = 0;
-            if (!(ls >> index >> n)) malformed(line);
-            buckets[index] = n;
-          }
-          m.hist = metrics::Histogram::from_state(
-              count, parse_double(sum, line), parse_double(mn, line),
-              parse_double(mx, line), std::move(buckets));
-          break;
-        }
-        default:
-          malformed(line);
+        m.hist = metrics::Histogram::from_state(
+            count, parse_double(sum, line), parse_double(mn, line),
+            parse_double(mx, line), std::move(buckets));
+      } else {
+        malformed(line);
       }
       data.result.metrics.restore(name, m);
     } else {

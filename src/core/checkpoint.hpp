@@ -11,9 +11,12 @@
 // parsed back with strtod, so the round trip is exact, not approximate.
 //
 // A checkpoint is only valid for the experiment that wrote it: the file
-// (odtn.checkpoint.v2) carries a hash of the config's identity knobs plus a
-// scenario tag, and load_checkpoint refuses a mismatch — and any v1 file,
-// whose hash was computed differently.
+// (odtn.checkpoint.v3) carries a hash of the config's identity knobs plus a
+// scenario tag, and load_checkpoint refuses a mismatch — and any v1 file
+// (whose hash was computed differently) or v2 file (whose metric lines
+// carried a kind number and a stability column). A v3 metric line names
+// its kind: `metric NAME counter VALUE` or `metric NAME histogram COUNT
+// SUM MIN MAX NBUCKETS (INDEX COUNT)...`.
 #pragma once
 
 #include <cstdint>

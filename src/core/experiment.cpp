@@ -378,18 +378,13 @@ ExperimentResult run_engine(const ExperimentConfig& config, std::size_t n,
     throw std::invalid_argument("experiment: runs must be >= 1");
   }
   config.faults.validate();
-  // odtn-lint: allow(banned-api) — kWall timer site: wall_time_s is the
+  // odtn-lint: allow(banned-api) — wall-clock site: wall_time_s is the
   // experiment stopwatch, reported outside the deterministic result fields.
   auto t0 = std::chrono::steady_clock::now();
   const bool collect = config.collect_metrics;
   const bool checkpointing = !config.checkpoint_path.empty();
   const std::uint64_t config_hash =
       checkpointing ? checkpoint_config_hash(config, scenario_tag) : 0;
-
-  // Wall-clock phase timers and pool stats land in this engine-local
-  // registry (all Stability::kWall) and are merged into the result after
-  // the deterministic fold.
-  metrics::Registry engine_reg;
 
   ExperimentResult out;
   std::size_t start_run = 0;
@@ -412,79 +407,65 @@ ExperimentResult run_engine(const ExperimentConfig& config, std::size_t n,
        chunk_start += chunk_size) {
     const std::size_t count = std::min(chunk_size, config.runs - chunk_start);
     std::vector<RunOutcome> outcomes(count);
-    {
-      metrics::ScopedTimer t(
-          metrics::timer(collect ? &engine_reg : nullptr,
-                         "experiment.phase.simulate_seconds"));
-      util::parallel_for(
-          count, config.threads,
-          [&](std::size_t slot) {
-            const std::size_t run = chunk_start + slot;
-            util::Rng rng(util::derive_seed(config.seed, run));
-            RunOutcome o;
-            metrics::Registry reg;
-            try {
-              if (config.faults.p_run_abort > 0.0 &&
-                  rng.chance(config.faults.p_run_abort)) {
-                throw faults::InjectedFault(
-                    "injected run abort (p_run_abort)");
-              }
-              o = body(run, rng, collect ? &reg : nullptr);
-              o.metrics = std::move(reg);
-            } catch (const std::exception& e) {
-              o = RunOutcome{};  // quarantine: drop partial samples/metrics
-              o.failed = true;
-              o.error = e.what();
-            }
-            outcomes[slot] = std::move(o);
-          },
-          collect ? &engine_reg : nullptr);
-    }
-
-    {
-      metrics::ScopedTimer t(metrics::timer(
-          collect ? &engine_reg : nullptr, "experiment.phase.fold_seconds"));
-      for (std::size_t slot = 0; slot < count; ++slot) {
-        const RunOutcome& o = outcomes[slot];
-        if (o.failed) {
-          const std::size_t run = chunk_start + slot;
-          out.failed_runs.push_back(
-              {run, util::derive_seed(config.seed, run), o.error});
-          continue;
+    util::parallel_for(count, config.threads, [&](std::size_t slot) {
+      const std::size_t run = chunk_start + slot;
+      util::Rng rng(util::derive_seed(config.seed, run));
+      RunOutcome o;
+      metrics::Registry reg;
+      try {
+        if (config.faults.p_run_abort > 0.0 &&
+            rng.chance(config.faults.p_run_abort)) {
+          throw faults::InjectedFault("injected run abort (p_run_abort)");
         }
-        out.sim_delivered.add(o.loaded ? o.delivery_fraction
-                                       : (o.delivered ? 1.0 : 0.0));
-        out.sim_transmissions.add(o.transmissions);
-        if (o.delivered) {
-          ++out.delivered_runs;
-          out.sim_delay.add(o.delay);
-          out.sim_traceable.add(o.traceable);
-          out.sim_anonymity.add(o.anonymity);
-        }
-        if (o.loaded) {
-          out.sim_throughput.add(o.throughput);
-          out.sim_p99_delay.add(o.p99_delay);
-        } else {
-          out.ana_delivery.add(o.ana_delivery);
-        }
-        out.ana_traceable_paper.add(k.traceable_paper);
-        out.ana_traceable_exact.add(k.traceable_exact);
-        out.ana_anonymity.add(k.anonymity);
-        out.ana_cost_bound.add(k.cost_bound);
-        out.ana_cost_non_anonymous.add(k.cost_non_anonymous);
-        if (collect) out.metrics.merge(o.metrics);
+        o = body(run, rng, collect ? &reg : nullptr);
+        o.metrics = std::move(reg);
+      } catch (const std::exception& e) {
+        o = RunOutcome{};  // quarantine: drop partial samples/metrics
+        o.failed = true;
+        o.error = e.what();
       }
+      outcomes[slot] = std::move(o);
+    });
+
+    for (std::size_t slot = 0; slot < count; ++slot) {
+      const RunOutcome& o = outcomes[slot];
+      if (o.failed) {
+        const std::size_t run = chunk_start + slot;
+        out.failed_runs.push_back(
+            {run, util::derive_seed(config.seed, run), o.error});
+        continue;
+      }
+      out.sim_delivered.add(o.loaded ? o.delivery_fraction
+                                     : (o.delivered ? 1.0 : 0.0));
+      out.sim_transmissions.add(o.transmissions);
+      if (o.delivered) {
+        ++out.delivered_runs;
+        out.sim_delay.add(o.delay);
+        out.sim_traceable.add(o.traceable);
+        out.sim_anonymity.add(o.anonymity);
+      }
+      if (o.loaded) {
+        out.sim_throughput.add(o.throughput);
+        out.sim_p99_delay.add(o.p99_delay);
+      } else {
+        out.ana_delivery.add(o.ana_delivery);
+      }
+      out.ana_traceable_paper.add(k.traceable_paper);
+      out.ana_traceable_exact.add(k.traceable_exact);
+      out.ana_anonymity.add(k.anonymity);
+      out.ana_cost_bound.add(k.cost_bound);
+      out.ana_cost_non_anonymous.add(k.cost_non_anonymous);
+      if (collect) out.metrics.merge(o.metrics);
     }
 
     if (checkpointing) {
       CheckpointData snapshot;
       snapshot.completed_runs = chunk_start + count;
-      snapshot.result = out;  // engine_reg (wall-only) is deliberately absent
+      snapshot.result = out;
       save_checkpoint(config.checkpoint_path, config_hash, snapshot);
     }
   }
-  if (collect) out.metrics.merge(engine_reg);
-  // odtn-lint: allow(banned-api) — kWall timer site (same stopwatch).
+  // odtn-lint: allow(banned-api) — wall-clock site (same stopwatch).
   const auto t1 = std::chrono::steady_clock::now();
   out.wall_time_s = std::chrono::duration<double>(t1 - t0).count();
   return out;
@@ -621,6 +602,10 @@ Time loaded_trace_horizon(const ExperimentConfig& cfg) {
 }  // namespace
 
 void Experiment::validate(const Scenario& scenario) const {
+  if (config_.resume && config_.checkpoint_path.empty()) {
+    throw std::invalid_argument(
+        "experiment: --resume requires --checkpoint=FILE");
+  }
   validate_backend(config_, scenario);
   validate_traffic(config_, scenario);
   validate_wire(config_);
@@ -688,17 +673,11 @@ ExperimentResult Experiment::run_trace(const TraceScenario& scenario) const {
   const ExperimentConfig& cfg = config_;
   const trace::ContactTrace& trace = *scenario.trace;
 
-  // Rates are trained once and shared read-only across workers; the phase
-  // timer lands in the result's registry after the engine fold.
-  metrics::Registry train_reg;
-  graph::ContactGraph trained = [&] {
-    metrics::ScopedTimer t(
-        metrics::timer(cfg.collect_metrics ? &train_reg : nullptr,
-                       "experiment.phase.train_seconds"));
-    return cfg.trace_training_gap > 0.0
-               ? trace.estimate_rates_active(cfg.trace_training_gap)
-               : trace.estimate_rates();
-  }();
+  // Rates are trained once and shared read-only across workers.
+  const graph::ContactGraph trained =
+      cfg.trace_training_gap > 0.0
+          ? trace.estimate_rates_active(cfg.trace_training_gap)
+          : trace.estimate_rates();
 
   // Each node's contact times, in trace order: a run starts at one of its
   // source's contacts ("a source node initiates a message transmission at
@@ -709,7 +688,7 @@ ExperimentResult Experiment::run_trace(const TraceScenario& scenario) const {
     contact_times[e.b].push_back(e.time);
   }
 
-  ExperimentResult result = run_engine(
+  return run_engine(
       cfg, trace.node_count(),
       cfg.checkpoint_path.empty() ? "trace" : trace_scenario_tag(trace),
       [&](std::size_t, util::Rng& rng, metrics::Registry* reg) {
@@ -723,8 +702,6 @@ ExperimentResult Experiment::run_trace(const TraceScenario& scenario) const {
         sim::TraceContactModel contacts(trace);
         return run_once(cfg, contacts, trained, src, dst, start, rng, reg);
       });
-  if (cfg.collect_metrics) result.metrics.merge(train_reg);
-  return result;
 }
 
 ExperimentResult Experiment::run_sparse_trace(
@@ -742,17 +719,10 @@ ExperimentResult Experiment::run_sparse_trace(
   // just the trained CSR rates. Runs then sample live Poisson contacts from
   // those rates (the model the training fits), so neither the simulation
   // nor the analysis side ever needs the events again.
-  metrics::Registry train_reg;
-  trace::SparseTraceSummary summary = [&] {
-    metrics::ScopedTimer t(
-        metrics::timer(cfg.collect_metrics ? &train_reg : nullptr,
-                       "experiment.phase.train_seconds"));
-    return trace::ingest_sparse_trace_file(scenario.path, scenario.format,
-                                           scenario.nodes,
-                                           cfg.trace_training_gap);
-  }();
+  const trace::SparseTraceSummary summary = trace::ingest_sparse_trace_file(
+      scenario.path, scenario.format, scenario.nodes, cfg.trace_training_gap);
 
-  ExperimentResult result = run_engine(
+  return run_engine(
       cfg, summary.node_count,
       cfg.checkpoint_path.empty() ? "sparse_trace"
                                   : trace_scenario_tag(summary),
@@ -766,8 +736,6 @@ ExperimentResult Experiment::run_sparse_trace(
         return run_once(cfg, contacts, summary.rates, src, dst,
                         /*start=*/summary.start_time, rng, reg);
       });
-  if (cfg.collect_metrics) result.metrics.merge(train_reg);
-  return result;
 }
 
 }  // namespace odtn::core

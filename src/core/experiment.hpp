@@ -78,11 +78,9 @@ struct ExperimentResult {
   double wall_time_s = 0.0;
 
   /// Observability (only populated when config.collect_metrics): per-run
-  /// "experiment.*" delay/transmission histograms, the "routing.*" event
-  /// counters from inside the protocols, plus wall-clock phase timers and
-  /// thread-pool stats (Stability::kWall — excluded from deterministic
-  /// export). Folded from per-run registries in run order, so the stable
-  /// part is bit-identical at every thread count.
+  /// "experiment.*" delay/transmission histograms and the "routing.*" /
+  /// "sim.*" event counters from inside the protocols. Folded from per-run
+  /// registries in run order, so it is bit-identical at every thread count.
   metrics::Registry metrics;
 
   /// Folds another shard in: every accumulator merges, delivered_runs adds.

@@ -9,12 +9,8 @@ const char* kind_name(Kind kind) {
   switch (kind) {
     case Kind::kCounter:
       return "counter";
-    case Kind::kGauge:
-      return "gauge";
     case Kind::kHistogram:
       return "histogram";
-    case Kind::kTimer:
-      return "timer";
   }
   return "unknown";
 }
@@ -126,12 +122,10 @@ std::vector<Histogram::Bucket> Histogram::buckets() const {
   return out;
 }
 
-Registry::Metric& Registry::resolve(const std::string& name, Kind kind,
-                                    Stability stability) {
+Registry::Metric& Registry::resolve(const std::string& name, Kind kind) {
   auto [it, inserted] = metrics_.try_emplace(name);
   if (inserted) {
     it->second.kind = kind;
-    it->second.stability = stability;
   } else if (it->second.kind != kind) {
     throw std::logic_error("metrics: '" + name + "' registered as " +
                            kind_name(it->second.kind) + ", requested as " +
@@ -140,36 +134,22 @@ Registry::Metric& Registry::resolve(const std::string& name, Kind kind,
   return it->second;
 }
 
-CounterHandle Registry::counter(const std::string& name, Stability stability) {
-  return CounterHandle(&resolve(name, Kind::kCounter, stability).counter);
+CounterHandle Registry::counter(const std::string& name) {
+  return CounterHandle(&resolve(name, Kind::kCounter).counter);
 }
 
-GaugeHandle Registry::gauge(const std::string& name, Stability stability) {
-  Metric& m = resolve(name, Kind::kGauge, stability);
-  return GaugeHandle(&m.gauge, &m.gauge_set);
-}
-
-HistogramHandle Registry::histogram(const std::string& name,
-                                    Stability stability) {
-  return HistogramHandle(&resolve(name, Kind::kHistogram, stability).hist);
-}
-
-HistogramHandle Registry::timer(const std::string& name) {
-  return HistogramHandle(&resolve(name, Kind::kTimer, Stability::kWall).hist);
+HistogramHandle Registry::histogram(const std::string& name) {
+  return HistogramHandle(&resolve(name, Kind::kHistogram).hist);
 }
 
 void Registry::restore(const std::string& name, const Metric& metric) {
-  resolve(name, metric.kind, metric.stability) = metric;
+  resolve(name, metric.kind) = metric;
 }
 
 void Registry::merge(const Registry& other) {
   for (const auto& [name, theirs] : other.metrics_) {
-    Metric& ours = resolve(name, theirs.kind, theirs.stability);
+    Metric& ours = resolve(name, theirs.kind);
     ours.counter += theirs.counter;
-    if (theirs.gauge_set) {
-      ours.gauge = theirs.gauge;
-      ours.gauge_set = true;
-    }
     ours.hist.merge(theirs.hist);
   }
 }

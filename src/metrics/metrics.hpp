@@ -1,28 +1,19 @@
 // odtn::metrics — deterministic observability for the simulator stack.
 //
-// A Registry is a named collection of counters, gauges, and log-bucketed
+// A Registry is a named collection of counters and log-bucketed
 // histograms. It is built for the sharded experiment engine: each worker
 // (or each run) writes into its own Registry with no synchronization, and
 // shards are folded in run order with Registry::merge — exactly the
 // RunningStats pattern — so every exported metric is bit-identical at any
-// thread count.
-//
-// Two classes of metric are distinguished:
-//   * stable  — derived purely from simulated state (event counts, virtual
-//     delays). These survive the ordered fold unchanged and are what
-//     MetricsWriter exports by default.
-//   * wall    — wall-clock or scheduling dependent (ScopedTimer phases,
-//     thread-pool queue depth / task latency). Kept in the same Registry
-//     for profiling but excluded from deterministic export unless asked.
+// thread count. Every metric is derived purely from simulated state (event
+// counts, virtual delays); nothing wall-clock lands in a Registry.
 //
 // Instrumentation sites hold *handles*, not names: a handle is resolved
 // once (one map lookup) and is a single pointer afterwards, so the hot
 // path pays one predictable branch plus an add. A null Registry* yields
-// inert handles, and defining ODTN_METRICS_DISABLED (cmake
-// -DODTN_METRICS=OFF) compiles every handle operation away entirely.
+// inert handles — the off path.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -30,9 +21,9 @@
 
 namespace odtn::metrics {
 
-enum class Kind { kCounter, kGauge, kHistogram, kTimer };
+enum class Kind { kCounter, kHistogram };
 
-/// Returns "counter", "gauge", "histogram", or "timer".
+/// Returns "counter" or "histogram".
 const char* kind_name(Kind kind);
 
 /// Log-bucketed histogram with quantile queries.
@@ -110,11 +101,7 @@ class CounterHandle {
   CounterHandle() = default;
 
   void inc(std::uint64_t delta = 1) {
-#ifndef ODTN_METRICS_DISABLED
     if (value_ != nullptr) *value_ += delta;
-#else
-    (void)delta;
-#endif
   }
 
  private:
@@ -123,59 +110,12 @@ class CounterHandle {
   std::uint64_t* value_ = nullptr;
 };
 
-class GaugeHandle {
- public:
-  GaugeHandle() = default;
-
-  void set(double v) {
-#ifndef ODTN_METRICS_DISABLED
-    if (value_ != nullptr) {
-      *value_ = v;
-      *set_ = true;
-    }
-#else
-    (void)v;
-#endif
-  }
-
-  /// Raises the gauge to v if v is larger (or the gauge is unset) —
-  /// high-water marks like peak queue depth.
-  void set_max(double v) {
-#ifndef ODTN_METRICS_DISABLED
-    if (value_ != nullptr && (!*set_ || v > *value_)) {
-      *value_ = v;
-      *set_ = true;
-    }
-#else
-    (void)v;
-#endif
-  }
-
- private:
-  friend class Registry;
-  GaugeHandle(double* value, bool* set) : value_(value), set_(set) {}
-  double* value_ = nullptr;
-  bool* set_ = nullptr;
-};
-
 class HistogramHandle {
  public:
   HistogramHandle() = default;
 
   void observe(double v) {
-#ifndef ODTN_METRICS_DISABLED
     if (hist_ != nullptr) hist_->observe(v);
-#else
-    (void)v;
-#endif
-  }
-
-  bool active() const {
-#ifndef ODTN_METRICS_DISABLED
-    return hist_ != nullptr;
-#else
-    return false;
-#endif
   }
 
  private:
@@ -184,56 +124,19 @@ class HistogramHandle {
   Histogram* hist_ = nullptr;
 };
 
-/// RAII wall-clock timer: records elapsed seconds into a timer-kind
-/// histogram at scope exit. Inert (no clock calls at all) when the handle
-/// is inactive.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(HistogramHandle timer) : timer_(timer) {
-    // odtn-lint: allow(banned-api) — kWall timer site: ScopedTimer only ever
-    // feeds Stability::kWall histograms, excluded from deterministic export.
-    if (timer_.active()) start_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedTimer() {
-    if (timer_.active()) {
-      // odtn-lint: allow(banned-api) — kWall timer site (same stopwatch).
-      const auto t1 = std::chrono::steady_clock::now();
-      timer_.observe(std::chrono::duration<double>(t1 - start_).count());
-    }
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  HistogramHandle timer_;
-  // odtn-lint: allow(banned-api) — kWall timer state for the stopwatch above.
-  std::chrono::steady_clock::time_point start_;
-};
-
 // ---------------------------------------------------------------------------
 // Registry.
-
-/// Whether a metric survives the deterministic fold (see file comment).
-enum class Stability { kStable, kWall };
 
 class Registry {
  public:
   /// Resolves a metric handle, creating the metric on first use. A name
   /// resolves to exactly one kind for the Registry's lifetime; re-resolving
   /// under a different kind throws std::logic_error.
-  CounterHandle counter(const std::string& name,
-                        Stability stability = Stability::kStable);
-  GaugeHandle gauge(const std::string& name,
-                    Stability stability = Stability::kStable);
-  HistogramHandle histogram(const std::string& name,
-                            Stability stability = Stability::kStable);
-  /// Timers are histograms of wall-clock seconds; always Stability::kWall.
-  HistogramHandle timer(const std::string& name);
+  CounterHandle counter(const std::string& name);
+  HistogramHandle histogram(const std::string& name);
 
-  /// Folds another registry in: counters add, gauges take the other's value
-  /// when it was set (so a run-ordered fold keeps the *last* run's value),
-  /// histograms merge. Kind conflicts throw std::logic_error.
+  /// Folds another registry in: counters add, histograms merge. Kind
+  /// conflicts throw std::logic_error.
   void merge(const Registry& other);
 
   bool empty() const { return metrics_.empty(); }
@@ -242,10 +145,7 @@ class Registry {
   // Export surface (MetricsWriter and the tests read through this).
   struct Metric {
     Kind kind = Kind::kCounter;
-    Stability stability = Stability::kStable;
     std::uint64_t counter = 0;
-    double gauge = 0.0;
-    bool gauge_set = false;
     Histogram hist;
   };
   /// Metrics in name order (std::map), which fixes the export byte order.
@@ -257,7 +157,7 @@ class Registry {
   void restore(const std::string& name, const Metric& metric);
 
  private:
-  Metric& resolve(const std::string& name, Kind kind, Stability stability);
+  Metric& resolve(const std::string& name, Kind kind);
 
   std::map<std::string, Metric> metrics_;
 };
@@ -269,23 +169,12 @@ class Registry {
 // heap-allocates) a std::string — the conversion happens only behind the
 // non-null branch.
 
-inline CounterHandle counter(Registry* reg, const char* name,
-                             Stability stability = Stability::kStable) {
-  return reg != nullptr ? reg->counter(name, stability) : CounterHandle{};
+inline CounterHandle counter(Registry* reg, const char* name) {
+  return reg != nullptr ? reg->counter(name) : CounterHandle{};
 }
 
-inline GaugeHandle gauge(Registry* reg, const char* name,
-                         Stability stability = Stability::kStable) {
-  return reg != nullptr ? reg->gauge(name, stability) : GaugeHandle{};
-}
-
-inline HistogramHandle histogram(Registry* reg, const char* name,
-                                 Stability stability = Stability::kStable) {
-  return reg != nullptr ? reg->histogram(name, stability) : HistogramHandle{};
-}
-
-inline HistogramHandle timer(Registry* reg, const char* name) {
-  return reg != nullptr ? reg->timer(name) : HistogramHandle{};
+inline HistogramHandle histogram(Registry* reg, const char* name) {
+  return reg != nullptr ? reg->histogram(name) : HistogramHandle{};
 }
 
 }  // namespace odtn::metrics

@@ -12,10 +12,6 @@ namespace {
 
 constexpr const char* kSchema = "odtn.metrics.v1";
 
-bool skip(const Registry::Metric& m, const WriteOptions& options) {
-  return m.stability == Stability::kWall && !options.include_wall;
-}
-
 void quantile_triple(const Histogram& h, double* p50, double* p90,
                      double* p99) {
   *p50 = h.quantile(0.50);
@@ -31,21 +27,15 @@ std::string format_double(double v) {
   return std::string(buf, res.ptr);
 }
 
-void write_jsonl(std::ostream& os, const Registry& reg,
-                 const WriteOptions& options) {
+void write_jsonl(std::ostream& os, const Registry& reg) {
   for (const auto& [name, m] : reg.entries()) {
-    if (skip(m, options)) continue;
     os << "{\"schema\":\"" << kSchema << "\",\"name\":\"" << name
        << "\",\"kind\":\"" << kind_name(m.kind) << "\"";
     switch (m.kind) {
       case Kind::kCounter:
         os << ",\"value\":" << m.counter;
         break;
-      case Kind::kGauge:
-        os << ",\"value\":" << format_double(m.gauge_set ? m.gauge : 0.0);
-        break;
-      case Kind::kHistogram:
-      case Kind::kTimer: {
+      case Kind::kHistogram: {
         double p50, p90, p99;
         quantile_triple(m.hist, &p50, &p90, &p99);
         os << ",\"count\":" << m.hist.count()
@@ -71,21 +61,15 @@ void write_jsonl(std::ostream& os, const Registry& reg,
   }
 }
 
-void write_csv(std::ostream& os, const Registry& reg,
-               const WriteOptions& options) {
+void write_csv(std::ostream& os, const Registry& reg) {
   os << "name,kind,value,count,sum,mean,min,max,p50,p90,p99\n";
   for (const auto& [name, m] : reg.entries()) {
-    if (skip(m, options)) continue;
     os << name << "," << kind_name(m.kind) << ",";
     switch (m.kind) {
       case Kind::kCounter:
         os << m.counter << ",,,,,,,,";
         break;
-      case Kind::kGauge:
-        os << format_double(m.gauge_set ? m.gauge : 0.0) << ",,,,,,,,";
-        break;
-      case Kind::kHistogram:
-      case Kind::kTimer: {
+      case Kind::kHistogram: {
         double p50, p90, p99;
         quantile_triple(m.hist, &p50, &p90, &p99);
         os << "," << m.hist.count() << "," << format_double(m.hist.sum())
@@ -100,22 +84,21 @@ void write_csv(std::ostream& os, const Registry& reg,
   }
 }
 
-std::string to_jsonl(const Registry& reg, const WriteOptions& options) {
+std::string to_jsonl(const Registry& reg) {
   std::ostringstream os;
-  write_jsonl(os, reg, options);
+  write_jsonl(os, reg);
   return os.str();
 }
 
-void write_file(const std::string& path, const Registry& reg,
-                const WriteOptions& options) {
+void write_file(const std::string& path, const Registry& reg) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     throw std::runtime_error("metrics: cannot open output file: " + path);
   }
   if (path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0) {
-    write_csv(out, reg, options);
+    write_csv(out, reg);
   } else {
-    write_jsonl(out, reg, options);
+    write_jsonl(out, reg);
   }
 }
 

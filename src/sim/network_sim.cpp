@@ -135,36 +135,14 @@ struct Engine {
   recovery::SaturationWindow sat_window;
   std::vector<std::size_t> ack_diff_scratch;  // exchange_acks reuse
 
-  // Observability handles (inert when config->metrics is null).
-  metrics::CounterHandle m_transfers;
-  metrics::CounterHandle m_rejections;
-  metrics::CounterHandle m_evictions;
-  metrics::CounterHandle m_expirations;
-  metrics::CounterHandle m_injection_failures;
-  metrics::CounterHandle m_deliveries;
+  // Observability: the distributions. Every sim event count lives in
+  // `report` alone and is exported once, at the end of run(). Each
+  // handle is inert unless its knob family registered it (see run()).
   metrics::HistogramHandle m_hop_delay;
   metrics::HistogramHandle m_delivery_delay;
-  // Resolved only when a FaultPlan is attached, like the gate's counters.
-  metrics::CounterHandle m_crash_flushed;
-  // Congestion accounting (resolved only when a load knob is on —
-  // bandwidth, priorities, utility forwarder, wire cells — so the
-  // unloaded metrics export stays byte-identical).
-  metrics::CounterHandle m_queue_deferred;
-  metrics::CounterHandle m_contacts_saturated;
   metrics::HistogramHandle m_queue_wait;
   metrics::HistogramHandle m_contact_capacity;
-  // Wire accounting (resolved only in wire mode — same contract).
-  metrics::CounterHandle m_wire_cells;
-  metrics::CounterHandle m_wire_bytes;
-  // Recovery accounting (resolved only when the recovery layer is
-  // enabled — same contract again).
-  metrics::CounterHandle m_retransmits;
   metrics::HistogramHandle m_ack_delay;
-  metrics::CounterHandle m_shed;
-  metrics::CounterHandle m_acks_created;
-  metrics::CounterHandle m_acked_at_source;
-  metrics::CounterHandle m_ack_gc;
-  metrics::CounterHandle m_suspicion_flips;
   std::size_t crash_cursor = 0;
 
   // (deadline, copy id): at equal deadlines source copies expire first,
@@ -234,12 +212,10 @@ struct Engine {
     if (victim == SIZE_MAX) {
       ++report.outcomes[msg].buffer_rejections;
       ++report.total_buffer_rejections;
-      m_rejections.inc();
       return false;
     }
     drop(victim);
     ++report.evicted_copies;
-    m_evictions.inc();
     return true;
   }
 
@@ -268,12 +244,10 @@ struct Engine {
     if (should_shed(m)) {
       report.outcomes[m].shed = true;
       ++report.shed_messages;
-      m_shed.inc();
       return;
     }
     if (buffer_full(msg.src)) {
       report.outcomes[m].injection_failed = true;
-      m_injection_failures.inc();
       return;
     }
     if (rec != nullptr && rec->retx_timeout > 0.0) {
@@ -296,7 +270,6 @@ struct Engine {
     if (!copies[id].alive) return;
     drop(id);
     ++report.expired_copies;
-    m_expirations.inc();
   }
 
   // Processes exactly one crash-reboot event (the caller checked it is
@@ -309,7 +282,6 @@ struct Engine {
     ++crash_cursor;
     for (std::size_t id : held) copies[id].alive = false;
     report.crash_flushed_copies += held.size();
-    m_crash_flushed.inc(held.size());
     held.clear();
   }
 
@@ -356,7 +328,6 @@ struct Engine {
     state[m].ack_exists = true;
     state[m].delivered_gen = gen;
     ++report.acks_created;
-    m_acks_created.inc();
     learn_ack(dst, m, t);
     learn_ack(sender, m, t);
   }
@@ -376,13 +347,11 @@ struct Engine {
       if (copies[id].msg != m) continue;
       drop(id);
       ++report.ack_gc_copies;
-      m_ack_gc.inc();
     }
     MessageState& st = state[m];
     if (messages[m].src != v || st.src_acked) return;
     st.src_acked = true;
     ++report.acked_at_source;
-    m_acked_at_source.inc();
     m_ack_delay.observe(t - messages[m].start);
     if (suspicion != nullptr) {
       suspicion->record(st.gens[st.delivered_gen], /*acked=*/true);
@@ -443,7 +412,6 @@ struct Engine {
     const auto& msg = messages[m];
     ++report.retransmissions;
     ++report.outcomes[m].retransmissions;
-    m_retransmits.inc();
     if (utility != nullptr) {
       if (buffer_full(msg.src)) return;  // no room: the attempt is spent
       place_copy(m, 0, msg.src, t, msg.copies, 0);
@@ -508,7 +476,6 @@ struct Engine {
   void count_transfer(std::size_t m, Time since, Time t) {
     ++report.outcomes[m].transmissions;
     ++report.total_transmissions;
-    m_transfers.inc();
     m_hop_delay.observe(t - since);
   }
 
@@ -523,7 +490,6 @@ struct Engine {
     if (!out.delivered) {
       out.delivered = true;
       out.delay = t - messages[m].start;
-      m_deliveries.inc();
       m_delivery_delay.observe(out.delay);
       if (config->record_paths) out.relay_path = copy_paths[id];
     }
@@ -652,7 +618,6 @@ struct Engine {
         // Out of bandwidth: the item starts (or continues) queueing.
         saturated = true;
         ++report.queue_deferred;
-        m_queue_deferred.inc();
         Time& qs = copies[c.id].queued_since;
         if (qs == kTimeInfinity) qs = t;
         continue;
@@ -669,17 +634,12 @@ struct Engine {
       if (config->cells_per_message > 0) {
         report.wire_cells += config->cells_per_message;
         report.wire_bytes += config->cells_per_message * config->cell_size;
-        m_wire_cells.inc(config->cells_per_message);
-        m_wire_bytes.inc(config->cells_per_message * config->cell_size);
       }
     }
     if (executed > report.max_contact_transfers) {
       report.max_contact_transfers = executed;
     }
-    if (saturated) {
-      ++report.contacts_saturated;
-      m_contacts_saturated.inc();
-    }
+    if (saturated) ++report.contacts_saturated;
     if (rec != nullptr && rec->shed_saturation > 0.0) {
       sat_window.record(saturated);
     }
@@ -697,49 +657,22 @@ struct Engine {
               : nullptr;
     const bool retx_on = rec != nullptr && rec->retx_timeout > 0.0;
 
+    // Histograms register under their knob family only, like the counters
+    // export_counts() writes: an export carries no sim.queue_* entries
+    // unloaded, no sim.wire_* ones outside wire mode, no recovery.* ones
+    // without recovery and no faults.* ones without a fault plan.
     metrics::Registry* reg = config->metrics;
-    m_transfers = metrics::counter(reg, "sim.transfers");
-    m_rejections = metrics::counter(reg, "sim.buffer_rejections");
-    m_evictions = metrics::counter(reg, "sim.evictions");
-    m_expirations = metrics::counter(reg, "sim.expirations");
-    m_injection_failures = metrics::counter(reg, "sim.injection_failures");
-    m_deliveries = metrics::counter(reg, "sim.deliveries");
+    const bool loaded =
+        bandwidth_on || priorities_on || utility != nullptr || wire_on;
     m_hop_delay = metrics::histogram(reg, "sim.hop_delay");
     m_delivery_delay = metrics::histogram(reg, "sim.delivery_delay");
-    metrics::counter(reg, "sim.messages").inc(messages.size());
-    // The gate and the counters below register only under an active
-    // fault plan, so the fault-free export carries no faults.* entries.
     gate = faults::FaultGate(config->faults, reg);
-    m_crash_flushed = gate.counter("faults.crash_flushed_copies");
-    if (config->faults != nullptr) {
-      metrics::counter(reg, "faults.blackhole_nodes")
-          .inc(config->faults->blackhole_count());
-    }
-    if (bandwidth_on || priorities_on || utility != nullptr || wire_on) {
-      // Same contract: the unloaded export carries no sim.queue_* entries.
-      m_queue_deferred = metrics::counter(reg, "sim.queue_deferred");
-      m_contacts_saturated = metrics::counter(reg, "sim.contacts_saturated");
-      m_queue_wait = metrics::histogram(reg, "sim.queue_wait");
-      if (bandwidth_on) {
-        m_contact_capacity = metrics::histogram(reg, "sim.contact_capacity");
-      }
-      if (wire_on) {
-        // And once more: the wire-off export carries no sim.wire_* entries.
-        m_wire_cells = metrics::counter(reg, "sim.wire_cells");
-        m_wire_bytes = metrics::counter(reg, "sim.wire_bytes");
-      }
+    if (loaded) m_queue_wait = metrics::histogram(reg, "sim.queue_wait");
+    if (bandwidth_on) {
+      m_contact_capacity = metrics::histogram(reg, "sim.contact_capacity");
     }
     if (rec != nullptr) {
-      // Same contract once more: the recovery-free export carries no
-      // recovery.* entries.
-      m_retransmits = metrics::counter(reg, "recovery.retransmits");
       m_ack_delay = metrics::histogram(reg, "recovery.ack_delay");
-      m_shed = metrics::counter(reg, "recovery.shed_messages");
-      m_acks_created = metrics::counter(reg, "recovery.acks_created");
-      m_acked_at_source = metrics::counter(reg, "recovery.acked_at_source");
-      m_ack_gc = metrics::counter(reg, "recovery.ack_gc_copies");
-      m_suspicion_flips = metrics::counter(reg, "recovery.suspicion_flips");
-
       ack_words = (messages.size() + 63) / 64;
       ack_known.assign(trace->node_count() * ack_words, 0);
       if (rec->suspicion_alpha > 0.0) {
@@ -832,9 +765,50 @@ struct Engine {
     report.blackhole_absorbed = gate.absorbed();
     if (suspicion != nullptr) {
       report.suspicion_flips = suspicion->flips() - tracker_flips_at_start;
-      m_suspicion_flips.inc(report.suspicion_flips);
     }
+    if (reg != nullptr) export_counts(*reg, loaded, wire_on);
     return std::move(report);
+  }
+
+  // The report's event counts as counters, each registered under the
+  // same knob family as the histograms in run().
+  void export_counts(metrics::Registry& reg, bool loaded, bool wire_on) {
+    auto add = [&](const char* name, std::uint64_t v) {
+      reg.counter(name).inc(v);
+    };
+    std::uint64_t deliveries = 0;
+    std::uint64_t injection_failures = 0;
+    for (const MessageOutcome& o : report.outcomes) {
+      deliveries += o.delivered;
+      injection_failures += o.injection_failed;
+    }
+    add("sim.messages", messages.size());
+    add("sim.transfers", report.total_transmissions);
+    add("sim.deliveries", deliveries);
+    add("sim.injection_failures", injection_failures);
+    add("sim.buffer_rejections", report.total_buffer_rejections);
+    add("sim.evictions", report.evicted_copies);
+    add("sim.expirations", report.expired_copies);
+    if (loaded) {
+      add("sim.queue_deferred", report.queue_deferred);
+      add("sim.contacts_saturated", report.contacts_saturated);
+    }
+    if (wire_on) {
+      add("sim.wire_cells", report.wire_cells);
+      add("sim.wire_bytes", report.wire_bytes);
+    }
+    if (rec != nullptr) {
+      add("recovery.retransmits", report.retransmissions);
+      add("recovery.shed_messages", report.shed_messages);
+      add("recovery.acks_created", report.acks_created);
+      add("recovery.acked_at_source", report.acked_at_source);
+      add("recovery.ack_gc_copies", report.ack_gc_copies);
+      add("recovery.suspicion_flips", report.suspicion_flips);
+    }
+    if (config->faults != nullptr) {
+      add("faults.blackhole_nodes", config->faults->blackhole_count());
+      add("faults.crash_flushed_copies", report.crash_flushed_copies);
+    }
   }
 };
 

@@ -92,9 +92,10 @@ struct NetworkSimConfig {
   std::size_t buffer_capacity = 0;
   BufferPolicy policy = BufferPolicy::kRejectNew;
   /// Observability sink (see odtn::metrics). When non-null the engine
-  /// records "sim.*" counters (transfers, buffer rejections, evictions,
-  /// expirations, deliveries) and the "sim.hop_delay" /
-  /// "sim.delivery_delay" histograms. Null = instrumentation off.
+  /// records the "sim.hop_delay" / "sim.delivery_delay" histograms and,
+  /// once at the end of the run, the report's event counts as "sim.*"
+  /// counters (transfers, deliveries, buffer rejections, evictions,
+  /// expirations, ...). Null = instrumentation off.
   metrics::Registry* metrics = nullptr;
   /// Fault model consulted at contact time (see odtn::faults): contacts
   /// with a powered-down endpoint are suppressed, crash-reboots flush the

@@ -8,8 +8,6 @@
 #include <cstddef>
 #include <functional>
 
-#include "metrics/metrics.hpp"
-
 namespace odtn::util {
 
 /// Runs `fn(i)` for every i in [0, n), fanned out over up to `threads`
@@ -19,12 +17,7 @@ namespace odtn::util {
 /// worker suffices; otherwise the calling thread works alongside
 /// `threads - 1` plain std::threads, joined before return. The first
 /// exception thrown by any body is rethrown here after all workers drain.
-///
-/// When `pool_metrics` is non-null, per-task wall latency ("pool.task
-/// _seconds" timer), task count and worker count are recorded — all
-/// Stability::kWall, so a default MetricsWriter export stays deterministic.
 void parallel_for(std::size_t n, std::size_t threads,
-                  const std::function<void(std::size_t)>& fn,
-                  metrics::Registry* pool_metrics = nullptr);
+                  const std::function<void(std::size_t)>& fn);
 
 }  // namespace odtn::util

@@ -1,8 +1,8 @@
 // The knob table: every row is perturbable, the checkpoint hash moves with
 // every identity row and with no harness row, each single-flag row parses
 // its own canonical value, the README flag tables match the rows, and
-// checkpoints round-trip under odtn.checkpoint.v2 while v1 files are
-// refused.
+// checkpoints round-trip under odtn.checkpoint.v3 while v1 and v2 files
+// are refused.
 #include "core/config_schema.hpp"
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/experiment.hpp"
+#include "metrics/writer.hpp"
 
 namespace odtn::core {
 namespace {
@@ -303,12 +304,15 @@ TEST(ConfigSchema, CheckpointRoundTripsUnderV2AndRefusesV1) {
   }
   data.result.failed_runs.push_back({1, 77, "injected"});
   data.result.metrics.counter("experiment.runs").inc(3);
+  for (double v : {0.0, 1.5, 40.0}) {
+    data.result.metrics.histogram("experiment.delay").observe(v);
+  }
   save_checkpoint(path, 42, data);
   {
     std::ifstream in(path);
     std::string magic;
     std::getline(in, magic);
-    EXPECT_EQ(magic, "odtn.checkpoint.v2");
+    EXPECT_EQ(magic, "odtn.checkpoint.v3");
   }
   auto loaded = load_checkpoint(path, 42);
   ASSERT_TRUE(loaded.has_value());
@@ -325,20 +329,22 @@ TEST(ConfigSchema, CheckpointRoundTripsUnderV2AndRefusesV1) {
   }
   ASSERT_EQ(loaded->result.failed_runs.size(), 1u);
   EXPECT_EQ(loaded->result.failed_runs[0].message, "injected");
-  EXPECT_EQ(loaded->result.metrics.entries().at("experiment.runs").counter,
-            3u);
+  EXPECT_EQ(metrics::to_jsonl(loaded->result.metrics),
+            metrics::to_jsonl(data.result.metrics));
 
-  {
-    std::ofstream v1(path, std::ios::trunc);
-    v1 << "odtn.checkpoint.v1\nhash 42\ncompleted 3\nend\n";
-  }
-  try {
-    load_checkpoint(path, 42);
-    FAIL() << "a v1 checkpoint was accepted";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("odtn.checkpoint.v1"), std::string::npos) << what;
-    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  for (const std::string magic : {"odtn.checkpoint.v1", "odtn.checkpoint.v2"}) {
+    {
+      std::ofstream old(path, std::ios::trunc);
+      old << magic << "\nhash 42\ncompleted 3\nend\n";
+    }
+    try {
+      load_checkpoint(path, 42);
+      FAIL() << "a " << magic << " checkpoint was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(magic), std::string::npos) << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
   }
   std::remove(path.c_str());
 }

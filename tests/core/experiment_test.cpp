@@ -349,5 +349,17 @@ TEST(Experiment, ZeroRunsRejected) {
                std::invalid_argument);
 }
 
+// Without a checkpoint there is nothing to resume from: --resume alone is
+// refused instead of silently starting a fresh sweep.
+TEST(Experiment, ResumeWithoutCheckpointRejected) {
+  ExperimentConfig cfg;
+  cfg.runs = 2;
+  cfg.resume = true;
+  EXPECT_THROW(Experiment(cfg).validate(RandomGraphScenario{}),
+               std::invalid_argument);
+  cfg.checkpoint_path = testing::TempDir() + "odtn_resume_without_cp";
+  EXPECT_NO_THROW(Experiment(cfg).validate(RandomGraphScenario{}));
+}
+
 }  // namespace
 }  // namespace odtn::core

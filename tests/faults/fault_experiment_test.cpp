@@ -204,7 +204,7 @@ TEST(Checkpoint, HashMismatchAndCorruptionRejected) {
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
-    std::fputs("odtn.checkpoint.v2\nhash 1\ncompleted 1\n", f);
+    std::fputs("odtn.checkpoint.v3\nhash 1\ncompleted 1\n", f);
     std::fclose(f);
   }
   EXPECT_THROW(load_checkpoint(path, 1u), std::runtime_error);

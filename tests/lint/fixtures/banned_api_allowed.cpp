@@ -9,7 +9,7 @@
 const char* kDoc = "std::lgamma and rand() and system_clock in a string";
 
 double wall_seconds() {
-  // odtn-lint: allow(banned-api) — kWall timer site for this fixture.
+  // odtn-lint: allow(banned-api) — wall-clock site for this fixture.
   auto s = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(s.time_since_epoch()).count();
 }

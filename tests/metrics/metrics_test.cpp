@@ -5,7 +5,6 @@
 
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "metrics/writer.hpp"
 
@@ -25,26 +24,6 @@ TEST(Counter, SameNameSharesState) {
   reg.counter("x").inc(2);
   reg.counter("x").inc(3);
   EXPECT_EQ(reg.entries().at("x").counter, 5u);
-}
-
-TEST(Gauge, SetAndSetMax) {
-  Registry reg;
-  auto g = reg.gauge("depth");
-  EXPECT_FALSE(reg.entries().at("depth").gauge_set);
-  g.set(3.0);
-  g.set_max(1.0);  // lower: ignored
-  EXPECT_DOUBLE_EQ(reg.entries().at("depth").gauge, 3.0);
-  g.set_max(7.0);
-  EXPECT_DOUBLE_EQ(reg.entries().at("depth").gauge, 7.0);
-  EXPECT_TRUE(reg.entries().at("depth").gauge_set);
-}
-
-TEST(Gauge, SetMaxOnUnsetGaugeTakesAnyValue) {
-  Registry reg;
-  auto g = reg.gauge("low");
-  g.set_max(-5.0);
-  EXPECT_TRUE(reg.entries().at("low").gauge_set);
-  EXPECT_DOUBLE_EQ(reg.entries().at("low").gauge, -5.0);
 }
 
 TEST(HistogramMetric, MomentsAndQuantileEndpoints) {
@@ -98,8 +77,9 @@ TEST(HistogramMetric, MergeAddsBucketsAndMoments) {
 TEST(RegistryTest, KindConflictThrows) {
   Registry reg;
   reg.counter("n");
-  EXPECT_THROW(reg.gauge("n"), std::logic_error);
   EXPECT_THROW(reg.histogram("n"), std::logic_error);
+  reg.histogram("h");
+  EXPECT_THROW(reg.counter("h"), std::logic_error);
 }
 
 TEST(RegistryTest, MergeFoldsAllKinds) {
@@ -107,74 +87,33 @@ TEST(RegistryTest, MergeFoldsAllKinds) {
   a.counter("c").inc(2);
   b.counter("c").inc(3);
   b.counter("only_b").inc(1);
-  a.gauge("g").set(1.0);
-  b.gauge("g").set(9.0);
   a.histogram("h").observe(1.0);
   b.histogram("h").observe(2.0);
   a.merge(b);
   EXPECT_EQ(a.entries().at("c").counter, 5u);
   EXPECT_EQ(a.entries().at("only_b").counter, 1u);
-  // Gauge: the merged-in (later) registry's set value wins.
-  EXPECT_DOUBLE_EQ(a.entries().at("g").gauge, 9.0);
   EXPECT_EQ(a.entries().at("h").hist.count(), 2u);
   EXPECT_DOUBLE_EQ(a.entries().at("h").hist.sum(), 3.0);
-}
-
-TEST(RegistryTest, MergeUnsetGaugeKeepsExistingValue) {
-  Registry a, b;
-  a.gauge("g").set(4.0);
-  b.gauge("g");  // resolved but never set
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.entries().at("g").gauge, 4.0);
-  EXPECT_TRUE(a.entries().at("g").gauge_set);
 }
 
 TEST(NullRegistry, HandlesAreInert) {
   Registry* none = nullptr;
   auto c = metrics::counter(none, "c");
-  auto g = metrics::gauge(none, "g");
   auto h = metrics::histogram(none, "h");
-  auto t = metrics::timer(none, "t");
   c.inc();
-  g.set(1.0);
-  g.set_max(2.0);
   h.observe(3.0);
-  EXPECT_FALSE(h.active());
-  { ScopedTimer timer(t); }
   // Default-constructed handles are also safe.
   CounterHandle{}.inc();
-  GaugeHandle{}.set(1.0);
   HistogramHandle{}.observe(1.0);
-}
-
-TEST(ScopedTimerTest, RecordsElapsedSeconds) {
-  Registry reg;
-  auto t = reg.timer("phase");
-  {
-    ScopedTimer timer(t);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-#ifndef ODTN_METRICS_DISABLED
-  const auto& m = reg.entries().at("phase");
-  EXPECT_EQ(m.kind, Kind::kTimer);
-  EXPECT_EQ(m.stability, Stability::kWall);
-  EXPECT_EQ(m.hist.count(), 1u);
-  EXPECT_GT(m.hist.sum(), 0.0);
-#endif
 }
 
 TEST(Writer, JsonlIsCanonicalAndSkipsWallMetrics) {
   Registry reg;
-  reg.counter("b.count").inc(2);
-  reg.gauge("a.gauge").set(1.5);
   reg.histogram("c.hist").observe(2.0);
-  reg.timer("z.timer").observe(0.1);  // kWall: excluded by default
+  reg.counter("b.count").inc(2);
   double lo = 0.0, hi = 0.0;
   Histogram::bucket_bounds(Histogram::bucket_index(2.0), &lo, &hi);
-  std::string out = to_jsonl(reg);
-  EXPECT_EQ(out,
-            "{\"schema\":\"odtn.metrics.v1\",\"name\":\"a.gauge\","
-            "\"kind\":\"gauge\",\"value\":1.5}\n"
+  EXPECT_EQ(to_jsonl(reg),
             "{\"schema\":\"odtn.metrics.v1\",\"name\":\"b.count\","
             "\"kind\":\"counter\",\"value\":2}\n"
             "{\"schema\":\"odtn.metrics.v1\",\"name\":\"c.hist\","
@@ -182,10 +121,6 @@ TEST(Writer, JsonlIsCanonicalAndSkipsWallMetrics) {
             "\"min\":2,\"max\":2,\"p50\":2,\"p90\":2,\"p99\":2,"
             "\"buckets\":[[" +
                 format_double(lo) + "," + format_double(hi) + ",1]]}\n");
-  // include_wall brings the timer back.
-  std::string with_wall = to_jsonl(reg, {/*include_wall=*/true});
-  EXPECT_NE(with_wall.find("z.timer"), std::string::npos);
-  EXPECT_EQ(out.find("z.timer"), std::string::npos);
 }
 
 TEST(Writer, CsvHasHeaderAndOneRowPerMetric) {

@@ -23,14 +23,14 @@
 # 4. Configures a -DODTN_SANITIZE=thread tree in build-tsan/, builds only
 #    the tsan-labelled test targets, and runs `ctest -L tsan` under TSan.
 # 5. Configures a -DODTN_SANITIZE=address tree in build-asan/, builds the
-#    fault-injection, recovery, circuit, network-sim, onion-routing, and
-#    contact-model test targets, and runs `ctest -L faults`,
+#    fault-injection, recovery, circuit, network-sim, onion-routing,
+#    contact-model and metrics test targets, and runs `ctest -L faults`,
 #    `ctest -L recovery`, `ctest -L circuit`, and the network_sim_test,
 #    traffic_sim_test, route_digest_test, baselines_test, single_copy_test,
 #    multi_copy_test, contact_query_property_test, contact_model_test,
 #    backend_equivalence_test, sparse_graph_test, args_test,
-#    config_schema_test, x25519_test and key_manager_test binaries under
-#    ASan.
+#    config_schema_test, metrics_test, x25519_test and key_manager_test
+#    binaries under ASan.
 # 6. Configures a -DODTN_SANITIZE=undefined tree in build-ubsan/, builds
 #    the analysis + crypto + key-manager test targets (the numeric and
 #    bit-twiddling code most prone to UB), and runs `ctest -L ubsan` under
@@ -197,7 +197,7 @@ cmake --build "$repo/build-tsan" -j "$jobs" --target \
 echo "== tsan: ctest -L tsan =="
 ctest --test-dir "$repo/build-tsan" -L tsan --output-on-failure -j "$jobs"
 
-echo "== asan: configure + build fault, recovery, circuit, sim, routing, contact-model, crypto test targets =="
+echo "== asan: configure + build fault, recovery, circuit, sim, routing, contact-model, crypto, metrics test targets =="
 cmake -B "$repo/build-asan" -S "$repo" -DODTN_SANITIZE=address
 cmake --build "$repo/build-asan" -j "$jobs" --target \
     faults_test fault_sim_test fault_experiment_test \
@@ -207,7 +207,7 @@ cmake --build "$repo/build-asan" -j "$jobs" --target \
     route_digest_test baselines_test single_copy_test multi_copy_test \
     contact_query_property_test contact_model_test backend_equivalence_test \
     sparse_graph_test args_test config_schema_test x25519_test \
-    key_manager_test
+    key_manager_test metrics_test
 
 echo "== asan: ctest -L faults =="
 # Includes fault_experiment_test: the checkpoint parser and the trace-data
@@ -250,6 +250,11 @@ echo "== asan: contact-model plan builder (both backends, both plan kinds) =="
 echo "== asan: args_test + config_schema_test (flag parsing, knob table) =="
 "$repo/build-asan/tests/util/args_test"
 "$repo/build-asan/tests/core/config_schema_test"
+
+echo "== asan: metrics_test (registry, writer) =="
+# The writer walks the registry's entries by kind, and Registry::restore
+# installs the metrics a checkpoint parser rebuilt.
+"$repo/build-asan/tests/metrics/metrics_test"
 
 echo "== asan: x25519_test + key_manager_test =="
 # The ladder reads its scalar and point through raw pointers, and

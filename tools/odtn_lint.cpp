@@ -8,7 +8,7 @@
 //   banned-api      std::lgamma outside analysis/lgamma_safe.hpp (the
 //                   signgam data race PR 1 fixed), rand/srand,
 //                   std::random_device, system_clock anywhere, and
-//                   steady_clock outside annotated kWall timer sites.
+//                   steady_clock outside annotated wall-clock sites.
 //   unordered-iter  range-for / .begin() iteration over a variable declared
 //                   as unordered_map/unordered_set in the same file must
 //                   carry an allow(unordered-iter) justification: iteration
@@ -68,7 +68,7 @@ struct RuleInfo {
 constexpr RuleInfo kRules[] = {
     {"banned-api",
      "lgamma outside lgamma_safe.hpp; rand/srand/random_device; "
-     "system_clock; steady_clock outside annotated kWall timer sites"},
+     "system_clock; steady_clock outside annotated wall-clock sites"},
     {"unordered-iter",
      "iteration over unordered_map/unordered_set needs an "
      "allow(unordered-iter) order-insensitivity justification"},
@@ -405,15 +405,15 @@ void check_banned_api(const std::string& file, const LexedFile& lf,
         }
       }
     }
-    // steady_clock is legitimate only at annotated kWall timer sites
+    // steady_clock is legitimate only at annotated wall-clock sites
     // (metrics phase timers, thread-pool stats, bench stopwatches), whose
     // outputs are excluded from deterministic export.
     if (has_token(line, "steady_clock") &&
         !allowed(sup, i + 1, "banned-api")) {
       out.push_back({file, i + 1, "banned-api",
-                     "steady_clock outside an annotated kWall timer site; "
+                     "steady_clock outside an annotated wall-clock site; "
                      "wall-clock reads must stay out of exported results "
-                     "(annotate allow(banned-api) if this is a kWall site)"});
+                     "(annotate allow(banned-api) if this is a wall-clock site)"});
     }
   }
 }
