@@ -19,7 +19,8 @@ AnonymousDtn::AnonymousDtn(std::unique_ptr<graph::ContactGraph> graph,
     n = trace_->node_count();
     contacts_ = std::make_unique<sim::TraceContactModel>(*trace_);
     estimated_rates_ =
-        std::make_unique<graph::ContactGraph>(trace_->estimate_rates());
+        std::make_unique<graph::ContactGraph>(
+            graph::dense_from_sparse(trace_->train(0.0).rates));
     rates_ = estimated_rates_.get();
   } else {
     throw std::invalid_argument("AnonymousDtn: no contact source");

@@ -675,9 +675,7 @@ ExperimentResult Experiment::run_trace(const TraceScenario& scenario) const {
 
   // Rates are trained once and shared read-only across workers.
   const graph::ContactGraph trained =
-      cfg.trace_training_gap > 0.0
-          ? trace.estimate_rates_active(cfg.trace_training_gap)
-          : trace.estimate_rates();
+      graph::dense_from_sparse(trace.train(cfg.trace_training_gap).rates);
 
   // Each node's contact times, in trace order: a run starts at one of its
   // source's contacts ("a source node initiates a message transmission at

@@ -178,6 +178,18 @@ SparseContactGraph sparse_from_dense(const ContactGraph& dense) {
   return std::move(b).build();
 }
 
+ContactGraph dense_from_sparse(const SparseContactGraph& sparse) {
+  ContactGraph dense(sparse.node_count());
+  for (NodeId i = 0; i < sparse.node_count(); ++i) {
+    const auto ids = sparse.neighbor_ids(i);
+    const auto rates = sparse.neighbor_rates(i);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      if (ids[k] > i) dense.set_rate(i, ids[k], rates[k]);
+    }
+  }
+  return dense;
+}
+
 SparseContactGraph sparse_random_contact_graph(std::size_t n, util::Rng& rng,
                                                double min_ict,
                                                double max_ict) {

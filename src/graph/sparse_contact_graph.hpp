@@ -95,6 +95,9 @@ class SparseContactGraph final : public ContactRates {
 /// Exact sparse copy of a dense graph (every positive-rate pair).
 SparseContactGraph sparse_from_dense(const ContactGraph& dense);
 
+/// Exact dense copy of a sparse graph: its inverse.
+ContactGraph dense_from_sparse(const SparseContactGraph& sparse);
+
 /// The Table II random graph in sparse form: sparse_from_dense of
 /// random_contact_graph, so it draws the *identical* uniform-ICT sequence
 /// and holds the identical rates, and at paper scale the sparse backend

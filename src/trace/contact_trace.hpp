@@ -9,25 +9,17 @@
 #include <string>
 #include <vector>
 
-#include "graph/contact_graph.hpp"
+#include "trace/trace_reader.hpp"
 #include "util/ids.hpp"
 
 namespace odtn::trace {
-
-struct ContactEvent {
-  Time time;
-  NodeId a;
-  NodeId b;
-
-  friend bool operator==(const ContactEvent&, const ContactEvent&) = default;
-};
 
 class ContactTrace {
  public:
   /// Builds a trace over `node_count` nodes; events are sorted by time,
   /// stably (the order equals std::stable_sort's). Throws
-  /// std::invalid_argument on events referencing nodes >= node_count,
-  /// a == b, or a non-finite time.
+  /// std::invalid_argument if node_count < 2 or check_event rejects an
+  /// event.
   ContactTrace(std::size_t node_count, std::vector<ContactEvent> events);
 
   std::size_t node_count() const { return node_count_; }
@@ -38,23 +30,12 @@ class ContactTrace {
   Time start_time() const;
   Time end_time() const;
 
-  /// Maximum-likelihood contact-rate estimate over the trace duration:
-  /// lambda_ij = (#contacts between i and j) / duration. This is the
-  /// "training" step the paper mentions for fitting the analytical model
-  /// to a real trace.
-  graph::ContactGraph estimate_rates() const;
-
-  /// Active time covered by the trace: the wall-clock duration with every
-  /// network-wide silent gap capped at `max_idle_gap`. Real contact logs
-  /// have long off-business-hour gaps during which the exponential contact
-  /// model is meaningless; dividing counts by active time instead of wall
-  /// time is the "training" that makes the model track business-hour
-  /// message delivery (Sec. V-D of the paper).
-  Time active_duration(Time max_idle_gap) const;
-
-  /// Rate estimate over active time: lambda_ij = count_ij /
-  /// active_duration(max_idle_gap).
-  graph::ContactGraph estimate_rates_active(Time max_idle_gap) const;
+  /// Trains per-pair contact rates over the trace with one RateTrainer
+  /// pass over its sorted events: active-time rates when max_idle_gap > 0,
+  /// wall-clock rates otherwise (see RateTrainer). This is the "training"
+  /// step the paper mentions for fitting the analytical model to a real
+  /// trace.
+  SparseTraceSummary train(Time max_idle_gap) const;
 
  private:
   std::size_t node_count_;

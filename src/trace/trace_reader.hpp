@@ -1,41 +1,61 @@
-// Streaming (pull-based) trace readers.
+// Trace ingestion: one streaming reader for the three text formats and one
+// rate trainer.
 //
-// The historical parsers slurped a whole trace file into one std::string
-// and materialized every event before training, so peak memory was
-// O(file size + events) — a dead end for multi-GB CRAWDAD logs. TraceReader
-// is the redesigned ingestion surface: open a stream, pull one TraceRecord
-// at a time, stop at eof. The in-memory parsers in contact_trace.hpp are now
-// thin wrappers (read every record, hand the vector to ContactTrace), and
-// the sparse ingest below consumes a reader in ONE bounded-memory pass,
-// emitting the trained SparseContactGraph directly — memory proportional to
-// the number of distinct contact *pairs*, never to file size or event count.
+// TraceReader pulls one ContactEvent at a time off a stream, so a trace is
+// never held as a whole-file string. Its one line loop strips CRLF endings
+// and '#' comments and skips blank lines; a per-format line parser does the
+// rest: "line N: ..." diagnostics for malformed lines, and the skip rules
+// (crawdad drops 1-based ids above node_count and self-contacts; the ONE
+// reader drops non-CONN lines, "down" transitions, out-of-range ids and
+// self-contacts; the plain reader drops nothing — range checking is its
+// consumer's job).
 //
-// Each concrete reader keeps its legacy parser's exact semantics: the same
-// "line N: ..." diagnostics, the same skip rules (crawdad drops 1-based ids
-// above node_count and self-contacts; the ONE reader drops non-CONN lines,
-// "down" transitions and out-of-range ids; the plain reader skips nothing —
-// range checking is its consumer's job), and the same comment/CRLF handling.
+// RateTrainer is the paper's trace training (Sec. V-D), fed one event at a
+// time. Both the streamed ingest below and ContactTrace::train run through
+// it, so in-memory and streamed rates are the same numbers by construction.
+// Its memory is proportional to the number of distinct contact *pairs*,
+// never to file size or event count.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <fstream>
 #include <istream>
-#include <memory>
+#include <stdexcept>
 #include <string>
+#include <unordered_map>
 
 #include "graph/sparse_contact_graph.hpp"
 #include "util/ids.hpp"
 
 namespace odtn::trace {
 
-/// One contact event as read from a trace stream.
-struct TraceRecord {
+/// One instantaneous contact between nodes a and b (the paper assumes
+/// every contact lasts long enough to transfer a whole message).
+struct ContactEvent {
   Time time;
   NodeId a;
   NodeId b;
+
+  friend bool operator==(const ContactEvent&, const ContactEvent&) = default;
 };
 
-/// Trace file formats understood by the readers (see contact_trace.hpp for
-/// the format descriptions).
+/// Throws std::invalid_argument unless `e` joins two distinct nodes below
+/// `node_count` at a finite time: the check every trace consumer applies.
+inline void check_event(const ContactEvent& e, std::size_t node_count) {
+  if (e.a >= node_count || e.b >= node_count) {
+    throw std::invalid_argument("ContactTrace: event references unknown node");
+  }
+  if (e.a == e.b) {
+    throw std::invalid_argument("ContactTrace: self-contact event");
+  }
+  if (!std::isfinite(e.time)) {
+    throw std::invalid_argument("ContactTrace: non-finite event time");
+  }
+}
+
+/// Trace file formats (see contact_trace.hpp for the format descriptions).
 enum class TraceFormat { kPlain, kCrawdad, kOneReport };
 
 /// Parses `name` ("plain", "crawdad", "one"); throws std::invalid_argument
@@ -44,106 +64,96 @@ TraceFormat parse_trace_format(const std::string& name);
 
 class TraceReader {
  public:
-  virtual ~TraceReader() = default;
+  /// Reads a caller-owned stream, which must outlive the reader.
+  TraceReader(std::istream& in, TraceFormat format, std::size_t node_count);
+  /// Opens and owns the file at `path`. Throws std::runtime_error
+  /// ("open_trace_reader: cannot open <path>") on IO failure.
+  TraceReader(const std::string& path, TraceFormat format,
+              std::size_t node_count);
+  TraceReader(const TraceReader&) = delete;
+  TraceReader& operator=(const TraceReader&) = delete;
 
   /// Pulls the next contact event into `out`. Returns false at end of
   /// stream. Throws std::invalid_argument with a "line N: ..." diagnostic
-  /// on malformed input (identical messages to the legacy parsers).
-  virtual bool next_record(TraceRecord& out) = 0;
-};
-
-/// `time a b` lines; '#' comments; blank lines skipped, and any other line
-/// that does not parse throws. Emits every parsed record (no range
-/// filtering — ContactTrace / the ingester validate).
-class PlainTraceReader final : public TraceReader {
- public:
-  /// The stream must outlive the reader.
-  explicit PlainTraceReader(std::istream& in) : in_(&in) {}
-  bool next_record(TraceRecord& out) override;
+  /// on malformed input.
+  bool next(ContactEvent& out);
 
  private:
+  std::ifstream file_;
   std::istream* in_;
-  std::string line_;
-  std::size_t line_no_ = 0;
-};
-
-/// CRAWDAD cambridge/haggle `id1 id2 start end` intervals, 1-based ids;
-/// drops ids above node_count (external devices) and self-contacts. Blank
-/// lines are skipped; any other line that does not parse throws.
-class CrawdadTraceReader final : public TraceReader {
- public:
-  CrawdadTraceReader(std::istream& in, std::size_t node_count)
-      : in_(&in), node_count_(node_count) {}
-  bool next_record(TraceRecord& out) override;
-
- private:
-  std::istream* in_;
+  TraceFormat format_;
   std::size_t node_count_;
   std::string line_;
   std::size_t line_no_ = 0;
 };
 
-/// ONE simulator connection reports: `time CONN a b up|down`, 0-based ids;
-/// emits "up" transitions, drops out-of-range ids and self-contacts.
-class OneReportTraceReader final : public TraceReader {
- public:
-  OneReportTraceReader(std::istream& in, std::size_t node_count)
-      : in_(&in), node_count_(node_count) {}
-  bool next_record(TraceRecord& out) override;
-
- private:
-  std::istream* in_;
-  std::size_t node_count_;
-  std::string line_;
-  std::size_t line_no_ = 0;
-};
-
-/// Reader over a caller-owned stream. The stream must outlive the reader.
-std::unique_ptr<TraceReader> make_trace_reader(std::istream& in,
-                                               TraceFormat format,
-                                               std::size_t node_count);
-
-/// Reader that owns the opened file. Throws std::runtime_error
-/// ("open_trace_reader: cannot open <path>") on IO failure.
-std::unique_ptr<TraceReader> open_trace_reader(const std::string& path,
-                                               TraceFormat format,
-                                               std::size_t node_count);
-
-/// Result of one streaming training pass: the trace's envelope plus the
-/// trained sparse contact-rate graph.
+/// Result of one training pass: the trace's envelope plus the trained
+/// sparse contact-rate graph.
 struct SparseTraceSummary {
   std::size_t node_count = 0;
   std::size_t event_count = 0;
   Time start_time = 0.0;
   Time end_time = 0.0;
-  /// Wall-clock duration with silent gaps capped at max_idle_gap
-  /// (== ContactTrace::active_duration); 0 when < 2 events or gap <= 0.
+  /// The time the rates are per: the wall-clock duration with every silent
+  /// gap capped at max_idle_gap, or the plain wall-clock duration when
+  /// max_idle_gap <= 0; 0 with fewer than 2 events.
   Time active_duration = 0.0;
-  graph::SparseContactGraph rates{2};  // replaced by ingest; min legal size
+  graph::SparseContactGraph rates{2};  // replaced by finish(); min legal size
 };
 
-/// Trains contact rates in ONE pass over `reader`: counts contacts per
-/// distinct pair in a hash map, tracks the time envelope, and emits the CSR
-/// graph. With max_idle_gap > 0 the rates are active-time rescaled exactly
-/// as ContactTrace::estimate_rates_active computes them (same two-step
-/// count/wall * wall/active arithmetic, so the values are bit-identical);
-/// with max_idle_gap <= 0 they are plain wall-clock MLE rates
-/// (estimate_rates). Active-time training requires time-sorted input —
-/// a decreasing timestamp throws std::invalid_argument.
-///
-/// Validation matches ContactTrace's constructor: node ids >= node_count
-/// ("event references unknown node"), self-contacts ("self-contact
-/// event") and NaN or infinite times ("non-finite event time") throw
-/// std::invalid_argument.
+/// Maximum-likelihood contact rates, lambda_ij = count_ij / duration, fed
+/// one event at a time. With max_idle_gap > 0 the duration is active time:
+/// real contact logs have long off-business-hour gaps during which the
+/// exponential contact model is meaningless, and dividing counts by active
+/// time instead of wall time is the training that makes the model track
+/// business-hour delivery (Sec. V-D). With max_idle_gap <= 0 it is
+/// wall-clock time.
+class RateTrainer {
+ public:
+  /// Throws std::invalid_argument if node_count < 2.
+  RateTrainer(std::size_t node_count, Time max_idle_gap);
+
+  /// Checks `e` with check_event, then counts it. Active-time training
+  /// needs time-sorted events: a decreasing time throws
+  /// std::invalid_argument.
+  void add(const ContactEvent& e);
+
+  /// The envelope and the rates of every pair that met, in CSR form.
+  SparseTraceSummary finish() &&;
+
+ private:
+  std::size_t node_count_;
+  Time max_idle_gap_;
+  // Keyed on (lo << 32 | hi): grows with the pairs that ever meet.
+  std::unordered_map<std::uint64_t, std::uint64_t> counts_;
+  std::size_t event_count_ = 0;
+  Time lo_ = 0.0;
+  Time hi_ = 0.0;
+  Time active_ = 0.0;
+};
+
+/// Drains `reader` into a RateTrainer: one bounded-memory pass.
 SparseTraceSummary ingest_sparse_trace(TraceReader& reader,
                                        std::size_t node_count,
                                        Time max_idle_gap);
 
-/// Convenience: open + ingest. IO errors throw std::runtime_error; parse
-/// and validation errors are re-thrown as "<path>: <original message>".
+/// Open + ingest. IO errors throw std::runtime_error; parse and validation
+/// errors are re-thrown by rethrow_at_path.
 SparseTraceSummary ingest_sparse_trace_file(const std::string& path,
                                             TraceFormat format,
                                             std::size_t node_count,
                                             Time max_idle_gap);
+
+/// Returns `body()`, re-throwing its std::invalid_argument as
+/// "<path>: <message>": a reader's "line N: ..." diagnostic then names the
+/// file it came from in one line.
+template <typename F>
+auto rethrow_at_path(const std::string& path, F&& body) -> decltype(body()) {
+  try {
+    return body();
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(path + ": " + e.what());
+  }
+}
 
 }  // namespace odtn::trace

@@ -37,6 +37,19 @@ TEST(SparseContactGraph, BuilderRoundTrip) {
   EXPECT_DOUBLE_EQ(g.total_rate(), 1.75);
 }
 
+TEST(SparseContactGraph, DenseCopyIsExactInverse) {
+  util::Rng rng(5);
+  const ContactGraph dense = random_contact_graph(9, rng);
+  const SparseContactGraph sparse = sparse_from_dense(dense);
+  const ContactGraph back = dense_from_sparse(sparse);
+  ASSERT_EQ(back.node_count(), 9u);
+  for (NodeId i = 0; i < 9; ++i) {
+    for (NodeId j = 0; j < 9; ++j) EXPECT_EQ(back.rate(i, j), dense.rate(i, j));
+  }
+  const ContactGraph empty = dense_from_sparse(SparseContactGraph(3));
+  EXPECT_EQ(empty.total_rate(), 0.0);
+}
+
 TEST(SparseContactGraph, RowsAscendingAndParallel) {
   SparseContactGraph::Builder b(6);
   b.add_edge(3, 5, 0.3);

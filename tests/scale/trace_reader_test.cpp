@@ -1,7 +1,7 @@
-// Streaming-vs-in-memory trace parity: the pull readers must see exactly
-// the records the legacy parsers materialized (same skip rules, same
+// Streaming-vs-in-memory trace parity: the reader must see exactly the
+// records the in-memory parsers materialize (same skip rules, same
 // diagnostics), and one-pass sparse ingestion must train rates bitwise
-// equal to ContactTrace::estimate_rates_active on the same input.
+// equal to ContactTrace::train on the same input.
 #include "trace/trace_reader.hpp"
 
 #include <gtest/gtest.h>
@@ -18,10 +18,10 @@
 namespace odtn::trace {
 namespace {
 
-std::vector<TraceRecord> drain(TraceReader& reader) {
-  std::vector<TraceRecord> out;
-  TraceRecord rec;
-  while (reader.next_record(rec)) out.push_back(rec);
+std::vector<ContactEvent> drain(TraceReader& reader) {
+  std::vector<ContactEvent> out;
+  ContactEvent rec;
+  while (reader.next(rec)) out.push_back(rec);
   return out;
 }
 
@@ -36,7 +36,7 @@ TEST(TraceReader, PlainMatchesParserWithCommentsAndCrlf) {
       "\n"
       "15.25 0 2\r\n";
   std::istringstream in(text);
-  PlainTraceReader reader(in);
+  TraceReader reader(in, TraceFormat::kPlain, 3);
   auto records = drain(reader);
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0].time, 10.5);
@@ -56,10 +56,10 @@ TEST(TraceReader, PlainMatchesParserWithCommentsAndCrlf) {
 TEST(TraceReader, PlainDiagnosticsMatchLegacy) {
   {
     std::istringstream in("10 0\n");
-    PlainTraceReader reader(in);
-    TraceRecord rec;
+    TraceReader reader(in, TraceFormat::kPlain, 3);
+    ContactEvent rec;
     try {
-      reader.next_record(rec);
+      reader.next(rec);
       FAIL() << "expected malformed-contact throw";
     } catch (const std::invalid_argument& e) {
       EXPECT_STREQ(e.what(), "line 1: malformed contact (expected 'time a b')");
@@ -67,11 +67,11 @@ TEST(TraceReader, PlainDiagnosticsMatchLegacy) {
   }
   {
     std::istringstream in("5 0 1\n7 -1 2\n");
-    PlainTraceReader reader(in);
-    TraceRecord rec;
-    ASSERT_TRUE(reader.next_record(rec));
+    TraceReader reader(in, TraceFormat::kPlain, 3);
+    ContactEvent rec;
+    ASSERT_TRUE(reader.next(rec));
     try {
-      reader.next_record(rec);
+      reader.next(rec);
       FAIL() << "expected negative-id throw";
     } catch (const std::invalid_argument& e) {
       EXPECT_STREQ(e.what(), "line 2: negative node id");
@@ -88,13 +88,13 @@ TEST(TraceReader, CrawdadSkipsExternalIdsAndSelfContacts) {
       "2 2 100 200\n"  // self-contact: dropped
       "3 1 50 60\n";
   std::istringstream sin(text);
-  auto reader = make_trace_reader(sin, TraceFormat::kCrawdad, 3);
-  auto records = drain(*reader);
+  TraceReader reader(sin, TraceFormat::kCrawdad, 3);
+  auto records = drain(reader);
 
   auto trace = parse_crawdad_trace(text, 3);
   ASSERT_EQ(records.size(), trace.event_count());
   // ContactTrace sorts; compare as multisets via sorted copies.
-  std::vector<TraceRecord> sorted = records;
+  std::vector<ContactEvent> sorted = records;
   std::sort(sorted.begin(), sorted.end(), [](const auto& x, const auto& y) {
     return x.time < y.time;
   });
@@ -103,10 +103,10 @@ TEST(TraceReader, CrawdadSkipsExternalIdsAndSelfContacts) {
   }
 
   std::istringstream bad("0 2 100 200\n");
-  CrawdadTraceReader breader(bad, 3);
-  TraceRecord rec;
+  TraceReader breader(bad, TraceFormat::kCrawdad, 3);
+  ContactEvent rec;
   try {
-    breader.next_record(rec);
+    breader.next(rec);
     FAIL() << "expected 1-based-id throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(), "line 1: crawdad ids are 1-based");
@@ -121,8 +121,8 @@ TEST(TraceReader, OneReportKeepsUpTransitionsOnly) {
       "14.0 CONN 2 5 up\n"   // out-of-range id for n=3: dropped
       "15.0 CONN 1 2 up\n";
   std::istringstream sin(text);
-  auto reader = make_trace_reader(sin, TraceFormat::kOneReport, 3);
-  auto records = drain(*reader);
+  TraceReader reader(sin, TraceFormat::kOneReport, 3);
+  auto records = drain(reader);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].time, 10.0);
   EXPECT_EQ(records[1].time, 15.0);
@@ -131,10 +131,10 @@ TEST(TraceReader, OneReportKeepsUpTransitionsOnly) {
   ASSERT_EQ(trace.event_count(), 2u);
 
   std::istringstream bad("10 CONN 0 1 sideways\n");
-  OneReportTraceReader breader(bad, 3);
-  TraceRecord rec;
+  TraceReader breader(bad, TraceFormat::kOneReport, 3);
+  ContactEvent rec;
   try {
-    breader.next_record(rec);
+    breader.next(rec);
     FAIL() << "expected CONN-state throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(), "line 1: CONN state must be up or down");
@@ -156,15 +156,16 @@ TEST(SparseIngest, RatesBitwiseEqualActiveTraining) {
   const Time gap = 1800.0;
 
   std::istringstream in(text);
-  PlainTraceReader reader(in);
+  TraceReader reader(in, TraceFormat::kPlain, trace.node_count());
   auto summary = ingest_sparse_trace(reader, trace.node_count(), gap);
 
-  auto dense = trace.estimate_rates_active(gap);
+  auto trained = trace.train(gap);
+  auto dense = graph::dense_from_sparse(trained.rates);
   EXPECT_EQ(summary.node_count, trace.node_count());
   EXPECT_EQ(summary.event_count, trace.event_count());
   EXPECT_EQ(summary.start_time, trace.start_time());
   EXPECT_EQ(summary.end_time, trace.end_time());
-  EXPECT_EQ(summary.active_duration, trace.active_duration(gap));
+  EXPECT_EQ(summary.active_duration, trained.active_duration);
   for (NodeId i = 0; i < trace.node_count(); ++i) {
     for (NodeId j = i + 1; j < trace.node_count(); ++j) {
       EXPECT_EQ(summary.rates.rate(i, j), dense.rate(i, j));
@@ -177,10 +178,10 @@ TEST(SparseIngest, WallClockRatesWhenGapDisabled) {
   std::string text = format_trace(trace);
 
   std::istringstream in(text);
-  PlainTraceReader reader(in);
+  TraceReader reader(in, TraceFormat::kPlain, trace.node_count());
   auto summary = ingest_sparse_trace(reader, trace.node_count(), 0.0);
 
-  auto dense = trace.estimate_rates();
+  auto dense = graph::dense_from_sparse(trace.train(0.0).rates);
   for (NodeId i = 0; i < trace.node_count(); ++i) {
     for (NodeId j = i + 1; j < trace.node_count(); ++j) {
       EXPECT_EQ(summary.rates.rate(i, j), dense.rate(i, j));
@@ -191,7 +192,7 @@ TEST(SparseIngest, WallClockRatesWhenGapDisabled) {
 TEST(SparseIngest, ValidationMatchesContactTrace) {
   {
     std::istringstream in("5 0 7\n");
-    PlainTraceReader reader(in);
+    TraceReader reader(in, TraceFormat::kPlain, 3);
     try {
       ingest_sparse_trace(reader, 3, 0.0);
       FAIL() << "expected unknown-node throw";
@@ -201,7 +202,7 @@ TEST(SparseIngest, ValidationMatchesContactTrace) {
   }
   {
     std::istringstream in("5 1 1\n");
-    PlainTraceReader reader(in);
+    TraceReader reader(in, TraceFormat::kPlain, 3);
     try {
       ingest_sparse_trace(reader, 3, 0.0);
       FAIL() << "expected self-contact throw";
@@ -212,36 +213,22 @@ TEST(SparseIngest, ValidationMatchesContactTrace) {
   {
     // Active-time training needs sorted input; wall-clock mode does not.
     std::istringstream in("10 0 1\n5 1 2\n");
-    PlainTraceReader reader(in);
+    TraceReader reader(in, TraceFormat::kPlain, 3);
     EXPECT_THROW(ingest_sparse_trace(reader, 3, 100.0), std::invalid_argument);
   }
 }
-
-// Replays fixed records, so the ingester's own checks can be fed values
-// that no text reader produces.
-class RecordsReader final : public TraceReader {
- public:
-  explicit RecordsReader(std::vector<TraceRecord> records)
-      : records_(std::move(records)) {}
-  bool next_record(TraceRecord& out) override {
-    if (next_ == records_.size()) return false;
-    out = records_[next_++];
-    return true;
-  }
-
- private:
-  std::vector<TraceRecord> records_;
-  std::size_t next_ = 0;
-};
 
 TEST(SparseIngest, NonFiniteTimeRejectedLikeContactTrace) {
   for (Time t : {std::numeric_limits<Time>::quiet_NaN(),
                  std::numeric_limits<Time>::infinity(),
                  -std::numeric_limits<Time>::infinity()}) {
     for (Time gap : {0.0, 100.0}) {
-      RecordsReader reader({{1.0, 0, 1}, {t, 1, 2}});
+      // Fed to the trainer directly: no text reader yields these times.
       try {
-        ingest_sparse_trace(reader, 3, gap);
+        RateTrainer trainer(3, gap);
+        for (const ContactEvent& e : {ContactEvent{1.0, 0, 1}, {t, 1, 2}}) {
+          trainer.add(e);
+        }
         FAIL() << "expected non-finite throw for time " << t;
       } catch (const std::invalid_argument& e) {
         EXPECT_STREQ(e.what(), "ContactTrace: non-finite event time");

@@ -139,7 +139,7 @@ TEST(ContactTrace, EmptyTraceTimes) {
 TEST(ContactTrace, EstimateRatesMatchesCounts) {
   // duration = 40 - 10 = 30; pair (1,2) has 2 contacts -> 1/15.
   ContactTrace t(3, sample_events());
-  auto g = t.estimate_rates();
+  auto g = t.train(0.0).rates;
   EXPECT_DOUBLE_EQ(g.rate(1, 2), 2.0 / 30.0);
   EXPECT_DOUBLE_EQ(g.rate(0, 1), 1.0 / 30.0);
   EXPECT_DOUBLE_EQ(g.rate(0, 2), 1.0 / 30.0);
@@ -147,7 +147,7 @@ TEST(ContactTrace, EstimateRatesMatchesCounts) {
 
 TEST(ContactTrace, EstimateRatesEmptyTrace) {
   ContactTrace t(3, {});
-  auto g = t.estimate_rates();
+  auto g = t.train(0.0).rates;
   EXPECT_EQ(g.total_rate(), 0.0);
 }
 

@@ -86,7 +86,7 @@ TEST(CrawdadParser, EventsSortedAfterParse) {
 
 TEST(CrawdadParser, RatesEstimableFromParsedTrace) {
   auto t = parse_crawdad_trace("1 2 0 10\n1 2 100 110\n1 2 200 210\n", 2);
-  auto rates = t.estimate_rates();
+  auto rates = t.train(0.0).rates;
   EXPECT_DOUBLE_EQ(rates.rate(0, 1), 3.0 / 200.0);
 }
 

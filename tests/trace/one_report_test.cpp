@@ -55,7 +55,7 @@ TEST(OneReport, EmptyInput) {
 TEST(OneReport, RatesEstimableFromParsedReport) {
   auto t = parse_one_report(
       "0 CONN 0 1 up\n100 CONN 0 1 down\n200 CONN 0 1 up\n", 2);
-  auto rates = t.estimate_rates();
+  auto rates = t.train(0.0).rates;
   EXPECT_DOUBLE_EQ(rates.rate(0, 1), 2.0 / 200.0);
 }
 

@@ -104,7 +104,7 @@ TEST(CambridgeLike, MatchesPaperScale) {
   EXPECT_GT(t.event_count(), 1000u);
   EXPECT_LT(t.end_time(), 5 * kSecondsPerDay);
   // Dense: every pair should have contacts.
-  auto rates = t.estimate_rates();
+  auto rates = t.train(0.0).rates;
   std::size_t connected = 0;
   for (NodeId i = 0; i < 12; ++i) {
     for (NodeId j = i + 1; j < 12; ++j) {
@@ -129,7 +129,7 @@ TEST(InfocomLike, MatchesPaperScale) {
 
 TEST(InfocomLike, SparserThanCambridge) {
   auto inf = make_infocom_like(9);
-  auto rates = inf.estimate_rates();
+  auto rates = inf.train(0.0).rates;
   std::size_t connected = 0, total = 0;
   for (NodeId i = 0; i < 41; ++i) {
     for (NodeId j = i + 1; j < 41; ++j) {

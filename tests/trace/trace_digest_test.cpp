@@ -56,44 +56,36 @@ struct Digest {
 std::vector<ContactEvent> read_all(const std::string& text, TraceFormat format,
                                    std::size_t node_count) {
   std::istringstream in(text);
-  auto reader = make_trace_reader(in, format, node_count);
+  TraceReader reader(in, format, node_count);
   std::vector<ContactEvent> out;
-  TraceRecord rec;
-  while (reader->next_record(rec)) out.push_back({rec.time, rec.a, rec.b});
+  ContactEvent e;
+  while (reader.next(e)) out.push_back(e);
   return out;
 }
 
 // In-memory training at `gap` (<= 0: wall clock): the rates of every pair
 // i < j, then the duration they divide by.
 void fold_trained(Digest& d, const ContactTrace& t, Time gap) {
-  const graph::ContactGraph g =
-      gap > 0 ? t.estimate_rates_active(gap) : t.estimate_rates();
+  const SparseTraceSummary s = t.train(gap);
+  const graph::ContactGraph g = graph::dense_from_sparse(s.rates);
   for (NodeId i = 0; i < t.node_count(); ++i) {
     for (NodeId j = i + 1; j < t.node_count(); ++j) d.f64(g.rate(i, j));
   }
-  d.f64(gap > 0 ? t.active_duration(gap) : t.end_time() - t.start_time());
+  d.f64(s.active_duration);
 }
 
-// The duration a streamed summary's rates divide by.
-Time summary_duration(const SparseTraceSummary& s, Time gap) {
-  return gap > 0 ? s.active_duration : s.end_time - s.start_time;
+// The duration a streamed summary's rates divide by: at gap <= 0, the
+// wall-clock duration.
+Time summary_duration(const SparseTraceSummary& s, Time) {
+  return s.active_duration;
 }
 
 // Streams `events` straight into the trainer, bypassing every text reader.
 SparseTraceSummary ingest_events(std::vector<ContactEvent> events,
                                  std::size_t node_count, Time gap) {
-  struct Replay final : TraceReader {
-    std::vector<ContactEvent> events;
-    std::size_t next = 0;
-    bool next_record(TraceRecord& out) override {
-      if (next == events.size()) return false;
-      const ContactEvent& e = events[next++];
-      out = {e.time, e.a, e.b};
-      return true;
-    }
-  } reader;
-  reader.events = std::move(events);
-  return ingest_sparse_trace(reader, node_count, gap);
+  RateTrainer trainer(node_count, gap);
+  for (const ContactEvent& e : events) trainer.add(e);
+  return std::move(trainer).finish();
 }
 
 // --- Fixed inputs. ---
@@ -174,9 +166,9 @@ TEST(TraceDigest, StreamedSummariesPinned) {
   for (const ContactTrace& t : {make_cambridge_like(17), make_infocom_like(5)}) {
     for (Time gap : {0.0, 1800.0}) {
       std::istringstream in(format_trace(t));
-      auto reader = make_trace_reader(in, TraceFormat::kPlain, t.node_count());
+      TraceReader reader(in, TraceFormat::kPlain, t.node_count());
       const SparseTraceSummary s =
-          ingest_sparse_trace(*reader, t.node_count(), gap);
+          ingest_sparse_trace(reader, t.node_count(), gap);
       d.u64(s.node_count);
       d.u64(s.event_count);
       d.f64(s.start_time);

@@ -106,14 +106,13 @@ int cmd_rates(const util::Args& args) {
     std::cerr << "rates: --nodes=N required\n";
     return 2;
   }
-  auto t = trace::load_trace_file(path, nodes);
-  double gap = args.get_double("active-gap", 1800.0);
-  auto g = gap > 0 ? t.estimate_rates_active(gap) : t.estimate_rates();
-  std::cout << "# trained from " << t.event_count() << " events; duration "
-            << t.end_time() - t.start_time() << ", active "
-            << (gap > 0 ? t.active_duration(gap) : t.end_time() - t.start_time())
+  const trace::SparseTraceSummary s =
+      trace::load_trace_file(path, nodes)
+          .train(args.get_double("active-gap", 1800.0));
+  std::cout << "# trained from " << s.event_count << " events; duration "
+            << s.end_time - s.start_time << ", active " << s.active_duration
             << "\n"
-            << graph::format_graph(g);
+            << graph::format_graph(graph::dense_from_sparse(s.rates));
   return 0;
 }
 
