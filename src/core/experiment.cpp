@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -532,7 +533,8 @@ void validate_backend(const ExperimentConfig& cfg, const Scenario& scenario) {
 void validate_traffic(const ExperimentConfig& cfg, const Scenario& scenario) {
   cfg.bandwidth.validate();
   cfg.recovery.validate();
-  if (cfg.utility_failure_penalty < 0.0 || cfg.utility_failure_penalty > 1.0) {
+  if (!(0.0 <= cfg.utility_failure_penalty &&
+        cfg.utility_failure_penalty <= 1.0)) {
     throw std::invalid_argument(
         "experiment: --utility-failure-penalty must be in [0, 1]");
   }
@@ -605,6 +607,9 @@ void Experiment::validate(const Scenario& scenario) const {
   if (config_.resume && config_.checkpoint_path.empty()) {
     throw std::invalid_argument(
         "experiment: --resume requires --checkpoint=FILE");
+  }
+  if (!std::isfinite(config_.ttl) || config_.ttl <= 0.0) {
+    throw std::invalid_argument("experiment: --T must be finite and > 0");
   }
   validate_backend(config_, scenario);
   validate_traffic(config_, scenario);

@@ -1,6 +1,7 @@
 #include "traffic/traffic.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace odtn::traffic {
@@ -69,7 +70,7 @@ void validate_flow(const FlowConfig& f, std::size_t flow, std::size_t nodes) {
       fail("mmpp dwell times must be > 0");
     }
     const double max_factor = (f.mean_burst + f.mean_idle) / f.mean_burst;
-    if (f.burst_factor < 1.0 || f.burst_factor > max_factor) {
+    if (!(1.0 <= f.burst_factor && f.burst_factor <= max_factor)) {
       fail("mmpp burst_factor must be in [1, (mean_burst+mean_idle)/"
            "mean_burst]");
     }
@@ -158,13 +159,19 @@ void generate_flow(const FlowConfig& f, std::uint32_t flow, std::size_t nodes,
 
 void TrafficConfig::validate(std::size_t nodes) const {
   if (!enabled()) {
-    if (horizon < 0.0) {
+    if (!(horizon >= 0.0)) {
       throw std::invalid_argument("traffic: horizon must be >= 0");
     }
     if (horizon > 0.0 && flows.empty()) {
       throw std::invalid_argument("traffic: horizon set but no flows");
     }
+    if (!flows.empty()) {
+      throw std::invalid_argument("traffic: flows set but horizon is not > 0");
+    }
     return;
+  }
+  if (std::isinf(horizon)) {
+    throw std::invalid_argument("traffic: horizon must be finite");
   }
   if (nodes < 2) {
     throw std::invalid_argument("traffic: need >= 2 nodes");

@@ -253,6 +253,37 @@ TEST(ConfigSchema, BadValuesAreOneLineErrors) {
               "--shed-priority-floor=256 exceeds 255");
 }
 
+// NaN, inf and negative float knobs parse, but the run refuses them with
+// one line naming the knob.
+TEST(ConfigSchema, NonFiniteKnobValuesFailValidation) {
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"--T=nan"}, "--T"},
+       {{"--T=inf"}, "--T"},
+       {{"--T=-5"}, "--T"},
+       {{"--traffic-rate=0.1", "--traffic-horizon=nan"}, "horizon"},
+       {{"--utility-failure-penalty=nan"}, "--utility-failure-penalty"},
+       {{"--recovery-retx-timeout=nan"}, "retx_timeout"},
+       {{"--recovery-retx-timeout=10", "--recovery-retx-backoff=nan"},
+        "retx_backoff"},
+       {{"--recovery-retx-timeout=10", "--recovery-retx-jitter=nan"},
+        "retx_jitter"},
+       {{"--recovery-retx-timeout=10", "--recovery-suspicion-alpha=nan"},
+        "suspicion_alpha"},
+       {{"--shed-occupancy=nan"}, "shed"}};
+  for (const auto& [flags, knob] : cases) {
+    ExperimentConfig c;
+    parse_knobs(make_args(flags), c);
+    try {
+      Experiment(c).validate(RandomGraphScenario{});
+      ADD_FAILURE() << "accepted " << flags.back();
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(knob), std::string::npos) << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(ConfigSchema, UsageShowsEveryFlagWithTheEntryPointDefault) {
   ExperimentConfig defaults;
   defaults.runs = 8;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "groups/group_directory.hpp"
@@ -53,6 +54,21 @@ TEST(RecoveryConfig, RejectsBadKnobs) {
   rc = {};
   rc.shed_occupancy = 1.5;
   EXPECT_THROW(rc.validate(), std::invalid_argument);
+}
+
+TEST(RecoveryConfig, RejectsNaNKnobs) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double RecoveryConfig::*knob :
+       {&RecoveryConfig::retx_timeout, &RecoveryConfig::retx_backoff,
+        &RecoveryConfig::retx_jitter, &RecoveryConfig::suspicion_alpha,
+        &RecoveryConfig::suspicion_threshold, &RecoveryConfig::shed_occupancy,
+        &RecoveryConfig::shed_saturation}) {
+    RecoveryConfig rc;
+    if (knob != &RecoveryConfig::retx_timeout) rc.retx_timeout = 10.0;
+    EXPECT_NO_THROW(rc.validate());
+    rc.*knob = nan;
+    EXPECT_THROW(rc.validate(), std::invalid_argument);
+  }
 }
 
 TEST(SuspicionTracker, ConvergesOnFailuresAndHealsOnAcks) {

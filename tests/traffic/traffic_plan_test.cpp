@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "util/stats.hpp"
@@ -184,6 +185,22 @@ TEST(TrafficConfig, DefaultIsDisabledAndValidationCatchesBadKnobs) {
   TrafficConfig no_flows;
   no_flows.horizon = 10.0;
   EXPECT_THROW(no_flows.validate(10), std::invalid_argument);
+}
+
+TEST(TrafficConfig, FlowsNeedAFinitePositiveHorizon) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double horizon : {0.0, -5.0, nan, inf}) {
+    TrafficConfig bad = one_flow(Arrival::kPoisson, 1.0, horizon);
+    EXPECT_THROW(bad.validate(10), std::invalid_argument) << horizon;
+  }
+  TrafficConfig no_flows;
+  no_flows.horizon = nan;
+  EXPECT_THROW(no_flows.validate(10), std::invalid_argument);
+
+  TrafficConfig bad = one_flow(Arrival::kMmpp, 1.0, 10.0);
+  bad.flows[0].burst_factor = nan;
+  EXPECT_THROW(bad.validate(10), std::invalid_argument);
 }
 
 TEST(TrafficArrival, NamesRoundTrip) {
