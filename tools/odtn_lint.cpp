@@ -51,6 +51,7 @@
 #include <iostream>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -559,6 +560,87 @@ void check_unordered_iter(const std::string& file, const LexedFile& lf,
 }
 
 // ---------------------------------------------------------------------------
+// Construction scanner (rules rng and circuit-rng)
+// ---------------------------------------------------------------------------
+
+// Calls found(line_index, type, args, opens_body) for every construction of
+// one of `types`: a temporary `T(args)` / `T{args}`, or a declaration
+// `T name(args)`, `T name{args}` or `T name = ...`, and, when
+// `bare_constructs`, `T name;` (default construction: the fixed default
+// seed). Reference, pointer, scope and member uses are not constructions.
+// `args` is the balanced argument list, or the `= ...` tail. `opens_body`
+// is true when a '{' follows the balanced list, as in `T make(args) {`.
+// A name followed by `()` may be a function declaration; it still counts
+// (the codebase spells functions returning engines only inside rng.hpp).
+template <typename Found>
+void scan_constructions(const LexedFile& lf,
+                        std::span<const std::string_view> types,
+                        bool bare_constructs, Found&& found) {
+  for (std::size_t i = 0; i < lf.code.size(); ++i) {
+    const std::string& line = lf.code[i];
+    if (line.empty()) continue;
+    auto skip_space = [&](std::size_t p) {
+      while (p < line.size() &&
+             std::isspace(static_cast<unsigned char>(line[p])))
+        ++p;
+      return p;
+    };
+    for (std::string_view type : types) {
+      std::size_t at = 0;
+      while ((at = line.find(type, at)) != std::string::npos) {
+        const std::size_t start = at;
+        at += type.size();
+        if ((start > 0 && ident_char(line[start - 1])) ||
+            (at < line.size() && ident_char(line[at]))) {
+          continue;
+        }
+        std::size_t p = skip_space(at);
+        if (p >= line.size() || line[p] == '&' || line[p] == '*' ||
+            line[p] == ':' || line[p] == '.' || line[p] == ',' ||
+            line[p] == ')' || line[p] == '>' || line[p] == ';') {
+          continue;
+        }
+        std::string args;
+        std::size_t after_args = std::string::npos;
+        auto capture_balanced = [&](std::size_t open_at) {
+          char open = line[open_at];
+          char close = open == '(' ? ')' : '}';
+          int depth = 0;
+          std::size_t q = open_at;
+          while (q < line.size()) {
+            if (line[q] == open) ++depth;
+            if (line[q] == close && --depth == 0) break;
+            ++q;
+          }
+          args = line.substr(open_at, q > open_at ? q - open_at : 0);
+          after_args = q + 1;
+        };
+        if (line[p] == '(' || line[p] == '{') {
+          capture_balanced(p);  // temporary
+        } else if (ident_char(line[p])) {
+          std::size_t q = p;
+          while (q < line.size() && ident_char(line[q])) ++q;
+          std::size_t r = skip_space(q);
+          if (r < line.size() && (line[r] == '(' || line[r] == '{')) {
+            capture_balanced(r);
+          } else if (r < line.size() && line[r] == '=') {
+            args = line.substr(r);
+          } else if (!(bare_constructs && r < line.size() && line[r] == ';')) {
+            continue;
+          }
+        } else {
+          continue;
+        }
+        const std::size_t b =
+            after_args == std::string::npos ? line.size()
+                                            : skip_space(after_args);
+        found(i, type, args, b < line.size() && line[b] == '{');
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Rule: rng
 // ---------------------------------------------------------------------------
 
@@ -574,94 +656,23 @@ void check_rng(const std::string& file, const LexedFile& lf,
       "default_random_engine", "ranlux24_base", "ranlux48_base",
       "ranlux24",     "ranlux48",       "knuth_b",
   };
-  for (std::size_t i = 0; i < lf.code.size(); ++i) {
-    const std::string& line = lf.code[i];
-    if (line.empty()) continue;
-    for (std::string_view eng : kEngines) {
-      std::size_t at = 0;
-      while ((at = line.find(eng, at)) != std::string::npos) {
-        std::size_t end = at + eng.size();
-        bool left_ok = at == 0 || !ident_char(line[at - 1]);
-        bool right_ok = end >= line.size() || !ident_char(line[end]);
-        if (!left_ok || !right_ok) {
-          at = end;
-          continue;
+  scan_constructions(
+      lf, kEngines, /*bare_constructs=*/true,
+      [&](std::size_t i, std::string_view eng, const std::string& args,
+          bool /*opens_body*/) {
+        if (args.find("derive_seed") != std::string::npos ||
+            allowed(sup, i + 1, "rng")) {
+          return;
         }
-        // What follows the engine type name?
-        std::size_t p = end;
-        while (p < line.size() &&
-               std::isspace(static_cast<unsigned char>(line[p])))
-          ++p;
-        // Reference/pointer/member-access/scope uses are not constructions.
-        if (p >= line.size() || line[p] == '&' || line[p] == '*' ||
-            line[p] == ':' || line[p] == '.' || line[p] == ',' ||
-            line[p] == ')' || line[p] == '>' || line[p] == ';') {
-          at = end;
-          continue;
-        }
-        bool construction = false;
-        std::string args;
-        if (line[p] == '(' || line[p] == '{') {
-          // Temporary: Rng(expr). Capture balanced args.
-          char open = line[p];
-          char close = open == '(' ? ')' : '}';
-          int depth = 0;
-          std::size_t q = p;
-          while (q < line.size()) {
-            if (line[q] == open) ++depth;
-            if (line[q] == close && --depth == 0) break;
-            ++q;
-          }
-          args = line.substr(p, q > p ? q - p : 0);
-          construction = true;
-        } else if (ident_char(line[p])) {
-          // Declaration: Rng name...; constructed if followed by (args),
-          // {args}, `= ...`, or nothing (default construction) — but a
-          // name followed by `(` with an empty arg list at namespace/class
-          // scope is a function declaration; treat `()` as default-ctor
-          // risk anyway: the codebase spells functions returning engines
-          // only inside rng.hpp, which is exempt.
-          std::size_t q = p;
-          while (q < line.size() && ident_char(line[q])) ++q;
-          std::size_t r = q;
-          while (r < line.size() &&
-                 std::isspace(static_cast<unsigned char>(line[r])))
-            ++r;
-          if (r < line.size() && (line[r] == '(' || line[r] == '{')) {
-            char open = line[r];
-            char close = open == '(' ? ')' : '}';
-            int depth = 0;
-            std::size_t z = r;
-            while (z < line.size()) {
-              if (line[z] == open) ++depth;
-              if (line[z] == close && --depth == 0) break;
-              ++z;
-            }
-            args = line.substr(r, z > r ? z - r : 0);
-            construction = true;
-          } else if (r < line.size() && line[r] == '=') {
-            args = line.substr(r);
-            construction = true;
-          } else if (r < line.size() && line[r] == ';') {
-            args.clear();  // default-constructed: fixed default seed
-            construction = true;
-          }
-        }
-        if (construction && args.find("derive_seed") == std::string::npos &&
-            !allowed(sup, i + 1, "rng")) {
-          out.push_back(
-              {file, i + 1, "rng",
-               std::string(eng) +
-                   " constructed without util::derive_seed: ad-hoc seeds "
-                   "can collide across streams and are not part of the "
-                   "(seed, stream) reproducibility discipline; derive the "
-                   "seed or annotate allow(rng) with why this stream is "
-                   "exempt"});
-        }
-        at = end;
-      }
-    }
-  }
+        out.push_back(
+            {file, i + 1, "rng",
+             std::string(eng) +
+                 " constructed without util::derive_seed: ad-hoc seeds "
+                 "can collide across streams and are not part of the "
+                 "(seed, stream) reproducibility discipline; derive the "
+                 "seed or annotate allow(rng) with why this stream is "
+                 "exempt"});
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -673,83 +684,25 @@ void check_rng(const std::string& file, const LexedFile& lf,
 // onto the circuit sub-stream), wire-mode runs would stop being bit
 // identical across thread counts and checkpoint resume. Scope: src/circuit/
 // only — the generic `rng` rule covers util::Rng engines tree-wide, this
-// one covers the Drbg constructions the circuit layer adds.
+// one covers the Drbg constructions the circuit layer adds. Bare member
+// declarations (`crypto::Drbg drbg_;`) are seeded in the mem-init list, and
+// a function returning a Drbg (`crypto::Drbg make_drbg(...) {`) constructs
+// nothing.
 void check_circuit_rng(const std::string& file, const LexedFile& lf,
                        const Suppressions& sup, std::vector<Finding>& out) {
   if (!path_has_component(file, "circuit") ||
       !path_has_component(file, "src")) {
     return;
   }
-  for (std::size_t i = 0; i < lf.code.size(); ++i) {
-    const std::string& line = lf.code[i];
-    if (line.empty()) continue;
-    std::size_t at = 0;
-    while ((at = line.find("Drbg", at)) != std::string::npos) {
-      std::size_t end = at + 4;
-      bool left_ok = at == 0 || !ident_char(line[at - 1]);
-      bool right_ok = end >= line.size() || !ident_char(line[end]);
-      if (!left_ok || !right_ok) {
-        at = end;
-        continue;
-      }
-      std::size_t p = end;
-      while (p < line.size() &&
-             std::isspace(static_cast<unsigned char>(line[p])))
-        ++p;
-      // Reference/pointer/scope/member uses, and bare member declarations
-      // (`crypto::Drbg drbg_;` — seeded in the mem-init list), are not
-      // constructions.
-      if (p >= line.size() || line[p] == '&' || line[p] == '*' ||
-          line[p] == ':' || line[p] == '.' || line[p] == ',' ||
-          line[p] == ')' || line[p] == '>' || line[p] == ';') {
-        at = end;
-        continue;
-      }
-      bool construction = false;
-      std::string args;
-      std::size_t after_args = std::string::npos;
-      auto capture_balanced = [&](std::size_t open_at) {
-        char open = line[open_at];
-        char close = open == '(' ? ')' : '}';
-        int depth = 0;
-        std::size_t q = open_at;
-        while (q < line.size()) {
-          if (line[q] == open) ++depth;
-          if (line[q] == close && --depth == 0) break;
-          ++q;
+  static constexpr std::string_view kDrbg[] = {"Drbg"};
+  scan_constructions(
+      lf, kDrbg, /*bare_constructs=*/false,
+      [&](std::size_t i, std::string_view, const std::string& args,
+          bool opens_body) {
+        if (opens_body || args.find("derive_seed") != std::string::npos ||
+            allowed(sup, i + 1, "circuit-rng")) {
+          return;
         }
-        args = line.substr(open_at, q > open_at ? q - open_at : 0);
-        after_args = q + 1;
-      };
-      if (line[p] == '(' || line[p] == '{') {
-        capture_balanced(p);  // temporary: Drbg(expr)
-        construction = true;
-      } else if (ident_char(line[p])) {
-        std::size_t q = p;
-        while (q < line.size() && ident_char(line[q])) ++q;
-        std::size_t r = q;
-        while (r < line.size() &&
-               std::isspace(static_cast<unsigned char>(line[r])))
-          ++r;
-        if (r < line.size() && (line[r] == '(' || line[r] == '{')) {
-          capture_balanced(r);  // Drbg name(args) / Drbg name{args}
-          construction = true;
-        } else if (r < line.size() && line[r] == '=') {
-          args = line.substr(r);
-          construction = true;
-        }
-      }
-      // A '{' after the balanced argument list is a function body opening
-      // (`crypto::Drbg make_drbg(...) {`), not a construction.
-      if (construction && after_args != std::string::npos) {
-        std::size_t b = after_args;
-        while (b < line.size() &&
-               std::isspace(static_cast<unsigned char>(line[b])))
-          ++b;
-        if (b < line.size() && line[b] == '{') construction = false;
-      }
-      if (construction && args.find("derive_seed") == std::string::npos &&
-          !allowed(sup, i + 1, "circuit-rng")) {
         out.push_back(
             {file, i + 1, "circuit-rng",
              "Drbg constructed in src/circuit/ without util::derive_seed: "
@@ -757,10 +710,7 @@ void check_circuit_rng(const std::string& file, const LexedFile& lf,
              "sub-stream or wire-mode runs lose thread-count and "
              "checkpoint-resume bit-identity; derive the seed or annotate "
              "allow(circuit-rng) with why this stream is exempt"});
-      }
-      at = end;
-    }
-  }
+      });
 }
 
 // ---------------------------------------------------------------------------
