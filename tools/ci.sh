@@ -24,13 +24,15 @@
 #    the tsan-labelled test targets, and runs `ctest -L tsan` under TSan.
 # 5. Configures a -DODTN_SANITIZE=address tree in build-asan/, builds the
 #    fault-injection, recovery, circuit, network-sim, onion-routing,
-#    contact-model and metrics test targets, and runs `ctest -L faults`,
-#    `ctest -L recovery`, `ctest -L circuit`, and the network_sim_test,
-#    traffic_sim_test, route_digest_test, baselines_test, single_copy_test,
-#    multi_copy_test, contact_query_property_test, contact_model_test,
-#    backend_equivalence_test, sparse_graph_test, args_test,
-#    config_schema_test, metrics_test, x25519_test and key_manager_test
-#    binaries under ASan.
+#    contact-model, metrics and trace-reader test targets, and runs
+#    `ctest -L faults`, `ctest -L recovery`, `ctest -L circuit`, and the
+#    network_sim_test, traffic_sim_test, route_digest_test, baselines_test,
+#    single_copy_test, multi_copy_test, contact_query_property_test,
+#    contact_model_test, backend_equivalence_test, sparse_graph_test,
+#    args_test, config_schema_test, metrics_test, x25519_test,
+#    key_manager_test, trace_reader_test, contact_trace_test, crawdad_test,
+#    one_report_test, parser_fuzz_test and trace_digest_test binaries under
+#    ASan.
 # 6. Configures a -DODTN_SANITIZE=undefined tree in build-ubsan/, builds
 #    the analysis + crypto + key-manager test targets (the numeric and
 #    bit-twiddling code most prone to UB), and runs `ctest -L ubsan` under
@@ -207,7 +209,8 @@ cmake --build "$repo/build-asan" -j "$jobs" --target \
     route_digest_test baselines_test single_copy_test multi_copy_test \
     contact_query_property_test contact_model_test backend_equivalence_test \
     sparse_graph_test args_test config_schema_test x25519_test \
-    key_manager_test metrics_test
+    key_manager_test metrics_test trace_reader_test contact_trace_test \
+    crawdad_test one_report_test parser_fuzz_test trace_digest_test
 
 echo "== asan: ctest -L faults =="
 # Includes fault_experiment_test: the checkpoint parser and the trace-data
@@ -262,6 +265,16 @@ echo "== asan: x25519_test + key_manager_test =="
 # reference.
 "$repo/build-asan/tests/crypto/x25519_test"
 "$repo/build-asan/tests/groups/key_manager_test"
+
+echo "== asan: trace readers and trainer =="
+# One line loop parses three text formats through per-format line parsers,
+# and the fuzz test feeds it random bytes.
+"$repo/build-asan/tests/scale/trace_reader_test"
+"$repo/build-asan/tests/trace/contact_trace_test"
+"$repo/build-asan/tests/trace/crawdad_test"
+"$repo/build-asan/tests/trace/one_report_test"
+"$repo/build-asan/tests/trace/parser_fuzz_test"
+"$repo/build-asan/tests/trace/trace_digest_test"
 
 echo "== ubsan: configure + build analysis, crypto and key-manager test targets =="
 cmake -B "$repo/build-ubsan" -S "$repo" -DODTN_SANITIZE=undefined
