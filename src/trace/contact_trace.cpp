@@ -10,6 +10,31 @@ namespace odtn::trace {
 
 namespace {
 
+// The one event check of the ContactTrace constructor and the trainer.
+void check_event(const ContactEvent& e, std::size_t node_count) {
+  if (e.a >= node_count || e.b >= node_count) {
+    throw std::invalid_argument("ContactTrace: event references unknown node");
+  }
+  if (e.a == e.b) {
+    throw std::invalid_argument("ContactTrace: self-contact event");
+  }
+  if (!std::isfinite(e.time)) {
+    throw std::invalid_argument("ContactTrace: non-finite event time");
+  }
+}
+
+// Returns `body()`, re-throwing its std::invalid_argument as "<path>:
+// <message>": a reader's "line N: ..." diagnostic then names the file it
+// came from in one line.
+template <typename F>
+auto rethrow_at_path(const std::string& path, F&& body) -> decltype(body()) {
+  try {
+    return body();
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(path + ": " + e.what());
+  }
+}
+
 // The in-memory parsers drain a TraceReader into a vector and hand it to
 // the ContactTrace constructor: every format quirk, skip rule and "line N:
 // ..." diagnostic lives in the reader.
@@ -109,6 +134,82 @@ SparseTraceSummary ContactTrace::train(Time max_idle_gap) const {
   RateTrainer trainer(node_count_, max_idle_gap);
   for (const ContactEvent& e : events_) trainer.add(e);
   return std::move(trainer).finish();
+}
+
+RateTrainer::RateTrainer(std::size_t node_count, Time max_idle_gap)
+    : node_count_(node_count), max_idle_gap_(max_idle_gap) {
+  if (node_count < 2) {
+    throw std::invalid_argument("ContactTrace: need >= 2 nodes");
+  }
+}
+
+void RateTrainer::add(const ContactEvent& e) {
+  check_event(e, node_count_);
+  if (event_count_ == 0) {
+    lo_ = hi_ = e.time;
+  } else {
+    if (max_idle_gap_ > 0.0) {
+      // Sorted input keeps hi_ the previous event's time.
+      if (e.time < hi_) {
+        throw std::invalid_argument(
+            "ingest_sparse_trace: active-time training requires a "
+            "time-sorted trace");
+      }
+      active_ += std::min(e.time - hi_, max_idle_gap_);
+    }
+    lo_ = std::min(lo_, e.time);
+    hi_ = std::max(hi_, e.time);
+  }
+  ++event_count_;
+  const NodeId lo = std::min(e.a, e.b);
+  const NodeId hi = std::max(e.a, e.b);
+  ++counts_[(static_cast<std::uint64_t>(lo) << 32) | hi];
+}
+
+SparseTraceSummary RateTrainer::finish() && {
+  SparseTraceSummary s;
+  s.node_count = node_count_;
+  s.event_count = event_count_;
+  s.start_time = lo_;
+  s.end_time = hi_;
+  const double wall = hi_ - lo_;
+  s.active_duration = max_idle_gap_ > 0.0 ? active_ : wall;
+  graph::SparseContactGraph::Builder b(node_count_);
+  if (wall > 0.0) {
+    // Active-time rates are the wall-clock rate count/wall times
+    // wall/active, in that order.
+    const double factor = max_idle_gap_ > 0.0 ? wall / active_ : 1.0;
+    // odtn-lint: allow(unordered-iter) — each distinct pair adds one edge
+    // with its own independently computed rate, and the CSR Builder sorts
+    // adjacency by id before building, so insertion order cannot reach the
+    // final structure.
+    for (const auto& [key, count] : counts_) {
+      const NodeId i = static_cast<NodeId>(key >> 32);
+      const NodeId j = static_cast<NodeId>(key & 0xffffffffu);
+      b.add_edge(i, j, static_cast<double>(count) / wall * factor);
+    }
+  }
+  s.rates = std::move(b).build();
+  return s;
+}
+
+SparseTraceSummary ingest_sparse_trace(TraceReader& reader,
+                                       std::size_t node_count,
+                                       Time max_idle_gap) {
+  RateTrainer trainer(node_count, max_idle_gap);
+  ContactEvent e;
+  while (reader.next(e)) trainer.add(e);
+  return std::move(trainer).finish();
+}
+
+SparseTraceSummary ingest_sparse_trace_file(const std::string& path,
+                                            TraceFormat format,
+                                            std::size_t node_count,
+                                            Time max_idle_gap) {
+  TraceReader reader(path, format, node_count);
+  return rethrow_at_path(path, [&] {
+    return ingest_sparse_trace(reader, node_count, max_idle_gap);
+  });
 }
 
 ContactTrace parse_trace(const std::string& text, std::size_t node_count) {

@@ -1,5 +1,4 @@
-// Trace ingestion: one streaming reader for the three text formats and one
-// rate trainer.
+// Streaming trace reader: one reader for the three text formats.
 //
 // TraceReader pulls one ContactEvent at a time off a stream, so a trace is
 // never held as a whole-file string. Its one line loop strips CRLF endings
@@ -8,25 +7,15 @@
 // (crawdad drops 1-based ids above node_count and self-contacts; the ONE
 // reader drops non-CONN lines, "down" transitions, out-of-range ids and
 // self-contacts; the plain reader drops nothing — range checking is its
-// consumer's job).
-//
-// RateTrainer is the paper's trace training (Sec. V-D), fed one event at a
-// time. Both the streamed ingest below and ContactTrace::train run through
-// it, so in-memory and streamed rates are the same numbers by construction.
-// Its memory is proportional to the number of distinct contact *pairs*,
-// never to file size or event count.
+// consumer's job). The rate training its events feed is in
+// contact_trace.hpp.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <fstream>
 #include <istream>
-#include <stdexcept>
 #include <string>
-#include <unordered_map>
 
-#include "graph/sparse_contact_graph.hpp"
 #include "util/ids.hpp"
 
 namespace odtn::trace {
@@ -40,20 +29,6 @@ struct ContactEvent {
 
   friend bool operator==(const ContactEvent&, const ContactEvent&) = default;
 };
-
-/// Throws std::invalid_argument unless `e` joins two distinct nodes below
-/// `node_count` at a finite time: the check every trace consumer applies.
-inline void check_event(const ContactEvent& e, std::size_t node_count) {
-  if (e.a >= node_count || e.b >= node_count) {
-    throw std::invalid_argument("ContactTrace: event references unknown node");
-  }
-  if (e.a == e.b) {
-    throw std::invalid_argument("ContactTrace: self-contact event");
-  }
-  if (!std::isfinite(e.time)) {
-    throw std::invalid_argument("ContactTrace: non-finite event time");
-  }
-}
 
 /// Trace file formats (see contact_trace.hpp for the format descriptions).
 enum class TraceFormat { kPlain, kCrawdad, kOneReport };
@@ -86,74 +61,5 @@ class TraceReader {
   std::string line_;
   std::size_t line_no_ = 0;
 };
-
-/// Result of one training pass: the trace's envelope plus the trained
-/// sparse contact-rate graph.
-struct SparseTraceSummary {
-  std::size_t node_count = 0;
-  std::size_t event_count = 0;
-  Time start_time = 0.0;
-  Time end_time = 0.0;
-  /// The time the rates are per: the wall-clock duration with every silent
-  /// gap capped at max_idle_gap, or the plain wall-clock duration when
-  /// max_idle_gap <= 0; 0 with fewer than 2 events.
-  Time active_duration = 0.0;
-  graph::SparseContactGraph rates{2};  // replaced by finish(); min legal size
-};
-
-/// Maximum-likelihood contact rates, lambda_ij = count_ij / duration, fed
-/// one event at a time. With max_idle_gap > 0 the duration is active time:
-/// real contact logs have long off-business-hour gaps during which the
-/// exponential contact model is meaningless, and dividing counts by active
-/// time instead of wall time is the training that makes the model track
-/// business-hour delivery (Sec. V-D). With max_idle_gap <= 0 it is
-/// wall-clock time.
-class RateTrainer {
- public:
-  /// Throws std::invalid_argument if node_count < 2.
-  RateTrainer(std::size_t node_count, Time max_idle_gap);
-
-  /// Checks `e` with check_event, then counts it. Active-time training
-  /// needs time-sorted events: a decreasing time throws
-  /// std::invalid_argument.
-  void add(const ContactEvent& e);
-
-  /// The envelope and the rates of every pair that met, in CSR form.
-  SparseTraceSummary finish() &&;
-
- private:
-  std::size_t node_count_;
-  Time max_idle_gap_;
-  // Keyed on (lo << 32 | hi): grows with the pairs that ever meet.
-  std::unordered_map<std::uint64_t, std::uint64_t> counts_;
-  std::size_t event_count_ = 0;
-  Time lo_ = 0.0;
-  Time hi_ = 0.0;
-  Time active_ = 0.0;
-};
-
-/// Drains `reader` into a RateTrainer: one bounded-memory pass.
-SparseTraceSummary ingest_sparse_trace(TraceReader& reader,
-                                       std::size_t node_count,
-                                       Time max_idle_gap);
-
-/// Open + ingest. IO errors throw std::runtime_error; parse and validation
-/// errors are re-thrown by rethrow_at_path.
-SparseTraceSummary ingest_sparse_trace_file(const std::string& path,
-                                            TraceFormat format,
-                                            std::size_t node_count,
-                                            Time max_idle_gap);
-
-/// Returns `body()`, re-throwing its std::invalid_argument as
-/// "<path>: <message>": a reader's "line N: ..." diagnostic then names the
-/// file it came from in one line.
-template <typename F>
-auto rethrow_at_path(const std::string& path, F&& body) -> decltype(body()) {
-  try {
-    return body();
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument(path + ": " + e.what());
-  }
-}
 
 }  // namespace odtn::trace
