@@ -45,7 +45,6 @@ ContactTrace drain(std::size_t node_count, TraceReader& reader) {
   return ContactTrace(node_count, std::move(events));
 }
 
-// Parses `text` in `format`.
 ContactTrace parse(const std::string& text, TraceFormat format,
                    std::size_t node_count) {
   std::istringstream is(text);
