@@ -34,7 +34,8 @@ const char* load_forwarder_name(LoadForwarder f);
 /// g = 5, K = 3, L = 1, T up to 1800 minutes, 10% compromised nodes.
 ///
 /// Every field is one row of the knob table (core/config_schema.cpp): its
-/// flag, usage line, and whether it enters the checkpoint hash.
+/// flag, usage line, allowed values, and whether it enters the checkpoint
+/// hash. Rules between knobs are the list beside the table.
 ///
 /// Each optional layer — faults, traffic, recovery, wire cells — is off at
 /// its defaults: no plan is built, no RNG stream is drawn or derived, no
@@ -120,7 +121,7 @@ struct ExperimentConfig {
   // CryptoMode::kReal — validated); loaded runs charge each transfer its
   // cell cost against the contact-bandwidth budget.
   bool wire_cells = false;
-  /// In [circuit::kMinCellSize, kMaxCellSize] (validated in wire mode).
+  /// In [circuit::kMinCellSize, kMaxCellSize] (the row's range).
   std::size_t cell_size = circuit::kDefaultCellSize;
 };
 

@@ -7,7 +7,10 @@
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
+#include <variant>
 
+#include "circuit/cell.hpp"
+#include "groups/group_directory.hpp"
 #include "metrics/writer.hpp"
 
 namespace odtn::core {
@@ -45,6 +48,23 @@ T read(const util::Args& args, const std::string& name, const T& def) {
   }
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+const Range kUnit{0.0, 1.0};
+Range at_least(double lo) { return {lo, kInf, false, true}; }
+Range above(double lo) { return {lo, kInf, true, true}; }
+
+// Throws the row's one-line error when `v` is outside `range`; a label is
+// "--flag (key)".
+void require(const Range& range, double v, const std::string& label) {
+  if (!range.contains(v)) {
+    throw std::invalid_argument(label + " must be in " + range.text());
+  }
+}
+
+std::string label(const Knob& k) {
+  return "--" + flag_name(k.flags.at(0)) + " (" + k.key + ")";
+}
+
 // FIELD(path) expands to a row's canonical key and an accessor for the
 // field, usable on const and non-const configs alike, so the key is the
 // field path by construction.
@@ -54,17 +74,31 @@ std::vector<std::string> forms(const std::string& flag) {
   return flag.empty() ? std::vector<std::string>{} : std::vector{flag};
 }
 
-// A row holding one scalar field; `flag` is its usage form or "".
+// A row holding one scalar field; `flag` is its usage form or "". A
+// ranged row needs a flag, which its error names.
 template <typename Get>
 Knob scalar(std::string key, Get get, const std::string& flag,
-            std::string doc, bool identity = true) {
-  return {std::move(key), forms(flag), std::move(doc), identity,
-          [get, name = flag_name(flag)](const util::Args& a,
-                                        ExperimentConfig& c) {
-            auto& v = get(c);
-            v = read(a, name, v);
-          },
-          [get](const ExperimentConfig& c) { return canon(get(c)); }};
+            std::string doc, std::optional<Range> range = {},
+            bool identity = true) {
+  Knob k{std::move(key), forms(flag), std::move(doc), identity,
+         [get, name = flag_name(flag)](const util::Args& a,
+                                       ExperimentConfig& c) {
+           auto& v = get(c);
+           v = read(a, name, v);
+         },
+         [get](const ExperimentConfig& c) { return canon(get(c)); }};
+  using T =
+      std::remove_cvref_t<decltype(get(std::declval<ExperimentConfig&>()))>;
+  if constexpr (std::is_arithmetic_v<T>) {
+    if (range) {
+      range->integral = std::is_integral_v<T>;
+      k.range = range;
+      k.check = [get, r = *range, l = label(k)](const ExperimentConfig& c) {
+        require(r, static_cast<double>(get(c)), l);
+      };
+    }
+  }
+  return k;
 }
 
 // A row holding one enum field, parsed and written by name.
@@ -98,7 +132,7 @@ Knob choice(std::string key, Get get, const std::string& flag,
 }
 
 Knob gilbert_elliott() {
-  return {"faults.gilbert_elliott",
+  Knob k{"faults.gilbert_elliott",
           {"fault-ge=pgb:pbg:pfg:pfb"},
           "per-link Gilbert-Elliott loss chain; overrides --fault-p-fail",
           true,
@@ -120,13 +154,23 @@ Knob gilbert_elliott() {
             return canon(ge->p_good_to_bad) + ":" + canon(ge->p_bad_to_good) +
                    ":" + canon(ge->p_fail_good) + ":" + canon(ge->p_fail_bad);
           }};
+  k.check = [l = label(k)](const ExperimentConfig& c) {
+    if (const auto& ge = c.faults.gilbert_elliott) {
+      for (double p : {ge->p_good_to_bad, ge->p_bad_to_good, ge->p_fail_good,
+                       ge->p_fail_bad}) {
+        require(kUnit, p, l);
+      }
+    }
+  };
+  return k;
 }
 
 // The flow list: --traffic-rate split evenly over --traffic-flows flows,
 // each taking the config's K, L and T — so this row parses after theirs
-// and after traffic.horizon.
+// and after traffic.horizon. Its check is TrafficConfig::validate, which
+// TrafficPlan also runs for flows built in code.
 Knob traffic_flows() {
-  return {
+  Knob k{
       "traffic.flows",
       {"traffic-rate=R", "traffic-flows=F",
        "traffic-arrival=poisson|deterministic|mmpp", "traffic-burst-factor=B",
@@ -170,6 +214,8 @@ Knob traffic_flows() {
         }
         return os.str();
       }};
+  k.check = [](const ExperimentConfig& c) { c.traffic.validate(c.nodes); };
+  return k;
 }
 
 // Wire mode fragments real sealed packets: there is no simulated-crypto
@@ -204,19 +250,19 @@ std::vector<Knob> make_knobs() {
              "sparse graphs: community blocks (0 = one)"),
       scalar(FIELD(group_shards), "group-shards=S",
              "group directory permuted per shard (0 = one permutation)"),
-      scalar(FIELD(group_size), "g=G", "onion group size g"),
+      scalar(FIELD(group_size), "g=G", "onion group size g", at_least(1)),
       scalar(FIELD(num_relays), "K=K", "relay groups per onion path K"),
-      scalar(FIELD(copies), "L=L", "message copies L"),
-      scalar(FIELD(ttl), "T=T", "message deadline T"),
+      scalar(FIELD(copies), "L=L", "message copies L", at_least(1)),
+      scalar(FIELD(ttl), "T=T", "message deadline T", above(0)),
       scalar(FIELD(compromise_fraction), "compromised=P",
-             "fraction of compromised nodes"),
+             "fraction of compromised nodes", kUnit),
       scalar(FIELD(trace_training_gap), "",
              "trace training: cap on silent gaps (0 = wall-clock rates)"),
-      scalar(FIELD(runs), "runs=N", "realizations", kHarness),
+      scalar(FIELD(runs), "runs=N", "realizations", at_least(1), kHarness),
       scalar(FIELD(seed), "seed=S", "run i draws from derive_seed(S, i)"),
       scalar(FIELD(threads), "threads=T",
              "worker threads (0 = all); output is the same at every T",
-             kHarness),
+             {}, kHarness),
       choice<routing::CryptoMode>(FIELD(crypto), "",
                                   "onion layers really sealed",
                                   {{"none", kNone}, {"real", kReal}}),
@@ -225,32 +271,34 @@ std::vector<Knob> make_knobs() {
           {{"direct", kDirectToFirstGroup}, {"spray-and-wait", kSprayAndWait}}),
       scalar(FIELD(collect_metrics), "", "set by --metrics-out"),
       scalar(FIELD(faults.mean_uptime), "fault-mean-uptime=U",
-             "node churn: mean exponential up time"),
+             "node churn: mean exponential up time", at_least(0)),
       scalar(FIELD(faults.mean_downtime), "fault-mean-downtime=D",
-             "node churn: mean exponential down time (flushes buffers)"),
+             "node churn: mean exponential down time (flushes buffers)",
+             at_least(0)),
       scalar(FIELD(faults.p_fail), "fault-p-fail=P",
-             "independent per-transfer failure probability"),
+             "independent per-transfer failure probability", kUnit),
       gilbert_elliott(),
       scalar(FIELD(faults.blackhole_fraction), "fault-blackhole-fraction=F",
-             "fraction of nodes (endpoints exempt) that never forward"),
+             "fraction of nodes (endpoints exempt) that never forward", kUnit),
       scalar(FIELD(faults.p_run_abort), "fault-p-run-abort=P",
-             "each run throws with probability P (quarantine)"),
+             "each run throws with probability P (quarantine)", kUnit),
       scalar(FIELD(checkpoint_path), "checkpoint=FILE",
-             "snapshot folded progress to FILE atomically", kHarness),
+             "snapshot folded progress to FILE atomically", {}, kHarness),
       scalar(FIELD(checkpoint_interval), "checkpoint-interval=N",
-             "runs per snapshot", kHarness),
+             "runs per snapshot", {}, kHarness),
       scalar(FIELD(resume), "resume",
              "continue from --checkpoint FILE of this configuration",
-             kHarness),
+             {}, kHarness),
       scalar(FIELD(traffic.horizon), "traffic-horizon=H",
              "loaded runs: arrivals on [0, H)"),
       traffic_flows(),
       scalar(FIELD(bandwidth.messages_per_contact), "bandwidth-capacity=C",
              "loaded runs: transfers per contact (0 = unlimited)"),
       scalar(FIELD(bandwidth.mean_duration), "bandwidth-mean-duration=D",
-             "loaded runs: each contact carries floor(Exp(D) / S)"),
+             "loaded runs: each contact carries floor(Exp(D) / S)",
+             at_least(0)),
       scalar(FIELD(bandwidth.transfer_time), "bandwidth-transfer-time=S",
-             "loaded runs: time per transfer"),
+             "loaded runs: time per transfer", at_least(0)),
       scalar(FIELD(buffer_capacity), "buffer-capacity=B",
              "loaded runs: buffer slots per node (0 = unlimited)"),
       choice<sim::BufferPolicy>(
@@ -263,34 +311,76 @@ std::vector<Knob> make_knobs() {
                              {"utility", kUtility},
                              {"spray-blind", kSprayBlind}}),
       scalar(FIELD(utility_failure_penalty), "utility-failure-penalty=P",
-             "utility forwarders: EWMA discount of failing receivers"),
+             "utility forwarders: EWMA discount of failing receivers", kUnit),
       scalar(FIELD(recovery.acks), "ack-vaccine",
              "loaded runs: delivery ACKs garbage-collect copies"),
       scalar(FIELD(recovery.retx_timeout), "recovery-retx-timeout=T",
-             "> 0: re-onion an unacked message after T"),
+             "> 0: re-onion an unacked message after T", at_least(0)),
       scalar(FIELD(recovery.retx_max), "recovery-retx-max=N",
              "retransmissions per message"),
       scalar(FIELD(recovery.retx_backoff), "recovery-retx-backoff=B",
-             "timeout multiplier per retransmission"),
+             "timeout multiplier per retransmission", at_least(1)),
       scalar(FIELD(recovery.retx_jitter), "recovery-retx-jitter=J",
-             "seeded +/-J fractional jitter of each retry delay"),
+             "seeded +/-J fractional jitter of each retry delay",
+             Range{.lo = 0.0, .hi = 1.0, .hi_open = true}),
       scalar(FIELD(recovery.suspicion_alpha), "recovery-suspicion-alpha=A",
-             "> 0: retries avoid groups with a high EWMA of unacked sends"),
+             "> 0: retries avoid groups with a high EWMA of unacked sends",
+             kUnit),
       scalar(FIELD(recovery.suspicion_threshold),
              "recovery-suspicion-threshold=S",
-             "EWMA at which a relay group is suspected"),
+             "EWMA at which a relay group is suspected",
+             Range{.lo = 0.0, .hi = 1.0, .lo_open = true}),
       scalar(FIELD(recovery.shed_occupancy), "shed-occupancy=F",
-             "loaded runs: shed while the source buffer is >= F full"),
+             "loaded runs: shed while the source buffer is >= F full", kUnit),
       scalar(FIELD(recovery.shed_saturation), "shed-saturation=F",
-             "loaded runs: shed while >= F of recent contacts saturate"),
+             "loaded runs: shed while >= F of recent contacts saturate", kUnit),
       scalar(FIELD(recovery.shed_priority_floor), "shed-priority-floor=P",
              "only priority classes >= P are shed"),
       wire_cells(),
-      scalar(FIELD(cell_size), "cell-size=N", "wire cell size in bytes"),
+      scalar(FIELD(cell_size), "cell-size=N", "wire cell size in bytes",
+             Range{circuit::kMinCellSize, circuit::kMaxCellSize}),
   };
 }
 
 #undef FIELD
+
+// Whether a run's K relay groups cannot be drawn: an onion path needs
+// K >= 1, and select_relay_groups throws when K exceeds the directory's
+// group count. Unloaded runs draw the config's K, onion-loaded runs each
+// flow's, utility forwarders none. A scenario its own check refuses (a
+// null trace, fewer than two streamed nodes) is left to that check.
+bool bad_relay_count(const ExperimentConfig& c, const Scenario& s) {
+  std::vector<std::size_t> ks;
+  if (!c.traffic.enabled()) {
+    ks.push_back(c.num_relays);
+  } else if (c.load_forwarder == LoadForwarder::kOnion) {
+    for (const auto& f : c.traffic.flows) ks.push_back(f.num_relays);
+  }
+  if (ks.empty()) return false;
+  const auto [lo, hi] = std::minmax_element(ks.begin(), ks.end());
+  if (*lo == 0) return true;
+  std::size_t n = c.nodes;
+  if (const auto* t = std::get_if<TraceScenario>(&s)) {
+    n = t->trace == nullptr ? 0 : t->trace->node_count();
+  } else if (const auto* t = std::get_if<SparseTraceScenario>(&s)) {
+    n = t->nodes < 2 ? 0 : t->nodes;
+  }
+  if (n == 0) return false;
+  // One shard holds the unsharded directory's ceil(n/g) groups.
+  const std::size_t shards = std::max<std::size_t>(c.group_shards, 1);
+  return *hi > groups::GroupDirectory(n, c.group_size,
+                                      groups::GroupDirectory::Sharded{shards, 0})
+                   .group_count();
+}
+
+// Sparse complete graphs store n(n-1)/2 edges explicitly; past a few
+// thousand nodes that is strictly worse than the dense triangle.
+constexpr std::size_t kSparseCompleteGraphCap = 5000;
+
+template <typename S>
+bool is(const Scenario& s) {
+  return std::holds_alternative<S>(s);
+}
 
 bool accepts(const Knob& k, const std::vector<std::string>& flags) {
   return std::any_of(k.flags.begin(), k.flags.end(), [&](const auto& f) {
@@ -338,6 +428,69 @@ std::string knob_usage(const ExperimentConfig& defaults,
        << "\n";
   }
   return os.str();
+}
+
+std::string Range::text() const {
+  return (lo_open ? "(" : "[") + metrics::format_double(lo) + ", " +
+         metrics::format_double(hi) + (hi_open ? ")" : "]");
+}
+
+void check_knobs(const ExperimentConfig& config) {
+  for (const Knob& k : knobs()) {
+    if (k.check) k.check(config);
+  }
+}
+
+// The rules that relate two knobs, or a knob and the scenario, one line
+// each: the broken combination, then its refusal. Every value is already
+// in its row's range.
+void check_cross_rules(const ExperimentConfig& c, const Scenario& s) {
+  const auto rule = [](bool broken, const char* message) {
+    if (broken) throw std::invalid_argument(message);
+  };
+  const bool dense = c.backend == ContactBackend::kDense;
+  const bool loaded = c.traffic.enabled();
+  const bool onion = c.load_forwarder == LoadForwarder::kOnion;
+  rule(c.resume && c.checkpoint_path.empty(),
+       "--resume requires --checkpoint=FILE");
+  rule(dense && (c.avg_degree != 0 || c.communities != 0),
+       "--avg-degree and --communities require --contact-backend=sparse");
+  rule(dense && is<SparseTraceScenario>(s),
+       "a streamed trace requires --contact-backend=sparse");
+  rule(!dense && is<TraceScenario>(s),
+       "an in-memory trace runs on the dense backend; stream it under "
+       "--contact-backend=sparse");
+  rule(!dense && is<RandomGraphScenario>(s) && c.avg_degree == 0 &&
+           c.nodes > kSparseCompleteGraphCap,
+       "--contact-backend=sparse: sparse complete graph capped at 5000 "
+       "nodes; set --avg-degree for larger networks");
+  rule(c.communities != 0 && c.avg_degree == 0,
+       "--communities requires --avg-degree > 0");
+  rule((c.faults.mean_uptime > 0.0) != (c.faults.mean_downtime > 0.0),
+       "--fault-mean-uptime and --fault-mean-downtime must be set together");
+  rule((c.bandwidth.mean_duration > 0.0) != (c.bandwidth.transfer_time > 0.0),
+       "--bandwidth-mean-duration and --bandwidth-transfer-time must be set "
+       "together");
+  rule(c.recovery.retx_timeout > 0.0 && c.recovery.retx_max == 0,
+       "--recovery-retx-max must be >= 1 when --recovery-retx-timeout > 0");
+  rule(c.recovery.suspicion_alpha > 0.0 && c.recovery.retx_timeout <= 0.0,
+       "--recovery-suspicion-alpha learns from retransmission timeouts; it "
+       "requires --recovery-retx-timeout > 0");
+  rule(c.utility_failure_penalty > 0.0 && onion,
+       "--utility-failure-penalty requires --load-forwarder=utility or "
+       "spray-blind");
+  rule(!loaded && (c.bandwidth.enabled() || c.buffer_capacity != 0 || !onion),
+       "--bandwidth-*, --buffer-capacity and --load-forwarder require "
+       "--traffic-* flows");
+  rule(!loaded && (c.recovery.acks || c.recovery.shedding()),
+       "--ack-vaccine and --shed-* require --traffic-* flows");
+  rule(loaded && !is<RandomGraphScenario>(s),
+       "--traffic-* workloads run on random-graph scenarios only");
+  rule(c.wire_cells && c.crypto != routing::CryptoMode::kReal,
+       "--wire-cells fragments real sealed packets; it requires real crypto");
+  rule(bad_relay_count(c, s),
+       "--K must be in [1, the directory's group count]: ceil(n/g), or per "
+       "shard under --group-shards");
 }
 
 std::string canonical_identity(const ExperimentConfig& config) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -11,6 +10,7 @@
 #include "adversary/adversary.hpp"
 #include "circuit/cell.hpp"
 #include "core/checkpoint.hpp"
+#include "core/config_schema.hpp"
 #include "faults/faults.hpp"
 #include "analysis/anonymity.hpp"
 #include "analysis/cost.hpp"
@@ -375,10 +375,6 @@ template <typename RunBody>
 ExperimentResult run_engine(const ExperimentConfig& config, std::size_t n,
                             const std::string& scenario_tag,
                             const RunBody& body) {
-  if (config.runs == 0) {
-    throw std::invalid_argument("experiment: runs must be >= 1");
-  }
-  config.faults.validate();
   // odtn-lint: allow(banned-api) — wall-clock site: wall_time_s is the
   // experiment stopwatch, reported outside the deterministic result fields.
   auto t0 = std::chrono::steady_clock::now();
@@ -486,113 +482,6 @@ RunOutcome isolated_source(metrics::Registry* reg) {
   return RunOutcome{};
 }
 
-// Sparse complete graphs store n(n-1)/2 edges explicitly; past a few
-// thousand nodes that is strictly worse than the dense triangle. Force the
-// avg_degree generator instead.
-constexpr std::size_t kSparseCompleteGraphCap = 5000;
-
-// One-line diagnostics for unsupported backend/knob combinations
-// (validated at run() time so every entry point — CLI, benches, tests —
-// reports the same message).
-void validate_backend(const ExperimentConfig& cfg, const Scenario& scenario) {
-  if (cfg.backend == ContactBackend::kDense) {
-    if (cfg.avg_degree != 0 || cfg.communities != 0) {
-      throw std::invalid_argument(
-          "experiment: avg_degree/communities require "
-          "--contact-backend=sparse");
-    }
-    if (std::holds_alternative<SparseTraceScenario>(scenario)) {
-      throw std::invalid_argument(
-          "experiment: streaming-trace scenario requires "
-          "--contact-backend=sparse (use an in-memory TraceScenario on the "
-          "dense backend)");
-    }
-    return;
-  }
-  // Sparse backend.
-  if (std::holds_alternative<TraceScenario>(scenario)) {
-    throw std::invalid_argument(
-        "experiment: in-memory trace scenario runs on the dense backend; "
-        "use a streaming sparse-trace scenario with "
-        "--contact-backend=sparse");
-  }
-  if (std::holds_alternative<RandomGraphScenario>(scenario) &&
-      cfg.avg_degree == 0 && cfg.nodes > kSparseCompleteGraphCap) {
-    throw std::invalid_argument(
-        "experiment: sparse complete graph capped at 5000 nodes; set "
-        "avg_degree for larger networks");
-  }
-  if (cfg.communities != 0 && cfg.avg_degree == 0) {
-    throw std::invalid_argument(
-        "experiment: communities requires avg_degree > 0");
-  }
-}
-
-// One-line diagnostics for the traffic/load knobs; the zero-knob default
-// passes untouched.
-void validate_traffic(const ExperimentConfig& cfg, const Scenario& scenario) {
-  cfg.bandwidth.validate();
-  cfg.recovery.validate();
-  if (!(0.0 <= cfg.utility_failure_penalty &&
-        cfg.utility_failure_penalty <= 1.0)) {
-    throw std::invalid_argument(
-        "experiment: --utility-failure-penalty must be in [0, 1]");
-  }
-  if (cfg.utility_failure_penalty > 0.0 &&
-      cfg.load_forwarder == LoadForwarder::kOnion) {
-    throw std::invalid_argument(
-        "experiment: --utility-failure-penalty applies to the utility/"
-        "spray-blind forwarders only (--load-forwarder=utility)");
-  }
-  if (!cfg.traffic.enabled()) {
-    cfg.traffic.validate(cfg.nodes);  // catches horizon-without-flows etc.
-    if (cfg.bandwidth.enabled() || cfg.buffer_capacity != 0 ||
-        cfg.load_forwarder != LoadForwarder::kOnion) {
-      throw std::invalid_argument(
-          "experiment: bandwidth/buffer/load-forwarder knobs require "
-          "--traffic-* flows (they only apply to loaded runs)");
-    }
-    if (cfg.recovery.acks || cfg.recovery.shedding()) {
-      throw std::invalid_argument(
-          "experiment: --ack-vaccine/--shed-* are network-simulator "
-          "semantics; they require --traffic-* flows");
-    }
-    return;
-  }
-  if (!std::holds_alternative<RandomGraphScenario>(scenario)) {
-    throw std::invalid_argument(
-        "experiment: traffic workloads run on random-graph scenarios only");
-  }
-  cfg.traffic.validate(cfg.nodes);
-  if (cfg.load_forwarder == LoadForwarder::kOnion) {
-    for (const auto& f : cfg.traffic.flows) {
-      if (f.num_relays == 0) {
-        throw std::invalid_argument(
-            "experiment: onion load forwarding needs num_relays >= 1 per "
-            "flow (utility/spray-blind ignore relay groups)");
-      }
-    }
-  }
-}
-
-// One-line diagnostics for the wire-accurate circuit layer; the zero-knob
-// default passes untouched.
-void validate_wire(const ExperimentConfig& cfg) {
-  if (!cfg.wire_cells) return;
-  if (cfg.crypto != routing::CryptoMode::kReal) {
-    throw std::invalid_argument(
-        "experiment: --wire-cells fragments real sealed packets; it "
-        "requires CryptoMode::kReal");
-  }
-  if (cfg.cell_size < circuit::kMinCellSize ||
-      cfg.cell_size > circuit::kMaxCellSize) {
-    throw std::invalid_argument(
-        "experiment: --cell-size must be in [" +
-        std::to_string(circuit::kMinCellSize) + ", " +
-        std::to_string(circuit::kMaxCellSize) + "]");
-  }
-}
-
 // Horizon the per-run contact trace must cover: the arrival window plus
 // the longest TTL any flow stamps on a message.
 Time loaded_trace_horizon(const ExperimentConfig& cfg) {
@@ -604,16 +493,8 @@ Time loaded_trace_horizon(const ExperimentConfig& cfg) {
 }  // namespace
 
 void Experiment::validate(const Scenario& scenario) const {
-  if (config_.resume && config_.checkpoint_path.empty()) {
-    throw std::invalid_argument(
-        "experiment: --resume requires --checkpoint=FILE");
-  }
-  if (!std::isfinite(config_.ttl) || config_.ttl <= 0.0) {
-    throw std::invalid_argument("experiment: --T must be finite and > 0");
-  }
-  validate_backend(config_, scenario);
-  validate_traffic(config_, scenario);
-  validate_wire(config_);
+  check_knobs(config_);
+  check_cross_rules(config_, scenario);
 }
 
 ExperimentResult Experiment::run(const Scenario& scenario) const {

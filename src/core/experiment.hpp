@@ -160,8 +160,10 @@ class Experiment {
 
   ExperimentResult run(const Scenario& scenario) const;
 
-  /// The checks run() makes before any run: throws std::invalid_argument
-  /// (one line) on an unsupported knob combination for `scenario`.
+  /// The checks run() makes before any run, check_knobs then
+  /// check_cross_rules (core/config_schema): throws std::invalid_argument
+  /// (one line) on a value outside its row's range or an unsupported knob
+  /// combination for `scenario`.
   void validate(const Scenario& scenario) const;
 
  private:

@@ -6,13 +6,6 @@ namespace odtn::faults {
 
 namespace {
 
-void check_probability(double p, const char* name) {
-  if (!(p >= 0.0 && p <= 1.0)) {
-    throw std::invalid_argument(std::string("FaultConfig: ") + name +
-                                " must be in [0, 1]");
-  }
-}
-
 // Safety valve against degenerate configurations (tiny means over a huge
 // horizon): churn sampling stops after this many flips per node and the
 // node stays in its final state. At the paper's time scales (minutes over
@@ -21,32 +14,12 @@ constexpr std::size_t kMaxTransitionsPerNode = 1 << 16;
 
 }  // namespace
 
-void FaultConfig::validate() const {
-  if (mean_uptime < 0.0 || mean_downtime < 0.0) {
-    throw std::invalid_argument("FaultConfig: churn means must be >= 0");
-  }
-  if ((mean_uptime > 0.0) != (mean_downtime > 0.0)) {
-    throw std::invalid_argument(
-        "FaultConfig: churn needs both mean_uptime and mean_downtime > 0");
-  }
-  check_probability(p_fail, "p_fail");
-  check_probability(blackhole_fraction, "blackhole_fraction");
-  check_probability(p_run_abort, "p_run_abort");
-  if (gilbert_elliott.has_value()) {
-    check_probability(gilbert_elliott->p_good_to_bad, "ge.p_good_to_bad");
-    check_probability(gilbert_elliott->p_bad_to_good, "ge.p_bad_to_good");
-    check_probability(gilbert_elliott->p_fail_good, "ge.p_fail_good");
-    check_probability(gilbert_elliott->p_fail_bad, "ge.p_fail_bad");
-  }
-}
-
 FaultPlan::FaultPlan(const FaultConfig& config, std::size_t node_count,
                      Time horizon, std::uint64_t seed,
                      std::span<const NodeId> blackhole_exempt)
     : config_(config),
       node_count_(node_count),
       link_rng_(util::derive_seed(seed, 1)) {
-  config_.validate();
   if (node_count == 0) {
     throw std::invalid_argument("FaultPlan: node_count must be >= 1");
   }

@@ -91,10 +91,6 @@ struct FaultConfig {
   bool enabled() const {
     return churn_enabled() || link_faults_enabled() || blackholes_enabled();
   }
-
-  /// Throws std::invalid_argument on out-of-range probabilities or negative
-  /// durations.
-  void validate() const;
 };
 
 /// One realization of the fault processes over [0, horizon): per-node up/down

@@ -6,40 +6,6 @@
 
 namespace odtn::recovery {
 
-void RecoveryConfig::validate() const {
-  // Each range check fails on NaN: !(lo <= x && x <= hi).
-  if (!(retx_timeout >= 0.0)) {
-    throw std::invalid_argument("recovery: retx_timeout must be >= 0");
-  }
-  if (retx_timeout > 0.0 && retx_max == 0) {
-    throw std::invalid_argument(
-        "recovery: retx_max must be >= 1 when retransmission is on");
-  }
-  if (!(retx_backoff >= 1.0)) {
-    throw std::invalid_argument("recovery: retx_backoff must be >= 1");
-  }
-  if (!(0.0 <= retx_jitter && retx_jitter < 1.0)) {
-    throw std::invalid_argument("recovery: retx_jitter must be in [0, 1)");
-  }
-  if (!(0.0 <= suspicion_alpha && suspicion_alpha <= 1.0)) {
-    throw std::invalid_argument("recovery: suspicion_alpha must be in [0, 1]");
-  }
-  if (suspicion_alpha > 0.0 && retx_timeout <= 0.0) {
-    throw std::invalid_argument(
-        "recovery: the suspicion tracker learns from retransmission "
-        "timeouts; set retx_timeout > 0");
-  }
-  if (!(0.0 < suspicion_threshold && suspicion_threshold <= 1.0)) {
-    throw std::invalid_argument(
-        "recovery: suspicion_threshold must be in (0, 1]");
-  }
-  if (!(0.0 <= shed_occupancy && shed_occupancy <= 1.0) ||
-      !(0.0 <= shed_saturation && shed_saturation <= 1.0)) {
-    throw std::invalid_argument(
-        "recovery: shed thresholds must be fractions in [0, 1]");
-  }
-}
-
 SuspicionTracker::SuspicionTracker(double alpha, double threshold)
     : alpha_(alpha), threshold_(threshold) {
   if (alpha <= 0.0 || alpha > 1.0) {

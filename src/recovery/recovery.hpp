@@ -88,8 +88,6 @@ struct RecoveryConfig {
   bool enabled() const {
     return acks || retx_timeout > 0.0 || suspicion_alpha > 0.0 || shedding();
   }
-  /// Throws std::invalid_argument (one-line message) on bad knobs.
-  void validate() const;
 };
 
 /// Per-relay-group EWMA of unacked sends. `record(g, acked)` folds one

@@ -16,17 +16,6 @@
 
 namespace odtn::sim {
 
-void ContactBandwidth::validate() const {
-  if (mean_duration < 0.0 || transfer_time < 0.0) {
-    throw std::invalid_argument(
-        "bandwidth: duration model fields must be >= 0");
-  }
-  if ((mean_duration > 0.0) != (transfer_time > 0.0)) {
-    throw std::invalid_argument(
-        "bandwidth: mean_duration and transfer_time must be set together");
-  }
-}
-
 double NetworkSimReport::delivery_rate() const {
   if (outcomes.empty()) return 0.0;
   std::size_t delivered = 0;
@@ -834,10 +823,6 @@ NetworkSimReport run_network_sim(const trace::ContactTrace& trace,
   if (config.cells_per_message > 0 && config.cell_size == 0) {
     throw std::invalid_argument(
         "run_network_sim: wire mode needs cell_size > 0");
-  }
-  config.bandwidth.validate();
-  if (config.recovery != nullptr) {
-    config.recovery->validate();
   }
   const bool utility_mode = config.utility != nullptr;
   if (utility_mode &&

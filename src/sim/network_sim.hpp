@@ -82,8 +82,6 @@ struct ContactBandwidth {
     return messages_per_contact > 0 ||
            (mean_duration > 0.0 && transfer_time > 0.0);
   }
-  /// Throws std::invalid_argument (one-line message) on bad knobs.
-  void validate() const;
 };
 
 struct NetworkSimConfig {

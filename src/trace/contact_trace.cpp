@@ -140,6 +140,9 @@ RateTrainer::RateTrainer(std::size_t node_count, Time max_idle_gap)
   if (node_count < 2) {
     throw std::invalid_argument("ContactTrace: need >= 2 nodes");
   }
+  if (std::isnan(max_idle_gap)) {
+    throw std::invalid_argument("ContactTrace: training gap is NaN");
+  }
 }
 
 void RateTrainer::add(const ContactEvent& e) {

@@ -40,7 +40,8 @@ struct SparseTraceSummary {
 /// wall-clock time.
 class RateTrainer {
  public:
-  /// Throws std::invalid_argument if node_count < 2.
+  /// Throws std::invalid_argument if node_count < 2 or the gap is NaN
+  /// (an infinite gap is active time with no cap).
   RateTrainer(std::size_t node_count, Time max_idle_gap);
 
   /// Checks `e` as the ContactTrace constructor does, then counts it.

@@ -1,16 +1,19 @@
 // The knob table: every row is perturbable, the checkpoint hash moves with
 // every identity row and with no harness row, each single-flag row parses
-// its own canonical value, the README flag tables match the rows, and
-// checkpoints round-trip under odtn.checkpoint.v3 while v1 and v2 files
-// are refused.
+// its own canonical value, each ranged row refuses values outside its
+// range, each cross-knob rule refuses its combination, the README flag
+// tables match the rows, and checkpoints round-trip under
+// odtn.checkpoint.v3 while v1 and v2 files are refused.
 #include "core/config_schema.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <regex>
 #include <set>
@@ -280,6 +283,207 @@ TEST(ConfigSchema, NonFiniteKnobValuesFailValidation) {
       const std::string what = e.what();
       EXPECT_NE(what.find(knob), std::string::npos) << what;
       EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+  }
+}
+
+// check_knobs on a default config with `flags` parsed onto it: "" when it
+// passes, else the error.
+std::string refusal(const std::vector<std::string>& flags) {
+  ExperimentConfig c;
+  parse_knobs(make_args(flags), c);
+  try {
+    check_knobs(c);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A row value as flag text that parses back to the same number.
+std::string flag_value(double v, bool integral) {
+  if (integral) return std::to_string(static_cast<std::uint64_t>(v));
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+// Every ranged row accepts its closed bounds and refuses the value just
+// past each bound, and a float row NaN and +-inf too, with one line that
+// names the flag and the key. The named cases spell out the fault,
+// bandwidth, recovery and wire rows.
+TEST(ConfigSchema, RowRangesRejectOutOfRangeAndNaN) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::size_t ranged = 0;
+  for (const Knob& k : knobs()) {
+    if (!k.range) continue;
+    ++ranged;
+    const Range& r = *k.range;
+    const std::string flag = "--" + flag_name(k.flags.at(0));
+    std::vector<double> accepted, refused;
+    if (!r.lo_open) accepted.push_back(r.lo);
+    if (!r.hi_open) accepted.push_back(r.hi);
+    if (r.integral) {
+      if (r.lo >= 1.0) refused.push_back(r.lo - 1.0);
+      if (std::isfinite(r.hi)) refused.push_back(r.hi + 1.0);
+    } else {
+      refused = {r.lo_open ? r.lo : std::nextafter(r.lo, -inf), -inf, inf,
+                 std::numeric_limits<double>::quiet_NaN()};
+      if (std::isfinite(r.hi)) {
+        refused.push_back(r.hi_open ? r.hi : std::nextafter(r.hi, inf));
+      }
+    }
+    for (double v : accepted) {
+      const std::string arg = flag + "=" + flag_value(v, r.integral);
+      EXPECT_EQ(refusal({arg}), "") << arg;
+    }
+    for (double v : refused) {
+      const std::string arg = flag + "=" + flag_value(v, r.integral);
+      const std::string why = refusal({arg});
+      EXPECT_EQ(why, flag + " (" + k.key + ") must be in " + r.text()) << arg;
+    }
+  }
+  EXPECT_EQ(ranged, 21u);
+
+  const std::vector<std::pair<std::string, std::string>> named = {
+      {"--fault-mean-uptime=-1", "--fault-mean-uptime (faults.mean_uptime)"},
+      {"--fault-mean-uptime=inf", "--fault-mean-uptime (faults.mean_uptime)"},
+      {"--fault-p-fail=1.5", "--fault-p-fail (faults.p_fail)"},
+      {"--fault-blackhole-fraction=-0.1", "--fault-blackhole-fraction"},
+      {"--fault-p-run-abort=2", "--fault-p-run-abort (faults.p_run_abort)"},
+      {"--fault-ge=0:1.1:0:1", "--fault-ge (faults.gilbert_elliott)"},
+      {"--fault-ge=0:0:0:nan", "--fault-ge (faults.gilbert_elliott)"},
+      {"--bandwidth-mean-duration=nan", "--bandwidth-mean-duration"},
+      {"--bandwidth-transfer-time=inf", "--bandwidth-transfer-time"},
+      {"--recovery-retx-timeout=-1", "--recovery-retx-timeout"},
+      {"--recovery-retx-timeout=inf", "--recovery-retx-timeout"},
+      {"--recovery-retx-backoff=0.5", "--recovery-retx-backoff"},
+      {"--recovery-retx-jitter=1", "--recovery-retx-jitter"},
+      {"--recovery-suspicion-alpha=1.5", "--recovery-suspicion-alpha"},
+      {"--shed-occupancy=1.5", "--shed-occupancy (recovery.shed_occupancy)"},
+      {"--cell-size=10", "--cell-size (cell_size)"},
+  };
+  for (const auto& [arg, label] : named) {
+    const std::string why = refusal({arg});
+    EXPECT_EQ(why.rfind(label, 0), 0u) << arg << ": " << why;
+    EXPECT_EQ(why.find('\n'), std::string::npos) << why;
+  }
+  EXPECT_EQ(refusal({}), "");
+  EXPECT_EQ(refusal({"--fault-ge=0.1:0.2:0:1"}), "");
+}
+
+// One case per rule that relates two knobs, or a knob and the scenario:
+// Experiment::validate refuses the combination with one line.
+TEST(ConfigSchema, CrossKnobRules) {
+  const trace::ContactTrace trace(30, {{1.0, 0, 1}, {2.0, 2, 3}});
+  const Scenario random = RandomGraphScenario{};
+  const Scenario in_memory = TraceScenario{&trace};
+  const Scenario streamed =
+      SparseTraceScenario{"x.txt", trace::TraceFormat::kPlain, 30};
+  auto loaded = [](ExperimentConfig& c) {
+    c.traffic.horizon = 100.0;
+    c.traffic.flows.push_back({.rate = 0.1});
+  };
+  struct Case {
+    std::function<void(ExperimentConfig&)> set;
+    const Scenario* scenario;
+    std::string message;  // a substring; "" = accepted
+  };
+  const std::vector<Case> cases = {
+      {[](auto&) {}, &random, ""},
+      {[](auto&) {}, &in_memory, ""},
+      {[](auto& c) { c.resume = true; }, &random,
+       "--resume requires --checkpoint"},
+      {[](auto& c) { c.avg_degree = 8; }, &random, "--avg-degree"},
+      {[](auto&) {}, &streamed, "--contact-backend=sparse"},
+      {[](auto& c) { c.backend = ContactBackend::kSparse; }, &in_memory,
+       "in-memory trace"},
+      {[](auto& c) {
+         c.backend = ContactBackend::kSparse;
+         c.nodes = 6000;
+       },
+       &random, "sparse complete graph capped at 5000 nodes"},
+      {[](auto& c) {
+         c.backend = ContactBackend::kSparse;
+         c.communities = 4;
+       },
+       &random, "--communities requires --avg-degree"},
+      {[](auto& c) { c.faults.mean_uptime = 10.0; }, &random,
+       "--fault-mean-uptime and --fault-mean-downtime"},
+      {[&](auto& c) {
+         loaded(c);
+         c.bandwidth.mean_duration = 5.0;
+       },
+       &random, "--bandwidth-mean-duration and --bandwidth-transfer-time"},
+      {[](auto& c) {
+         c.recovery.retx_timeout = 10.0;
+         c.recovery.retx_max = 0;
+       },
+       &random, "--recovery-retx-max"},
+      {[](auto& c) { c.recovery.suspicion_alpha = 0.5; }, &random,
+       "--recovery-suspicion-alpha"},
+      {[](auto& c) { c.utility_failure_penalty = 0.5; }, &random,
+       "--utility-failure-penalty"},
+      {[](auto& c) { c.buffer_capacity = 4; }, &random, "--traffic-* flows"},
+      {[](auto& c) { c.recovery.acks = true; }, &random, "--ack-vaccine"},
+      {loaded, &in_memory, "random-graph scenarios only"},
+      {[&](auto& c) {
+         loaded(c);
+         c.traffic.flows[0].num_relays = 0;
+       },
+       &random, "--K must be in [1, "},
+      {[](auto& c) { c.num_relays = 0; }, &random, "--K must be in [1, "},
+      {[](auto& c) { c.wire_cells = true; }, &random, "--wire-cells"},
+      // K against the group count: ceil(20/5) = 4 groups.
+      {[](auto& c) {
+         c.nodes = 20;
+         c.num_relays = 4;
+       },
+       &random, ""},
+      {[](auto& c) {
+         c.nodes = 20;
+         c.num_relays = 5;
+       },
+       &random, "--K must be in [1, "},
+      {[](auto& c) { c.num_relays = 7; }, &in_memory, "--K must be in [1, "},
+      // 10 shards of 10 nodes hold 2 groups each.
+      {[](auto& c) {
+         c.group_shards = 10;
+         c.num_relays = 20;
+       },
+       &random, ""},
+      {[](auto& c) {
+         c.group_shards = 10;
+         c.num_relays = 21;
+       },
+       &random, "--K must be in [1, "},
+      {[&](auto& c) {
+         loaded(c);
+         c.traffic.flows[0].num_relays = 21;
+       },
+       &random, "--K must be in [1, "},
+      {[&](auto& c) {
+         loaded(c);
+         c.traffic.flows[0].num_relays = 21;
+         c.load_forwarder = LoadForwarder::kUtility;
+       },
+       &random, ""},
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    ExperimentConfig c;
+    cases[i].set(c);
+    std::string why;
+    try {
+      Experiment(c).validate(*cases[i].scenario);
+    } catch (const std::invalid_argument& e) {
+      why = e.what();
+    }
+    if (cases[i].message.empty()) {
+      EXPECT_EQ(why, "") << "case " << i;
+    } else {
+      EXPECT_NE(why.find(cases[i].message), std::string::npos)
+          << "case " << i << ": " << why;
+      EXPECT_EQ(why.find('\n'), std::string::npos) << why;
     }
   }
 }

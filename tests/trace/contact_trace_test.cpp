@@ -145,6 +145,22 @@ TEST(ContactTrace, EstimateRatesMatchesCounts) {
   EXPECT_DOUBLE_EQ(g.rate(0, 2), 1.0 / 30.0);
 }
 
+// A NaN gap is malformed input: the trainer refuses it in one line, for
+// ContactTrace::train, streaming ingest and odtn rates alike. An infinite
+// gap caps no silence, so active time is the whole span.
+TEST(ContactTrace, TrainingGapNaNRejectedInfAccepted) {
+  const ContactTrace t(3, sample_events());
+  try {
+    t.train(std::numeric_limits<double>::quiet_NaN());
+    FAIL() << "accepted a NaN training gap";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "ContactTrace: training gap is NaN");
+  }
+  const auto s = t.train(std::numeric_limits<double>::infinity());
+  EXPECT_DOUBLE_EQ(s.active_duration, 30.0);
+  EXPECT_DOUBLE_EQ(s.rates.rate(1, 2), 2.0 / 30.0);
+}
+
 TEST(ContactTrace, EstimateRatesEmptyTrace) {
   ContactTrace t(3, {});
   auto g = t.train(0.0).rates;

@@ -24,15 +24,16 @@
 #    the tsan-labelled test targets, and runs `ctest -L tsan` under TSan.
 # 5. Configures a -DODTN_SANITIZE=address tree in build-asan/, builds the
 #    fault-injection, recovery, circuit, network-sim, onion-routing,
-#    contact-model, metrics and trace-reader test targets, and runs
-#    `ctest -L faults`, `ctest -L recovery`, `ctest -L circuit`, and the
-#    network_sim_test, traffic_sim_test, route_digest_test, baselines_test,
-#    single_copy_test, multi_copy_test, contact_query_property_test,
-#    contact_model_test, backend_equivalence_test, sparse_graph_test,
-#    args_test, config_schema_test, metrics_test, x25519_test,
-#    key_manager_test, trace_reader_test, contact_trace_test, crawdad_test,
-#    one_report_test, parser_fuzz_test and trace_digest_test binaries under
-#    ASan.
+#    contact-model, knob-validation, metrics and trace-reader test targets,
+#    and runs `ctest -L faults`, `ctest -L recovery`, `ctest -L circuit`,
+#    and the network_sim_test, traffic_sim_test, route_digest_test,
+#    baselines_test, single_copy_test, multi_copy_test,
+#    contact_query_property_test, contact_model_test,
+#    backend_equivalence_test, sparse_graph_test, args_test,
+#    config_schema_test, experiment_test, traffic_plan_test,
+#    traffic_experiment_test, metrics_test, x25519_test, key_manager_test,
+#    trace_reader_test, contact_trace_test, crawdad_test, one_report_test,
+#    parser_fuzz_test and trace_digest_test binaries under ASan.
 # 6. Configures a -DODTN_SANITIZE=undefined tree in build-ubsan/, builds
 #    the analysis + crypto + key-manager test targets (the numeric and
 #    bit-twiddling code most prone to UB), and runs `ctest -L ubsan` under
@@ -208,7 +209,8 @@ cmake --build "$repo/build-asan" -j "$jobs" --target \
     network_sim_test traffic_sim_test \
     route_digest_test baselines_test single_copy_test multi_copy_test \
     contact_query_property_test contact_model_test backend_equivalence_test \
-    sparse_graph_test args_test config_schema_test x25519_test \
+    sparse_graph_test args_test config_schema_test experiment_test \
+    traffic_plan_test traffic_experiment_test x25519_test \
     key_manager_test metrics_test trace_reader_test contact_trace_test \
     crawdad_test one_report_test parser_fuzz_test trace_digest_test
 
@@ -253,6 +255,15 @@ echo "== asan: contact-model plan builder (both backends, both plan kinds) =="
 echo "== asan: args_test + config_schema_test (flag parsing, knob table) =="
 "$repo/build-asan/tests/util/args_test"
 "$repo/build-asan/tests/core/config_schema_test"
+
+echo "== asan: experiment_test + traffic_plan_test + traffic_experiment_test =="
+# The knob rows' ranges and the cross-knob rules run before every
+# Experiment; TrafficConfig::validate checks the flow list. Run as
+# binaries: their ctest labels (tsan, traffic) also name suites this tree
+# does not build.
+"$repo/build-asan/tests/core/experiment_test"
+"$repo/build-asan/tests/traffic/traffic_plan_test"
+"$repo/build-asan/tests/traffic/traffic_experiment_test"
 
 echo "== asan: metrics_test (registry, writer) =="
 # The writer walks the registry's entries by kind, and Registry::restore
