@@ -1,12 +1,14 @@
-// Engine hardening tests: sweeps with faults enabled stay bit-identical at
-// every thread count, a throwing run is quarantined instead of aborting the
-// sweep, and checkpoint/resume reproduces an uninterrupted sweep exactly.
+// Engine hardening tests: bad fault knobs are refused before any run, sweeps
+// with faults enabled stay bit-identical at every thread count, a throwing
+// run is quarantined instead of aborting the sweep, and checkpoint/resume
+// reproduces an uninterrupted sweep exactly.
 #include "core/checkpoint.hpp"
 #include "core/experiment.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "faults/faults.hpp"
 #include "metrics/writer.hpp"
@@ -66,6 +68,28 @@ void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
 
 std::string temp_path(const char* name) {
   return testing::TempDir() + name;
+}
+
+// The fault knobs' ranges are rows of the knob table and half-set churn is a
+// cross-knob rule; Experiment::validate refuses each bad value.
+TEST(FaultConfig, ValidateRejectsBadValues) {
+  auto refused = [](auto set) {
+    ExperimentConfig cfg;
+    set(cfg.faults);
+    EXPECT_THROW(Experiment(cfg).validate(RandomGraphScenario{}),
+                 std::invalid_argument);
+  };
+  refused([](faults::FaultConfig& f) { f.mean_uptime = -1.0; });
+  refused([](faults::FaultConfig& f) {
+    f.mean_uptime = 10.0;  // downtime still 0: half-enabled churn
+  });
+  refused([](faults::FaultConfig& f) { f.p_fail = 1.5; });
+  refused([](faults::FaultConfig& f) { f.blackhole_fraction = -0.1; });
+  refused([](faults::FaultConfig& f) { f.p_run_abort = 2.0; });
+  refused([](faults::FaultConfig& f) {
+    f.gilbert_elliott = faults::GilbertElliott{};
+    f.gilbert_elliott->p_bad_to_good = 1.1;
+  });
 }
 
 TEST(FaultExperiment, FaultsReduceDeliveryButKeepSweepAlive) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "core/checkpoint.hpp"
@@ -171,6 +172,66 @@ TEST(RecoveryExperiment, ConfigHashIsStableForZeroRecoveryConfigs) {
   no_penalty.load_forwarder = LoadForwarder::kUtility;
   EXPECT_NE(checkpoint_config_hash(penalty, "random"),
             checkpoint_config_hash(no_penalty, "random"));
+}
+
+void expect_refused(const recovery::RecoveryConfig& rc) {
+  ExperimentConfig cfg;
+  cfg.recovery = rc;
+  EXPECT_THROW(Experiment(cfg).validate(RandomGraphScenario{}),
+               std::invalid_argument);
+}
+
+// The recovery knobs' ranges are rows of the knob table; retx_max and
+// suspicion without retransmission are cross-knob rules.
+TEST(RecoveryConfig, RejectsBadKnobs) {
+  recovery::RecoveryConfig rc;
+  rc.retx_timeout = -1.0;
+  expect_refused(rc);
+
+  rc = {};
+  rc.retx_timeout = 10.0;
+  rc.retx_max = 0;
+  expect_refused(rc);
+
+  rc = {};
+  rc.retx_timeout = 10.0;
+  rc.retx_backoff = 0.5;  // must not shrink the interval
+  expect_refused(rc);
+
+  rc = {};
+  rc.retx_timeout = 10.0;
+  rc.retx_jitter = 1.0;  // jitter fraction must stay below 1
+  expect_refused(rc);
+
+  rc = {};
+  rc.suspicion_alpha = 0.5;  // suspicion learns from timeouts: needs retx
+  expect_refused(rc);
+
+  rc = {};
+  rc.retx_timeout = 10.0;
+  rc.suspicion_alpha = 1.5;
+  expect_refused(rc);
+
+  rc = {};
+  rc.shed_occupancy = 1.5;
+  expect_refused(rc);
+}
+
+TEST(RecoveryConfig, RejectsNaNKnobs) {
+  using recovery::RecoveryConfig;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double RecoveryConfig::*knob :
+       {&RecoveryConfig::retx_timeout, &RecoveryConfig::retx_backoff,
+        &RecoveryConfig::retx_jitter, &RecoveryConfig::suspicion_alpha,
+        &RecoveryConfig::suspicion_threshold, &RecoveryConfig::shed_occupancy,
+        &RecoveryConfig::shed_saturation}) {
+    ExperimentConfig cfg;
+    if (knob != &RecoveryConfig::retx_timeout) cfg.recovery.retx_timeout = 10.0;
+    EXPECT_NO_THROW(Experiment(cfg).validate(RandomGraphScenario{}));
+    cfg.recovery.*knob = nan;
+    EXPECT_THROW(Experiment(cfg).validate(RandomGraphScenario{}),
+                 std::invalid_argument);
+  }
 }
 
 TEST(RecoveryExperiment, SimulatorOnlyKnobsRequireTraffic) {
