@@ -556,21 +556,34 @@ constexpr const char* kPinnedLabels[] = {
     "zero-knob", "bandwidth+priorities+drop-oldest", "faults+recovery",
     "utility",   "wire",                             "record_paths"};
 
+// The trace and directory every pinned configuration runs on.
+struct PinnedWorld {
+  static constexpr std::size_t kNodes = 30;
+  util::Rng setup{21};
+  graph::ContactGraph graph =
+      graph::random_contact_graph(kNodes, setup, 5.0, 40.0);
+  trace::ContactTrace trace = trace::sample_poisson_trace(graph, 2000.0, setup);
+  groups::GroupDirectory dir{kNodes, 5, &setup};
+
+  NetworkSimReport run(const std::vector<InjectedMessage>& messages,
+                       std::vector<std::uint8_t> priorities,
+                       const NetworkSimConfig& cfg) const {
+    util::Rng rng(22);
+    return run_network_sim(trace, dir, messages, std::move(priorities), cfg,
+                           rng);
+  }
+};
+
 std::vector<NetworkSimReport> run_pinned_configs(
     std::vector<metrics::Registry>* regs) {
-  constexpr std::size_t kNodes = 30;
-  util::Rng setup(21);
-  auto graph = graph::random_contact_graph(kNodes, setup, 5.0, 40.0);
-  auto trace = trace::sample_poisson_trace(graph, 2000.0, setup);
-  groups::GroupDirectory dir(kNodes, 5, &setup);
+  constexpr std::size_t kNodes = PinnedWorld::kNodes;
+  const PinnedWorld world;
   if (regs != nullptr) regs->assign(std::size(kPinnedLabels), {});
   std::vector<NetworkSimReport> reports;
   auto run = [&](const std::vector<InjectedMessage>& messages,
                  std::vector<std::uint8_t> priorities, NetworkSimConfig cfg) {
     if (regs != nullptr) cfg.metrics = &(*regs)[reports.size()];
-    util::Rng rng(22);
-    reports.push_back(run_network_sim(trace, dir, messages,
-                                      std::move(priorities), cfg, rng));
+    reports.push_back(world.run(messages, std::move(priorities), cfg));
   };
 
   {  // Every knob at zero.
@@ -677,6 +690,66 @@ TEST(NetworkSim, MetricsExportPinned) {
     for (char c : jsonl) d.byte(static_cast<std::uint8_t>(c));
     EXPECT_EQ(d.h, kDigests[i]) << kPinnedLabels[i] << "\n" << jsonl;
   }
+}
+
+// Pins the copies drainage examined in each of the six runs: holdings
+// must list exactly the same copies, contact by contact.
+TEST(NetworkSim, DrainScannedPinned) {
+  const std::uint64_t kScanned[] = {152865, 105768, 10243,
+                                     428955, 299971, 206220};
+  const auto reports = run_pinned_configs(nullptr);
+  ASSERT_EQ(reports.size(), std::size(kScanned));
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    EXPECT_EQ(reports[i].drain_scanned, kScanned[i]) << kPinnedLabels[i];
+  }
+}
+
+// Pins the utility forwarder's two non-default paths: outcome feedback
+// (failure_penalty > 0, fed by churn and mid-contact failures) and the
+// spray-blind baseline (ratio 0, back-off off).
+TEST(NetworkSim, UtilityFeedbackDigestPinned) {
+  constexpr std::size_t kNodes = PinnedWorld::kNodes;
+  const PinnedWorld world;
+  util::Rng mrng(7);
+  const auto messages = random_messages(mrng, kNodes, 120, 4);
+  // Outcome feedback under churn and p_fail.
+  auto feedback_run = [&](double penalty) {
+    faults::FaultConfig fc;
+    fc.mean_uptime = 300.0;
+    fc.mean_downtime = 60.0;
+    fc.p_fail = 0.2;
+    faults::FaultPlan plan(fc, kNodes, 2000.0, 25);
+    routing::UtilityForwarderConfig uc;
+    uc.failure_penalty = penalty;
+    routing::UtilityForwarder fwd(kNodes, uc);
+    NetworkSimConfig cfg;
+    cfg.buffer_capacity = 6;
+    cfg.bandwidth.messages_per_contact = 2;
+    cfg.faults = &plan;
+    cfg.utility = &fwd;
+    const NetworkSimReport r = world.run(messages, {}, cfg);
+    EXPECT_GT(r.transfer_failures, 0u);
+    EXPECT_GT(r.suppressed_contacts, 0u);
+    return report_digest(r);
+  };
+  const std::uint64_t feedback = feedback_run(0.8);
+  EXPECT_EQ(feedback, 0x7fd68e14b59db351ull);
+  // The penalty must steer something, or this pins no failure score.
+  EXPECT_NE(feedback, feedback_run(0.0));
+
+  // Spray-blind: replicate to anyone, never back off.
+  routing::UtilityForwarderConfig uc;
+  uc.min_utility_ratio = 0.0;
+  uc.backoff_occupancy = 2.0;
+  routing::UtilityForwarder fwd(kNodes, uc);
+  NetworkSimConfig cfg;
+  cfg.buffer_capacity = 6;
+  cfg.policy = BufferPolicy::kDropOldest;
+  cfg.bandwidth.messages_per_contact = 2;
+  cfg.utility = &fwd;
+  util::Rng blind_rng(8);
+  const auto blind = random_messages(blind_rng, kNodes, 120, 8);
+  EXPECT_EQ(report_digest(world.run(blind, {}, cfg)), 0x98f9f9a9ee7cfc79ull);
 }
 
 // A contact's drainage work is local: messages sourced at a node that
