@@ -120,6 +120,9 @@ bool FaultPlan::transfer_fails(NodeId a, NodeId b) {
 
 FaultGate::FaultGate(FaultPlan* plan, metrics::Registry* reg)
     : plan_(plan), reg_(reg) {
+  if (plan_ != nullptr && plan_->config().churn_enabled()) {
+    flips_passed_.assign(plan_->node_count(), 0);
+  }
   m_suppressed_ = counter("faults.contacts_suppressed");
   m_failures_ = counter("faults.transfer_failures");
   m_absorbed_ = counter("faults.blackhole_absorbed");
@@ -130,10 +133,19 @@ metrics::CounterHandle FaultGate::counter(const char* name) const {
                           : metrics::CounterHandle{};
 }
 
+bool FaultGate::up(NodeId v, Time t) {
+  const std::vector<Time>& flips = plan_->flips(v);
+  std::uint32_t& passed = flips_passed_[v];
+  while (passed < flips.size() && flips[passed] <= t) ++passed;
+  return plan_->starts_up(v) == (passed % 2 == 0);
+}
+
 bool FaultGate::contact_up(NodeId a, NodeId b, Time t) {
-  if (plan_ == nullptr || (plan_->node_up(a, t) && plan_->node_up(b, t))) {
-    return true;
+  if (t < last_query_) {
+    throw std::logic_error("FaultGate::contact_up: query time decreased");
   }
+  last_query_ = t;
+  if (flips_passed_.empty() || (up(a, t) && up(b, t))) return true;
   ++suppressed_;
   m_suppressed_.inc();
   return false;

@@ -113,6 +113,11 @@ class FaultPlan {
   /// Churn duty cycle: is `v` powered on at time t?
   bool node_up(NodeId v, Time t) const;
 
+  /// `v`'s churn schedule (with churn enabled): its state before the first
+  /// flip, and the increasing times at which its up/down state flips.
+  bool starts_up(NodeId v) const { return starts_up_[v]; }
+  const std::vector<Time>& flips(NodeId v) const { return transitions_[v]; }
+
   /// First crash (up→down transition) of `v` strictly after `t`;
   /// kTimeInfinity if none before the horizon.
   Time next_crash_after(NodeId v, Time t) const;
@@ -170,7 +175,12 @@ class FaultGate {
   metrics::CounterHandle counter(const char* name) const;
 
   /// Are both endpoints of a contact at time t powered up? A contact with
-  /// a powered-down endpoint counts as suppressed.
+  /// a powered-down endpoint counts as suppressed. Query times must never
+  /// decrease over the gate's life (NetworkSim walks its trace in time
+  /// order; a per-message walker's clock only moves forward): each node
+  /// keeps a cursor over its flip times that only advances, so a query
+  /// costs the flips passed since the last one. A decreasing t throws
+  /// std::logic_error.
   bool contact_up(NodeId a, NodeId b, Time t);
   /// One attempted transfer over (from, to): does it fail mid-contact?
   /// Draws from the plan's link-loss stream, so call it exactly once per
@@ -193,7 +203,14 @@ class FaultGate {
   std::size_t absorbed() const { return absorbed_; }
 
  private:
+  // Is `v` up at t? Advances v's flip cursor to t.
+  bool up(NodeId v, Time t);
+
   FaultPlan* plan_ = nullptr;
+  /// Per node (churn only): how many of its flips are at or before the
+  /// last query time (a plan caps a node's flips at 2^16).
+  std::vector<std::uint32_t> flips_passed_;
+  Time last_query_ = -kTimeInfinity;
   metrics::Registry* reg_ = nullptr;
   metrics::CounterHandle m_suppressed_;
   metrics::CounterHandle m_failures_;

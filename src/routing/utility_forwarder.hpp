@@ -22,9 +22,10 @@
 // the two libraries mutually dependent.
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <map>
 #include <utility>
+#include <vector>
 
 #include "util/ids.hpp"
 
@@ -56,12 +57,14 @@ struct UtilityForwarderConfig {
 class UtilityForwarder {
  public:
   UtilityForwarder(std::size_t nodes, UtilityForwarderConfig config = {})
-      : nodes_(nodes), config_(config) {}
+      : nodes_(nodes),
+        config_(config),
+        failure_score_(config.failure_penalty > 0.0 ? nodes : 0, 0.0) {}
 
   /// Feeds one contact event (called for every surviving contact, in trace
   /// order). Updates both endpoints' inter-contact EWMAs.
   void observe_contact(NodeId a, NodeId b, Time t) {
-    Pair& p = pairs_[key(a, b)];
+    Pair& p = pairs_.find_or_insert(key(a, b));
     if (p.last >= 0.0) {
       const double interval = t - p.last;
       p.ewma_interval = p.ewma_interval < 0.0
@@ -75,9 +78,9 @@ class UtilityForwarder {
   /// Estimated contact rate of (v, d); 0 until two contacts were seen.
   double utility(NodeId v, NodeId d) const {
     if (v == d) return 0.0;
-    auto it = pairs_.find(key(v, d));
-    if (it == pairs_.end() || it->second.ewma_interval <= 0.0) return 0.0;
-    return 1.0 / it->second.ewma_interval;
+    const Pair* p = pairs_.find(key(v, d));
+    if (p == nullptr || p->ewma_interval <= 0.0) return 0.0;
+    return 1.0 / p->ewma_interval;
   }
 
   /// Feeds one observed transfer outcome to `receiver` (success = the copy
@@ -92,8 +95,7 @@ class UtilityForwarder {
 
   /// EWMA of observed transfer failures to `v` (0 until a failure is seen).
   double failure_score(NodeId v) const {
-    auto it = failure_score_.find(v);
-    return it == failure_score_.end() ? 0.0 : it->second;
+    return failure_score_.empty() ? 0.0 : failure_score_[v];
   }
 
   /// Replication decision at a contact: should `holder` spend a ticket on
@@ -126,18 +128,75 @@ class UtilityForwarder {
     double ewma_interval = -1.0;
   };
 
+  // Node ids are below kInvalidNode, so no pair maps to PairTable::kEmpty.
   static std::uint64_t key(NodeId a, NodeId b) {
     if (a > b) std::swap(a, b);
     return (static_cast<std::uint64_t>(a) << 32) | b;
   }
 
+  // Open-addressed map (linear probing, load factor at most 1/2) from a
+  // pair key to its EWMAs. Memory grows with the pairs seen, never with
+  // nodes^2: a sparse-backend run meets a few pairs out of 10^10. Nothing
+  // iterates it, so slot order reaches no output.
+  class PairTable {
+   public:
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+    const Pair* find(std::uint64_t k) const {
+      if (slots_.empty()) return nullptr;
+      const Slot& s = slots_[probe(k)];
+      return s.key == k ? &s.pair : nullptr;
+    }
+
+    Pair& find_or_insert(std::uint64_t k) {
+      if (slots_.empty()) rehash(kFirstCapacity);
+      std::size_t i = probe(k);
+      if (slots_[i].key == k) return slots_[i].pair;
+      if (2 * (size_ + 1) > slots_.size()) {
+        rehash(2 * slots_.size());
+        i = probe(k);
+      }
+      ++size_;
+      slots_[i].key = k;
+      return slots_[i].pair;
+    }
+
+   private:
+    static constexpr std::size_t kFirstCapacity = 64;
+    struct Slot {
+      std::uint64_t key = kEmpty;
+      Pair pair;
+    };
+
+    // The slot holding `k`, or the empty slot where it would go.
+    std::size_t probe(std::uint64_t k) const {
+      const std::size_t mask = slots_.size() - 1;
+      // Fibonacci hashing: the product's top bits mix both node ids.
+      std::size_t i = static_cast<std::size_t>(
+          (k * 0x9E3779B97F4A7C15ull) >> shift_);
+      while (slots_[i].key != k && slots_[i].key != kEmpty) i = (i + 1) & mask;
+      return i;
+    }
+
+    void rehash(std::size_t capacity) {
+      std::vector<Slot> old(capacity);
+      old.swap(slots_);
+      shift_ = 64 - std::countr_zero(capacity);
+      for (const Slot& s : old) {
+        if (s.key != kEmpty) slots_[probe(s.key)] = s;
+      }
+    }
+
+    std::vector<Slot> slots_;  // power-of-two size
+    std::size_t size_ = 0;
+    int shift_ = 64;
+  };
+
   std::size_t nodes_;
   UtilityForwarderConfig config_;
-  // Ordered map: iteration order (debug dumps, future export) is the pair
-  // key order, never hash-bucket order.
-  std::map<std::uint64_t, Pair> pairs_;
-  // Per-node transfer-failure EWMA; only populated when failure_penalty > 0.
-  std::map<NodeId, double> failure_score_;
+  PairTable pairs_;
+  // Per-node transfer-failure EWMA; sized only when failure_penalty > 0.
+  std::vector<double> failure_score_;
 };
 
 }  // namespace odtn::routing

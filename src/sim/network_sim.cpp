@@ -6,7 +6,6 @@
 #include <limits>
 #include <optional>
 #include <queue>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -92,12 +91,17 @@ struct Engine {
 
   std::vector<InjectedMessage> messages;
   std::vector<std::uint8_t> priorities;  // empty = all class 0
+  /// Two or more priority classes in use: only then does a contact sort
+  /// its candidates (with one class, collection order is execution order).
+  bool mixed_priorities = false;
   std::vector<MessageState> state;       // per message
 
   std::vector<Copy> copies;
   std::vector<std::vector<NodeId>> copy_paths;  // record_paths only
-  /// node -> ids of its live copies; the size is the node's buffer load.
-  std::vector<std::set<std::size_t>> holdings;
+  /// node -> ids of its live copies, ascending; the size is the node's
+  /// buffer load. A few entries each (the buffer capacity bounds them), so
+  /// a flat sorted vector beats a tree.
+  std::vector<std::vector<std::size_t>> holdings;
 
   routing::UtilityForwarder* utility = nullptr;
   faults::FaultGate gate;
@@ -164,18 +168,28 @@ struct Engine {
            holdings[v].size() >= config->buffer_capacity;
   }
 
+  // Copy `id` enters (leaves) `v`'s holdings, which stay in id order.
+  void add_holding(NodeId v, std::size_t id) {
+    auto& held = holdings[v];
+    held.insert(std::upper_bound(held.begin(), held.end(), id), id);
+  }
+  void remove_holding(NodeId v, std::size_t id) {
+    auto& held = holdings[v];
+    held.erase(std::lower_bound(held.begin(), held.end(), id));
+  }
+
   // Copy `id` (not alive) takes a buffer slot at its holder until its
   // message's deadline.
   void hold(std::size_t id) {
     copies[id].alive = true;
-    holdings[copies[id].holder].insert(id);
+    add_holding(copies[id].holder, id);
     expiries.emplace(deadline_of(copies[id].msg), id);
   }
 
-  // Copy `id` leaves its holder's buffer.
+  // Copy `id` (alive) leaves its holder's buffer.
   void drop(std::size_t id) {
     copies[id].alive = false;
-    holdings[copies[id].holder].erase(id);
+    remove_holding(copies[id].holder, id);
   }
 
   // Tries to admit one more item at `v`, applying the buffer policy.
@@ -185,7 +199,7 @@ struct Engine {
     // kDropOldest: evict the relayed copy that has waited longest. A copy
     // still held by its own source is locally originated and never
     // evicted. Tie-break on equal arrival times: the scan walks the
-    // ordered holdings set and keeps the *first* minimum, so the lowest
+    // id-ordered holdings and keeps the *first* minimum, so the lowest
     // copy id — the earliest-created copy — wins deterministically.
     std::size_t victim = SIZE_MAX;
     if (config->policy == BufferPolicy::kDropOldest) {
@@ -498,26 +512,29 @@ struct Engine {
   // destination after the last one) and not have the message yet.
   // Utility mode: a copy may deliver to the destination or binary-split
   // its spray tickets toward a higher-utility, uncongested custodian.
-  // Decisions are pure functions of simulated state (no RNG).
+  // Decisions are pure functions of simulated state (no RNG), so the
+  // conjuncts are tested cheapest first: the seen-set scan and the
+  // utility lookups come last.
   bool eligible(std::size_t id, NodeId sender, NodeId receiver,
                 Time t) const {
     const Copy& c = copies[id];
-    if (!c.alive || c.holder != sender || t > deadline_of(c.msg) ||
-        has_seen(c.msg, receiver)) {
+    if (!c.alive || c.holder != sender || t > deadline_of(c.msg)) {
       return false;
     }
     const auto& msg = messages[c.msg];
     if (utility != nullptr) {
+      if (receiver != msg.dst && c.tickets <= 1) return false;
+      if (has_seen(c.msg, receiver)) return false;
       return receiver == msg.dst ||
-             (c.tickets > 1 &&
-              utility->should_replicate(sender, receiver, msg.dst,
-                                        holdings[receiver].size(),
-                                        config->buffer_capacity));
+             utility->should_replicate(sender, receiver, msg.dst,
+                                       holdings[receiver].size(),
+                                       config->buffer_capacity);
     }
-    if (c.hop < msg.num_relays) {
-      return directory->in_group(receiver, state[c.msg].gens[c.gen][c.hop]);
-    }
-    return receiver == msg.dst;
+    const bool next_hop =
+        c.hop < msg.num_relays
+            ? directory->in_group(receiver, state[c.msg].gens[c.gen][c.hop])
+            : receiver == msg.dst;
+    return next_hop && !has_seen(c.msg, receiver);
   }
 
   bool attempt(std::size_t id, NodeId sender, NodeId receiver, Time t) {
@@ -535,11 +552,11 @@ struct Engine {
     if (utility == nullptr && c.hop > 0) {
       // An onion relay forwards its copy and frees its slot.
       record_relay(id, c.hop, receiver);
-      holdings[sender].erase(id);
+      remove_holding(sender, id);
       c.holder = receiver;
       c.arrival = t;
       ++c.hop;
-      holdings[receiver].insert(id);
+      add_holding(receiver, id);
       mark_seen(m, receiver);
     } else {
       // A spray: the receiver gets a fresh copy with `give` tickets — one
@@ -593,11 +610,13 @@ struct Engine {
     collect(a, b);
     collect(b, a);
     // (pri, seq) pairs are unique, so plain sort is a total order.
-    std::sort(cand_scratch.begin(), cand_scratch.end(),
-              [](const Cand& x, const Cand& y) {
-                if (x.pri != y.pri) return x.pri < y.pri;
-                return x.seq < y.seq;
-              });
+    if (mixed_priorities) {
+      std::sort(cand_scratch.begin(), cand_scratch.end(),
+                [](const Cand& x, const Cand& y) {
+                  if (x.pri != y.pri) return x.pri < y.pri;
+                  return x.seq < y.seq;
+                });
+    }
 
     std::size_t executed = 0;
     bool saturated = false;
@@ -640,7 +659,10 @@ struct Engine {
     const bool wire_on = config->cells_per_message > 0;
     if (wire_on) cell_cost = config->cells_per_message;
     bool priorities_on = false;
-    for (std::uint8_t p : priorities) priorities_on |= (p != 0);
+    for (std::uint8_t p : priorities) {
+      priorities_on |= (p != 0);
+      mixed_priorities |= (p != priorities.front());
+    }
     rec = (config->recovery != nullptr && config->recovery->enabled())
               ? config->recovery
               : nullptr;

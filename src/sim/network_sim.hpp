@@ -59,8 +59,8 @@ enum class BufferPolicy {
                 // one (locally-originated messages are never evicted).
                 // Tie-break on equal buffered-since times: the lowest copy
                 // id, i.e. the earliest-created copy — explicitly
-                // deterministic (holdings are ordered sets and the scan
-                // keeps the first minimum).
+                // deterministic (each node's holdings are kept in copy-id
+                // order and the scan keeps the first minimum).
 };
 
 /// Finite contact bandwidth: how many transfers one contact event can

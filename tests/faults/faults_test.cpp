@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 namespace odtn::faults {
 namespace {
 
@@ -191,6 +195,55 @@ TEST(FaultPlan, StationaryChurnStartHitsDutyCycle) {
   }
   double fraction = static_cast<double>(up) / static_cast<double>(total);
   EXPECT_NEAR(fraction, 50.0 / 60.0, 0.03);
+}
+
+// The gate's per-node flip cursors answer what the plan's binary search
+// answers, for any non-decreasing query times (ties at flip instants and
+// repeated times included), and count the same suppressions.
+TEST(FaultGate, ContactUpMatchesNodeUp) {
+  constexpr std::size_t kNodes = 12;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Rng rng(seed);
+    FaultConfig cfg;
+    cfg.mean_uptime = rng.uniform(5.0, 80.0);
+    cfg.mean_downtime = rng.uniform(2.0, 40.0);
+    FaultPlan plan(cfg, kNodes, 1000.0, seed);
+    // (time, an endpoint): every flip instant with its own node, and
+    // random instants (past the horizon too) with a random node.
+    std::vector<std::pair<Time, NodeId>> queries = {{0.0, 0}};
+    for (NodeId v = 0; v < kNodes; ++v) {
+      for (Time f : plan.flips(v)) queries.emplace_back(f, v);
+    }
+    for (int i = 0; i < 2000; ++i) {
+      queries.emplace_back(rng.uniform(0.0, 1100.0),
+                           static_cast<NodeId>(rng.below(kNodes)));
+    }
+    std::sort(queries.begin(), queries.end());
+    FaultGate gate(&plan, nullptr);
+    std::size_t suppressed = 0;
+    for (const auto& [t, a] : queries) {
+      for (int rep = 0; rep < 2; ++rep) {
+        const auto b = static_cast<NodeId>(rng.below(kNodes));
+        const bool up = plan.node_up(a, t) && plan.node_up(b, t);
+        suppressed += !up;
+        ASSERT_EQ(gate.contact_up(a, b, t), up)
+            << "seed " << seed << " t " << t << " (" << a << ", " << b << ")";
+      }
+    }
+    EXPECT_EQ(gate.suppressed(), suppressed) << "seed " << seed;
+    EXPECT_GT(suppressed, 0u) << "seed " << seed;
+  }
+}
+
+TEST(FaultGate, DecreasingQueryTimeThrows) {
+  FaultPlan churn(churn_config(), 4, 1000.0, 3);
+  FaultPlan quiet(FaultConfig{}, 4, 1000.0, 3);
+  for (FaultPlan* plan : {&churn, &quiet, static_cast<FaultPlan*>(nullptr)}) {
+    FaultGate gate(plan, nullptr);
+    gate.contact_up(0, 1, 10.0);
+    gate.contact_up(2, 3, 10.0);  // an equal time is fine
+    EXPECT_THROW(gate.contact_up(0, 1, 9.5), std::logic_error);
+  }
 }
 
 TEST(InjectedFault, IsARuntimeError) {
