@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
@@ -344,12 +345,27 @@ std::vector<Knob> make_knobs() {
 
 #undef FIELD
 
-// Whether a run's K relay groups cannot be drawn: an onion path needs
-// K >= 1, and select_relay_groups throws when K exceeds the directory's
-// group count. Unloaded runs draw the config's K, onion-loaded runs each
-// flow's, utility forwarders none. A scenario its own check refuses (a
-// null trace, fewer than two streamed nodes) is left to that check.
-bool bad_relay_count(const ExperimentConfig& c, const Scenario& s) {
+// The node count a run's group directory is built over: --n, or the
+// trace's. Empty for a scenario its own check refuses (a null trace,
+// fewer than two streamed nodes), which is left to that check.
+std::optional<std::size_t> scenario_nodes(const ExperimentConfig& c,
+                                          const Scenario& s) {
+  if (const auto* t = std::get_if<TraceScenario>(&s)) {
+    if (t->trace == nullptr) return std::nullopt;
+    return t->trace->node_count();
+  }
+  if (const auto* t = std::get_if<SparseTraceScenario>(&s)) {
+    if (t->nodes < 2) return std::nullopt;
+    return t->nodes;
+  }
+  return c.nodes;
+}
+
+// Whether a run's K relay groups cannot be drawn from a directory over n
+// nodes: an onion path needs K >= 1, and select_relay_groups throws when
+// K exceeds the directory's group count. Unloaded runs draw the config's
+// K, onion-loaded runs each flow's, utility forwarders none.
+bool bad_relay_count(const ExperimentConfig& c, std::optional<std::size_t> n) {
   std::vector<std::size_t> ks;
   if (!c.traffic.enabled()) {
     ks.push_back(c.num_relays);
@@ -359,16 +375,10 @@ bool bad_relay_count(const ExperimentConfig& c, const Scenario& s) {
   if (ks.empty()) return false;
   const auto [lo, hi] = std::minmax_element(ks.begin(), ks.end());
   if (*lo == 0) return true;
-  std::size_t n = c.nodes;
-  if (const auto* t = std::get_if<TraceScenario>(&s)) {
-    n = t->trace == nullptr ? 0 : t->trace->node_count();
-  } else if (const auto* t = std::get_if<SparseTraceScenario>(&s)) {
-    n = t->nodes < 2 ? 0 : t->nodes;
-  }
-  if (n == 0) return false;
+  if (!n) return false;
   // One shard holds the unsharded directory's ceil(n/g) groups.
   const std::size_t shards = std::max<std::size_t>(c.group_shards, 1);
-  return *hi > groups::GroupDirectory(n, c.group_size,
+  return *hi > groups::GroupDirectory(*n, c.group_size,
                                       groups::GroupDirectory::Sharded{shards, 0})
                    .group_count();
 }
@@ -488,7 +498,18 @@ void check_cross_rules(const ExperimentConfig& c, const Scenario& s) {
        "--traffic-* workloads run on random-graph scenarios only");
   rule(c.wire_cells && c.crypto != routing::CryptoMode::kReal,
        "--wire-cells fragments real sealed packets; it requires real crypto");
-  rule(bad_relay_count(c, s),
+  // The directory's bounds, ahead of the K rule that builds one.
+  const std::optional<std::size_t> n = scenario_nodes(c, s);
+  const std::size_t shards = std::max<std::size_t>(c.group_shards, 1);
+  rule(n && *n < 2,
+       "--n must be >= 2: a message needs a source and a distinct "
+       "destination");
+  rule(n && c.group_size > *n, "--g must be <= the node count (--n)");
+  rule(n && shards > *n, "--group-shards must be <= the node count (--n)");
+  rule(n && (*n + shards - 1) / shards < c.group_size,
+       "--group-shards leaves shards smaller than --g: ceil(n / shards) "
+       "must be >= g");
+  rule(bad_relay_count(c, n),
        "--K must be in [1, the directory's group count]: ceil(n/g), or per "
        "shard under --group-shards");
 }

@@ -434,6 +434,33 @@ TEST(ConfigSchema, CrossKnobRules) {
        &random, "--K must be in [1, "},
       {[](auto& c) { c.num_relays = 0; }, &random, "--K must be in [1, "},
       {[](auto& c) { c.wire_cells = true; }, &random, "--wire-cells"},
+      // The directory's bounds, named ahead of the K rule.
+      {[](auto& c) { c.nodes = 1; }, &random, "--n must be >= 2"},
+      {[](auto& c) { c.nodes = 0; }, &random, "--n must be >= 2"},
+      {[](auto& c) {
+         c.nodes = 20;
+         c.group_size = 30;
+       },
+       &random, "--g must be <= the node count"},
+      {[](auto& c) { c.group_size = 31; }, &in_memory,
+       "--g must be <= the node count"},
+      {[](auto& c) {
+         c.nodes = 20;
+         c.group_shards = 30;
+       },
+       &random, "--group-shards must be <= the node count"},
+      // 5 shards of 4 nodes cannot hold a group of 5; 4 shards of 5 can.
+      {[](auto& c) {
+         c.nodes = 20;
+         c.group_shards = 5;
+       },
+       &random, "--group-shards leaves shards smaller than --g"},
+      {[](auto& c) {
+         c.nodes = 20;
+         c.group_shards = 4;
+         c.num_relays = 1;
+       },
+       &random, ""},
       // K against the group count: ceil(20/5) = 4 groups.
       {[](auto& c) {
          c.nodes = 20;
