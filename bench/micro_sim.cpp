@@ -19,9 +19,11 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "faults/faults.hpp"
 #include "recovery/recovery.hpp"
 #include "routing/baselines.hpp"
 #include "routing/onion_routing.hpp"
+#include "routing/utility_forwarder.hpp"
 #include "sim/contact_model.hpp"
 #include "sim/network_sim.hpp"
 #include "trace/synthetic.hpp"
@@ -311,18 +313,33 @@ void BM_TrafficGen(benchmark::State& state) {
 }
 BENCHMARK(BM_TrafficGen)->Arg(1)->Arg(10);
 
-// One fully loaded network-sim run: Poisson workload with priorities over
-// a pre-sampled trace, finite per-contact bandwidth and finite buffers —
-// priority-ordered, budgeted contact drainage end to end.
-void BM_LoadedSimStep(benchmark::State& state) {
+// The stack the network-sim step benches share: a 100-node random
+// contact graph, its Poisson trace over the 600-unit workload horizon plus
+// one 1800-unit TTL, a g = 5 directory and a traffic plan, all from one
+// pinned bench-local stream.
+struct LoadedStack {
   // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
   // so published figure/ablation tables stay pinned to their historical
   // sequences
-  util::Rng rng(9);
-  auto g = graph::random_contact_graph(100, rng);
-  auto trace = trace::sample_poisson_trace(g, 2400.0, rng);
-  groups::GroupDirectory dir(100, 5, &rng);
+  util::Rng rng{9};
+  graph::ContactGraph graph = graph::random_contact_graph(100, rng);
+  trace::ContactTrace trace = trace::sample_poisson_trace(graph, 2400.0, rng);
+  groups::GroupDirectory dir{100, 5, &rng};
+  traffic::TrafficPlan plan;
 
+  explicit LoadedStack(const traffic::TrafficConfig& workload)
+      : plan(workload, 100, rng.next()) {}
+
+  sim::NetworkSimReport run(const sim::NetworkSimConfig& cfg) const {
+    // odtn-lint: allow(rng) — bench-local stream (same pinned sequence).
+    util::Rng run_rng(11);
+    return sim::run_network_sim(trace, dir, plan.specs(), plan.priorities(),
+                                cfg, run_rng);
+  }
+};
+
+// Two Poisson flows of rate 0.25, priority classes 0 and 1, TTL 1800.
+traffic::TrafficConfig two_class_workload() {
   traffic::TrafficConfig workload;
   traffic::FlowConfig flow;
   flow.rate = 0.25;
@@ -331,17 +348,18 @@ void BM_LoadedSimStep(benchmark::State& state) {
   flow.priority = 1;
   workload.flows.push_back(flow);
   workload.horizon = 600.0;
-  traffic::TrafficPlan plan(workload, 100, rng.next());
+  return workload;
+}
 
+// One fully loaded network-sim run: Poisson workload with priorities over
+// a pre-sampled trace, finite per-contact bandwidth and finite buffers —
+// priority-ordered, budgeted contact drainage end to end.
+void BM_LoadedSimStep(benchmark::State& state) {
+  const LoadedStack stack(two_class_workload());
   sim::NetworkSimConfig cfg;
   cfg.buffer_capacity = 8;
   cfg.bandwidth.messages_per_contact = 2;
-  for (auto _ : state) {
-    // odtn-lint: allow(rng) — bench-local stream (same pinned sequence).
-    util::Rng run_rng(11);
-    benchmark::DoNotOptimize(sim::run_network_sim(
-        trace, dir, plan.specs(), plan.priorities(), cfg, run_rng));
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(stack.run(cfg));
 }
 BENCHMARK(BM_LoadedSimStep)->Unit(benchmark::kMillisecond);
 
@@ -349,23 +367,7 @@ BENCHMARK(BM_LoadedSimStep)->Unit(benchmark::kMillisecond);
 // jittered retransmission, suspicion-biased retries, overload shedding) —
 // the cost of the reliability layer on the loaded drainage path.
 void BM_RecoveryStep(benchmark::State& state) {
-  // odtn-lint: allow(rng) — bench-local stream (same pinned sequence as
-  // BM_LoadedSimStep).
-  util::Rng rng(9);
-  auto g = graph::random_contact_graph(100, rng);
-  auto trace = trace::sample_poisson_trace(g, 2400.0, rng);
-  groups::GroupDirectory dir(100, 5, &rng);
-
-  traffic::TrafficConfig workload;
-  traffic::FlowConfig flow;
-  flow.rate = 0.25;
-  flow.ttl = 1800.0;
-  workload.flows.push_back(flow);
-  flow.priority = 1;
-  workload.flows.push_back(flow);
-  workload.horizon = 600.0;
-  traffic::TrafficPlan plan(workload, 100, rng.next());
-
+  const LoadedStack stack(two_class_workload());
   recovery::RecoveryConfig rc;
   rc.acks = true;
   rc.retx_timeout = 150.0;
@@ -378,13 +380,10 @@ void BM_RecoveryStep(benchmark::State& state) {
   cfg.recovery = &rc;
   cfg.recovery_seed = 13;
   for (auto _ : state) {
-    // odtn-lint: allow(rng) — bench-local stream (same pinned sequence).
-    util::Rng run_rng(11);
     recovery::SuspicionTracker tracker(rc.suspicion_alpha,
                                        rc.suspicion_threshold);
     cfg.suspicion = &tracker;
-    benchmark::DoNotOptimize(sim::run_network_sim(
-        trace, dir, plan.specs(), plan.priorities(), cfg, run_rng));
+    benchmark::DoNotOptimize(stack.run(cfg));
   }
 }
 BENCHMARK(BM_RecoveryStep)->Unit(benchmark::kMillisecond);
@@ -393,36 +392,62 @@ BENCHMARK(BM_RecoveryStep)->Unit(benchmark::kMillisecond);
 // charges its cell cost against the (cell-denominated) contact budget —
 // the cost of the circuit layer on the loaded drainage path.
 void BM_WireSimStep(benchmark::State& state) {
-  // odtn-lint: allow(rng) — bench-local stream (same pinned sequence as
-  // BM_LoadedSimStep).
-  util::Rng rng(9);
-  auto g = graph::random_contact_graph(100, rng);
-  auto trace = trace::sample_poisson_trace(g, 2400.0, rng);
-  groups::GroupDirectory dir(100, 5, &rng);
-
-  traffic::TrafficConfig workload;
-  traffic::FlowConfig flow;
-  flow.rate = 0.25;
-  flow.ttl = 1800.0;
-  workload.flows.push_back(flow);
-  flow.priority = 1;
-  workload.flows.push_back(flow);
-  workload.horizon = 600.0;
-  traffic::TrafficPlan plan(workload, 100, rng.next());
-
+  const LoadedStack stack(two_class_workload());
   sim::NetworkSimConfig cfg;
   cfg.buffer_capacity = 8;
   cfg.bandwidth.messages_per_contact = 4;  // cells, not messages
   cfg.cells_per_message = 2;
   cfg.cell_size = 512;
-  for (auto _ : state) {
-    // odtn-lint: allow(rng) — bench-local stream (same pinned sequence).
-    util::Rng run_rng(11);
-    benchmark::DoNotOptimize(sim::run_network_sim(
-        trace, dir, plan.specs(), plan.priorities(), cfg, run_rng));
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(stack.run(cfg));
 }
 BENCHMARK(BM_WireSimStep)->Unit(benchmark::kMillisecond);
+
+// The utility forwarder's loaded run (the loaded_utility stack of
+// e2ebench): one Poisson flow of rate 0.8 with four spray tickets a
+// message, two transfers per contact, eight-message drop-oldest buffers.
+// Each iteration learns from scratch with a fresh forwarder.
+void BM_UtilitySimStep(benchmark::State& state) {
+  traffic::TrafficConfig workload;
+  traffic::FlowConfig flow;
+  flow.rate = 0.8;
+  flow.ttl = 1800.0;
+  flow.copies = 4;
+  workload.flows.push_back(flow);
+  workload.horizon = 600.0;
+  const LoadedStack stack(workload);
+  sim::NetworkSimConfig cfg;
+  cfg.buffer_capacity = 8;
+  cfg.policy = sim::BufferPolicy::kDropOldest;
+  cfg.bandwidth.messages_per_contact = 2;
+  for (auto _ : state) {
+    routing::UtilityForwarder forwarder(100);
+    cfg.utility = &forwarder;
+    benchmark::DoNotOptimize(stack.run(cfg));
+  }
+}
+BENCHMARK(BM_UtilitySimStep)->Unit(benchmark::kMillisecond);
+
+// BM_LoadedSimStep under faults without recovery: churn (mean up 400, down
+// 100), 20% mid-contact transfer failures and 20% blackholes — the fault
+// gate's cost on the loaded drainage path. The plan's link-loss stream
+// advances as the run queries it, so each iteration builds its own.
+void BM_FaultSimStep(benchmark::State& state) {
+  const LoadedStack stack(two_class_workload());
+  faults::FaultConfig fc;
+  fc.mean_uptime = 400.0;
+  fc.mean_downtime = 100.0;
+  fc.p_fail = 0.2;
+  fc.blackhole_fraction = 0.2;
+  sim::NetworkSimConfig cfg;
+  cfg.buffer_capacity = 8;
+  cfg.bandwidth.messages_per_contact = 2;
+  for (auto _ : state) {
+    faults::FaultPlan plan(fc, 100, stack.trace.end_time(), 15);
+    cfg.faults = &plan;
+    benchmark::DoNotOptimize(stack.run(cfg));
+  }
+}
+BENCHMARK(BM_FaultSimStep)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

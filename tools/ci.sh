@@ -153,12 +153,12 @@ echo "sustained-load smoke within wall-time bound (${load_elapsed}s)"
 
 echo "== perf smoke: micro_sim hot paths vs BENCH_micro_sim.json =="
 # Medians over 5 repetitions of the gate benchmarks (routing, the engine,
-# and the loaded workload/queueing path); micro_sim exits non-zero when
-# any regresses more than 20% against the committed baseline. Noise-prone
-# under load — rerun pinned (taskset -c 0) before treating a failure as
-# real.
+# and the loaded workload/queueing path under the onion, recovery, wire,
+# utility and fault stacks); micro_sim exits non-zero when any regresses
+# more than 20% against the committed baseline. Noise-prone under load —
+# rerun pinned (taskset -c 0) before treating a failure as real.
 "$repo/build/bench/micro_sim" \
-    --benchmark_filter='^BM_MultiCopyRoute/3$|^BM_ExperimentRun$|^BM_TrafficGen/10$|^BM_LoadedSimStep$|^BM_RecoveryStep$|^BM_WireSimStep$' \
+    --benchmark_filter='^BM_MultiCopyRoute/3$|^BM_ExperimentRun$|^BM_TrafficGen/10$|^BM_LoadedSimStep$|^BM_RecoveryStep$|^BM_WireSimStep$|^BM_UtilitySimStep$|^BM_FaultSimStep$' \
     --benchmark_repetitions=5 \
     --baseline="$repo/BENCH_micro_sim.json" --max-regression-pct=20 \
     > /dev/null
@@ -208,7 +208,7 @@ cmake --build "$repo/build-asan" -j "$jobs" --target \
     cell_test circuit_manager_test wire_parity_test \
     network_sim_test traffic_sim_test \
     route_digest_test baselines_test single_copy_test multi_copy_test \
-    contact_query_property_test contact_model_test backend_equivalence_test \
+    utility_forwarder_test contact_query_property_test contact_model_test backend_equivalence_test \
     sparse_graph_test args_test config_schema_test experiment_test \
     traffic_plan_test traffic_experiment_test x25519_test \
     key_manager_test metrics_test trace_reader_test contact_trace_test \
@@ -233,15 +233,17 @@ echo "== asan: network_sim_test + traffic_sim_test =="
 "$repo/build-asan/tests/sim/network_sim_test"
 "$repo/build-asan/tests/traffic/traffic_sim_test"
 
-echo "== asan: route_digest_test + baselines_test + single_copy_test + multi_copy_test =="
+echo "== asan: route_digest_test + baselines_test + single_copy_test + multi_copy_test + utility_forwarder_test =="
 # The onion walker's context and generation bookkeeping: an uninitialized
 # OnionContext field once passed every plain build and failed only here.
 # The spray baselines index parallel holder/ticket vectors by a found
-# holder position.
+# holder position. The utility forwarder's pair table probes and rehashes
+# a power-of-two slot array.
 "$repo/build-asan/tests/routing/route_digest_test"
 "$repo/build-asan/tests/routing/baselines_test"
 "$repo/build-asan/tests/routing/single_copy_test"
 "$repo/build-asan/tests/routing/multi_copy_test"
+"$repo/build-asan/tests/routing/utility_forwarder_test"
 
 echo "== asan: contact-model plan builder (both backends, both plan kinds) =="
 # One templated builder indexes four node-id stamp arrays for both rate
