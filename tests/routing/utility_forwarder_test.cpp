@@ -160,16 +160,5 @@ TEST(UtilityForwarder, MatchesReferenceThroughTableGrowth) {
   expect_matches_reference(150, spray_blind_config(), 5, 20000);
 }
 
-TEST(UtilityForwarder, UnseenPairsAndNodesScoreZero) {
-  UtilityForwarder fwd(5, feedback_config());
-  EXPECT_EQ(fwd.utility(0, 4), 0.0);
-  EXPECT_EQ(fwd.failure_score(4), 0.0);
-  fwd.observe_contact(0, 4, 1.0);
-  EXPECT_EQ(fwd.utility(4, 0), 0.0);  // one contact: no interval yet
-  fwd.observe_contact(4, 0, 3.0);
-  EXPECT_EQ(fwd.utility(0, 4), 0.5);
-  EXPECT_EQ(fwd.utility(4, 4), 0.0);
-}
-
 }  // namespace
 }  // namespace odtn::routing
