@@ -1,0 +1,38 @@
+// The replacements live in their own translation unit: defined next to the
+// benches, GCC inlines them into the BENCHMARK static initializers and then
+// warns (-Wmismatched-new-delete) that free() releases memory from
+// operator new.
+#include "alloc_counter.hpp"
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+namespace {
+std::atomic<std::uint64_t> g_alloc_count{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace odtn::bench {
+
+std::uint64_t alloc_count() {
+  return g_alloc_count.load(std::memory_order_relaxed);
+}
+
+}  // namespace odtn::bench

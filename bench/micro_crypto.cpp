@@ -5,11 +5,8 @@
 // bench_gate.hpp — the shared median-capture + regression-gate driver.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "bench_gate.hpp"
+#include "alloc_counter.hpp"
 
 #include "circuit/cell.hpp"
 #include "circuit/circuit_manager.hpp"
@@ -23,30 +20,6 @@
 #include "groups/key_manager.hpp"
 #include "onion/onion.hpp"
 #include "util/rng.hpp"
-
-// Global allocation counter: lets the cell/peel benches assert (and
-// record) that the steady-state _into paths perform zero heap allocations
-// (the PR-4 contract, extended to the circuit layer).
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -171,14 +144,14 @@ void BM_OnionPeelView(benchmark::State& state) {
   // asserts — the steady-state zero-allocation path.
   benchmark::DoNotOptimize(
       codec.peel_view(wire, keys.group_key(1), drbg, scratch));
-  const std::uint64_t allocs_before = g_alloc_count.load();
+  const std::uint64_t allocs_before = bench::alloc_count();
   std::uint64_t peels = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         codec.peel_view(wire, keys.group_key(1), drbg, scratch));
     ++peels;
   }
-  const std::uint64_t allocs = g_alloc_count.load() - allocs_before;
+  const std::uint64_t allocs = bench::alloc_count() - allocs_before;
   state.counters["allocs_per_peel"] =
       peels == 0 ? 0.0
                  : static_cast<double>(allocs) / static_cast<double>(peels);
@@ -196,7 +169,7 @@ void BM_CellSeal(benchmark::State& state) {
   // Warm the scratch buffers (same zero-allocation assertion as above).
   cells.seal_into(1, circuit::CellCommand::kRelay, payload, key, drbg, out,
                   scratch);
-  const std::uint64_t allocs_before = g_alloc_count.load();
+  const std::uint64_t allocs_before = bench::alloc_count();
   std::uint64_t sealed = 0;
   for (auto _ : state) {
     cells.seal_into(1, circuit::CellCommand::kRelay, payload, key, drbg, out,
@@ -204,7 +177,7 @@ void BM_CellSeal(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
     ++sealed;
   }
-  const std::uint64_t allocs = g_alloc_count.load() - allocs_before;
+  const std::uint64_t allocs = bench::alloc_count() - allocs_before;
   state.counters["allocs_per_cell"] =
       sealed == 0 ? 0.0
                   : static_cast<double>(allocs) / static_cast<double>(sealed);

@@ -7,14 +7,12 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_gate.hpp"
+#include "alloc_counter.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -28,29 +26,6 @@
 #include "sim/network_sim.hpp"
 #include "trace/synthetic.hpp"
 #include "traffic/traffic.hpp"
-
-// Global allocation counter: lets the contact-query benches assert (and
-// record) that the steady-state query path performs zero heap allocations.
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -116,13 +91,13 @@ void BM_FirstCrossContact(benchmark::State& state) {
   for (NodeId m : dir.members(2)) to.push_back(m);
   sim::ContactQuery plan = model.prepare(from, to);
 
-  const std::uint64_t allocs_before = g_alloc_count.load();
+  const std::uint64_t allocs_before = bench::alloc_count();
   std::uint64_t queries = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.first_cross_contact(plan, 0.0, 1e9));
     ++queries;
   }
-  const std::uint64_t allocs = g_alloc_count.load() - allocs_before;
+  const std::uint64_t allocs = bench::alloc_count() - allocs_before;
   state.counters["allocs_per_query"] =
       queries == 0 ? 0.0
                    : static_cast<double>(allocs) / static_cast<double>(queries);
@@ -144,7 +119,7 @@ void BM_GroupPolling(benchmark::State& state) {
   const NodeId holder = 0;
   sim::ContactQuery plan;
 
-  const std::uint64_t allocs_before = g_alloc_count.load();
+  const std::uint64_t allocs_before = bench::alloc_count();
   std::uint64_t iters = 0;
   for (auto _ : state) {
     model.prepare(plan, std::span<const NodeId>(&holder, 1), targets);
@@ -156,7 +131,7 @@ void BM_GroupPolling(benchmark::State& state) {
     }
     ++iters;
   }
-  const std::uint64_t allocs = g_alloc_count.load() - allocs_before;
+  const std::uint64_t allocs = bench::alloc_count() - allocs_before;
   // First iteration's prepare may grow the plan buffers; steady state is 0.
   state.counters["allocs_per_hop"] =
       iters == 0 ? 0.0

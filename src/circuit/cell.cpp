@@ -14,24 +14,6 @@ bool known_command(std::uint8_t c) {
 
 }  // namespace
 
-const char* cell_command_name(CellCommand command) {
-  switch (command) {
-    case CellCommand::kCreate:
-      return "create";
-    case CellCommand::kCreated:
-      return "created";
-    case CellCommand::kExtend:
-      return "extend";
-    case CellCommand::kRelay:
-      return "relay";
-    case CellCommand::kDestroy:
-      return "destroy";
-    case CellCommand::kPadding:
-      return "padding";
-  }
-  return "unknown";
-}
-
 CellCodec::CellCodec(std::size_t cell_size) : cell_size_(cell_size) {
   if (cell_size_ < kMinCellSize || cell_size_ > kMaxCellSize) {
     throw std::invalid_argument("CellCodec: cell_size out of range");

@@ -64,9 +64,6 @@ enum class CellCommand : std::uint8_t {
   kPadding = 6,
 };
 
-/// Returns a stable lowercase name ("create", "relay", ...).
-const char* cell_command_name(CellCommand command);
-
 /// A decoded cell: header fields plus the authenticated payload.
 struct Cell {
   CircuitId circuit_id = 0;

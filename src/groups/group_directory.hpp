@@ -49,8 +49,6 @@ class GroupDirectory {
 
   std::size_t node_count() const { return n_; }
   std::size_t group_count() const { return group_count_; }
-  /// Nominal group size g (tail groups may have fewer members).
-  std::size_t nominal_group_size() const { return g_; }
   bool is_sharded() const { return shard_size_ != 0; }
 
   GroupId group_of(NodeId node) const;

@@ -145,10 +145,6 @@ util::Bytes OnionCodec::build(const util::Bytes& payload, NodeId dest,
   return pad_to_wire(std::move(fragment), drbg);
 }
 
-util::Bytes OnionCodec::make_decoy(crypto::Drbg& drbg) const {
-  return drbg.generate(wire_size_);
-}
-
 std::optional<Peeled> OnionCodec::peel(const util::Bytes& wire,
                                        const util::Bytes& key,
                                        crypto::Drbg& drbg) const {

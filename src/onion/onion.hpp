@@ -125,13 +125,6 @@ class OnionCodec {
   /// final layer (exposed for tests).
   std::size_t fragment_size(std::size_t layers_remaining) const;
 
-  /// A decoy: uniformly random bytes of exactly wire_size(). On the wire
-  /// it is indistinguishable from a real onion (every real packet is an
-  /// AEAD ciphertext plus random padding), yet no key peels it. Decoys are
-  /// cover traffic: a relay that also emits decoys prevents an observer
-  /// from counting how many *real* onions it handles.
-  util::Bytes make_decoy(crypto::Drbg& drbg) const;
-
  private:
   util::Bytes seal_layer(const util::Bytes& plaintext, const util::Bytes& key,
                          crypto::Drbg& drbg) const;

@@ -37,12 +37,6 @@ bool SuspicionTracker::suspected(GroupId group) const {
   return suspicion(group) >= threshold_;
 }
 
-std::size_t SuspicionTracker::suspected_count() const {
-  std::size_t n = 0;
-  for (const auto& [g, s] : score_) n += (s >= threshold_);
-  return n;
-}
-
 std::vector<GroupId> select_relay_groups_avoiding(
     const groups::GroupDirectory& directory, const SuspicionTracker* tracker,
     NodeId src, NodeId dst, std::size_t k, util::Rng& rng,

@@ -112,7 +112,6 @@ class SuspicionTracker {
   bool suspected(GroupId group) const;
   /// Threshold crossings in either direction since construction.
   std::size_t flips() const { return flips_; }
-  std::size_t suspected_count() const;
 
  private:
   double alpha_;

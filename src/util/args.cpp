@@ -80,13 +80,6 @@ std::string Args::get(const std::string& name, const std::string& def) const {
   return it == flags_.end() ? def : it->second;
 }
 
-std::int64_t Args::get_int(const std::string& name, std::int64_t def) const {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  return parse_number<std::int64_t>(name, it->second, it->second,
-                                    "is not a number");
-}
-
 std::uint64_t Args::get_unsigned(const std::string& name, std::uint64_t def,
                                  std::uint64_t max) const {
   auto it = flags_.find(name);

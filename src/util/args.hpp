@@ -20,10 +20,6 @@ class Args {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& def) const;
-  /// Numeric flags must parse completely: an empty, unparsable or
-  /// trailing-garbage value (`--runs=12x`) prints a one-line error naming
-  /// the flag and exits with status 2.
-  std::int64_t get_int(const std::string& name, std::int64_t def) const;
   /// Count and size flags: a whole number in [0, max]. A negative, garbage
   /// or out-of-range value is a usage error (one line naming the flag, exit
   /// 2) — never a wrapped-around size_t.

@@ -49,10 +49,6 @@ std::string to_string(const Bytes& data) {
   return std::string(data.begin(), data.end());
 }
 
-bool ct_equal(const Bytes& a, const Bytes& b) {
-  return ct_equal_span(a, b);
-}
-
 bool ct_equal_span(std::span<const std::uint8_t> a,
                    std::span<const std::uint8_t> b) {
   if (a.size() != b.size()) return false;

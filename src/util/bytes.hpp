@@ -29,7 +29,6 @@ std::string to_string(const Bytes& data);
 
 /// Constant-time equality; returns false on length mismatch without
 /// inspecting contents. Use for MAC/tag comparison.
-bool ct_equal(const Bytes& a, const Bytes& b);
 bool ct_equal_span(std::span<const std::uint8_t> a,
                    std::span<const std::uint8_t> b);
 

@@ -163,11 +163,5 @@ TEST(Cell, MinimumCellStillRoundTrips) {
   EXPECT_EQ(out->payload, payload_of(1));
 }
 
-TEST(Cell, CommandNamesAreStable) {
-  EXPECT_STREQ(cell_command_name(CellCommand::kCreate), "create");
-  EXPECT_STREQ(cell_command_name(CellCommand::kRelay), "relay");
-  EXPECT_STREQ(cell_command_name(CellCommand::kPadding), "padding");
-}
-
 }  // namespace
 }  // namespace odtn::circuit

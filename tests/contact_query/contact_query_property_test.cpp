@@ -11,40 +11,16 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "graph/contact_graph.hpp"
 #include "graph/sparse_contact_graph.hpp"
 #include "trace/contact_trace.hpp"
 #include "util/rng.hpp"
-
-// TU-wide allocation counter backing the zero-allocation assertion.
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace odtn::sim {
 namespace {
@@ -258,12 +234,16 @@ TEST(ContactQueryProperty, SteadyStateQueriesDoNotAllocate) {
   double sink = 0.0;
   auto allocations = [&](ContactModel& model) {
     ContactQuery plan, spray;
+    const std::uint64_t cold = bench::alloc_count();
     model.prepare(plan, from, to);
+    // A fresh plan's buffers grow: the counter counts, so the zero below
+    // cannot pass vacuously.
+    EXPECT_GT(bench::alloc_count(), cold);
     model.prepare_complement(spray, from, excluded);
     (void)model.first_cross_contact(from, to, 0.0, 1.0);
     (void)model.first_cross_contact_complement(from, excluded, 0.0, 1.0);
 
-    const std::uint64_t before = g_alloc_count.load();
+    const std::uint64_t before = bench::alloc_count();
     for (int q = 0; q < 1000; ++q) {
       const Time t = static_cast<Time>(q);
       for (const auto& c :
@@ -276,7 +256,7 @@ TEST(ContactQueryProperty, SteadyStateQueriesDoNotAllocate) {
       model.prepare(plan, from, to);  // re-prepare reuses the buffers
       model.prepare_complement(spray, from, excluded);
     }
-    return g_alloc_count.load() - before;
+    return bench::alloc_count() - before;
   };
 
   PoissonContactModel dense_model(g, rng);

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "graph/sparse_contact_graph.hpp"
+#include "support/fnv1a.hpp"
 #include "trace/synthetic.hpp"
 #include "util/stats.hpp"
 
@@ -306,19 +307,7 @@ TEST(Epidemic, DeterministicTrace) {
 // L values and folds `delivered`, the bits of `delay`, `transmissions` and
 // each network's next RNG draw into one FNV-1a digest. A refactor of the
 // baseline loops must leave every digest unchanged.
-class Fnv1a {
- public:
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= static_cast<unsigned char>(v >> (8 * i));
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
+using test_support::Fnv1a;
 
 enum class Baseline { kDirect, kSource, kBinary, kEpidemic };
 enum class Backend { kDense, kSparse, kTrace };
@@ -390,7 +379,7 @@ DigestOutcome run_digest(Baseline b, Backend backend) {
         spec.copies = l;
         const DeliveryResult r = route_baseline(b, *contacts, spec);
         h.u64(r.delivered);
-        h.u64(std::bit_cast<std::uint64_t>(r.delay));
+        h.f64(r.delay);
         h.u64(r.transmissions);
         ++out.messages;
         out.delivered += r.delivered ? 1 : 0;

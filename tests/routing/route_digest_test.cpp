@@ -7,42 +7,18 @@
 // unchanged; a deliberate behaviour change must re-pin them and say why.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <string>
 
 #include "faults/faults.hpp"
 #include "metrics/writer.hpp"
 #include "recovery/recovery.hpp"
 #include "routing/onion_routing.hpp"
+#include "support/fnv1a.hpp"
 
 namespace odtn::routing {
 namespace {
 
-// FNV-1a (64-bit), fed little-endian so the digests are host-independent.
-class Fnv1a {
- public:
-  void byte(unsigned char b) {
-    h_ ^= b;
-    h_ *= 0x100000001b3ULL;
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
-  }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
-    u64(s.size());
-    for (char c : s) byte(static_cast<unsigned char>(c));
-  }
-  template <typename T>
-  void ids(const std::vector<T>& v) {
-    u64(v.size());
-    for (T x : v) u64(x);
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
+using test_support::Fnv1a;
 
 void fold_result(Fnv1a& h, const DeliveryResult& r) {
   h.u64(r.delivered);

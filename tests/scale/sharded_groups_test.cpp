@@ -19,7 +19,6 @@ TEST(ShardedGroups, PartitionInvariants) {
   GroupDirectory dir(103, 5, GroupDirectory::Sharded{4, 42});
   ASSERT_TRUE(dir.is_sharded());
   EXPECT_EQ(dir.node_count(), 103u);
-  EXPECT_EQ(dir.nominal_group_size(), 5u);
 
   // Every node maps to a group that lists it back.
   std::set<NodeId> seen;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <string>
@@ -13,6 +12,7 @@
 #include "routing/onion_routing.hpp"
 #include "routing/utility_forwarder.hpp"
 #include "sim/contact_model.hpp"
+#include "support/fnv1a.hpp"
 #include "trace/synthetic.hpp"
 #include "util/stats.hpp"
 
@@ -476,22 +476,7 @@ TEST(NetworkSim, MatchesSingleCopyWalkerOnPoissonTraces) {
   EXPECT_LT(delivered, 350u);
 }
 
-// FNV-1a (64-bit), fed little-endian so the digests are host-independent.
-struct Fnv1a {
-  std::uint64_t h = 14695981039346656037ull;
-  void byte(std::uint8_t b) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void nodes(const std::vector<NodeId>& v) {
-    u64(v.size());
-    for (NodeId n : v) u64(n);
-  }
-};
+using test_support::Fnv1a;
 
 // Digest of every report counter and every MessageOutcome field.
 std::uint64_t report_digest(const NetworkSimReport& r) {
@@ -514,11 +499,11 @@ std::uint64_t report_digest(const NetworkSimReport& r) {
     d.u64(o.injection_failed);
     d.u64(o.shed);
     d.u64(o.retransmissions);
-    d.nodes(o.relay_path);
+    d.ids(o.relay_path);
     d.u64(o.relays_per_hop.size());
-    for (const auto& hop : o.relays_per_hop) d.nodes(hop);
+    for (const auto& hop : o.relays_per_hop) d.ids(hop);
   }
-  return d.h;
+  return d.value();
 }
 
 // `count` messages between random distinct endpoints, starting at random
@@ -687,8 +672,8 @@ TEST(NetworkSim, MetricsExportPinned) {
   for (std::size_t i = 0; i < regs.size(); ++i) {
     const std::string jsonl = metrics::to_jsonl(regs[i]);
     Fnv1a d;
-    for (char c : jsonl) d.byte(static_cast<std::uint8_t>(c));
-    EXPECT_EQ(d.h, kDigests[i]) << kPinnedLabels[i] << "\n" << jsonl;
+    for (char c : jsonl) d.byte(static_cast<unsigned char>(c));
+    EXPECT_EQ(d.value(), kDigests[i]) << kPinnedLabels[i] << "\n" << jsonl;
   }
 }
 

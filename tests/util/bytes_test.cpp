@@ -29,10 +29,11 @@ TEST(Bytes, StringRoundTrip) {
 }
 
 TEST(Bytes, CtEqual) {
-  EXPECT_TRUE(ct_equal({1, 2, 3}, {1, 2, 3}));
-  EXPECT_FALSE(ct_equal({1, 2, 3}, {1, 2, 4}));
-  EXPECT_FALSE(ct_equal({1, 2, 3}, {1, 2}));
-  EXPECT_TRUE(ct_equal({}, {}));
+  const Bytes a = {1, 2, 3}, b = {1, 2, 4}, prefix = {1, 2}, empty;
+  EXPECT_TRUE(ct_equal_span(a, a));
+  EXPECT_FALSE(ct_equal_span(a, b));
+  EXPECT_FALSE(ct_equal_span(a, prefix));
+  EXPECT_TRUE(ct_equal_span(empty, empty));
 }
 
 TEST(Bytes, SecureZero) {
