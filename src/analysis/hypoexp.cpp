@@ -21,10 +21,13 @@ void validate(const std::vector<double>& rates) {
   }
 }
 
-// log of the Poisson pmf, for underflow-free weights at large x.
-double log_poisson(double x, std::size_t k) {
-  return -x + static_cast<double>(k) * std::log(x) -
-         detail::lgamma_safe(static_cast<double>(k) + 1.0);
+// log(k!) = lgamma_safe(k + 1) for k = 0, 1, ..., grown lazily to the
+// largest k this thread's uniformization has reached. One table per thread:
+// no shared mutable state, so no lock, and a cold thread pays only for the
+// terms it uses.
+std::vector<double>& log_factorials() {
+  thread_local std::vector<double> table;
+  return table;
 }
 
 }  // namespace
@@ -75,8 +78,14 @@ double hypoexp_cdf(const std::vector<double>& rates, double t) {
   double weight_covered = 0.0;
   const std::size_t k_max =
       static_cast<std::size_t>(x + 12.0 * std::sqrt(x + 1.0) + 60.0);
+  // The Poisson weight comes from its log, so large x cannot underflow it.
+  const double log_x = std::log(x);
+  std::vector<double>& lg = log_factorials();
   for (std::size_t k = 0; k <= k_max; ++k) {
-    double pois = std::exp(log_poisson(x, k));
+    if (k == lg.size()) {
+      lg.push_back(detail::lgamma_safe(static_cast<double>(k) + 1.0));
+    }
+    double pois = std::exp(-x + static_cast<double>(k) * log_x - lg[k]);
     double mass = 0.0;
     for (double vi : v) mass += vi;
     survival += pois * mass;

@@ -1,6 +1,7 @@
 #include "circuit/circuit_manager.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 namespace odtn::circuit {
@@ -11,10 +12,9 @@ namespace {
 constexpr std::uint64_t kCircuitDrbgStream = 0x63697263;
 
 // kReal seeds from one rng draw (the legacy DRBG-seed position) forked
-// onto the circuit sub-stream; kNone draws nothing and seeds a constant
-// (the DRBG is never used).
-crypto::Drbg make_drbg(bool enabled, util::Rng& rng) {
-  if (!enabled) return crypto::Drbg(util::derive_seed(0, kCircuitDrbgStream));
+// onto the circuit sub-stream; kNone draws nothing and builds no DRBG.
+std::optional<crypto::Drbg> make_drbg(bool enabled, util::Rng& rng) {
+  if (!enabled) return std::nullopt;
   return crypto::Drbg(util::derive_seed(rng.next(), kCircuitDrbgStream));
 }
 
@@ -42,7 +42,7 @@ CircuitId CircuitManager::open(const util::Bytes& payload, NodeId dest,
                                GroupId destination_group) {
   Circuit& c = circuits_.emplace_back();
   if (enabled_) {
-    c.wire = ctx_.codec->build(payload, dest, path, *ctx_.keys, drbg_,
+    c.wire = ctx_.codec->build(payload, dest, path, *ctx_.keys, *drbg_,
                                destination_group);
   }
   return static_cast<CircuitId>(circuits_.size() - 1);
@@ -75,7 +75,7 @@ void CircuitManager::cross_link(CircuitId id, NodeId sender, NodeId receiver,
     // Legacy secure link: the whole packet as one AEAD blob. Content is
     // preserved (seal-then-open round trip); only a failed open is
     // observable.
-    drbg_.generate_into(crypto::kAeadNonceSize, nonce_);
+    drbg_->generate_into(crypto::kAeadNonceSize, nonce_);
     crypto::aead_seal_into(sk, nonce_, {}, packet, sealed_, link_scratch_);
     if (!crypto::aead_open_into(sk, nonce_, {}, sealed_, opened_,
                                 link_scratch_)) {
@@ -94,7 +94,7 @@ void CircuitManager::cross_link(CircuitId id, NodeId sender, NodeId receiver,
     const std::size_t len = std::min(chunk, packet.size() - off);
     cells_.seal_into(id, command,
                      std::span<const std::uint8_t>(packet.data() + off, len),
-                     sk, drbg_, cell_buf_, cell_scratch_);
+                     sk, *drbg_, cell_buf_, cell_scratch_);
     ++wire_cells_;
     wire_bytes_ += cells_.cell_size();
     m_wire_cells_.inc();
@@ -118,7 +118,7 @@ bool CircuitManager::apply(Circuit& c, NodeId receiver, const Peel& peel) {
   const bool inbox = peel.kind == Peel::Kind::kInbox;
   const util::Bytes& key = inbox ? ctx_.keys->inbox_key(receiver)
                                  : ctx_.keys->group_key(peel.group);
-  auto v = ctx_.codec->peel_view(c.wire, key, drbg_, peel_scratch_);
+  auto v = ctx_.codec->peel_view(c.wire, key, *drbg_, peel_scratch_);
   bool ok = v.has_value() && v->type == peel.layer;
   if (ok) {
     ok = inbox ? std::ranges::equal(v->payload, *peel.payload)

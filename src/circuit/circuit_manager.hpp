@@ -18,14 +18,15 @@
 //     optional CellTap (the byte-accurate adversary observation point) and
 //     accounted in wire_cells()/wire_bytes().
 //
-// Determinism: in CryptoMode::kNone the manager draws no randomness and
-// performs no crypto, so the zero-knob configuration's RNG sequence and
-// metrics are untouched. In kReal the constructor makes exactly one rng
-// draw (the legacy DRBG-seed position) and forks the circuit layer's DRBG
-// onto its own derive_seed sub-stream.
+// Determinism: in CryptoMode::kNone the manager draws no randomness, builds
+// no DRBG and performs no crypto, so the zero-knob configuration's RNG
+// sequence and metrics are untouched. In kReal the constructor makes
+// exactly one rng draw (the legacy DRBG-seed position) and forks the
+// circuit layer's DRBG onto its own derive_seed sub-stream.
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "circuit/cell.hpp"
@@ -162,7 +163,9 @@ class CircuitManager {
   }
   const CellCodec& cell_codec() const { return cells_; }
 
-  crypto::Drbg& drbg() { return drbg_; }
+  /// The circuit layer's DRBG; kReal only (kNone builds none, and this
+  /// throws std::bad_optional_access).
+  crypto::Drbg& drbg() { return drbg_.value(); }
 
  private:
   struct Circuit {
@@ -185,7 +188,7 @@ class CircuitManager {
   bool wire_ = false;
   bool link_ok_ = true;
   CellCodec cells_;
-  crypto::Drbg drbg_;
+  std::optional<crypto::Drbg> drbg_;  // kReal only
   std::vector<Circuit> circuits_;
 
   metrics::CounterHandle m_peels_;

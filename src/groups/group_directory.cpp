@@ -17,6 +17,7 @@ GroupDirectory::GroupDirectory(std::size_t n, std::size_t g, util::Rng* rng)
 
   group_count_ = (n + g - 1) / g;
   members_.resize(group_count_);
+  for (auto& m : members_) m.reserve(g);
   node_to_group_.resize(n);
   for (std::size_t pos = 0; pos < n; ++pos) {
     GroupId gid = static_cast<GroupId>(pos / g);

@@ -49,12 +49,15 @@ struct Walker {
   bool done = false;      // delivered, or destroyed by a fault
   Time retry_from = 0.0;  // after a failed transfer, re-query from here
 
-  // Prepared (holder -> current targets) query, rebuilt only when the hop
-  // advances or a hand-off happened anywhere (plan_version tracks the
-  // latter); fault retries and lose-the-race iterations reuse it as-is.
+  // Prepared (holder -> current targets) query, keyed on the holder and
+  // hop it was built for and on how many `seen` entries existed then. It
+  // is rebuilt only when the holder or hop changed, or when a node that
+  // entered `seen` since the build is one of its targets; fault retries,
+  // lose-the-race iterations and other copies' hand-offs reuse it as-is.
   sim::ContactQuery plan;
-  std::uint64_t plan_version = 0;
+  NodeId plan_holder = kInvalidNode;
   std::size_t plan_hop = static_cast<std::size_t>(-1);
+  std::size_t plan_seen = 0;
 };
 
 // Observability handles shared by both protocols; inert when reg is null.
@@ -147,12 +150,11 @@ DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
 
   // Nodes that have ever held (or been handed) the message, in insertion
   // order; Forward() in Algorithm 2 declines peers that already have m.
-  // `seen_version` bumps on every hand-off (the only moment a holder or
-  // the seen set changes) so cached query plans know when to rebuild.
+  // Append-only, so a plan built when `seen` had s entries can tell what
+  // joined since.
   std::vector<NodeId> seen;
   seen.reserve(spec.copies * (k + 1) + 1);
   seen.push_back(spec.src);
-  std::uint64_t seen_version = 1;
 
   // Source's remaining spray tickets (copies it may still hand out).
   // In kSprayAndWait the source retains one copy for itself and sprays the
@@ -161,6 +163,7 @@ DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
   std::size_t source_tickets = 0;
   std::size_t cur_gen = 0;
   std::vector<Walker> walkers;
+  walkers.reserve(spec.copies);
 
   // A new copy of generation cur_gen on circuit `circ`, held by `holder`
   // since `now`. (References into `walkers` die at the next spawn.)
@@ -215,13 +218,33 @@ DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
     }
   };
 
-  // Refreshes a walker's prepared query if its hop advanced or a hand-off
-  // happened since the plan was built; otherwise keeps the plan (and its
-  // buffers) untouched. Targets: the relay targets of the next group; then
-  // dst unless a copy already reached it; in destination-group mode, dst's
-  // group minus the holder and this copy's own group-phase visits.
+  // True when `w`'s plan still holds the targets a rebuild would give it:
+  // its holder and hop are unchanged, and no node that joined `seen` since
+  // the build was one of its targets. A relay hop targets the next group
+  // minus dst, the last hop targets dst, and destination-group targets
+  // depend only on the holder and group_visits (which change together),
+  // never on `seen`. Membership goes through members(), not group_of(),
+  // which would materialize shards of a sharded directory.
+  auto plan_is_current = [&](const Walker& w) {
+    if (w.plan_holder != w.holder || w.plan_hop != w.hop) return false;
+    for (std::size_t i = w.plan_seen; i < seen.size(); ++i) {
+      const NodeId m = seen[i];
+      const bool was_target =
+          w.hop < k ? m != spec.dst &&
+                          contains(dir.members(gens[w.gen].groups[w.hop]), m)
+                    : !group_mode && m == spec.dst;
+      if (was_target) return false;
+    }
+    return true;
+  };
+
+  // Rebuilds a walker's prepared query unless plan_is_current, when a
+  // rebuild would reproduce it; a kept plan keeps its buffers. Targets: the
+  // relay targets of the next group; then dst unless a copy already
+  // reached it; in destination-group mode, dst's group minus the holder and
+  // this copy's own group-phase visits.
   auto ensure_walker_plan = [&](Walker& w) {
-    if (w.plan_version == seen_version && w.plan_hop == w.hop) return;
+    if (plan_is_current(w)) return;
     targets.clear();
     if (w.hop < k) {
       relay_targets(gens[w.gen].groups[w.hop]);
@@ -235,18 +258,19 @@ DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
       targets.push_back(spec.dst);
     }
     contacts.prepare(w.plan, std::span<const NodeId>(&w.holder, 1), targets);
-    w.plan_version = seen_version;
+    w.plan_holder = w.holder;
     w.plan_hop = w.hop;
+    w.plan_seen = seen.size();
   };
 
   // The source sprayer's prepared query, rebuilt only when `seen` grows or
   // a retransmission starts a new generation (whose R_1 differs).
   sim::ContactQuery spray_plan;
-  std::uint64_t spray_plan_version = 0;
+  std::size_t spray_plan_seen = 0;
   std::size_t spray_plan_gen = 0;
   std::vector<NodeId> excluded;  // scratch for complement plans
   auto ensure_spray_plan = [&] {
-    if (spray_plan_version == seen_version && spray_plan_gen == cur_gen) return;
+    if (spray_plan_seen == seen.size() && spray_plan_gen == cur_gen) return;
     if (!spray_and_wait) {
       relay_targets(gens[cur_gen].groups[0]);
       contacts.prepare(spray_plan, std::span<const NodeId>(&spec.src, 1),
@@ -260,7 +284,7 @@ DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
       contacts.prepare_complement(
           spray_plan, std::span<const NodeId>(&spec.src, 1), excluded);
     }
-    spray_plan_version = seen_version;
+    spray_plan_seen = seen.size();
     spray_plan_gen = cur_gen;
   };
 
@@ -269,7 +293,6 @@ DeliveryResult route_copies(const OnionContext& ctx, SprayMode mode,
     ++result.transmissions;
     rm.forwards.inc();
     if (!contains(seen, receiver)) seen.push_back(receiver);
-    ++seen_version;
   };
 
   // Relay hop: `w`'s new holder peels one layer with the group key. The

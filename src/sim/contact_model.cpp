@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 namespace odtn::sim {
 
@@ -125,6 +126,22 @@ void PoissonContactModel::build_plan(const Graph& graph, ContactQuery& q,
   };
   stamp(from, from_stamp_, from_pos_);
   stamp(to, to_stamp_, to_pos_);
+
+  // Room for every pair pass 2 can push, so a fresh plan fills its three
+  // buffers without regrowing them: |from|·|to| for an explicit list, and
+  // for a complement the peers the rows hold, n per dense row and the
+  // degree per CSR row.
+  std::size_t capacity = 0;
+  if constexpr (!kComplement) {
+    capacity = from.size() * to.size();
+  } else if constexpr (std::is_same_v<Graph, graph::ContactGraph>) {
+    capacity = from.size() * n_;
+  } else {
+    for (const NodeId a : from) capacity += graph.degree(a);
+  }
+  q.pair_a_.reserve(capacity);
+  q.pair_b_.reserve(capacity);
+  q.prefix_.reserve(capacity);
 
   // Pass 2: collect candidate unordered pairs in enumeration order. A pair
   // reachable via both orientations (when the sets overlap) is counted once,

@@ -15,7 +15,6 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <regex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -531,20 +530,41 @@ TEST(ConfigSchema, UsageShowsEveryFlagWithTheEntryPointDefault) {
   EXPECT_EQ(model.find("--runs"), std::string::npos);
 }
 
+// The NAME of every `--NAME in `line`, NAME being a letter followed by
+// letters, digits and dashes, left to right and without overlap.
+std::vector<std::string> backticked_flags(const std::string& line) {
+  auto letter = [](char c) {
+    return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z');
+  };
+  auto name_char = [&](char c) {
+    return letter(c) || (c >= '0' && c <= '9') || c == '-';
+  };
+  std::vector<std::string> names;
+  std::size_t pos = 0;
+  while ((pos = line.find("`--", pos)) != std::string::npos) {
+    std::size_t end = pos + 3;
+    if (end == line.size() || !letter(line[end])) {
+      ++pos;
+      continue;
+    }
+    while (end < line.size() && name_char(line[end])) ++end;
+    names.push_back(line.substr(pos + 3, end - pos - 3));
+    pos = end;
+  }
+  return names;
+}
+
 // The README flag tables and the knob rows name the same flags: every
 // README flag is a row odtn simulate accepts, and every row is documented.
 TEST(ConfigSchema, ReadmeFlagTablesMatchTheRows) {
   std::ifstream readme(ODTN_README_PATH);
   ASSERT_TRUE(readme) << ODTN_README_PATH;
   const std::vector<std::string> rows = knob_flags();
-  const std::regex flag(R"(`--([A-Za-z][A-Za-z0-9-]*))");
   std::set<std::string> documented;
   std::string line;
   while (std::getline(readme, line)) {
     if (line.rfind("| `--", 0) != 0) continue;  // flag-table rows only
-    for (std::sregex_iterator it(line.begin(), line.end(), flag), end;
-         it != end; ++it) {
-      const std::string name = (*it)[1];
+    for (const std::string& name : backticked_flags(line)) {
       EXPECT_NE(std::find(rows.begin(), rows.end(), name), rows.end())
           << "README names --" << name << ", which is no knob row";
       documented.insert(name);

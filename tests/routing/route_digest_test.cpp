@@ -5,20 +5,60 @@
 // meaning), the metrics JSONL export, the wire-mode cell stream, and the
 // final RNG state. A refactor of the forwarding code must leave every digest
 // unchanged; a deliberate behaviour change must re-pin them and say why.
+// The same runs also pin the forwarding policy's contact-model work: how
+// many plans it prepares and how many queries it asks, a deterministic
+// counter where wall time would be noise.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 
 #include "faults/faults.hpp"
 #include "metrics/writer.hpp"
 #include "recovery/recovery.hpp"
 #include "routing/onion_routing.hpp"
+#include "sim/contact_model.hpp"
 #include "support/fnv1a.hpp"
 
 namespace odtn::routing {
 namespace {
 
 using test_support::Fnv1a;
+
+// Forwards every call to `inner`, counting plan builds and queries.
+class CountingContactModel final : public sim::ContactModel {
+ public:
+  explicit CountingContactModel(sim::ContactModel& inner) : inner_(inner) {}
+
+  std::size_t node_count() const override { return inner_.node_count(); }
+
+  using ContactModel::first_cross_contact;
+  using ContactModel::prepare;
+
+  void prepare(sim::ContactQuery& q, std::span<const NodeId> from,
+               std::span<const NodeId> to) override {
+    ++prepares;
+    inner_.prepare(q, from, to);
+  }
+  void prepare_complement(sim::ContactQuery& q, std::span<const NodeId> from,
+                          std::span<const NodeId> excluded) override {
+    ++prepares;
+    inner_.prepare_complement(q, from, excluded);
+  }
+  std::optional<sim::CrossContact> first_cross_contact(
+      const sim::ContactQuery& q, Time after, Time horizon) override {
+    ++queries;
+    return inner_.first_cross_contact(q, after, horizon);
+  }
+
+  std::uint64_t prepares = 0;
+  std::uint64_t queries = 0;
+
+ private:
+  sim::ContactModel& inner_;
+};
 
 void fold_result(Fnv1a& h, const DeliveryResult& r) {
   h.u64(r.delivered);
@@ -59,6 +99,8 @@ struct Outcome {
   int delivered = 0;
   std::size_t retransmissions = 0;
   std::size_t intra_group_hops = 0;
+  std::uint64_t prepares = 0;
+  std::uint64_t queries = 0;
 };
 
 Outcome run_case(const PinCase& c) {
@@ -67,7 +109,8 @@ Outcome run_case(const PinCase& c) {
   groups::GroupDirectory dir(kNodes, kGroupSize, &rng);
   groups::KeyManager keys(dir, 3);
   onion::OnionCodec codec;
-  sim::PoissonContactModel contacts(graph, rng);
+  sim::PoissonContactModel poisson(graph, rng);
+  CountingContactModel contacts(poisson);
   metrics::Registry reg;
   Fnv1a h;
 
@@ -125,6 +168,8 @@ Outcome run_case(const PinCase& c) {
   h.str(metrics::to_jsonl(reg));
   h.u64(rng.next());
   out.digest = h.value();
+  out.prepares = contacts.prepares;
+  out.queries = contacts.queries;
   return out;
 }
 
@@ -156,8 +201,12 @@ TEST(OnionRouting, RouteDigestPinned) {
       {.name = "L1_dest_group_real_wire", .real_crypto = true, .wire = true,
        .dest_group = true, .expected = 0x5ae5f99557723f18},
   };
+  std::uint64_t prepares = 0;
+  std::uint64_t queries = 0;
   for (const PinCase& c : cases) {
     const Outcome out = run_case(c);
+    prepares += out.prepares;
+    queries += out.queries;
     EXPECT_EQ(out.digest, c.expected)
         << c.name << ": digest 0x" << std::hex << out.digest;
     // Not vacuous: the deadline splits the messages into delivered and
@@ -171,6 +220,11 @@ TEST(OnionRouting, RouteDigestPinned) {
       EXPECT_GT(out.intra_group_hops, 0u) << c.name;
     }
   }
+  // Queries are the forwarding decisions themselves, which no change to
+  // plan caching may move. Prepares count the plan builds: one per change
+  // of a walker's holder or hop or of its target set, plus the sprayer's.
+  EXPECT_EQ(queries, 42710u);
+  EXPECT_EQ(prepares, 26195u);
 }
 
 }  // namespace
