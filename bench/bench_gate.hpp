@@ -4,8 +4,9 @@
 //
 // Custom flags (peeled off before google-benchmark sees argv):
 //   --json=FILE               append odtn.bench.v1 records (median real
-//                             time per benchmark) to FILE; a baseline
-//                             read back keeps each benchmark's last record
+//                             time per benchmark, stamped with build type,
+//                             nproc and git sha) to FILE; a baseline read
+//                             back keeps each benchmark's last record
 //   --baseline=FILE           committed BENCH_<figure_id>.json to compare
 //                             against; adds baseline_median_real_time and
 //                             regression_pct to the records
@@ -27,6 +28,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "common/provenance.hpp"
 
 namespace odtn::bench_gate {
 
@@ -159,7 +162,9 @@ inline int run(int argc, char** argv, const std::string& figure_id) {
 
   bool regressed = false;
   std::FILE* out = nullptr;
+  bench::Provenance prov;
   if (!json_path.empty()) {
+    prov = bench::provenance();
     out = std::fopen(json_path.c_str(), "a");
     if (out == nullptr) {
       std::fprintf(stderr, "%s: cannot write %s\n", figure_id.c_str(),
@@ -194,9 +199,11 @@ inline int run(int argc, char** argv, const std::string& figure_id) {
                    "{\"schema\": \"odtn.bench.v1\", \"figure_id\": "
                    "\"%s\", \"benchmark\": \"%s\", "
                    "\"median_real_time\": %.17g, \"time_unit\": \"%s\", "
-                   "\"repetitions\": %lld",
+                   "\"repetitions\": %lld, \"build_type\": \"%s\", "
+                   "\"nproc\": %u, \"git_sha\": \"%s\"",
                    figure_id.c_str(), name.c_str(), m.value, m.unit.c_str(),
-                   static_cast<long long>(m.repetitions));
+                   static_cast<long long>(m.repetitions),
+                   prov.build_type.c_str(), prov.nproc, prov.git_sha.c_str());
       if (have_base) {
         std::fprintf(out,
                      ", \"baseline_median_real_time\": %.17g, "

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/provenance.hpp"
 #include "metrics/writer.hpp"
 
 namespace odtn::bench {
@@ -132,6 +133,10 @@ void finish(const core::ExperimentConfig& config, const util::Args& args,
          << "\",\"runs\":" << config.runs << ",\"seed\":" << config.seed
          << ",\"threads\":" << config.threads
          << ",\"wall_time_s\":" << metrics::format_double(wall);
+  const Provenance prov = provenance();
+  record << ",\"build_type\":\"" << prov.build_type
+         << "\",\"nproc\":" << prov.nproc << ",\"git_sha\":\""
+         << prov.git_sha << "\"";
   if (!extra_json.empty()) record << "," << extra_json;
   record << "}";
   std::ofstream out(path, std::ios::app);

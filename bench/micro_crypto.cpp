@@ -79,7 +79,7 @@ void BM_X25519(benchmark::State& state) {
 }
 BENCHMARK(BM_X25519);
 
-// The base-point ladder: what KeyManager::node_identity pays for an
+// The fixed-base comb: what KeyManager::node_identity pays for an
 // identity's public key.
 void BM_X25519Base(benchmark::State& state) {
   // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed

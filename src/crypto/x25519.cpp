@@ -1,5 +1,6 @@
 #include "crypto/x25519.hpp"
 
+#include <array>
 #include <cstring>
 #include <stdexcept>
 
@@ -13,6 +14,16 @@ struct Fe {
 };
 
 constexpr std::uint64_t kMask51 = (1ULL << 51) - 1;
+
+// Limb bounds. A "carried" value is one fe_carry returned (every fe_mul,
+// fe_sq and fe_mul_small result): limbs below 2^51, limb 1 below
+// 2^51 + 2^13. Two rules keep every formula below exact:
+//  - fe_sub's subtrahend must be a carried value. Its bias is about 2^52
+//    per limb, so the sum of two carried values can exceed it and wrap.
+//  - fe_mul and fe_sq inputs must stay at or below 2^54 per limb. Then the
+//    top column sum stays below 2^111, and its carry times 19 fits in 64
+//    bits. A carried value, a sum of two, or a carried value minus one
+//    or two carried values (each fe_sub adds about 2^52) all qualify.
 
 using u128 = __uint128_t;
 
@@ -183,17 +194,19 @@ void fe_to_bytes(std::uint8_t* s, const Fe& a) {
   store64(s + 24, out3);
 }
 
-// The Montgomery ladder (RFC 7748 section 5) computing scalar * u into out.
-// `mul_x1(f)` returns u * f; the base point (u = 9) multiplies by a small
-// constant instead of a full field element. Branch-free in the scalar.
-template <typename MulX1>
-void ladder(std::uint8_t* out, const std::uint8_t* scalar, const Fe& x1,
-            MulX1 mul_x1) {
-  std::uint8_t e[32];
+// Copies `scalar` into e, clamped per RFC 7748 section 5.
+void clamp(std::uint8_t* e, const std::uint8_t* scalar) {
   std::memcpy(e, scalar, 32);
   e[0] &= 248;
   e[31] &= 127;
   e[31] |= 64;
+}
+
+// The Montgomery ladder (RFC 7748 section 5) computing scalar * u into out.
+// Branch-free in the scalar.
+void ladder(std::uint8_t* out, const std::uint8_t* scalar, const Fe& x1) {
+  std::uint8_t e[32];
+  clamp(e, scalar);
 
   Fe x2{{1, 0, 0, 0, 0}}, z2{{0, 0, 0, 0, 0}};
   Fe x3 = x1, z3{{1, 0, 0, 0, 0}};
@@ -216,7 +229,7 @@ void ladder(std::uint8_t* out, const std::uint8_t* scalar, const Fe& x1,
     Fe da = fe_mul(d, a);
     Fe cb = fe_mul(c, b);
     x3 = fe_sq(fe_add(da, cb));
-    z3 = mul_x1(fe_sq(fe_sub(da, cb)));
+    z3 = fe_mul(x1, fe_sq(fe_sub(da, cb)));
     x2 = fe_mul(aa, bb);
     z2 = fe_mul(e_, fe_add(aa, fe_mul_small(e_, 121665)));
   }
@@ -226,16 +239,196 @@ void ladder(std::uint8_t* out, const std::uint8_t* scalar, const Fe& x1,
   fe_to_bytes(out, fe_mul(x2, fe_invert(z2)));
 }
 
+// ---- Fixed-base comb on the twisted Edwards form ---------------------------
+//
+// Curve25519 is birationally equivalent to edwards25519,
+// -x^2 + y^2 = 1 + d x^2 y^2 with d = -121665/121666, under u = (1+y)/(1-y);
+// the base point u = 9 maps to B with y = 4/5. So scalar * 9 is the u of
+// [scalar]B, which a precomputed table of B's multiples computes in 64
+// mixed additions and 4 doublings instead of 255 ladder steps (the Ed25519
+// key-generation method of Bernstein et al., "High-speed high-security
+// signatures", CHES 2011). Points are in extended coordinates (X:Y:Z:T),
+// x = X/Z, y = Y/Z, T = XY/Z, with the a = -1 formulas of Hisil et al.,
+// "Twisted Edwards curves revisited" (2008); all are complete.
+
+struct GePoint {
+  Fe X, Y, Z, T;
+};
+
+// An affine point as y + x, y - x and 2d*x*y (the Niels form): what a mixed
+// addition needs from its second operand.
+struct GeNiels {
+  Fe ypx, ymx, xy2d;
+};
+
+constexpr Fe kZero{{0, 0, 0, 0, 0}}, kOne{{1, 0, 0, 0, 0}};
+constexpr GePoint kGeIdentity{kZero, kOne, kOne, kZero};
+
+// x of B, little endian (RFC 8032 section 5.1: the even root for y = 4/5).
+constexpr std::uint8_t kBaseX[32] = {
+    0x1a, 0xd5, 0x25, 0x8f, 0x60, 0x2d, 0x56, 0xc9, 0xb2, 0xa7, 0x25,
+    0x95, 0x60, 0xc7, 0x2c, 0x69, 0x5c, 0xdc, 0xd6, 0xfd, 0x31, 0xe2,
+    0xa4, 0xc0, 0xfe, 0x53, 0x6e, 0xcd, 0xd3, 0x36, 0x69, 0x21};
+
+// Completes an addition from a = (Y1-X1)(Y2-X2), b = (Y1+X1)(Y2+X2),
+// c = 2d*T1*T2 and d2z = 2*Z1*Z2 (add-2008-hwcd-3). a and c are carried.
+[[gnu::always_inline]] inline GePoint ge_finish_add(const Fe& a, const Fe& b,
+                                                    const Fe& c,
+                                                    const Fe& d2z) {
+  const Fe e = fe_sub(b, a), f = fe_sub(d2z, c), g = fe_add(d2z, c),
+           h = fe_add(b, a);
+  return {fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
+}
+
+// p + q for an affine q (madd-2008-hwcd-3: Z2 = 1).
+[[gnu::always_inline]] inline GePoint ge_madd(const GePoint& p,
+                                              const GeNiels& q) {
+  return ge_finish_add(fe_mul(fe_sub(p.Y, p.X), q.ymx),
+                       fe_mul(fe_add(p.Y, p.X), q.ypx), fe_mul(p.T, q.xy2d),
+                       fe_add(p.Z, p.Z));
+}
+
+// p + q for two extended points; only the table build needs it.
+GePoint ge_add(const GePoint& p, const GePoint& q, const Fe& d2) {
+  const Fe zz = fe_mul(p.Z, q.Z);
+  return ge_finish_add(fe_mul(fe_sub(p.Y, p.X), fe_sub(q.Y, q.X)),
+                       fe_mul(fe_add(p.Y, p.X), fe_add(q.Y, q.X)),
+                       fe_mul(fe_mul(p.T, d2), q.T), fe_add(zz, zz));
+}
+
+// 2p (dbl-2008-hwcd with a = -1). Each subtraction takes a carried square
+// (see the limb-bound rule), so 2Z^2 is subtracted as Z^2 twice.
+GePoint ge_dbl(const GePoint& p) {
+  const Fe xx = fe_sq(p.X), yy = fe_sq(p.Y), zz = fe_sq(p.Z),
+           ss = fe_sq(fe_add(p.X, p.Y));
+  const Fe e = fe_sub(fe_sub(ss, xx), yy);     // 2XY
+  const Fe g = fe_sub(yy, xx);                 // -X^2 + Y^2
+  const Fe f = fe_sub(fe_sub(g, zz), zz);      // g - 2Z^2
+  const Fe h = fe_sub(fe_sub(kZero, xx), yy);  // -X^2 - Y^2
+  return {fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
+}
+
+// table[j][k-1] = [k * 256^j]B for k = 1..8, j = 0..31 (30 KB).
+using BaseTable = std::array<std::array<GeNiels, 8>, 32>;
+
+BaseTable build_base_table() {
+  const Fe d = fe_mul(fe_sub(kZero, Fe{{121665, 0, 0, 0, 0}}),
+                      fe_invert(Fe{{121666, 0, 0, 0, 0}}));
+  const Fe d2 = fe_add(d, d);
+  const Fe by = fe_mul(Fe{{4, 0, 0, 0, 0}}, fe_invert(Fe{{5, 0, 0, 0, 0}}));
+  const Fe bx = fe_from_bytes(kBaseX);
+
+  // Every entry in extended coordinates: row j starts at 256^j B.
+  std::array<GePoint, 256> pts{};
+  GePoint row{bx, by, kOne, fe_mul(bx, by)};
+  for (std::size_t j = 0; j < 32; ++j) {
+    pts[8 * j] = row;
+    for (std::size_t k = 1; k < 8; ++k) {
+      pts[8 * j + k] = ge_add(pts[8 * j + k - 1], row, d2);
+    }
+    for (int i = 0; i < 8; ++i) row = ge_dbl(row);
+  }
+
+  // One inversion for all 256 Z (Montgomery's trick): prefix[i] is
+  // Z_0 * ... * Z_i, and at step i of the walk back inv is its inverse.
+  std::array<Fe, 256> prefix{};
+  prefix[0] = pts[0].Z;
+  for (std::size_t i = 1; i < 256; ++i) {
+    prefix[i] = fe_mul(prefix[i - 1], pts[i].Z);
+  }
+  Fe inv = fe_invert(prefix[255]);
+  BaseTable table{};
+  for (std::size_t i = 256; i-- > 0;) {
+    const Fe z_inv = i == 0 ? inv : fe_mul(inv, prefix[i - 1]);  // Z_i^-1
+    inv = fe_mul(inv, pts[i].Z);
+    const Fe x = fe_mul(pts[i].X, z_inv), y = fe_mul(pts[i].Y, z_inv);
+    table[i / 8][i % 8] = {fe_add(y, x), fe_sub(y, x),
+                           fe_mul(fe_mul(x, y), d2)};
+  }
+  return table;
+}
+
+const BaseTable& base_table() {
+  static const BaseTable table = build_base_table();
+  return table;
+}
+
+// f = g if `flag` is 1, unchanged if 0; constant time.
+[[gnu::always_inline]] inline void fe_cmov(Fe& f, const Fe& g,
+                                           std::uint64_t flag) {
+  const std::uint64_t mask = 0 - flag;
+  for (int i = 0; i < 5; ++i) f.v[i] ^= mask & (f.v[i] ^ g.v[i]);
+}
+
+[[gnu::always_inline]] inline void ge_cmov(GeNiels& t, const GeNiels& u,
+                                           std::uint64_t flag) {
+  fe_cmov(t.ypx, u.ypx, flag);
+  fe_cmov(t.ymx, u.ymx, flag);
+  fe_cmov(t.xy2d, u.xy2d, flag);
+}
+
+// [digit * 256^j]B for digit in [-8, 8], scanning all 8 entries of the row
+// so neither the memory access nor the control flow depends on the digit.
+GeNiels ge_select(const std::array<GeNiels, 8>& row, std::int8_t digit) {
+  const std::uint64_t negative =
+      static_cast<std::uint64_t>(static_cast<std::uint8_t>(digit)) >> 7;
+  const std::uint64_t magnitude = static_cast<std::uint64_t>(
+      digit - 2 * (digit & -static_cast<int>(negative)));
+  GeNiels t{kOne, kOne, kZero};  // the identity
+  for (std::uint64_t k = 1; k <= 8; ++k) {
+    ge_cmov(t, row[k - 1], ((magnitude ^ k) - 1) >> 63);  // 1 iff equal
+  }
+  // -(x, y) = (-x, y): y + x and y - x trade places, 2dxy flips sign.
+  const GeNiels minus{t.ymx, t.ypx, fe_sub(kZero, t.xy2d)};
+  ge_cmov(t, minus, negative);
+  return t;
+}
+
+// scalar * 9 through the comb; equal to ladder(out, scalar, 9).
+void comb_base(std::uint8_t* out, const std::uint8_t* scalar) {
+  std::uint8_t e[32];
+  clamp(e, scalar);
+
+  // 64 signed radix-16 digits in [-8, 8], scalar = sum digit[i] * 16^i.
+  // The clamped top byte is below 128, so the last digit absorbs the final
+  // carry without overflowing.
+  std::int8_t digit[64];
+  for (int i = 0; i < 32; ++i) {
+    digit[2 * i] = static_cast<std::int8_t>(e[i] & 15);
+    digit[2 * i + 1] = static_cast<std::int8_t>(e[i] >> 4);
+  }
+  int carry = 0;
+  for (int i = 0; i < 63; ++i) {
+    const int v = digit[i] + carry;
+    carry = (v + 8) >> 4;
+    digit[i] = static_cast<std::int8_t>(v - 16 * carry);
+  }
+  digit[63] = static_cast<std::int8_t>(digit[63] + carry);
+
+  // Odd digits weigh 16 * 256^j and even digits 256^j: sum the odd ones,
+  // multiply by 16, then add the even ones.
+  const BaseTable& table = base_table();
+  GePoint h = kGeIdentity;
+  for (int i = 1; i < 64; i += 2) {
+    h = ge_madd(h, ge_select(table[i / 2], digit[i]));
+  }
+  h = ge_dbl(ge_dbl(ge_dbl(ge_dbl(h))));
+  for (int i = 0; i < 64; i += 2) {
+    h = ge_madd(h, ge_select(table[i / 2], digit[i]));
+  }
+
+  // u = (1 + y) / (1 - y) = (Z + Y) / (Z - Y).
+  fe_to_bytes(out, fe_mul(fe_add(h.Z, h.Y), fe_invert(fe_sub(h.Z, h.Y))));
+}
+
 }  // namespace
 
 util::Bytes x25519(const util::Bytes& scalar, const util::Bytes& point) {
   if (scalar.size() != kX25519KeySize || point.size() != kX25519KeySize) {
     throw std::invalid_argument("x25519: inputs must be 32 bytes");
   }
-  const Fe x1 = fe_from_bytes(point.data());
   util::Bytes result(kX25519KeySize);
-  ladder(result.data(), scalar.data(), x1,
-         [&x1](const Fe& f) { return fe_mul(x1, f); });
+  ladder(result.data(), scalar.data(), fe_from_bytes(point.data()));
   return result;
 }
 
@@ -244,8 +437,7 @@ util::Bytes x25519_base(const util::Bytes& scalar) {
     throw std::invalid_argument("x25519: inputs must be 32 bytes");
   }
   util::Bytes result(kX25519KeySize);
-  ladder(result.data(), scalar.data(), Fe{{9, 0, 0, 0, 0}},
-         [](const Fe& f) { return fe_mul_small(f, 9); });
+  comb_base(result.data(), scalar.data());
   return result;
 }
 

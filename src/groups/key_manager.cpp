@@ -7,22 +7,21 @@
 
 namespace odtn::groups {
 
-namespace {
-
-util::Bytes derive(const util::Bytes& master, const std::string& label,
-                   std::uint64_t index) {
-  util::Bytes info = util::to_bytes(label);
-  util::put_u64le(info, index);
-  return crypto::hkdf(master, /*salt=*/{}, info, 32);
-}
-
-}  // namespace
-
 KeyManager::KeyManager(const GroupDirectory& directory, std::uint64_t seed)
     : node_count_(directory.node_count()),
       group_count_(directory.group_count()) {
   util::put_u64le(master_, seed);
   util::append(master_, util::to_bytes("odtn-key-manager-v1"));
+}
+
+util::Bytes KeyManager::derive(const std::string& label,
+                               std::uint64_t index) const {
+  // HKDF(master, info) = Expand(Extract(master), info): the extract step
+  // depends on the master alone, so it runs once per manager.
+  if (prk_.empty()) prk_ = crypto::hkdf_extract(/*salt=*/{}, master_);
+  util::Bytes info = util::to_bytes(label);
+  util::put_u64le(info, index);
+  return crypto::hkdf_expand(prk_, info, 32);
 }
 
 const util::Bytes& KeyManager::group_key(GroupId group) const {
@@ -31,7 +30,7 @@ const util::Bytes& KeyManager::group_key(GroupId group) const {
   }
   auto it = group_keys_.find(group);
   if (it == group_keys_.end()) {
-    it = group_keys_.emplace(group, derive(master_, "group-key", group)).first;
+    it = group_keys_.emplace(group, derive("group-key", group)).first;
   }
   return it->second;
 }
@@ -40,7 +39,7 @@ crypto::KeyPair& KeyManager::identity(NodeId node) const {
   auto it = identities_.find(node);
   if (it == identities_.end()) {
     crypto::KeyPair kp;
-    kp.private_key = derive(master_, "identity-key", node);
+    kp.private_key = derive("identity-key", node);
     it = identities_.emplace(node, std::move(kp)).first;
   }
   return it->second;
@@ -63,7 +62,7 @@ const util::Bytes& KeyManager::inbox_key(NodeId node) const {
   }
   auto it = inbox_keys_.find(node);
   if (it == inbox_keys_.end()) {
-    it = inbox_keys_.emplace(node, derive(master_, "inbox-key", node)).first;
+    it = inbox_keys_.emplace(node, derive("inbox-key", node)).first;
   }
   return it->second;
 }

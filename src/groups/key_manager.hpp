@@ -10,12 +10,15 @@
 // function derive(master, label, index) of its index, so on-demand
 // derivation yields byte-identical keys while a run only ever pays for the
 // handful of groups/nodes a message actually touches — constructing a
-// KeyManager is O(1) even over a million-node directory. The public half
-// of an identity (one X25519 base-point ladder) is derived only when read:
+// KeyManager is O(1) even over a million-node directory. The first key
+// derived pays for the HKDF-Extract of the master, which every later key
+// reuses. The public half of an identity (one fixed-base comb
+// multiplication, crypto::x25519_base) is derived only when read:
 // session_key(a, b) needs only the lower endpoint's private key and the
 // higher endpoint's public key, so the lower endpoint never pays for it.
 #pragma once
 
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -53,6 +56,9 @@ class KeyManager {
   std::size_t group_count() const { return group_count_; }
 
  private:
+  // HKDF(master, label || index) as 32 bytes.
+  util::Bytes derive(const std::string& label, std::uint64_t index) const;
+
   // The memoized identity of `node` with its private key derived; the
   // public key stays empty until node_identity reads it.
   crypto::KeyPair& identity(NodeId node) const;
@@ -60,6 +66,8 @@ class KeyManager {
   std::size_t node_count_ = 0;
   std::size_t group_count_ = 0;
   util::Bytes master_;
+  // HKDF-Extract(master_), computed on the first derive.
+  mutable util::Bytes prk_;
   // Lazy caches. unordered_map references stay valid across inserts, so
   // returned key references are stable (an identity's public key is filled
   // in place). Not thread-safe: each simulation run owns its KeyManager.

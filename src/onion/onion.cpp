@@ -148,47 +148,16 @@ util::Bytes OnionCodec::build(const util::Bytes& payload, NodeId dest,
 std::optional<Peeled> OnionCodec::peel(const util::Bytes& wire,
                                        const util::Bytes& key,
                                        crypto::Drbg& drbg) const {
-  if (wire.size() != wire_size_) return std::nullopt;
-
-  // Trial decryption over the valid fragment lengths, deepest stack first.
-  for (std::size_t layers = config_.max_layers + 1; layers-- > 0;) {
-    std::size_t frag_len = fragment_size(layers);
-    if (frag_len > wire.size()) continue;
-    util::Bytes nonce(wire.begin(), wire.begin() + crypto::kAeadNonceSize);
-    util::Bytes sealed(wire.begin() + crypto::kAeadNonceSize,
-                       wire.begin() + static_cast<long>(frag_len));
-    auto plain = crypto::aead_open(key, nonce, onion_aad(), sealed);
-    if (!plain.has_value()) continue;
-
-    auto header = parse_header(*plain);
-    if (!header.has_value()) return std::nullopt;
-
-    Peeled result;
-    switch (static_cast<Peeled::Type>(header->type)) {
-      case Peeled::Type::kFinal: {
-        if (kHeaderSize + header->len > plain->size()) return std::nullopt;
-        result.type = Peeled::Type::kFinal;
-        result.payload.assign(plain->begin() + kHeaderSize,
-                              plain->begin() + kHeaderSize + header->len);
-        return result;
-      }
-      case Peeled::Type::kDeliver:
-      case Peeled::Type::kDeliverGroup:
-      case Peeled::Type::kRelay: {
-        if (kHeaderSize + header->len > plain->size()) return std::nullopt;
-        result.type = static_cast<Peeled::Type>(header->type);
-        result.next_group = header->next_group;
-        result.dest = header->dest;
-        util::Bytes inner(plain->begin() + kHeaderSize,
-                          plain->begin() + kHeaderSize + header->len);
-        result.next_wire = pad_to_wire(std::move(inner), drbg);
-        return result;
-      }
-      default:
-        return std::nullopt;
-    }
-  }
-  return std::nullopt;
+  PeelScratch scratch;
+  const auto view = peel_view(wire, key, drbg, scratch);
+  if (!view.has_value()) return std::nullopt;
+  Peeled result;
+  result.type = view->type;
+  result.next_group = view->next_group;
+  result.dest = view->dest;
+  result.payload.assign(view->payload.begin(), view->payload.end());
+  result.next_wire.assign(view->next_wire.begin(), view->next_wire.end());
+  return result;
 }
 
 std::optional<PeeledView> OnionCodec::peel_view(const util::Bytes& wire,
@@ -197,10 +166,13 @@ std::optional<PeeledView> OnionCodec::peel_view(const util::Bytes& wire,
                                                 PeelScratch& scratch) const {
   if (wire.size() != wire_size_) return std::nullopt;
 
+  // Trial decryption over the valid fragment lengths, shallowest stack
+  // first: a peel with k layers left fails k cheap opens over the shorter
+  // fragments, and the inbox peel (k = 0) none. A wrong length fails by its
+  // tag, and the DRBG is drawn only on success.
   const std::span<const std::uint8_t> wire_span(wire);
-  for (std::size_t layers = config_.max_layers + 1; layers-- > 0;) {
-    std::size_t frag_len = fragment_size(layers);
-    if (frag_len > wire.size()) continue;
+  for (std::size_t layers = 0; layers <= config_.max_layers; ++layers) {
+    const std::size_t frag_len = fragment_size(layers);
     auto nonce = wire_span.first(crypto::kAeadNonceSize);
     auto sealed = wire_span.subspan(crypto::kAeadNonceSize,
                                     frag_len - crypto::kAeadNonceSize);

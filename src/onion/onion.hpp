@@ -113,9 +113,10 @@ class OnionCodec {
                              crypto::Drbg& drbg) const;
 
   /// Allocation-free variant of peel(): all intermediate buffers live in
-  /// `scratch` and the returned view borrows from it. Draws the DRBG
-  /// identically to peel() (one padding draw on relay-type success, none on
-  /// failure or final delivery), so the two are interchangeable bit-for-bit.
+  /// `scratch` and the returned view borrows from it. One padding draw from
+  /// the DRBG on relay-type success, none on failure or final delivery;
+  /// peel() is this call plus a copy into owned buffers, so the two are
+  /// interchangeable bit-for-bit.
   std::optional<PeeledView> peel_view(const util::Bytes& wire,
                                       const util::Bytes& key,
                                       crypto::Drbg& drbg,

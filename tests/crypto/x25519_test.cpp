@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include "crypto/drbg.hpp"
@@ -129,8 +131,8 @@ TEST(X25519, HighBitOfPointIsMasked) {
   EXPECT_EQ(x25519(scalar, point), x25519(scalar, masked));
 }
 
-// x25519_base runs the ladder specialized to u = 9; it must agree with the
-// general ladder fed the encoded base point, including at edge scalars.
+// x25519_base runs the fixed-base Edwards comb; it must agree with the
+// Montgomery ladder fed the encoded base point, including at edge scalars.
 TEST(X25519, BaseMatchesGenericLadder) {
   util::Bytes base(kX25519KeySize, 0);
   base[0] = 9;
@@ -141,9 +143,60 @@ TEST(X25519, BaseMatchesGenericLadder) {
       from_hex(
           "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb")};
   Drbg drbg(std::uint64_t{2551});
-  for (int i = 0; i < 256; ++i) scalars.push_back(drbg.generate(32));
+  for (int i = 0; i < 10000; ++i) scalars.push_back(drbg.generate(32));
+  for (const util::Bytes& k : scalars) {
+    ASSERT_EQ(x25519_base(k), x25519(k, base)) << to_hex(k);
+  }
+}
+
+// Scalars whose radix-16 digits sit at the edges of the comb's signed
+// recoding: nibbles of 8 (recoded to -8 with a carry into the next digit),
+// 7 (kept), 15 (carry chains through every digit) and 0, and alternating
+// 0x80/0x7f bytes, where each byte's carry decides whether the next one's
+// low nibble wraps.
+TEST(X25519, BaseMatchesGenericLadderOnRecodingEdges) {
+  util::Bytes base(kX25519KeySize, 0);
+  base[0] = 9;
+  std::vector<util::Bytes> scalars;
+  for (std::uint8_t b : {0x88, 0x77, 0xf8, 0x08}) {
+    scalars.emplace_back(32, b);
+  }
+  util::Bytes alternating(32), alternating_flipped(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    alternating[i] = i % 2 == 0 ? 0x80 : 0x7f;
+    alternating_flipped[i] = i % 2 == 0 ? 0x7f : 0x80;
+  }
+  scalars.push_back(alternating);
+  scalars.push_back(alternating_flipped);
   for (const util::Bytes& k : scalars) {
     EXPECT_EQ(x25519_base(k), x25519(k, base)) << to_hex(k);
+  }
+}
+
+// Four threads make the process's first x25519_base calls at once, so they
+// race to build the comb table (each ctest entry runs in its own process,
+// so no earlier test has built it), and must get what the ladder gives.
+TEST(X25519, ConcurrentFirstBaseCallsMatchLadder) {
+  constexpr int kThreads = 4;
+  std::vector<util::Bytes> scalars;
+  Drbg drbg(std::uint64_t{4099});
+  for (int i = 0; i < kThreads; ++i) scalars.push_back(drbg.generate(32));
+  std::vector<util::Bytes> got(kThreads);
+  {
+    std::latch start(kThreads);
+    std::vector<std::jthread> pool;  // joined at the end of this scope
+    for (int i = 0; i < kThreads; ++i) {
+      pool.emplace_back([&, i] {
+        start.arrive_and_wait();
+        got[i] = x25519_base(scalars[i]);
+      });
+    }
+  }
+  util::Bytes base(kX25519KeySize, 0);
+  base[0] = 9;
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(got[i], x25519(scalars[i], base)) << "thread " << i;
+    EXPECT_EQ(got[i], x25519_base(scalars[i])) << "thread " << i;
   }
 }
 

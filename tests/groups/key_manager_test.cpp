@@ -104,6 +104,23 @@ TEST(KeyManager, Validation) {
   EXPECT_THROW(km.session_key(0, 20), std::out_of_range);
 }
 
+// Every kind of key the manager derives, pinned at seed 1: the derivation
+// may be restructured, its bytes may not change.
+TEST(KeyManager, KeysPinned) {
+  auto dir = make_dir();
+  KeyManager km(dir, 1);
+  EXPECT_EQ(util::to_hex(km.group_key(2)),
+            "72d22c63cc7eb0600e6edefb237813ae596ff9bc92af44bf70955f3970187b16");
+  EXPECT_EQ(util::to_hex(km.node_identity(3).private_key),
+            "063200ea33ebad09891ae4a9c0109c3feabd2d05ce9a3fb2441bbe7822e250dc");
+  EXPECT_EQ(util::to_hex(km.node_identity(3).public_key),
+            "815442969f7839c5bdf166e9eaae2dbdd200e76598b22e2300a3637b18c0212a");
+  EXPECT_EQ(util::to_hex(km.inbox_key(4)),
+            "94a9545ea4fd550b4b2e20c90b70ccf24ff3c91456f4cef168a609a60f21bede");
+  EXPECT_EQ(util::to_hex(km.session_key(6, 1)),
+            "6abd6fa3166fb75b28505a9402a9fdee714b8c3d47d632b329cdffe7e8c382d4");
+}
+
 TEST(KeyManager, Counts) {
   auto dir = make_dir();
   KeyManager km(dir, 8);
