@@ -19,8 +19,8 @@ constexpr std::size_t kX25519KeySize = 32;
 util::Bytes x25519(const util::Bytes& scalar, const util::Bytes& point);
 
 /// Computes scalar * basepoint (u = 9); equal to x25519(scalar, {9, 0, ...})
-/// but runs the same ladder with the multiplication by u reduced to a small
-/// constant, and builds no base-point encoding.
+/// but runs a fixed-base comb on the equivalent Edwards curve instead of the
+/// ladder. The first call builds the comb's 30 KB table (thread-safe).
 util::Bytes x25519_base(const util::Bytes& scalar);
 
 struct KeyPair {
