@@ -97,10 +97,10 @@ core::ExperimentResult run_experiment(const core::ExperimentConfig& config,
   return result;
 }
 
-void print_header(const std::string& figure_id, const std::string& title,
+void print_header(const std::string& label, const std::string& title,
                   const std::string& fixed_params,
                   const core::ExperimentConfig& config) {
-  std::cout << "# " << figure_id << ": " << title << "\n"
+  std::cout << "# " << label << ": " << title << "\n"
             << "# fixed: " << fixed_params << "\n"
             << "# runs/point: " << config.runs << ", seed: " << config.seed
             << ", threads: ";
@@ -110,6 +110,11 @@ void print_header(const std::string& figure_id, const std::string& title,
     std::cout << config.threads;
   }
   std::cout << "\n";
+}
+
+std::string figure_id(const util::Args& args) {
+  const std::string& program = args.program();
+  return program.substr(program.find_last_of('/') + 1);
 }
 
 void finish(const core::ExperimentConfig& config, const util::Args& args,
@@ -125,11 +130,8 @@ void finish(const core::ExperimentConfig& config, const util::Args& args,
 
   std::string path = args.get("json", "");
   if (path.empty()) return;
-  std::string figure_id = args.program();
-  auto slash = figure_id.find_last_of('/');
-  if (slash != std::string::npos) figure_id = figure_id.substr(slash + 1);
   std::ostringstream record;
-  record << "{\"schema\":\"odtn.bench.v1\",\"figure_id\":\"" << figure_id
+  record << "{\"schema\":\"odtn.bench.v1\",\"figure_id\":\"" << figure_id(args)
          << "\",\"runs\":" << config.runs << ",\"seed\":" << config.seed
          << ",\"threads\":" << config.threads
          << ",\"wall_time_s\":" << metrics::format_double(wall);

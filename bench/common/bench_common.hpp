@@ -66,8 +66,9 @@ core::ExperimentResult run_experiment(const core::ExperimentConfig& config,
 /// order, so the export is deterministic for a fixed sweep).
 metrics::Registry& bench_metrics();
 
-/// Prints the figure banner: id, title, and the fixed parameters.
-void print_header(const std::string& figure_id, const std::string& title,
+/// Prints the figure banner: label ("Figure 4"), title, and the fixed
+/// parameters.
+void print_header(const std::string& label, const std::string& title,
                   const std::string& fixed_params,
                   const core::ExperimentConfig& config);
 
@@ -90,6 +91,10 @@ class WallTimer {
   // odtn-lint: allow(banned-api) — wall-clock state for the stopwatch above.
   std::chrono::steady_clock::time_point start_;
 };
+
+/// The bench binary's name (argv[0] without its directory): the --json
+/// figure_id, and the row a paper-figure binary runs.
+std::string figure_id(const util::Args& args);
 
 /// Prints the closing `# wall_time_s:` line; when --json=FILE was given,
 /// appends one versioned record
