@@ -81,8 +81,9 @@ ContactTrace make_cambridge_like(std::uint64_t seed) {
 
 ContactTrace sample_poisson_trace(const graph::ContactRates& rates,
                                   Time horizon, util::Rng& rng) {
-  if (!(horizon > 0.0)) {
-    throw std::invalid_argument("sample_poisson_trace: horizon must be > 0");
+  if (!(horizon > 0.0) || std::isinf(horizon)) {
+    throw std::invalid_argument(
+        "sample_poisson_trace: horizon must be finite and > 0");
   }
   // The event count is Poisson with mean Σλ·horizon: reserve four standard
   // deviations above it, so the vector almost never grows (past 1e8 events,

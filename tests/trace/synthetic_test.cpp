@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+
+#include "graph/contact_graph.hpp"
 
 namespace odtn::trace {
 namespace {
@@ -140,6 +143,17 @@ TEST(InfocomLike, SparserThanCambridge) {
   double density = static_cast<double>(connected) / total;
   EXPECT_LT(density, 0.85);
   EXPECT_GT(density, 0.2);
+}
+
+TEST(SamplePoissonTrace, RejectsNonFiniteOrNonPositiveHorizon) {
+  util::Rng rng(1);
+  const auto graph = graph::random_contact_graph(10, rng);
+  for (double horizon :
+       {0.0, -1.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(sample_poisson_trace(graph, horizon, rng),
+                 std::invalid_argument)
+        << "horizon " << horizon;
+  }
 }
 
 TEST(InfocomLike, HasNightGaps) {

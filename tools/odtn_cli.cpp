@@ -47,6 +47,7 @@ int usage() {
 }
 
 int cmd_gen_graph(const util::Args& args) {
+  const std::string out = args.get_output("out");
   // odtn-lint: allow(rng) — top-level CLI stream seeded from --seed;
   // run-level streams below it derive via derive_seed in the experiment
   // engine
@@ -54,7 +55,6 @@ int cmd_gen_graph(const util::Args& args) {
   auto g = graph::random_contact_graph(args.get_unsigned("nodes", 100), rng,
                                        args.get_double("min-ict", 10.0),
                                        args.get_double("max-ict", 360.0));
-  std::string out = args.get("out", "");
   if (out.empty()) {
     std::cout << graph::format_graph(g);
   } else {
@@ -66,6 +66,7 @@ int cmd_gen_graph(const util::Args& args) {
 }
 
 int cmd_gen_trace(const util::Args& args) {
+  const std::string out = args.get_output("out");
   std::string kind = args.get("kind", "cambridge");
   const std::uint64_t seed = args.get_unsigned("seed", 1);
   std::optional<trace::ContactTrace> t;
@@ -84,7 +85,6 @@ int cmd_gen_trace(const util::Args& args) {
     std::cerr << "unknown --kind: " << kind << "\n";
     return 2;
   }
-  std::string out = args.get("out", "");
   if (out.empty()) {
     std::cout << trace::format_trace(*t);
   } else {
