@@ -1,6 +1,5 @@
 #include "mobility/random_waypoint.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -30,36 +29,21 @@ double sq(double v) { return v * v; }
 }  // namespace
 
 RandomWaypointModel::RandomWaypointModel(const RandomWaypointParams& params,
-                                         util::Rng& rng,
-                                         WaypointPolicy policy)
-    : params_(params), rng_(&rng), policy_(std::move(policy)) {
+                                         util::Rng& rng)
+    : params_(params), rng_(&rng) {
   validate(params_);
   nodes_.resize(params_.nodes);
-  for (std::size_t v = 0; v < nodes_.size(); ++v) {
-    auto& n = nodes_[v];
+  for (auto& n : nodes_) {
     n.pause_until = 0.0;
     pick_waypoint(n);
-    if (policy_) {
-      auto [x, y] = policy_(static_cast<NodeId>(v), 0.0);
-      n.x = std::clamp(x, 0.0, params_.width);
-      n.y = std::clamp(y, 0.0, params_.height);
-    } else {
-      n.x = rng_->uniform(0.0, params_.width);
-      n.y = rng_->uniform(0.0, params_.height);
-    }
+    n.x = rng_->uniform(0.0, params_.width);
+    n.y = rng_->uniform(0.0, params_.height);
   }
 }
 
 void RandomWaypointModel::pick_waypoint(NodeState& n) {
-  if (policy_) {
-    NodeId id = static_cast<NodeId>(&n - nodes_.data());
-    auto [x, y] = policy_(id, time_);
-    n.wx = std::clamp(x, 0.0, params_.width);
-    n.wy = std::clamp(y, 0.0, params_.height);
-  } else {
-    n.wx = rng_->uniform(0.0, params_.width);
-    n.wy = rng_->uniform(0.0, params_.height);
-  }
+  n.wx = rng_->uniform(0.0, params_.width);
+  n.wy = rng_->uniform(0.0, params_.height);
   n.speed = rng_->uniform(params_.min_speed, params_.max_speed);
 }
 
@@ -137,50 +121,6 @@ trace::ContactTrace random_waypoint_trace(const RandomWaypointParams& params,
                                           util::Rng& rng) {
   RandomWaypointModel model(params, rng);
   return collect_entry_events(model, params.nodes, params.duration);
-}
-
-trace::ContactTrace working_day_trace(const WorkingDayParams& params,
-                                      util::Rng& rng) {
-  if (params.days < 1) {
-    throw std::invalid_argument("working_day_trace: days < 1");
-  }
-  if (params.offices == 0 || params.offices > params.base.nodes) {
-    throw std::invalid_argument("working_day_trace: bad office count");
-  }
-  if (!(params.work_end > params.work_start) || params.work_start < 0.0 ||
-      params.work_end > 86400.0) {
-    throw std::invalid_argument("working_day_trace: bad work window");
-  }
-  if (!(params.cell_radius > 0.0)) {
-    throw std::invalid_argument("working_day_trace: bad cell radius");
-  }
-
-  const auto& base = params.base;
-  // Anchors: offices on a coarse grid, homes uniform.
-  std::vector<std::pair<double, double>> office(params.offices);
-  for (std::size_t o = 0; o < params.offices; ++o) {
-    office[o] = {rng.uniform(0.15, 0.85) * base.width,
-                 rng.uniform(0.15, 0.85) * base.height};
-  }
-  std::vector<std::pair<double, double>> home(base.nodes);
-  std::vector<std::size_t> workplace(base.nodes);
-  for (std::size_t v = 0; v < base.nodes; ++v) {
-    home[v] = {rng.uniform(0.0, base.width), rng.uniform(0.0, base.height)};
-    workplace[v] = v % params.offices;
-  }
-
-  auto policy = [&, cell = params.cell_radius, ws = params.work_start,
-                 we = params.work_end](NodeId v, double t) {
-    double tod = std::fmod(t, 86400.0);
-    auto [ax, ay] = (tod >= ws && tod < we) ? office[workplace[v]] : home[v];
-    return std::make_pair(ax + rng.uniform(-cell, cell),
-                          ay + rng.uniform(-cell, cell));
-  };
-
-  RandomWaypointParams run = base;
-  run.duration = params.days * 86400.0;
-  RandomWaypointModel model(run, rng, policy);
-  return collect_entry_events(model, run.nodes, run.duration);
 }
 
 }  // namespace odtn::mobility

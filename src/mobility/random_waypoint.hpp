@@ -13,7 +13,6 @@
 // (bench/ablation_mobility).
 #pragma once
 
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -40,14 +39,7 @@ struct RandomWaypointParams {
 /// is the typical entry point).
 class RandomWaypointModel {
  public:
-  /// Chooses the next waypoint for `node` at simulated time `time`.
-  /// Returned coordinates are clamped to the area. The default policy
-  /// draws uniformly over the whole rectangle (classic RWP).
-  using WaypointPolicy =
-      std::function<std::pair<double, double>(NodeId node, double time)>;
-
-  RandomWaypointModel(const RandomWaypointParams& params, util::Rng& rng,
-                      WaypointPolicy policy = nullptr);
+  RandomWaypointModel(const RandomWaypointParams& params, util::Rng& rng);
 
   /// Advances all nodes by one tick.
   void step();
@@ -71,7 +63,6 @@ class RandomWaypointModel {
 
   RandomWaypointParams params_;
   util::Rng* rng_;
-  WaypointPolicy policy_;
   std::vector<NodeState> nodes_;
   double time_ = 0.0;
 };
@@ -81,23 +72,5 @@ class RandomWaypointModel {
 /// per meeting, long enough to transfer a message).
 trace::ContactTrace random_waypoint_trace(const RandomWaypointParams& params,
                                           util::Rng& rng);
-
-/// Working-day variant: each node gets a home cell and an office cell;
-/// waypoints are drawn near the office during work hours and near home
-/// otherwise, producing the community structure and diurnal rhythm of
-/// human-contact DTNs (a geometric sibling of trace::make_diurnal_trace).
-struct WorkingDayParams {
-  RandomWaypointParams base;  // area/speed/range/tick as above
-  int days = 3;
-  double work_start = 9 * 3600.0;   // seconds of day
-  double work_end = 17 * 3600.0;
-  /// Nodes are split evenly across this many office locations.
-  std::size_t offices = 3;
-  /// Waypoints are drawn uniformly within this radius of the anchor cell.
-  double cell_radius = 120.0;
-};
-
-trace::ContactTrace working_day_trace(const WorkingDayParams& params,
-                                      util::Rng& rng);
 
 }  // namespace odtn::mobility

@@ -45,13 +45,6 @@ ContactTrace drain(std::size_t node_count, TraceReader& reader) {
   return ContactTrace(node_count, std::move(events));
 }
 
-ContactTrace parse(const std::string& text, TraceFormat format,
-                   std::size_t node_count) {
-  std::istringstream is(text);
-  TraceReader reader(is, format, node_count);
-  return drain(node_count, reader);
-}
-
 // Stable sort by time of events whose times lie in [lo, hi]. The result
 // equals std::stable_sort's element for element: a stable counting sort
 // into ~E/2 time buckets, then a stable insertion sort inside each bucket.
@@ -212,20 +205,6 @@ SparseTraceSummary ingest_sparse_trace_file(const std::string& path,
   return rethrow_at_path(path, [&] {
     return ingest_sparse_trace(reader, node_count, max_idle_gap);
   });
-}
-
-ContactTrace parse_trace(const std::string& text, std::size_t node_count) {
-  return parse(text, TraceFormat::kPlain, node_count);
-}
-
-ContactTrace parse_crawdad_trace(const std::string& text,
-                                 std::size_t node_count) {
-  return parse(text, TraceFormat::kCrawdad, node_count);
-}
-
-ContactTrace parse_one_report(const std::string& text,
-                              std::size_t node_count) {
-  return parse(text, TraceFormat::kOneReport, node_count);
 }
 
 ContactTrace load_trace_file(const std::string& path, std::size_t node_count) {

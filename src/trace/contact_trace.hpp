@@ -104,32 +104,11 @@ SparseTraceSummary ingest_sparse_trace_file(const std::string& path,
                                             std::size_t node_count,
                                             Time max_idle_gap);
 
-/// Parses the plain-text trace format: one event per line, `time a b`,
-/// whitespace-separated; '#' starts a comment; blank lines ignored.
-/// (The CRAWDAD imote logs are easily converted to this format.)
-ContactTrace parse_trace(const std::string& text, std::size_t node_count);
-
-/// Parses the CRAWDAD cambridge/haggle contact format: one *interval* per
-/// line, `id1 id2 start end [...extra columns ignored]`, ids 1-based as in
-/// the published dataset. Each interval becomes one contact event at its
-/// start time (the paper's model: a contact is long enough to transfer a
-/// whole message). Lines mentioning ids above `node_count` (the dataset's
-/// stationary/external devices) are skipped, mirroring the paper's
-/// preprocessing ("we only consider the contacts between mobile devices").
-ContactTrace parse_crawdad_trace(const std::string& text,
-                                 std::size_t node_count);
-
-/// Reads a trace file from disk. Throws std::runtime_error on IO failure.
+/// Reads a plain-format trace file from disk. Throws std::runtime_error on
+/// IO failure.
 ContactTrace load_trace_file(const std::string& path, std::size_t node_count);
 
-/// Parses the ONE simulator's connection report format: one line per link
-/// transition, `time CONN a b up|down` (ids 0-based). Each `up` transition
-/// becomes a contact event; `down` lines and other report lines are
-/// ignored. Ids >= node_count are skipped.
-ContactTrace parse_one_report(const std::string& text,
-                              std::size_t node_count);
-
-/// Serializes a trace in the same format.
+/// Serializes a trace in the plain format.
 std::string format_trace(const ContactTrace& trace);
 
 /// Writes a trace to disk.

@@ -30,8 +30,26 @@ struct ContactEvent {
   friend bool operator==(const ContactEvent&, const ContactEvent&) = default;
 };
 
-/// Trace file formats (see contact_trace.hpp for the format descriptions).
-enum class TraceFormat { kPlain, kCrawdad, kOneReport };
+/// Trace file formats.
+enum class TraceFormat {
+  /// One event per line, `time a b`, whitespace-separated, ids 0-based
+  /// (format_trace writes it; the CRAWDAD imote logs convert to it easily).
+  kPlain,
+  /// The CRAWDAD cambridge/haggle contact format: one *interval* per line,
+  /// `id1 id2 start end [...extra columns ignored]`, ids 1-based as in the
+  /// published dataset. Each interval becomes one contact event at its
+  /// start time (the paper's model: a contact is long enough to transfer a
+  /// whole message). Ids above node_count (the dataset's
+  /// stationary/external devices) are skipped, mirroring the paper's
+  /// preprocessing ("we only consider the contacts between mobile
+  /// devices").
+  kCrawdad,
+  /// The ONE simulator's connection report: one line per link transition,
+  /// `time CONN a b up|down` (ids 0-based). Each `up` transition becomes a
+  /// contact event; `down` lines and other report lines are ignored, and
+  /// ids >= node_count are skipped.
+  kOneReport,
+};
 
 /// Parses `name` ("plain", "crawdad", "one"); throws std::invalid_argument
 /// on anything else.

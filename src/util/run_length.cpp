@@ -1,24 +1,12 @@
 #include "util/run_length.hpp"
 
+#include <cstddef>
+
 namespace odtn::util {
 
-std::vector<std::size_t> runs_of_ones(const std::vector<bool>& bits) {
-  std::vector<std::size_t> runs;
-  std::size_t cur = 0;
-  for (bool b : bits) {
-    if (b) {
-      ++cur;
-    } else if (cur > 0) {
-      runs.push_back(cur);
-      cur = 0;
-    }
-  }
-  if (cur > 0) runs.push_back(cur);
-  return runs;
-}
-
-std::size_t sum_squared_runs(const std::vector<bool>& bits) {
-  std::size_t sum = 0;
+double traceable_rate(const std::vector<bool>& bits) {
+  if (bits.empty()) return 0.0;
+  std::size_t sum = 0;  // sum of squared run lengths: Eq. 1's numerator
   std::size_t cur = 0;
   for (bool b : bits) {
     if (b) {
@@ -29,13 +17,8 @@ std::size_t sum_squared_runs(const std::vector<bool>& bits) {
     }
   }
   sum += cur * cur;
-  return sum;
-}
-
-double traceable_rate(const std::vector<bool>& bits) {
-  if (bits.empty()) return 0.0;
-  double eta = static_cast<double>(bits.size());
-  return static_cast<double>(sum_squared_runs(bits)) / (eta * eta);
+  const double eta = static_cast<double>(bits.size());
+  return static_cast<double>(sum) / (eta * eta);
 }
 
 }  // namespace odtn::util

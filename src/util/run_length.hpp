@@ -1,28 +1,19 @@
-// Run-length tools for bit strings.
+// The traceable rate of a path bit string.
 //
 // The paper's traceable-rate analysis (Sec. IV-D) reduces "how much of a
 // routing path is disclosed" to computing runs of 1s in the binary
 // representation of a path: bit i is 1 iff the sender of hop i is
-// compromised. These helpers are shared by the adversary measurement code
-// and the analytical model.
+// compromised. The adversary measurement reads it.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace odtn::util {
 
-/// Lengths of maximal runs of `true` in `bits`, in order of appearance.
-/// Example: 0110111 -> {2, 3}.
-std::vector<std::size_t> runs_of_ones(const std::vector<bool>& bits);
-
-/// Sum of squared run lengths of `true` runs; the numerator of Eq. 1.
-/// Example: 0110111 -> 2^2 + 3^2 = 13.
-std::size_t sum_squared_runs(const std::vector<bool>& bits);
-
 /// Traceable rate of a path bit string (Eq. 1):
 ///   P_trace = (1/eta^2) * sum_i (run_i)^2
-/// where eta = bits.size() is the hop count. Returns 0 for empty input.
+/// over the maximal runs of `true`, where eta = bits.size() is the hop
+/// count. Example: 0110111 -> (2^2 + 3^2) / 7^2. Returns 0 for empty input.
 double traceable_rate(const std::vector<bool>& bits);
 
 }  // namespace odtn::util

@@ -154,86 +154,6 @@ TEST(RandomWaypointTrace, InterContactTimesRoughlyExponential) {
   EXPECT_LT(cv, 1.5);
 }
 
-WorkingDayParams small_wd() {
-  WorkingDayParams p;
-  p.base.nodes = 12;
-  p.base.width = 600.0;
-  p.base.height = 600.0;
-  p.base.min_speed = 1.0;
-  p.base.max_speed = 3.0;
-  p.base.max_pause = 60.0;
-  p.base.range = 60.0;
-  p.base.tick = 5.0;
-  p.days = 2;
-  p.offices = 3;
-  return p;
-}
-
-TEST(WorkingDay, ContactsConcentrateInWorkHours) {
-  auto p = small_wd();
-  util::Rng rng(10);
-  auto trace = working_day_trace(p, rng);
-  ASSERT_GT(trace.event_count(), 20u);
-  std::size_t work = 0, off = 0;
-  for (const auto& e : trace.events()) {
-    double tod = std::fmod(e.time, 86400.0);
-    // Allow commute slack around the window edges.
-    if (tod >= p.work_start + 1800.0 && tod < p.work_end) {
-      ++work;
-    } else if (tod < p.work_start - 1800.0 || tod >= p.work_end + 3600.0) {
-      ++off;
-    }
-  }
-  // Work hours are 1/3 of the day but gather colleagues in one cell: the
-  // contact *rate* during work must far exceed the off-hours rate.
-  double work_hours = (p.work_end - p.work_start - 1800.0) / 3600.0;
-  double off_hours = 24.0 - (p.work_end + 3600.0 - p.work_start + 1800.0) / 3600.0;
-  EXPECT_GT(static_cast<double>(work) / work_hours,
-            1.5 * static_cast<double>(off) / off_hours);
-}
-
-TEST(WorkingDay, SameOfficeMeetsMoreThanCrossOffice) {
-  auto p = small_wd();
-  util::Rng rng(11);
-  auto trace = working_day_trace(p, rng);
-  // workplace assignment is v % offices.
-  std::size_t same = 0, cross = 0;
-  for (const auto& e : trace.events()) {
-    if (e.a % p.offices == e.b % p.offices) {
-      ++same;
-    } else {
-      ++cross;
-    }
-  }
-  // 1/3 of pairs share an office; they should produce a disproportionate
-  // share of the contacts.
-  EXPECT_GT(same * 2, cross);
-}
-
-TEST(WorkingDay, DeterministicPerSeed) {
-  auto p = small_wd();
-  p.days = 1;
-  util::Rng r1(12), r2(12);
-  EXPECT_EQ(working_day_trace(p, r1).events(),
-            working_day_trace(p, r2).events());
-}
-
-TEST(WorkingDay, Validation) {
-  util::Rng rng(13);
-  auto p = small_wd();
-  p.days = 0;
-  EXPECT_THROW(working_day_trace(p, rng), std::invalid_argument);
-  p = small_wd();
-  p.offices = 0;
-  EXPECT_THROW(working_day_trace(p, rng), std::invalid_argument);
-  p = small_wd();
-  p.work_end = p.work_start;
-  EXPECT_THROW(working_day_trace(p, rng), std::invalid_argument);
-  p = small_wd();
-  p.cell_radius = 0.0;
-  EXPECT_THROW(working_day_trace(p, rng), std::invalid_argument);
-}
-
 TEST(RandomWaypoint, Validation) {
   util::Rng rng(9);
   RandomWaypointParams p = small_params();

@@ -14,9 +14,12 @@
 
 #include "trace/contact_trace.hpp"
 #include "trace/synthetic.hpp"
+#include "support/trace_text.hpp"
 
 namespace odtn::trace {
 namespace {
+
+using test_support::read_trace;
 
 std::vector<ContactEvent> drain(TraceReader& reader) {
   std::vector<ContactEvent> out;
@@ -44,7 +47,7 @@ TEST(TraceReader, PlainMatchesParserWithCommentsAndCrlf) {
   EXPECT_EQ(records[0].b, 1u);
   EXPECT_EQ(records[2].time, 15.25);
 
-  auto trace = parse_trace(text, 3);
+  auto trace = read_trace(TraceFormat::kPlain, text, 3);
   ASSERT_EQ(trace.event_count(), 3u);
   for (std::size_t k = 0; k < 3; ++k) {
     EXPECT_EQ(trace.events()[k].time, records[k].time);
@@ -91,7 +94,7 @@ TEST(TraceReader, CrawdadSkipsExternalIdsAndSelfContacts) {
   TraceReader reader(sin, TraceFormat::kCrawdad, 3);
   auto records = drain(reader);
 
-  auto trace = parse_crawdad_trace(text, 3);
+  auto trace = read_trace(TraceFormat::kCrawdad, text, 3);
   ASSERT_EQ(records.size(), trace.event_count());
   // ContactTrace sorts; compare as multisets via sorted copies.
   std::vector<ContactEvent> sorted = records;
@@ -127,7 +130,7 @@ TEST(TraceReader, OneReportKeepsUpTransitionsOnly) {
   EXPECT_EQ(records[0].time, 10.0);
   EXPECT_EQ(records[1].time, 15.0);
 
-  auto trace = parse_one_report(text, 3);
+  auto trace = read_trace(TraceFormat::kOneReport, text, 3);
   ASSERT_EQ(trace.event_count(), 2u);
 
   std::istringstream bad("10 CONN 0 1 sideways\n");

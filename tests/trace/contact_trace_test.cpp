@@ -10,9 +10,12 @@
 #include <limits>
 
 #include "util/rng.hpp"
+#include "support/trace_text.hpp"
 
 namespace odtn::trace {
 namespace {
+
+using test_support::read_trace;
 
 std::vector<ContactEvent> sample_events() {
   return {{30.0, 0, 1}, {10.0, 1, 2}, {20.0, 0, 2}, {40.0, 1, 2}};
@@ -168,21 +171,25 @@ TEST(ContactTrace, EstimateRatesEmptyTrace) {
 }
 
 TEST(ParseTrace, BasicFormat) {
-  auto t = parse_trace("10 0 1\n20.5 1 2\n", 3);
+  auto t = read_trace(TraceFormat::kPlain, "10 0 1\n20.5 1 2\n", 3);
   ASSERT_EQ(t.event_count(), 2u);
   EXPECT_EQ(t.events()[1].time, 20.5);
   EXPECT_EQ(t.events()[1].a, 1u);
 }
 
 TEST(ParseTrace, CommentsAndBlanksIgnored) {
-  auto t = parse_trace("# header\n\n10 0 1  # inline comment\n\n", 2);
+  auto t = read_trace(TraceFormat::kPlain,
+                      "# header\n\n10 0 1  # inline comment\n\n", 2);
   EXPECT_EQ(t.event_count(), 1u);
 }
 
 TEST(ParseTrace, MalformedRejected) {
-  EXPECT_THROW(parse_trace("10 0\n", 2), std::invalid_argument);
-  EXPECT_THROW(parse_trace("10 -1 1\n", 2), std::invalid_argument);
-  EXPECT_THROW(parse_trace("10 0 5\n", 2), std::invalid_argument);
+  EXPECT_THROW(read_trace(TraceFormat::kPlain, "10 0\n", 2),
+               std::invalid_argument);
+  EXPECT_THROW(read_trace(TraceFormat::kPlain, "10 -1 1\n", 2),
+               std::invalid_argument);
+  EXPECT_THROW(read_trace(TraceFormat::kPlain, "10 0 5\n", 2),
+               std::invalid_argument);
 }
 
 TEST(ParseTrace, UnparsableLinesRejectedNotSkipped) {
@@ -191,7 +198,7 @@ TEST(ParseTrace, UnparsableLinesRejectedNotSkipped) {
   for (const char* text : {"10 0 1\nx 0 1\n", "10 0 1\nnan 0 1\n",
                            "10 0 1\n  # note\n-\n", "10 0 1\n0x 1 0\n"}) {
     try {
-      parse_trace(text, 2);
+      read_trace(TraceFormat::kPlain, text, 2);
       FAIL() << "expected std::invalid_argument for " << text;
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("malformed contact"),
@@ -199,28 +206,31 @@ TEST(ParseTrace, UnparsableLinesRejectedNotSkipped) {
           << e.what();
     }
   }
-  auto t = parse_trace(" \t \n\t# only a comment\n10 0 1\n", 2);
+  auto t = read_trace(TraceFormat::kPlain,
+                      " \t \n\t# only a comment\n10 0 1\n", 2);
   EXPECT_EQ(t.event_count(), 1u);
 }
 
 TEST(ParseTrace, TrailingBlankAndCommentLines) {
   // Trailing blank lines and comment lines (even several of them, even
   // without a final newline) are not "malformed".
-  auto t = parse_trace("10 0 1\n20 1 0\n\n\n# done\n   \n", 2);
+  auto t = read_trace(TraceFormat::kPlain,
+                      "10 0 1\n20 1 0\n\n\n# done\n   \n", 2);
   EXPECT_EQ(t.event_count(), 2u);
-  auto u = parse_trace("10 0 1\n#no final newline", 2);
+  auto u = read_trace(TraceFormat::kPlain, "10 0 1\n#no final newline", 2);
   EXPECT_EQ(u.event_count(), 1u);
 }
 
 TEST(ParseTrace, CrlfLineEndingsTolerated) {
-  auto t = parse_trace("# windows file\r\n10 0 1\r\n20.5 1 0\r\n\r\n", 2);
+  auto t = read_trace(TraceFormat::kPlain,
+                      "# windows file\r\n10 0 1\r\n20.5 1 0\r\n\r\n", 2);
   ASSERT_EQ(t.event_count(), 2u);
   EXPECT_EQ(t.events()[1].time, 20.5);
 }
 
 TEST(ParseTrace, DiagnosticNamesTheLine) {
   try {
-    parse_trace("10 0 1\n20 1\n", 2);
+    read_trace(TraceFormat::kPlain, "10 0 1\n20 1\n", 2);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
@@ -248,7 +258,7 @@ TEST(TraceFile, LoadDiagnosticNamesFileAndLine) {
 
 TEST(FormatTrace, RoundTrip) {
   ContactTrace t(3, sample_events());
-  auto t2 = parse_trace(format_trace(t), 3);
+  auto t2 = read_trace(TraceFormat::kPlain, format_trace(t), 3);
   EXPECT_EQ(t2.events(), t.events());
 }
 

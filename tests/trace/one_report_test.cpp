@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include "trace/contact_trace.hpp"
+#include "support/trace_text.hpp"
 
 namespace odtn::trace {
 namespace {
 
+using test_support::read_trace;
+
 TEST(OneReport, UpTransitionsBecomeEvents) {
-  auto t = parse_one_report(
+  auto t = read_trace(TraceFormat::kOneReport,
       "10.0 CONN 0 1 up\n"
       "25.0 CONN 0 1 down\n"
       "30.0 CONN 1 2 up\n",
@@ -18,7 +21,7 @@ TEST(OneReport, UpTransitionsBecomeEvents) {
 }
 
 TEST(OneReport, NonConnLinesIgnored) {
-  auto t = parse_one_report(
+  auto t = read_trace(TraceFormat::kOneReport,
       "# Scenario: test\n"
       "10.0 CONN 0 1 up\n"
       "12.0 M 0 [100, 200]\n"
@@ -28,32 +31,35 @@ TEST(OneReport, NonConnLinesIgnored) {
 }
 
 TEST(OneReport, OutOfRangeIdsSkipped) {
-  auto t = parse_one_report("1.0 CONN 0 7 up\n2.0 CONN 0 1 up\n", 2);
+  auto t = read_trace(TraceFormat::kOneReport,
+                      "1.0 CONN 0 7 up\n2.0 CONN 0 1 up\n", 2);
   EXPECT_EQ(t.event_count(), 1u);
 }
 
 TEST(OneReport, CrlfLineEndingsTolerated) {
   // Without CR stripping the state field would parse as "up\r" and be
   // rejected as an unknown CONN state.
-  auto t = parse_one_report("10.0 CONN 0 1 up\r\n30.0 CONN 1 0 up\r\n", 2);
+  auto t = read_trace(TraceFormat::kOneReport,
+                      "10.0 CONN 0 1 up\r\n30.0 CONN 1 0 up\r\n", 2);
   EXPECT_EQ(t.event_count(), 2u);
 }
 
 TEST(OneReport, MalformedConnRejected) {
-  EXPECT_THROW(parse_one_report("1.0 CONN 0 up\n", 3),
+  EXPECT_THROW(read_trace(TraceFormat::kOneReport, "1.0 CONN 0 up\n", 3),
                std::invalid_argument);
-  EXPECT_THROW(parse_one_report("1.0 CONN 0 1 sideways\n", 3),
+  EXPECT_THROW(read_trace(TraceFormat::kOneReport,
+                          "1.0 CONN 0 1 sideways\n", 3),
                std::invalid_argument);
-  EXPECT_THROW(parse_one_report("1.0 CONN -1 1 up\n", 3),
+  EXPECT_THROW(read_trace(TraceFormat::kOneReport, "1.0 CONN -1 1 up\n", 3),
                std::invalid_argument);
 }
 
 TEST(OneReport, EmptyInput) {
-  EXPECT_EQ(parse_one_report("", 3).event_count(), 0u);
+  EXPECT_EQ(read_trace(TraceFormat::kOneReport, "", 3).event_count(), 0u);
 }
 
 TEST(OneReport, RatesEstimableFromParsedReport) {
-  auto t = parse_one_report(
+  auto t = read_trace(TraceFormat::kOneReport,
       "0 CONN 0 1 up\n100 CONN 0 1 down\n200 CONN 0 1 up\n", 2);
   auto rates = t.train(0.0).rates;
   EXPECT_DOUBLE_EQ(rates.rate(0, 1), 2.0 / 200.0);

@@ -7,9 +7,12 @@
 #include "graph/graph_io.hpp"
 #include "trace/contact_trace.hpp"
 #include "util/rng.hpp"
+#include "support/trace_text.hpp"
 
 namespace odtn::trace {
 namespace {
+
+using test_support::read_trace;
 
 std::string random_text(util::Rng& rng, std::size_t max_len) {
   static const char alphabet[] =
@@ -28,7 +31,7 @@ TEST(ParserFuzz, TraceParserNeverCrashes) {
   for (int trial = 0; trial < 2000; ++trial) {
     std::string text = random_text(rng, 120);
     try {
-      auto t = parse_trace(text, 10);
+      auto t = read_trace(TraceFormat::kPlain, text, 10);
       (void)t;
       ++parsed;
     } catch (const std::invalid_argument&) {
@@ -43,7 +46,7 @@ TEST(ParserFuzz, CrawdadParserNeverCrashes) {
   for (int trial = 0; trial < 2000; ++trial) {
     std::string text = random_text(rng, 120);
     try {
-      auto t = parse_crawdad_trace(text, 12);
+      auto t = read_trace(TraceFormat::kCrawdad, text, 12);
       (void)t;
     } catch (const std::invalid_argument&) {
     }
@@ -77,7 +80,7 @@ TEST(ParserFuzz, RoundTripStableUnderRandomValidTraces) {
       events.push_back({rng.uniform(0.0, 1e6), a, b});
     }
     ContactTrace t(n, std::move(events));
-    auto t2 = parse_trace(format_trace(t), n);
+    auto t2 = read_trace(TraceFormat::kPlain, format_trace(t), n);
     ASSERT_EQ(t2.event_count(), t.event_count());
     for (std::size_t i = 0; i < t.event_count(); ++i) {
       EXPECT_EQ(t2.events()[i].a, t.events()[i].a);

@@ -8,29 +8,23 @@ namespace odtn::util {
 namespace {
 
 TEST(RunLength, EmptyInput) {
-  EXPECT_TRUE(runs_of_ones({}).empty());
-  EXPECT_EQ(sum_squared_runs({}), 0u);
   EXPECT_EQ(traceable_rate({}), 0.0);
 }
 
 TEST(RunLength, AllZeros) {
   std::vector<bool> bits(5, false);
-  EXPECT_TRUE(runs_of_ones(bits).empty());
   EXPECT_EQ(traceable_rate(bits), 0.0);
 }
 
 TEST(RunLength, AllOnes) {
   std::vector<bool> bits(4, true);
-  EXPECT_EQ(runs_of_ones(bits), (std::vector<std::size_t>{4}));
-  EXPECT_EQ(sum_squared_runs(bits), 16u);
   EXPECT_DOUBLE_EQ(traceable_rate(bits), 1.0);
 }
 
 TEST(RunLength, MixedRuns) {
-  // 0110111 -> runs {2, 3}
+  // 0110111 -> runs {2, 3}: (4 + 9) / 49
   std::vector<bool> bits = {false, true, true, false, true, true, true};
-  EXPECT_EQ(runs_of_ones(bits), (std::vector<std::size_t>{2, 3}));
-  EXPECT_EQ(sum_squared_runs(bits), 13u);
+  EXPECT_DOUBLE_EQ(traceable_rate(bits), 13.0 / 49.0);
 }
 
 TEST(RunLength, PaperExampleScattered) {
@@ -47,14 +41,14 @@ TEST(RunLength, PaperExampleConsecutive) {
 }
 
 TEST(RunLength, TrailingRunCounted) {
+  // 1011 -> runs {1, 2}: (1 + 4) / 16
   std::vector<bool> bits = {true, false, true, true};
-  EXPECT_EQ(runs_of_ones(bits), (std::vector<std::size_t>{1, 2}));
-  EXPECT_EQ(sum_squared_runs(bits), 5u);
+  EXPECT_DOUBLE_EQ(traceable_rate(bits), 5.0 / 16.0);
 }
 
 TEST(RunLength, LeadingRunCounted) {
   std::vector<bool> bits = {true, true, false, false};
-  EXPECT_EQ(sum_squared_runs(bits), 4u);
+  EXPECT_DOUBLE_EQ(traceable_rate(bits), 4.0 / 16.0);
 }
 
 TEST(RunLength, SingleBit) {
@@ -74,9 +68,18 @@ TEST(RunLength, SumSquaredMatchesRunsForRandomStrings) {
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<bool> bits(rng.below(30));
     for (std::size_t i = 0; i < bits.size(); ++i) bits[i] = rng.chance(0.4);
-    std::size_t expect = 0;
-    for (auto r : runs_of_ones(bits)) expect += r * r;
-    EXPECT_EQ(sum_squared_runs(bits), expect);
+    // Reference: list the maximal runs of ones, then sum their squares.
+    std::vector<std::size_t> runs;
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+      if (!bits[i]) continue;
+      if (i == 0 || !bits[i - 1]) runs.push_back(0);
+      ++runs.back();
+    }
+    std::size_t sum = 0;
+    for (std::size_t r : runs) sum += r * r;
+    const double eta = static_cast<double>(bits.size());
+    EXPECT_EQ(traceable_rate(bits),
+              bits.empty() ? 0.0 : static_cast<double>(sum) / (eta * eta));
   }
 }
 
