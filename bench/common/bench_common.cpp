@@ -131,8 +131,9 @@ void finish(const core::ExperimentConfig& config, const util::Args& args,
   std::string path = args.get("json", "");
   if (path.empty()) return;
   std::ostringstream record;
-  record << "{\"schema\":\"odtn.bench.v1\",\"figure_id\":\"" << figure_id(args)
-         << "\",\"runs\":" << config.runs << ",\"seed\":" << config.seed
+  record << "{\"schema\":\"odtn.bench.v1\",\"figure_id\":\""
+         << figure_id(args) << "\",\"runs\":" << config.runs
+         << ",\"seed\":" << config.seed
          << ",\"threads\":" << config.threads
          << ",\"wall_time_s\":" << metrics::format_double(wall);
   const Provenance prov = provenance();

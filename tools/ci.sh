@@ -6,7 +6,9 @@
 #
 # 1. Configures and builds the plain tree and runs the full ctest suite
 #    (the tier-1 gate from ROADMAP.md). It holds every subsystem suite
-#    (`ctest -L metrics`, `-L traffic`, ... select them), the CLI
+#    (`ctest -L metrics`, `-L traffic`, ... select them), the bench
+#    output pins (`ctest -L bench`: every figure and ablation bench at
+#    --threads 1 and 4 against tests/bench/data/bench_pins.txt), the CLI
 #    byte-identity checks (wire mode across thread counts, kill and
 #    resume) and the odtn_lint run over src/ bench/ tools/
 #    (lint_tree_clean) with its fixture suite.
@@ -17,8 +19,9 @@
 #    does not ship it).
 # 4. For each sanitizer (address, undefined, thread): configures
 #    build-<sanitizer>/ with -DODTN_SANITIZE=<sanitizer>, builds the whole
-#    tree (some tests shell out to fig06, fig_scale and odtn) and runs the
-#    full ctest suite in it. A new test is sanitized with no edit here.
+#    tree (the bench pins shell out to every figure and ablation binary,
+#    other tests to fig_scale and odtn) and runs the full ctest suite in
+#    it. A new test is sanitized with no edit here.
 # 5. The wall-time perf smokes, last because a shared host can push them
 #    past their bands on an unchanged build: the micro_sim hot-path
 #    benchmarks against the committed BENCH_micro_sim.json baseline (fail
