@@ -21,14 +21,15 @@ int main(int argc, char** argv) {
   util::Args args(argc, argv);
   bench::WallTimer timer;
   auto base = bench::direct_config(args);
+  // PRoPHET maintains an n^2 predictability table per event; a fifth of
+  // the default runs already gives tight means.
+  // The banner and the --json record report this count.
+  base.runs = std::max<std::size_t>(20, base.runs / 5);
   bench::print_header("Ablation", "History-based routing on community graphs",
                       "n=60, 3 communities (10x slowdown), K=3, g=5; "
                       "message starts after 1000 min of history",
                       base);
 
-  // PRoPHET maintains an n^2 predictability table per event; a fifth of
-  // the default runs already gives tight means.
-  std::size_t runs = std::max<std::size_t>(20, base.runs / 5);
   util::Table table({"deadline_min", "prophet", "epidemic", "spray3",
                      "direct", "onion_K3", "prophet_carriers", "epi_tx"});
   for (double deadline : {120.0, 240.0, 480.0, 960.0, 1800.0}) {
@@ -37,7 +38,7 @@ int main(int argc, char** argv) {
     // sequences
     util::Rng rng(base.seed);
     util::RunningStats d_pro, d_epi, d_sw, d_dir, d_on, pro_car, epi_tx;
-    for (std::size_t run = 0; run < runs; ++run) {
+    for (std::size_t run = 0; run < base.runs; ++run) {
       auto graph = graph::community_contact_graph(60, 3, 10.0, rng, 10.0,
                                                   120.0);
       auto trace = trace::sample_poisson_trace(graph, 1000.0 + deadline, rng);

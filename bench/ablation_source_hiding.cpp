@@ -23,14 +23,15 @@ int main(int argc, char** argv) {
   util::Args args(argc, argv);
   bench::WallTimer timer;
   auto base = bench::direct_config(args);
+  // ALAR floods a sampled trace per run; a quarter of the default runs
+  // keeps the bench snappy with tight means.
+  // The banner and the --json record report this count.
+  base.runs = std::max<std::size_t>(25, base.runs / 4);
   bench::print_header("Ablation",
                       "Source-hiding schemes: onion vs TPS vs ALAR",
                       "n=100, g=5, onion K=3, TPS tau=3/s=5, ALAR s=4",
                       base);
 
-  // ALAR floods a sampled trace per run; a quarter of the default runs
-  // keeps the bench snappy with tight means.
-  std::size_t runs = std::max<std::size_t>(25, base.runs / 4);
   util::Table table({"deadline_min", "onion", "tps", "alar", "epidemic",
                      "onion_tx", "tps_tx", "alar_tx", "epi_tx"});
   for (double deadline : {120.0, 240.0, 360.0, 600.0, 900.0, 1800.0}) {
@@ -40,7 +41,7 @@ int main(int argc, char** argv) {
     util::Rng rng(base.seed);
     util::RunningStats d_on, d_tps, d_alar, d_epi;
     util::RunningStats t_on, t_tps, t_alar, t_epi;
-    for (std::size_t run = 0; run < runs; ++run) {
+    for (std::size_t run = 0; run < base.runs; ++run) {
       auto graph = graph::random_contact_graph(base.nodes, rng, base.min_ict,
                                                base.max_ict);
       auto trace = trace::sample_poisson_trace(graph, deadline, rng);

@@ -65,6 +65,8 @@ void BM_AeadSealOpen(benchmark::State& state) {
 }
 BENCHMARK(BM_AeadSealOpen);
 
+// The Montgomery ladder: the reference ECDH, which the wire path no longer
+// runs (KeyManager::session_key computes the same bytes with one comb).
 void BM_X25519(benchmark::State& state) {
   // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
   // so published figure/ablation tables stay pinned to their historical
@@ -92,6 +94,29 @@ void BM_X25519Base(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_X25519Base);
+
+// One secure-link key for a pair asked for the first time: what a wire
+// run pays per new contact pair (the comb over the two private keys'
+// product, the HKDF, and the higher endpoint's private key on first use).
+// Each manager is asked every pair once, and a new one (next seed) starts
+// when they run out, so the session cache never hits.
+void BM_SessionKey(benchmark::State& state) {
+  groups::GroupDirectory dir(100, 5);
+  std::uint64_t seed = 1;
+  groups::KeyManager keys(dir, seed);
+  NodeId lo = 0, hi = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(keys.session_key(lo, hi).data());
+    if (++hi == dir.node_count()) {
+      if (++lo == dir.node_count() - 1) {
+        lo = 0;
+        keys = groups::KeyManager(dir, ++seed);
+      }
+      hi = lo + 1;
+    }
+  }
+}
+BENCHMARK(BM_SessionKey);
 
 void BM_Drbg(benchmark::State& state) {
   crypto::Drbg drbg(std::uint64_t{7});
@@ -191,7 +216,7 @@ BENCHMARK(BM_CellSeal)->Arg(512)->Arg(4096);
 // stays bounded. Arg 0 = one-blob secure links, 1 = wire cells. The
 // KeyManager lives across iterations, so its session keys are cached after
 // the first one: this times the AEAD and onion work of a circuit, not the
-// X25519 secure-link handshakes (BM_X25519 / BM_X25519Base time those).
+// secure-link key derivations (BM_SessionKey times those).
 void BM_CircuitExtend(benchmark::State& state) {
   groups::GroupDirectory dir(100, 5);
   groups::KeyManager keys(dir, 1);

@@ -384,14 +384,12 @@ GeNiels ge_select(const std::array<GeNiels, 8>& row, std::int8_t digit) {
   return t;
 }
 
-// scalar * 9 through the comb; equal to ladder(out, scalar, 9).
-void comb_base(std::uint8_t* out, const std::uint8_t* scalar) {
-  std::uint8_t e[32];
-  clamp(e, scalar);
-
-  // 64 signed radix-16 digits in [-8, 8], scalar = sum digit[i] * 16^i.
-  // The clamped top byte is below 128, so the last digit absorbs the final
-  // carry without overflowing.
+// e * 9 through the comb, for any 32-byte little-endian e below 2^255
+// (a clamped scalar, or one already reduced mod l).
+void comb(std::uint8_t* out, const std::uint8_t* e) {
+  // 64 signed radix-16 digits in [-8, 8], e = sum digit[i] * 16^i. The top
+  // byte is below 128, so the last digit absorbs the final carry without
+  // overflowing.
   std::int8_t digit[64];
   for (int i = 0; i < 32; ++i) {
     digit[2 * i] = static_cast<std::int8_t>(e[i] & 15);
@@ -421,6 +419,97 @@ void comb_base(std::uint8_t* out, const std::uint8_t* scalar) {
   fe_to_bytes(out, fe_mul(fe_add(h.Z, h.Y), fe_invert(fe_sub(h.Z, h.Y))));
 }
 
+// scalar * 9 through the comb; equal to ladder(out, scalar, 9).
+void comb_base(std::uint8_t* out, const std::uint8_t* scalar) {
+  std::uint8_t e[32];
+  clamp(e, scalar);
+  comb(out, e);
+}
+
+// ---- Scalars mod l ----------------------------------------------------------
+//
+// l = 2^252 + 27742317777372353535851937790883648493 is the prime order of
+// B. Numbers are little-endian arrays of 64-bit limbs; every loop bound is
+// fixed and every selection a mask, so neither branches nor memory indices
+// depend on the scalars.
+
+constexpr std::uint64_t kL[4] = {0x5812631a5cf5d3edULL, 0x14def9dea2f79cd6ULL,
+                                 0, 0x1000000000000000ULL};
+// floor(2^512 / l), the Barrett constant.
+constexpr std::uint64_t kMu[5] = {0xed9ce5a30a2c131bULL,
+                                  0x2106215d086329a7ULL,
+                                  0xffffffffffffffebULL,
+                                  0xffffffffffffffffULL, 0xf};
+
+// out[0 .. NA + NB) = a * b, schoolbook.
+template <int NA, int NB>
+void mul_limbs(std::uint64_t* out, const std::uint64_t* a,
+               const std::uint64_t* b) {
+  for (int i = 0; i < NA + NB; ++i) out[i] = 0;
+  for (int i = 0; i < NA; ++i) {
+    std::uint64_t carry = 0;
+    for (int j = 0; j < NB; ++j) {
+      const u128 t = (u128)a[i] * b[j] + out[i + j] + carry;
+      out[i + j] = (std::uint64_t)t;
+      carry = (std::uint64_t)(t >> 64);
+    }
+    out[i + NB] = carry;
+  }
+}
+
+// r -= b over 5 limbs, mod 2^320; returns 1 if it borrowed (r was < b).
+std::uint64_t sub_limbs(std::uint64_t* r, const std::uint64_t* b) {
+  std::uint64_t borrow = 0;
+  for (int i = 0; i < 5; ++i) {
+    const u128 d = (u128)r[i] - b[i] - borrow;
+    r[i] = (std::uint64_t)d;
+    borrow = (std::uint64_t)(d >> 127);
+  }
+  return borrow;
+}
+
+// r -= l unless that would go below zero.
+void sub_l_if_not_less(std::uint64_t* r) {
+  constexpr std::uint64_t l5[5] = {kL[0], kL[1], kL[2], kL[3], 0};
+  std::uint64_t t[5] = {r[0], r[1], r[2], r[3], r[4]};
+  const std::uint64_t keep = 0 - sub_limbs(t, l5);  // all ones if r < l
+  for (int i = 0; i < 5; ++i) r[i] = (r[i] & keep) | (t[i] & ~keep);
+}
+
+// out = a * b mod l, for 32-byte little-endian a and b. The product is
+// below 2^512, so Barrett reduction with 2^64 limbs applies (Menezes et
+// al., Handbook of Applied Cryptography, Algorithm 14.42): the quotient
+// estimate q3 = floor(floor(x / 2^192) * mu / 2^320) is at most 2 short,
+// so x - q3 * l lies in [0, 3l) and two conditional subtractions finish.
+void sc_mul(std::uint8_t* out, const std::uint8_t* a, const std::uint8_t* b) {
+  auto load = [](std::uint64_t* v, const std::uint8_t* s) {
+    for (int i = 0; i < 4; ++i) {
+      v[i] = 0;
+      for (int k = 0; k < 8; ++k) {
+        v[i] |= std::uint64_t{s[8 * i + k]} << (8 * k);
+      }
+    }
+  };
+  std::uint64_t av[4], bv[4], x[8];
+  load(av, a);
+  load(bv, b);
+  mul_limbs<4, 4>(x, av, bv);
+
+  std::uint64_t q2[10], r2[9];
+  mul_limbs<5, 5>(q2, x + 3, kMu);
+  mul_limbs<5, 4>(r2, q2 + 5, kL);
+  std::uint64_t r[5] = {x[0], x[1], x[2], x[3], x[4]};
+  sub_limbs(r, r2);  // x - q3 * l, exact mod 2^320 since it is below 3l
+  sub_l_if_not_less(r);
+  sub_l_if_not_less(r);
+
+  for (int i = 0; i < 4; ++i) {
+    for (int k = 0; k < 8; ++k) {
+      out[8 * i + k] = static_cast<std::uint8_t>(r[i] >> (8 * k));
+    }
+  }
+}
+
 }  // namespace
 
 util::Bytes x25519(const util::Bytes& scalar, const util::Bytes& point) {
@@ -438,6 +527,19 @@ util::Bytes x25519_base(const util::Bytes& scalar) {
   }
   util::Bytes result(kX25519KeySize);
   comb_base(result.data(), scalar.data());
+  return result;
+}
+
+util::Bytes x25519_base_product(const util::Bytes& a, const util::Bytes& b) {
+  if (a.size() != kX25519KeySize || b.size() != kX25519KeySize) {
+    throw std::invalid_argument("x25519: inputs must be 32 bytes");
+  }
+  std::uint8_t ea[32], eb[32], k[32];
+  clamp(ea, a.data());
+  clamp(eb, b.data());
+  sc_mul(k, ea, eb);
+  util::Bytes result(kX25519KeySize);
+  comb(result.data(), k);
   return result;
 }
 

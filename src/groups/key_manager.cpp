@@ -77,8 +77,9 @@ const util::Bytes& KeyManager::session_key(NodeId a, NodeId b) const {
   auto it = session_cache_.find(cache_key);
   if (it != session_cache_.end()) return it->second;
 
-  util::Bytes shared = crypto::shared_secret(identity(lo).private_key,
-                                             node_identity(hi).public_key);
+  // x25519(private of lo, public of hi), without the ladder.
+  util::Bytes shared = crypto::x25519_base_product(identity(lo).private_key,
+                                                   identity(hi).private_key);
   util::Bytes info = util::to_bytes("odtn-session");
   util::put_u32le(info, lo);
   util::put_u32le(info, hi);

@@ -13,9 +13,11 @@
 // KeyManager is O(1) even over a million-node directory. The first key
 // derived pays for the HKDF-Extract of the master, which every later key
 // reuses. The public half of an identity (one fixed-base comb
-// multiplication, crypto::x25519_base) is derived only when read:
-// session_key(a, b) needs only the lower endpoint's private key and the
-// higher endpoint's public key, so the lower endpoint never pays for it.
+// multiplication, crypto::x25519_base) is derived only when node_identity
+// reads it: session_key(a, b) reads no public key. The manager holds both
+// private keys of every pair, so it computes the ECDH value
+// x25519(private of lo, public of hi) as crypto::x25519_base_product of
+// the two private keys: one comb, no Montgomery ladder.
 #pragma once
 
 #include <string>
@@ -49,7 +51,9 @@ class KeyManager {
   /// ECDH + HKDF session key for the "secure link" two meeting nodes
   /// establish (Algorithms 1-2, line "establish a secure link"). Symmetric
   /// in (a, b): x25519(private of min(a, b), public of max(a, b)), then
-  /// HKDF; memoized because the ladder is the costly operation.
+  /// HKDF. The ECDH value comes from crypto::x25519_base_product of the two
+  /// private keys (equal bytes, one comb); memoized per pair, since each
+  /// new pair still pays a comb and an HKDF.
   const util::Bytes& session_key(NodeId a, NodeId b) const;
 
   std::size_t node_count() const { return node_count_; }

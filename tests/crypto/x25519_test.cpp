@@ -173,14 +173,66 @@ TEST(X25519, BaseMatchesGenericLadderOnRecodingEdges) {
   }
 }
 
-// Four threads make the process's first x25519_base calls at once, so they
-// race to build the comb table (each ctest entry runs in its own process,
-// so no earlier test has built it), and must get what the ladder gives.
+// x25519_base_product runs one comb over clamp(a) * clamp(b) mod l; it
+// must give the ladder's ECDH value x25519(a, x25519_base(b)) for random
+// pairs and at the edges of the reduction mod l.
+TEST(X25519, BaseProductMatchesLadder) {
+  std::vector<std::pair<util::Bytes, util::Bytes>> pairs;
+  // The extreme clamped scalars: all-0x00 clamps to 2^254, all-0xff to
+  // 2^255 - 8, so their products are the smallest and largest inputs the
+  // reduction sees.
+  const util::Bytes low(32, 0x00), high(32, 0xff);
+  pairs.emplace_back(low, low);
+  pairs.emplace_back(low, high);
+  pairs.emplace_back(high, low);
+  pairs.emplace_back(high, high);
+  // Pairs whose clamped product mod l is l - 1 (the point -B, u = 9), 1
+  // (B itself) and 0x536f654abec239a475b0124ec6348ff6 (below 2^128, so the
+  // comb's upper digits are all zero). Each b is the clamped
+  // representative of target / clamp(a) mod l.
+  const std::pair<const char*, const char*> reduction_edges[] = {
+      {"aa71ad738ab139617a553870a01744ebc1ef797c1cab15608fb961f795630639",
+       "50078222bc0f4c04d90428654dc43e97b67bb8277ebfab3e0ce81f9a3c70616b"},
+      {"e172e7239e006f4d7fc9a67d63dfcc0b69550dc184f7486b8197dd79cdde9b21",
+       "98e25987ce4f5c2467887a2494044c1209f6dbd8d6ef3a9f99cb7b1650b7d676"},
+      {"1031a1e00f3137c9d1515bc28b340d80b5eba358b66e1a288a4fea18264bdaa6",
+       "a811040bf36a64f98efa6deb6f57c6d515d57561f6ac6257937b2b0ecb35ec66"}};
+  for (const auto& [a, b] : reduction_edges) {
+    pairs.emplace_back(from_hex(a), from_hex(b));
+  }
+  util::Bytes nine(kX25519KeySize, 0);
+  nine[0] = 9;
+  EXPECT_EQ(x25519_base_product(pairs[4].first, pairs[4].second), nine);
+  EXPECT_EQ(x25519_base_product(pairs[5].first, pairs[5].second), nine);
+
+  Drbg drbg(std::uint64_t{7748});
+  for (int i = 0; i < 10000; ++i) {
+    util::Bytes a = drbg.generate(32);
+    pairs.emplace_back(std::move(a), drbg.generate(32));
+  }
+  for (const auto& [a, b] : pairs) {
+    ASSERT_EQ(x25519_base_product(a, b), x25519(a, x25519_base(b)))
+        << to_hex(a) << " " << to_hex(b);
+  }
+  EXPECT_THROW(x25519_base_product(util::Bytes(31, 0), low),
+               std::invalid_argument);
+  EXPECT_THROW(x25519_base_product(low, util::Bytes(33, 0)),
+               std::invalid_argument);
+}
+
+// Four threads make the process's first comb calls at once, so they race
+// to build the comb table (each ctest entry runs in its own process, so no
+// earlier test has built it), and must get what the ladder gives. Even
+// threads enter through x25519_base, odd ones through x25519_base_product.
 TEST(X25519, ConcurrentFirstBaseCallsMatchLadder) {
   constexpr int kThreads = 4;
   std::vector<util::Bytes> scalars;
   Drbg drbg(std::uint64_t{4099});
-  for (int i = 0; i < kThreads; ++i) scalars.push_back(drbg.generate(32));
+  for (int i = 0; i <= kThreads; ++i) scalars.push_back(drbg.generate(32));
+  auto call = [&](int i) {
+    return i % 2 == 0 ? x25519_base(scalars[i])
+                      : x25519_base_product(scalars[i], scalars[i + 1]);
+  };
   std::vector<util::Bytes> got(kThreads);
   {
     std::latch start(kThreads);
@@ -188,15 +240,17 @@ TEST(X25519, ConcurrentFirstBaseCallsMatchLadder) {
     for (int i = 0; i < kThreads; ++i) {
       pool.emplace_back([&, i] {
         start.arrive_and_wait();
-        got[i] = x25519_base(scalars[i]);
+        got[i] = call(i);
       });
     }
   }
   util::Bytes base(kX25519KeySize, 0);
   base[0] = 9;
   for (int i = 0; i < kThreads; ++i) {
-    EXPECT_EQ(got[i], x25519(scalars[i], base)) << "thread " << i;
-    EXPECT_EQ(got[i], x25519_base(scalars[i])) << "thread " << i;
+    const util::Bytes& point =
+        i % 2 == 0 ? base : x25519(scalars[i + 1], base);
+    EXPECT_EQ(got[i], x25519(scalars[i], point)) << "thread " << i;
+    EXPECT_EQ(got[i], call(i)) << "thread " << i;
   }
 }
 

@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "crypto/hmac.hpp"
+
 namespace odtn::groups {
 namespace {
 
@@ -77,6 +79,29 @@ TEST(KeyManager, SessionKeyIndependentOfIdentityOrder) {
   // Node 2 was first touched only as the lo endpoint of session_key.
   EXPECT_EQ(crypto::x25519_base(id2.private_key), id2.public_key);
   EXPECT_EQ(crypto::x25519_base(id9.private_key), id9.public_key);
+}
+
+// session_key computes the ECDH value from the two private keys without
+// the ladder; it must equal the HKDF of the ladder's x25519(private of lo,
+// public of hi) with the same info bytes, for every pair.
+TEST(KeyManager, SessionKeyMatchesEcdh) {
+  auto dir = make_dir();
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    KeyManager km(dir, seed);
+    for (NodeId lo = 0; lo < dir.node_count(); ++lo) {
+      for (NodeId hi = lo + 1; hi < dir.node_count(); ++hi) {
+        util::Bytes info = util::to_bytes("odtn-session");
+        util::put_u32le(info, lo);
+        util::put_u32le(info, hi);
+        const util::Bytes expected = crypto::hkdf(
+            crypto::shared_secret(km.node_identity(lo).private_key,
+                                  km.node_identity(hi).public_key),
+            /*salt=*/{}, info, 32);
+        ASSERT_EQ(km.session_key(hi, lo), expected)
+            << "seed " << seed << ", pair " << lo << "-" << hi;
+      }
+    }
+  }
 }
 
 TEST(KeyManager, SessionKeysDifferPerPair) {
