@@ -433,8 +433,9 @@ void comb_base(std::uint8_t* out, const std::uint8_t* scalar) {
 // fixed and every selection a mask, so neither branches nor memory indices
 // depend on the scalars.
 
-constexpr std::uint64_t kL[4] = {0x5812631a5cf5d3edULL, 0x14def9dea2f79cd6ULL,
-                                 0, 0x1000000000000000ULL};
+// l, with a fifth zero limb for the 5-limb subtraction.
+constexpr std::uint64_t kL[5] = {0x5812631a5cf5d3edULL, 0x14def9dea2f79cd6ULL,
+                                 0, 0x1000000000000000ULL, 0};
 // floor(2^512 / l), the Barrett constant.
 constexpr std::uint64_t kMu[5] = {0xed9ce5a30a2c131bULL,
                                   0x2106215d086329a7ULL,
@@ -470,9 +471,8 @@ std::uint64_t sub_limbs(std::uint64_t* r, const std::uint64_t* b) {
 
 // r -= l unless that would go below zero.
 void sub_l_if_not_less(std::uint64_t* r) {
-  constexpr std::uint64_t l5[5] = {kL[0], kL[1], kL[2], kL[3], 0};
   std::uint64_t t[5] = {r[0], r[1], r[2], r[3], r[4]};
-  const std::uint64_t keep = 0 - sub_limbs(t, l5);  // all ones if r < l
+  const std::uint64_t keep = 0 - sub_limbs(t, kL);  // all ones if r < l
   for (int i = 0; i < 5; ++i) r[i] = (r[i] & keep) | (t[i] & ~keep);
 }
 

@@ -76,7 +76,8 @@ TEST(KeyManager, SessionKeyIndependentOfIdentityOrder) {
   EXPECT_EQ(identity_first.node_identity(2).private_key, id2.private_key);
   EXPECT_EQ(identity_first.node_identity(9).private_key, id9.private_key);
   EXPECT_EQ(identity_first.session_key(9, 2), k1);
-  // Node 2 was first touched only as the lo endpoint of session_key.
+  // Nodes 2 and 9 were first touched by session_key, which reads no
+  // public key.
   EXPECT_EQ(crypto::x25519_base(id2.private_key), id2.public_key);
   EXPECT_EQ(crypto::x25519_base(id9.private_key), id9.public_key);
 }
