@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "common/bench_common.hpp"
+#include "common/realization.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "trace/synthetic.hpp"
 #include "util/stats.hpp"
@@ -28,11 +29,8 @@ int main(int argc, char** argv) {
   mobility::RandomWaypointParams p;
   p.nodes = 40;
   p.duration = 90000.0;
-  // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
-  // so published figure/ablation tables stay pinned to their historical
-  // sequences
-  util::Rng mob_rng(base.seed);
-  auto trace = mobility::random_waypoint_trace(p, mob_rng);
+  bench::Stream s(base.seed);
+  auto trace = mobility::random_waypoint_trace(p, s.rng());
   std::cout << "# mobility trace: " << trace.event_count() << " contacts in "
             << p.duration << " s\n";
 

@@ -51,6 +51,7 @@ core::ExperimentConfig parse_config(const util::Args& args,
   args.get_output("metrics-out");
   config.collect_metrics = args.has("metrics-out");
   core::parse_knobs(args, config, known);
+  core::check_knobs(config);
   return config;
 }
 
@@ -159,7 +160,7 @@ void Sweep::run(const std::function<void(double, util::Table&)>& point) {
     if (x_format_ == XFormat::kInt) {
       table_.cell(static_cast<std::int64_t>(x));
     } else {
-      table_.cell(x, 2);
+      table_.cell(x, x_format_ == XFormat::kFixed1 ? 1 : 2);
     }
     point(x, table_);
   }

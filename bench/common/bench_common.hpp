@@ -11,8 +11,11 @@
 //   --metrics-out=FILE write the sweep's deterministic odtn::metrics
 //                      (JSONL, or CSV for *.csv), byte-identical at every
 //                      --threads value
-// The benches that drive the protocols directly (direct_config) take only
-// --runs, --seed, --threads and --json, plus the flags they name.
+// The ten benches that drive the protocols directly (direct_config; one
+// table in direct_ablations.cpp) take only --runs, --seed, --threads and
+// --json, plus the flags they name, and draw their realizations through
+// bench::Stream (common/realization.hpp); they run sequentially at any
+// --threads.
 #pragma once
 
 #include <chrono>
@@ -36,9 +39,10 @@ namespace odtn::bench {
 /// flag always wins. --metrics-out switches config.collect_metrics on.
 /// Every bench calls it first, before any run: it rejects a flag that is
 /// neither a common one nor in `extra_flags`, checks that --json and
-/// --metrics-out can be written, and from then on reports an exception
-/// escaping main as one line on stderr — exit 2 for std::invalid_argument
-/// (bad input), exit 1 for anything else.
+/// --metrics-out can be written and that every knob is in its range
+/// (core::check_knobs: --runs=0 exits 2 before the banner), and from then
+/// on reports an exception escaping main as one line on stderr — exit 2
+/// for std::invalid_argument (bad input), exit 1 for anything else.
 core::ExperimentConfig base_config(
     const util::Args& args, const std::vector<std::string>& extra_flags = {},
     core::ExperimentConfig config = core::entry_defaults());
@@ -116,6 +120,7 @@ class Sweep {
  public:
   enum class XFormat {
     kInt,     ///< deadline sweeps: cell(static_cast<int64_t>(x))
+    kFixed1,  ///< edge-probability sweeps: cell(x, 1)
     kFixed2,  ///< fraction sweeps: cell(x, 2)
   };
 

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/bench_common.hpp"
+#include "common/realization.hpp"
 #include "graph/sparse_contact_graph.hpp"
 #include "metrics/writer.hpp"
 
@@ -74,12 +75,10 @@ int main(int argc, char** argv) {
     // One representative realization for the memory column (the experiment
     // draws its own per-run graphs from the same generator and seed stream).
     bench::WallTimer build_timer;
-    // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
-    // so published figure/ablation tables stay pinned to their historical
-    // sequences
-    util::Rng grng(base.seed);
+    bench::Stream s(base.seed);
     auto g = graph::sparse_community_contact_graph(
-        n, base.avg_degree, base.communities, grng, base.min_ict, base.max_ict);
+        n, base.avg_degree, base.communities, s.rng(), base.min_ict,
+        base.max_ict);
     double build_s = build_timer.seconds();
     double bytes_per_node =
         static_cast<double>(g.memory_bytes()) / static_cast<double>(n);
