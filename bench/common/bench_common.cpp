@@ -74,18 +74,6 @@ core::ExperimentConfig direct_config(
                       std::move(config));
 }
 
-core::ExperimentConfig loaded(core::ExperimentConfig config, double rate) {
-  config.traffic.flows.push_back({.rate = rate,
-                                  .num_relays = config.num_relays,
-                                  .copies = config.copies,
-                                  .ttl = config.ttl});
-  config.traffic.horizon = 600.0;
-  config.bandwidth.messages_per_contact = 2;
-  config.buffer_capacity = 8;
-  config.buffer_policy = sim::BufferPolicy::kDropOldest;
-  return config;
-}
-
 metrics::Registry& bench_metrics() {
   static metrics::Registry registry;
   return registry;
@@ -150,23 +138,21 @@ void finish(const core::ExperimentConfig& config, const util::Args& args,
   out << record.str() << "\n";
 }
 
-Sweep::Sweep(std::vector<std::string> columns, std::vector<double> xs,
-             XFormat x_format)
-    : table_(std::move(columns)), xs_(std::move(xs)), x_format_(x_format) {}
-
-void Sweep::run(const std::function<void(double, util::Table&)>& point) {
-  for (double x : xs_) {
-    table_.new_row();
-    if (x_format_ == XFormat::kInt) {
-      table_.cell(static_cast<std::int64_t>(x));
+void print_sweep(std::vector<std::string> columns,
+                 const std::vector<double>& xs, XFormat x_format,
+                 const std::function<void(double, util::Table&)>& point) {
+  util::Table table(std::move(columns));
+  for (double x : xs) {
+    table.new_row();
+    if (x_format == XFormat::kInt) {
+      table.cell(static_cast<std::int64_t>(x));
     } else {
-      table_.cell(x, x_format_ == XFormat::kFixed1 ? 1 : 2);
+      table.cell(x, static_cast<int>(x_format));
     }
-    point(x, table_);
+    point(x, table);
   }
+  table.print(std::cout);
 }
-
-void Sweep::print(std::ostream& os) const { table_.print(os); }
 
 const std::vector<double>& deadline_sweep() {
   static const std::vector<double> sweep = {60,  120, 240,  360, 600,

@@ -11,8 +11,8 @@
 //   --metrics-out=FILE write the sweep's deterministic odtn::metrics
 //                      (JSONL, or CSV for *.csv), byte-identical at every
 //                      --threads value
-// The ten benches that drive the protocols directly (direct_config; one
-// table in direct_ablations.cpp) take only --runs, --seed, --threads and
+// The ten ablations that drive the protocols directly (direct_config; the
+// direct rows of ablations.cpp) take only --runs, --seed, --threads and
 // --json, plus the flags they name, and draw their realizations through
 // bench::Stream (common/realization.hpp); they run sequentially at any
 // --threads.
@@ -20,7 +20,6 @@
 
 #include <chrono>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -54,11 +53,6 @@ core::ExperimentConfig base_config(
 core::ExperimentConfig direct_config(
     const util::Args& args, const std::vector<std::string>& extra_flags = {},
     core::ExperimentConfig config = core::entry_defaults());
-
-/// The loaded stack of the load ablations: `config` plus one Poisson flow
-/// of `rate` msgs per time unit (with its K, L and T) over [0, 600), two
-/// transfers per contact and 8-slot drop-oldest buffers.
-core::ExperimentConfig loaded(core::ExperimentConfig config, double rate);
 
 /// Runs the experiment and folds its metrics into the bench-wide registry
 /// (bench_metrics()), which finish() exports when --metrics-out was given.
@@ -111,34 +105,20 @@ std::string figure_id(const util::Args& args);
 void finish(const core::ExperimentConfig& config, const util::Args& args,
             const WallTimer& timer, const std::string& extra_json = "");
 
-/// One x-sweep figure table: owns the util::Table, iterates the x-values,
-/// opens each row and prints the x cell, then hands the row to a per-point
-/// callback for the curve columns. The x cell renders exactly like the
-/// hand-rolled loops this replaced (kInt -> cell(int64), kFixed2 ->
-/// cell(x, 2)), so migrated benches stay byte-identical.
-class Sweep {
- public:
-  enum class XFormat {
-    kInt,     ///< deadline sweeps: cell(static_cast<int64_t>(x))
-    kFixed1,  ///< edge-probability sweeps: cell(x, 1)
-    kFixed2,  ///< fraction sweeps: cell(x, 2)
-  };
-
-  Sweep(std::vector<std::string> columns, std::vector<double> xs,
-        XFormat x_format);
-
-  /// Runs `point(x, table)` once per x value, in order. The row is already
-  /// open and the x cell printed; the callback appends the curve cells.
-  void run(const std::function<void(double, util::Table&)>& point);
-
-  /// Renders the completed table.
-  void print(std::ostream& os) const;
-
- private:
-  util::Table table_;
-  std::vector<double> xs_;
-  XFormat x_format_;
+/// How a sweep prints its x cell: an integer, or fixed with that many
+/// decimals.
+enum class XFormat {
+  kInt = -1,    ///< deadline sweeps: cell(static_cast<int64_t>(x))
+  kFixed1 = 1,  ///< edge-probability sweeps: cell(x, 1)
+  kFixed2 = 2,  ///< fraction sweeps: cell(x, 2)
+  kFixed4 = 4,  ///< fault-knob sweeps: cell(x)
 };
+
+/// Prints one x-sweep table to std::cout: a row per x value, in order,
+/// holding the x cell and then the cells `point(x, table)` appends.
+void print_sweep(std::vector<std::string> columns,
+                 const std::vector<double>& xs, XFormat x_format,
+                 const std::function<void(double, util::Table&)>& point);
 
 /// The deadline sweep (minutes) used by the delivery-rate figures.
 const std::vector<double>& deadline_sweep();

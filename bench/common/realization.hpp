@@ -1,14 +1,15 @@
-// The one realization path of the benches that drive the protocols
-// directly (the ten rows of bench/direct_ablations.cpp).
+// The one realization path of the benches that draw their own runs: the
+// ten direct rows of bench/ablations.cpp, ablation_mobility's trace,
+// fig_scale and the micro benchmarks.
 //
 // Such a bench draws its Monte-Carlo runs itself instead of through
 // run_experiment: per run, a contact graph (random, sparse(p) or
 // community), optionally a Poisson trace sampled from it, the live contact
 // model, the onion groups and their keys, and a (src, dst) pair, all from
-// one util::Rng seeded from --seed. bench::Stream owns that stream and
-// offers each draw as one step. A bench calls the steps in its own order:
-// the order is what pins its published table, so no step takes a switch.
-// ablation_mobility and fig_scale take their stream from here too.
+// one util::Rng seeded from --seed (a micro benchmark: from a fixed seed).
+// bench::Stream owns that stream and offers each draw as one step. A bench
+// calls the steps in its own order: the order is what pins its published
+// table, so no step takes a switch.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +42,7 @@ struct World {
   onion::OnionCodec codec;
 };
 
-/// The stream a direct bench draws its realizations from, and the draws.
+/// The stream a bench draws its realizations from, and the draws.
 /// Sizes and ranges come from the bench's config `c`. Not copyable: the
 /// contact models sample from the stream for as long as they live.
 class Stream {
@@ -112,9 +113,10 @@ class Stream {
   }
 
  private:
-  // odtn-lint: allow(rng) — the direct benches' one stream, seeded from
-  // --seed itself rather than through util::derive_seed: their published
-  // tables are pinned to these historical sequences.
+  // odtn-lint: allow(rng) — the benches' one stream, seeded from --seed
+  // (or a micro benchmark's fixed seed) itself rather than through
+  // util::derive_seed: their published tables and recorded timings are
+  // pinned to these historical sequences.
   util::Rng rng_;
 };
 

@@ -5,8 +5,9 @@
 // bench_gate.hpp — the shared median-capture + regression-gate driver.
 #include <benchmark/benchmark.h>
 
-#include "bench_gate.hpp"
 #include "alloc_counter.hpp"
+#include "bench_gate.hpp"
+#include "common/realization.hpp"
 
 #include "circuit/cell.hpp"
 #include "circuit/circuit_manager.hpp"
@@ -19,7 +20,6 @@
 #include "groups/group_directory.hpp"
 #include "groups/key_manager.hpp"
 #include "onion/onion.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
@@ -68,12 +68,9 @@ BENCHMARK(BM_AeadSealOpen);
 // The Montgomery ladder: the reference ECDH, which the wire path no longer
 // runs (KeyManager::session_key computes the same bytes with one comb).
 void BM_X25519(benchmark::State& state) {
-  // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
-  // so published figure/ablation tables stay pinned to their historical
-  // sequences
-  util::Rng rng(1);
-  auto a = crypto::generate_keypair(rng);
-  auto b = crypto::generate_keypair(rng);
+  bench::Stream s(1);
+  auto a = crypto::generate_keypair(s.rng());
+  auto b = crypto::generate_keypair(s.rng());
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         crypto::shared_secret(a.private_key, b.public_key));
@@ -84,11 +81,8 @@ BENCHMARK(BM_X25519);
 // The fixed-base comb: what KeyManager::node_identity pays for an
 // identity's public key.
 void BM_X25519Base(benchmark::State& state) {
-  // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
-  // so published figure/ablation tables stay pinned to their historical
-  // sequences
-  util::Rng rng(1);
-  auto a = crypto::generate_keypair(rng);
+  bench::Stream s(1);
+  auto a = crypto::generate_keypair(s.rng());
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::x25519_base(a.private_key));
   }
@@ -221,10 +215,7 @@ void BM_CircuitExtend(benchmark::State& state) {
   groups::GroupDirectory dir(100, 5);
   groups::KeyManager keys(dir, 1);
   onion::OnionCodec codec;
-  // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
-  // so published figure/ablation tables stay pinned to their historical
-  // sequences
-  util::Rng rng(13);
+  bench::Stream s(13);
   circuit::CircuitContext cctx;
   cctx.keys = &keys;
   cctx.codec = &codec;
@@ -234,7 +225,7 @@ void BM_CircuitExtend(benchmark::State& state) {
   std::vector<GroupId> route = {1, 2, 3};
   using Peel = circuit::CircuitManager::Peel;
   for (auto _ : state) {
-    circuit::CircuitManager cm(cctx, rng);
+    circuit::CircuitManager cm(cctx, s.rng());
     circuit::CircuitId id = cm.open(payload, 99, route);
     cm.forward(id, 0, 5, Peel::relay(1, 2));
     cm.forward(id, 5, 9, Peel::relay(2, 3));

@@ -6,8 +6,9 @@
 // bench_gate.hpp — the shared median-capture + regression-gate driver.
 #include <benchmark/benchmark.h>
 
-#include "bench_gate.hpp"
 #include "alloc_counter.hpp"
+#include "bench_gate.hpp"
+#include "common/realization.hpp"
 
 #include <cmath>
 #include <cstdio>
@@ -31,14 +32,17 @@ namespace {
 
 using namespace odtn;
 
+// Every bench draws its inputs from a bench::Stream with a fixed seed, so a
+// recording in BENCH_micro_sim.json always times the same workload. Table
+// II: n = 100, inter-contact times uniform in [10, 360], g = 5.
+const core::ExperimentConfig kTableII;
+
 void BM_RandomGraphGeneration(benchmark::State& state) {
-  // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
-  // so published figure/ablation tables stay pinned to their historical
-  // sequences
-  util::Rng rng(1);
-  auto n = static_cast<std::size_t>(state.range(0));
+  bench::Stream s(1);
+  core::ExperimentConfig config;
+  config.nodes = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::random_contact_graph(n, rng));
+    benchmark::DoNotOptimize(s.random_graph(config));
   }
 }
 BENCHMARK(BM_RandomGraphGeneration)->Arg(100)->Arg(500);
@@ -47,23 +51,18 @@ BENCHMARK(BM_RandomGraphGeneration)->Arg(100)->Arg(500);
 // loaded workloads): a Table II graph over n = 100 nodes, sampled over the
 // traffic horizon plus the TTL, 600 + 1800 = 2400 (about 120k events).
 void BM_PoissonTraceSample(benchmark::State& state) {
-  // odtn-lint: allow(rng) — bench-local stream: seeded directly so the
-  // sampled workload stays pinned across recordings
-  util::Rng rng(9);
-  auto g = graph::random_contact_graph(100, rng);
+  bench::Stream s(9);
+  auto g = s.random_graph(kTableII);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(trace::sample_poisson_trace(g, 2400.0, rng));
+    benchmark::DoNotOptimize(s.poisson_trace(g, 2400.0));
   }
 }
 BENCHMARK(BM_PoissonTraceSample)->Unit(benchmark::kMillisecond);
 
 void BM_PoissonFirstContact(benchmark::State& state) {
-  // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
-  // so published figure/ablation tables stay pinned to their historical
-  // sequences
-  util::Rng rng(2);
-  auto g = graph::random_contact_graph(100, rng);
-  sim::PoissonContactModel model(g, rng);
+  bench::Stream s(2);
+  auto g = s.random_graph(kTableII);
+  auto model = s.contacts(g);
   std::vector<NodeId> targets;
   for (NodeId v = 1; v <= 5; ++v) targets.push_back(v);
   const NodeId holder = 0;
@@ -78,12 +77,9 @@ BENCHMARK(BM_PoissonFirstContact);
 // binary-search pick per query, zero allocations (recorded as the
 // allocs_per_query counter — the acceptance gate for the plan API).
 void BM_FirstCrossContact(benchmark::State& state) {
-  // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
-  // so published figure/ablation tables stay pinned to their historical
-  // sequences
-  util::Rng rng(2);
-  auto g = graph::random_contact_graph(100, rng);
-  sim::PoissonContactModel model(g, rng);
+  bench::Stream s(2);
+  auto g = s.random_graph(kTableII);
+  auto model = s.contacts(g);
   groups::GroupDirectory dir(100, 5);
   std::vector<NodeId> from;
   for (NodeId m : dir.members(1)) from.push_back(m);
@@ -107,12 +103,9 @@ BENCHMARK(BM_FirstCrossContact);
 // A full onion-hop polling pattern: (re)prepare the holder -> next-group
 // plan once, then poll it through a string of fault-retry style queries.
 void BM_GroupPolling(benchmark::State& state) {
-  // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
-  // so published figure/ablation tables stay pinned to their historical
-  // sequences
-  util::Rng rng(8);
-  auto g = graph::random_contact_graph(100, rng);
-  sim::PoissonContactModel model(g, rng);
+  bench::Stream s(8);
+  auto g = s.random_graph(kTableII);
+  auto model = s.contacts(g);
   groups::GroupDirectory dir(100, 5);
   std::vector<NodeId> targets;
   for (NodeId m : dir.members(3)) targets.push_back(m);
@@ -151,84 +144,62 @@ void BM_TraceFirstContact(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceFirstContact);
 
-void BM_SingleCopyRoute(benchmark::State& state) {
-  // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
-  // so published figure/ablation tables stay pinned to their historical
-  // sequences
-  util::Rng rng(3);
-  auto g = graph::random_contact_graph(100, rng);
-  groups::GroupDirectory dir(100, 5);
-  groups::KeyManager keys(dir, 3);
+// The onion route benches' stack: a Table II graph and its live contacts
+// from a stream seeded `seed`, the identity g = 5 directory with keys from
+// the same seed, and one message 0 -> 99 (K = 3, deadline 1e6).
+struct RouteStack {
+  bench::Stream s;
+  graph::ContactGraph graph = s.random_graph(kTableII);
+  groups::GroupDirectory dir{100, 5};
+  groups::KeyManager keys;
   onion::OnionCodec codec;
-  sim::PoissonContactModel contacts(g, rng);
-  routing::OnionContext ctx{&dir, &keys, &codec, routing::CryptoMode::kNone};
-  routing::SingleCopyOnionRouting protocol(ctx);
+  sim::PoissonContactModel contacts = s.contacts(graph);
   routing::MessageSpec spec;
-  spec.src = 0;
-  spec.dst = 99;
-  spec.ttl = 1e6;
-  spec.num_relays = 3;
+
+  explicit RouteStack(std::uint64_t seed) : s(seed), keys(dir, seed) {
+    spec.dst = 99;
+    spec.ttl = 1e6;
+  }
+  routing::OnionContext context(routing::CryptoMode crypto) const {
+    return {&dir, &keys, &codec, crypto};
+  }
+};
+
+void BM_SingleCopyRoute(benchmark::State& state) {
+  RouteStack r(3);
+  routing::SingleCopyOnionRouting protocol(
+      r.context(routing::CryptoMode::kNone));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(protocol.route(contacts, spec, rng));
+    benchmark::DoNotOptimize(protocol.route(r.contacts, r.spec, r.s.rng()));
   }
 }
 BENCHMARK(BM_SingleCopyRoute);
 
 void BM_SingleCopyRouteRealCrypto(benchmark::State& state) {
-  // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
-  // so published figure/ablation tables stay pinned to their historical
-  // sequences
-  util::Rng rng(4);
-  auto g = graph::random_contact_graph(100, rng);
-  groups::GroupDirectory dir(100, 5);
-  groups::KeyManager keys(dir, 4);
-  onion::OnionCodec codec;
-  sim::PoissonContactModel contacts(g, rng);
-  routing::OnionContext ctx{&dir, &keys, &codec, routing::CryptoMode::kReal};
-  routing::SingleCopyOnionRouting protocol(ctx);
-  routing::MessageSpec spec;
-  spec.src = 0;
-  spec.dst = 99;
-  spec.ttl = 1e6;
-  spec.num_relays = 3;
-  spec.payload = util::to_bytes("benchmark payload");
+  RouteStack r(4);
+  routing::SingleCopyOnionRouting protocol(
+      r.context(routing::CryptoMode::kReal));
+  r.spec.payload = util::to_bytes("benchmark payload");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(protocol.route(contacts, spec, rng));
+    benchmark::DoNotOptimize(protocol.route(r.contacts, r.spec, r.s.rng()));
   }
 }
 BENCHMARK(BM_SingleCopyRouteRealCrypto);
 
 void BM_MultiCopyRoute(benchmark::State& state) {
-  // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
-  // so published figure/ablation tables stay pinned to their historical
-  // sequences
-  util::Rng rng(5);
-  auto g = graph::random_contact_graph(100, rng);
-  groups::GroupDirectory dir(100, 5);
-  groups::KeyManager keys(dir, 5);
-  onion::OnionCodec codec;
-  sim::PoissonContactModel contacts(g, rng);
-  routing::OnionContext ctx{&dir, &keys, &codec, routing::CryptoMode::kNone};
-  routing::MultiCopyOnionRouting protocol(ctx);
-  routing::MessageSpec spec;
-  spec.src = 0;
-  spec.dst = 99;
-  spec.ttl = 1e6;
-  spec.num_relays = 3;
-  spec.copies = static_cast<std::size_t>(state.range(0));
+  RouteStack r(5);
+  routing::MultiCopyOnionRouting protocol(r.context(routing::CryptoMode::kNone));
+  r.spec.copies = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(protocol.route(contacts, spec, rng));
+    benchmark::DoNotOptimize(protocol.route(r.contacts, r.spec, r.s.rng()));
   }
 }
 BENCHMARK(BM_MultiCopyRoute)->Arg(1)->Arg(3)->Arg(5);
 
 void BM_EpidemicRoute(benchmark::State& state) {
-  // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
-  // so published figure/ablation tables stay pinned to their historical
-  // sequences
-  util::Rng rng(6);
-  auto g = graph::random_contact_graph(100, rng);
-  sim::PoissonContactModel contacts(g, rng);
+  bench::Stream s(6);
+  auto g = s.random_graph(kTableII);
+  auto contacts = s.contacts(g);
   routing::EpidemicRouting protocol;
   routing::MessageSpec spec;
   spec.src = 0;
@@ -291,25 +262,21 @@ BENCHMARK(BM_TrafficGen)->Arg(1)->Arg(10);
 // The stack the network-sim step benches share: a 100-node random
 // contact graph, its Poisson trace over the 600-unit workload horizon plus
 // one 1800-unit TTL, a g = 5 directory and a traffic plan, all from one
-// pinned bench-local stream.
+// stream; each run simulates on a second one.
 struct LoadedStack {
-  // odtn-lint: allow(rng) — bench-local stream: seeded directly from --seed
-  // so published figure/ablation tables stay pinned to their historical
-  // sequences
-  util::Rng rng{9};
-  graph::ContactGraph graph = graph::random_contact_graph(100, rng);
-  trace::ContactTrace trace = trace::sample_poisson_trace(graph, 2400.0, rng);
-  groups::GroupDirectory dir{100, 5, &rng};
+  bench::Stream s{9};
+  graph::ContactGraph graph = s.random_graph(kTableII);
+  trace::ContactTrace trace = s.poisson_trace(graph, 2400.0);
+  groups::GroupDirectory dir = s.directory(kTableII);
   traffic::TrafficPlan plan;
 
   explicit LoadedStack(const traffic::TrafficConfig& workload)
-      : plan(workload, 100, rng.next()) {}
+      : plan(workload, 100, s.rng().next()) {}
 
   sim::NetworkSimReport run(const sim::NetworkSimConfig& cfg) const {
-    // odtn-lint: allow(rng) — bench-local stream (same pinned sequence).
-    util::Rng run_rng(11);
+    bench::Stream run_stream(11);
     return sim::run_network_sim(trace, dir, plan.specs(), plan.priorities(),
-                                cfg, run_rng);
+                                cfg, run_stream.rng());
   }
 };
 

@@ -51,7 +51,7 @@ struct Axis {
   const char* column;
   std::vector<double> values;
   Knob knob;
-  Sweep::XFormat format;
+  XFormat format;
 };
 
 struct Series {
@@ -120,7 +120,7 @@ const std::vector<Figure>& figures() {
       {"fig04_delivery_vs_deadline_group", "Figure 4",
        "Delivery rate w.r.t. deadline", "n=100, K=3, L=1, g in {1,5,10}",
        nullptr, {},
-       {"deadline_min", deadline_sweep(), kTtl, Sweep::XFormat::kInt},
+       {"deadline_min", deadline_sweep(), kTtl, XFormat::kInt},
        {kGroupSize, {1, 5, 10}, "g"}, &kDelivery},
       // Single-copy, g = 5. Paper claim: fewer onion relays -> higher
       // delivery (shorter paths); the analysis shows the same trend as
@@ -128,7 +128,7 @@ const std::vector<Figure>& figures() {
       {"fig05_delivery_vs_deadline_onions", "Figure 5",
        "Delivery rate w.r.t. deadline", "n=100, g=5, L=1, K in {3,5,10}",
        nullptr, {},
-       {"deadline_min", deadline_sweep(), kTtl, Sweep::XFormat::kInt},
+       {"deadline_min", deadline_sweep(), kTtl, XFormat::kInt},
        {kRelays, {3, 5, 10}, "K"}, &kDelivery},
       // Paper claim: traceable rate grows with the compromised fraction
       // and shrinks with more onion relays.
@@ -136,14 +136,14 @@ const std::vector<Figure>& figures() {
        "Traceable rate w.r.t. compromised rate",
        "n=100, g=5, L=1, K in {3,5,10}", nullptr, {{kTtl, 1e6}},
        {"compromised", compromise_sweep(), kCompromised,
-        Sweep::XFormat::kFixed2},
+        XFormat::kFixed2},
        {kRelays, {3, 5, 10}, "K"}, &kTraceable},
       // Paper claim: adversaries trace smaller portions of a path as K
       // grows.
       {"fig07_traceable_vs_onions", "Figure 7",
        "Traceable rate w.r.t. number of onion relays",
        "n=100, g=5, L=1, c/n in {10,20,30}%", nullptr, {{kTtl, 1e6}},
-       {"num_relays", kOneToTen, kRelays, Sweep::XFormat::kInt},
+       {"num_relays", kOneToTen, kRelays, XFormat::kInt},
        {kCompromised, {0.10, 0.20, 0.30}, "c"}, &kTraceable},
       // Single-copy, K = 3. Paper claim: larger onion groups preserve more
       // anonymity because a compromised hop only confines the next router
@@ -153,14 +153,14 @@ const std::vector<Figure>& figures() {
        "Path anonymity w.r.t. compromised rate",
        "n=100, K=3, L=1, g in {1,5,10}", nullptr, {{kTtl, 1e6}},
        {"compromised", compromise_sweep(), kCompromised,
-        Sweep::XFormat::kFixed2},
+        XFormat::kFixed2},
        {kGroupSize, {1, 5, 10}, "g"}, &kAnonymity},
       // Single-copy, K = 3. Paper claim: anonymity gradually increases
       // with g.
       {"fig09_anonymity_vs_group", "Figure 9",
        "Path anonymity w.r.t. group size",
        "n=100, K=3, L=1, c/n in {10,20,30}%", nullptr, {{kTtl, 1e6}},
-       {"group_size", kOneToTen, kGroupSize, Sweep::XFormat::kInt},
+       {"group_size", kOneToTen, kGroupSize, XFormat::kInt},
        {kCompromised, {0.10, 0.20, 0.30}, "c"}, &kAnonymity},
       // Multi-copy, K = 3, g = 5 (so L <= g holds as in the paper). Paper
       // claim: more copies -> more forwarding opportunities -> higher
@@ -168,14 +168,14 @@ const std::vector<Figure>& figures() {
       {"fig10_delivery_vs_deadline_copies", "Figure 10",
        "Delivery rate w.r.t. deadline (multi-copy)",
        "n=100, K=3, g=5, L in {1,3,5}", nullptr, {},
-       {"deadline_min", deadline_sweep(), kTtl, Sweep::XFormat::kInt},
+       {"deadline_min", deadline_sweep(), kTtl, XFormat::kInt},
        {kCopies, {1, 3, 5}, "L"}, &kDelivery},
       // Paper claim: anonymity is bought with transmissions; analysis and
       // simulation are very close, both far above the non-anonymous cost.
       {"fig11_cost_vs_copies", "Figure 11",
        "Message transmissions w.r.t. copies", "n=100, g=5, K in {3,10}",
        nullptr, {{kTtl, 1e6}},
-       {"copies", {1, 2, 3, 4, 5}, kCopies, Sweep::XFormat::kInt},
+       {"copies", {1, 2, 3, 4, 5}, kCopies, XFormat::kInt},
        {kRelays, {3, 10}, "K"}, &kCost},
       // g = 5, K = 3. Paper claim: anonymity decreases as L grows — copies
       // traverse the same onion groups, so adversaries correlate path
@@ -185,7 +185,7 @@ const std::vector<Figure>& figures() {
        "Path anonymity w.r.t. compromised rate (multi-copy)",
        "n=100, K=3, g=5, L in {1,3,5}", nullptr, {{kTtl, 1e6}},
        {"compromised", compromise_sweep(), kCompromised,
-        Sweep::XFormat::kFixed2},
+        XFormat::kFixed2},
        {kCopies, {1, 3, 5}, "L"}, &kAnonymity},
       // K = 3, c/n = 10%. Paper claim: analysis and simulation are very
       // close across group sizes; multi-copy anonymity stays below
@@ -194,7 +194,7 @@ const std::vector<Figure>& figures() {
        "Path anonymity w.r.t. group size (multi-copy)",
        "n=100, K=3, c/n=10%, L in {1,3}", nullptr,
        {{kTtl, 1e6}, {kCompromised, 0.10}},
-       {"group_size", kOneToTen, kGroupSize, Sweep::XFormat::kInt},
+       {"group_size", kOneToTen, kGroupSize, XFormat::kInt},
        {kCopies, {1, 3}, "L"}, &kAnonymity},
       // The Cambridge-like trace (12 nodes, dense business-hour contacts;
       // stands in for CRAWDAD cambridge/haggle Experiment 2 — see
@@ -208,7 +208,7 @@ const std::vector<Figure>& figures() {
        trace::make_cambridge_like,
        {{kGroupSize, 1}, {kRelays, 3}, {kCopies, 1}},
        {"deadline_sec", {120, 300, 600, 900, 1200, 1800, 2700, 3600, 7200},
-        kTtl, Sweep::XFormat::kInt},
+        kTtl, XFormat::kInt},
        {kCopies, {1}, "L"}, &kDelivery},
       // Paper claim: the security model is independent of inter-contact
       // times, so the analysis approximates the trace simulation closely
@@ -218,7 +218,7 @@ const std::vector<Figure>& figures() {
        "12 nodes, K=3, g=1, L=1", trace::make_cambridge_like,
        {{kGroupSize, 1}, {kRelays, 3}, {kCopies, 1}, {kTtl, 5 * kDay}},
        {"compromised", compromise_sweep(), kCompromised,
-        Sweep::XFormat::kFixed2},
+        XFormat::kFixed2},
        {kRelays, {3}, "K"}, &kTraceable},
       // Paper claim: anonymity decreases linearly with the compromised
       // fraction and the analysis matches the trace simulation closely
@@ -228,7 +228,7 @@ const std::vector<Figure>& figures() {
        "12 nodes, K=3, g=1, L=1", trace::make_cambridge_like,
        {{kGroupSize, 1}, {kRelays, 3}, {kCopies, 1}, {kTtl, 5 * kDay}},
        {"compromised", compromise_sweep(), kCompromised,
-        Sweep::XFormat::kFixed2},
+        XFormat::kFixed2},
        {kCopies, {1}, "L"}, &kAnonymity},
       // The Infocom'05-like trace (41 nodes, session-structured contacts;
       // stands in for CRAWDAD cambridge/haggle Experiment 3 — see
@@ -242,7 +242,7 @@ const std::vector<Figure>& figures() {
        "41 nodes, K=3, g=5, L in {1,3,5}", trace::make_infocom_like,
        {{kGroupSize, 5}, {kRelays, 3}},
        {"deadline_sec", {64, 256, 1024, 4096, 16384, 65536, 262144}, kTtl,
-        Sweep::XFormat::kInt},
+        XFormat::kInt},
        {kCopies, {1, 3, 5}, "L"}, &kDelivery},
       // Paper claim: the difference between analysis and simulation stays
       // within a few percent — the traceable-rate model depends only on K
@@ -252,7 +252,7 @@ const std::vector<Figure>& figures() {
        "41 nodes, K=3, g=5, L=1", trace::make_infocom_like,
        {{kGroupSize, 5}, {kRelays, 3}, {kCopies, 1}, {kTtl, 3 * kDay}},
        {"compromised", compromise_sweep(), kCompromised,
-        Sweep::XFormat::kFixed2},
+        XFormat::kFixed2},
        {kRelays, {3}, "K"}, &kTraceable},
       // Paper claims: L = 1 matches the model almost perfectly; L = 3
       // matches up to ~30% compromised; L = 5 sits only slightly below
@@ -263,7 +263,7 @@ const std::vector<Figure>& figures() {
        "41 nodes, K=3, g=5, L in {1,3,5}", trace::make_infocom_like,
        {{kGroupSize, 5}, {kRelays, 3}, {kTtl, 3 * kDay}},
        {"compromised", compromise_sweep(), kCompromised,
-        Sweep::XFormat::kFixed2},
+        XFormat::kFixed2},
        {kCopies, {1, 3, 5}, "L"}, &kAnonymity},
   };
   return table;
@@ -313,8 +313,8 @@ int main(int argc, char** argv) {
       trace ? core::Scenario{core::TraceScenario{&*trace}}
             : core::Scenario{core::RandomGraphScenario{}};
 
-  bench::Sweep sweep(bench::columns(fig), fig.x.values, fig.x.format);
-  sweep.run([&](double x, util::Table& table) {
+  bench::print_sweep(bench::columns(fig), fig.x.values, fig.x.format,
+                     [&](double x, util::Table& table) {
     const auto& series = fig.series.values;
     for (std::size_t i = 0; i < series.size(); ++i) {
       auto cfg = base;
@@ -325,7 +325,6 @@ int main(int argc, char** argv) {
       bench::cells(fig.family->per_series, r, table);
     }
   });
-  sweep.print(std::cout);
   bench::finish(base, args, timer);
   return 0;
 }

@@ -131,7 +131,12 @@ std::string Args::get_output(const std::string& name) const {
 void Args::reject_unknown(const std::vector<std::string>& known) const {
   for (const auto& flag : flags_) {
     if (std::find(known.begin(), known.end(), flag.first) == known.end()) {
-      usage_error("unknown flag --" + flag.first);
+      std::string accepted;
+      for (const std::string& name : known) {
+        accepted += (accepted.empty() ? "--" : ", --") + name;
+      }
+      usage_error("unknown flag --" + flag.first + " (accepted: " +
+                  (accepted.empty() ? "none" : accepted) + ")");
     }
   }
 }

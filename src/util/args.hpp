@@ -41,7 +41,8 @@ class Args {
   std::string get_output(const std::string& name) const;
 
   /// Every flag given must be one of `known`: otherwise a one-line usage
-  /// error naming the first unknown flag, and exit 2.
+  /// error naming the first unknown flag and listing the accepted ones, and
+  /// exit 2.
   void reject_unknown(const std::vector<std::string>& known) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

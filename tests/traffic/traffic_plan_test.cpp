@@ -8,6 +8,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "support/fnv1a.hpp"
 #include "util/stats.hpp"
 
 namespace odtn::traffic {
@@ -134,6 +135,34 @@ TEST(TrafficPlan, MmppIsOverdispersedVsPoisson) {
         static_cast<double>(TrafficPlan(poisson, 10, seed).size()));
   }
   EXPECT_GT(mmpp_counts.variance(), 1.5 * poisson_counts.variance());
+}
+
+// The workload BM_TrafficGen/10 times (bench/micro_sim.cpp): Poisson,
+// deterministic and MMPP flows at rate 10/3 each (priorities 0, 1 and 2)
+// over a 600-unit horizon on 100 nodes, seed 7. Its size and an FNV-1a
+// digest of every message's start, src, dst and priority are pinned, so a
+// change to the generator's output or amount of work fails here exactly,
+// where the wall-time gate sees it only through noise.
+TEST(TrafficPlan, BenchWorkloadPinned) {
+  TrafficConfig config = one_flow(Arrival::kPoisson, 10.0 / 3.0, 600.0);
+  FlowConfig flow = config.flows[0];
+  flow.arrival = Arrival::kDeterministic;
+  flow.priority = 1;
+  config.flows.push_back(flow);
+  flow.arrival = Arrival::kMmpp;
+  flow.priority = 2;
+  config.flows.push_back(flow);
+  TrafficPlan plan(config, 100, 7);
+
+  test_support::Fnv1a h;
+  for (const TrafficMessage& m : plan.messages()) {
+    h.f64(m.spec.start);
+    h.u64(m.spec.src);
+    h.u64(m.spec.dst);
+    h.u64(m.priority);
+  }
+  EXPECT_EQ(plan.size(), 4562u);
+  EXPECT_EQ(h.value(), 0x5c176f78a7bbdcc6ULL);
 }
 
 TEST(TrafficConfig, OfferedRateSumsFlows) {
