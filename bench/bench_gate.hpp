@@ -10,9 +10,15 @@
 //   --baseline=FILE           committed BENCH_<figure_id>.json to compare
 //                             against; adds baseline_median_real_time and
 //                             regression_pct to the records
-//   --max-regression-pct=N    exit non-zero if any benchmark present in the
-//                             baseline regresses by more than N percent
-//                             (the tools/ci.sh perf-smoke gate)
+//   --max-regression-pct=N    exit 2 if any benchmark regresses by more
+//                             than N percent against the baseline, or has
+//                             no record there (the tools/ci.sh perf-smoke
+//                             gate); needs --baseline
+//
+// The gate fails closed: an unwritable --json, an unreadable baseline (or
+// one with no record), a band that is not a finite number >= 0, or a band
+// without a baseline exits 2 with one stderr line before any benchmark
+// runs.
 //
 // Usage: define the benchmarks, then
 //   int main(int argc, char** argv) {
@@ -22,6 +28,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -30,6 +37,7 @@
 #include <vector>
 
 #include "common/provenance.hpp"
+#include "util/args.hpp"
 
 namespace odtn::bench_gate {
 
@@ -96,14 +104,15 @@ inline bool parse_field(const std::string& line, const std::string& key,
   return true;
 }
 
-inline std::map<std::string, Median> load_baseline(const std::string& tool,
-                                                   const std::string& path) {
+// An unreadable file, or one with no record, is a usage error (one line,
+// exit 2): a gate against nothing would pass every benchmark.
+inline std::map<std::string, Median> load_baseline(const std::string& path) {
   std::map<std::string, Median> out;
   std::FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) {
-    std::fprintf(stderr, "%s: cannot read baseline %s\n", tool.c_str(),
+    std::fprintf(stderr, "error: --baseline=%s cannot be read\n",
                  path.c_str());
-    return out;
+    std::exit(2);
   }
   char buf[4096];
   while (std::fgets(buf, sizeof(buf), f) != nullptr) {
@@ -119,32 +128,49 @@ inline std::map<std::string, Median> load_baseline(const std::string& tool,
     out[name] = m;
   }
   std::fclose(f);
+  if (out.empty()) {
+    std::fprintf(stderr, "error: --baseline=%s holds no benchmark record\n",
+                 path.c_str());
+    std::exit(2);
+  }
   return out;
 }
 
 // Runs the registered benchmarks under the capturing reporter, exports
 // odtn.bench.v1 records, and enforces the baseline gate. `figure_id` names
 // the records and doubles as the tool name in diagnostics. Returns the
-// process exit code (2 = regression over the limit).
+// process exit code (2 = a flag error, or the gate failed).
 inline int run(int argc, char** argv, const std::string& figure_id) {
-  std::string json_path, baseline_path;
-  double max_regression_pct = -1.0;
-
   // Peel driver flags; everything else goes to google-benchmark.
-  std::vector<char*> bench_argv;
-  bench_argv.push_back(argv[0]);
+  std::vector<char*> gate_argv{argv[0]};
+  std::vector<char*> bench_argv{argv[0]};
   for (int i = 1; i < argc; ++i) {
-    std::string arg(argv[i]);
-    if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
-    } else if (arg.rfind("--max-regression-pct=", 0) == 0) {
-      max_regression_pct = std::strtod(arg.substr(21).c_str(), nullptr);
-    } else {
-      bench_argv.push_back(argv[i]);
-    }
+    const std::string arg(argv[i]);
+    const bool ours = arg.rfind("--json=", 0) == 0 ||
+                      arg.rfind("--baseline=", 0) == 0 ||
+                      arg.rfind("--max-regression-pct=", 0) == 0;
+    (ours ? gate_argv : bench_argv).push_back(argv[i]);
   }
+  const util::Args args(static_cast<int>(gate_argv.size()), gate_argv.data());
+  const std::string json_path = args.get_output("json");
+  const std::string baseline_path = args.get("baseline", "");
+  const bool gated = args.has("max-regression-pct");
+  const double max_regression_pct = args.get_double("max-regression-pct", 0.0);
+  if (gated && !(std::isfinite(max_regression_pct) &&
+                 max_regression_pct >= 0.0)) {
+    std::fprintf(stderr,
+                 "error: --max-regression-pct=%s is not a finite number >= "
+                 "0\n",
+                 args.get("max-regression-pct", "").c_str());
+    return 2;
+  }
+  if (gated && baseline_path.empty()) {
+    std::fprintf(stderr, "error: --max-regression-pct needs --baseline\n");
+    return 2;
+  }
+  std::map<std::string, Median> baseline;
+  if (!baseline_path.empty()) baseline = load_baseline(baseline_path);
+
   int bench_argc = static_cast<int>(bench_argv.size());
   benchmark::Initialize(&bench_argc, bench_argv.data());
   if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) {
@@ -154,11 +180,6 @@ inline int run(int argc, char** argv, const std::string& figure_id) {
   CapturingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-
-  std::map<std::string, Median> baseline;
-  if (!baseline_path.empty()) {
-    baseline = load_baseline(figure_id, baseline_path);
-  }
 
   bool regressed = false;
   std::FILE* out = nullptr;
@@ -182,7 +203,7 @@ inline int run(int argc, char** argv, const std::string& figure_id) {
       if (base_ns > 0.0) {
         regression_pct = (cur_ns - base_ns) / base_ns * 100.0;
         have_base = true;
-        if (max_regression_pct >= 0.0 && regression_pct > max_regression_pct) {
+        if (gated && regression_pct > max_regression_pct) {
           std::fprintf(stderr,
                        "%s: %s regressed %.2f%% vs baseline (limit %.2f%%)\n",
                        figure_id.c_str(), name.c_str(), regression_pct,
@@ -193,6 +214,13 @@ inline int run(int argc, char** argv, const std::string& figure_id) {
                        figure_id.c_str(), name.c_str(), regression_pct);
         }
       }
+    }
+    if (gated && !have_base) {
+      // A benchmark the band cannot judge fails it: passing would let a
+      // renamed or newly gated benchmark through unmeasured.
+      std::fprintf(stderr, "%s: %s has no baseline record in %s\n",
+                   figure_id.c_str(), name.c_str(), baseline_path.c_str());
+      regressed = true;
     }
     if (out != nullptr) {
       std::fprintf(out,

@@ -3,22 +3,14 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "crypto/aead.hpp"
-#include "crypto/drbg.hpp"
-
 namespace odtn::routing {
 
-AlarRouting::AlarRouting(AlarOptions options, CryptoMode crypto,
-                         const groups::KeyManager* keys)
-    : options_(options), crypto_(crypto), keys_(keys) {
-  if (options_.segments == 0 || options_.segments > 255) {
+AlarRouting::AlarRouting(AlarOptions options) : options_(options) {
+  if (options_.segments == 0 || options_.segments > 64) {
     throw std::invalid_argument("AlarRouting: bad segment count");
   }
   if (options_.threshold == 0 || options_.threshold > options_.segments) {
     throw std::invalid_argument("AlarRouting: bad threshold");
-  }
-  if (crypto_ == CryptoMode::kReal && keys_ == nullptr) {
-    throw std::invalid_argument("AlarRouting: kReal requires a KeyManager");
   }
 }
 
@@ -36,24 +28,6 @@ AlarResult AlarRouting::route(const trace::ContactTrace& trace,
 
   AlarResult result;
   result.initial_receivers.assign(s, kInvalidNode);
-
-  // Real crypto: Shamir-split the payload; seal each segment to dst.
-  crypto::Drbg drbg(spec.src ^ (static_cast<std::uint64_t>(spec.dst) << 20) ^
-                    0x5a17bd02ULL);
-  std::vector<util::Bytes> sealed(s);
-  std::vector<crypto::Share> shares;
-  if (crypto_ == CryptoMode::kReal) {
-    shares = crypto::shamir_split(spec.payload, options_.threshold, s, drbg);
-    for (std::size_t i = 0; i < s; ++i) {
-      util::Bytes plain;
-      plain.push_back(shares[i].x);
-      util::append(plain, shares[i].data);
-      util::Bytes nonce = drbg.generate_nonce();
-      sealed[i] = nonce;
-      util::append(sealed[i], crypto::aead_seal(keys_->inbox_key(spec.dst),
-                                                nonce, {}, plain));
-    }
-  }
 
   // holdings[v] = bitmask of segments node v carries. The source holds all
   // segments but, per ALAR, releases each to a *different* first receiver
@@ -121,30 +95,6 @@ AlarResult AlarRouting::route(const trace::ContactTrace& trace,
   }
 
   result.segments_at_destination = dst_segments;
-
-  if (result.delivered && crypto_ == CryptoMode::kReal) {
-    // Destination-side reconstruction from the first `threshold` segments
-    // (order does not matter for Shamir).
-    std::vector<crypto::Share> received;
-    std::uint64_t dst_mask = holdings[spec.dst];
-    for (std::size_t i = 0; i < s && received.size() < options_.threshold;
-         ++i) {
-      if (!(dst_mask & (std::uint64_t{1} << i))) continue;
-      util::Bytes nonce(sealed[i].begin(), sealed[i].begin() + 12);
-      util::Bytes body(sealed[i].begin() + 12, sealed[i].end());
-      auto plain =
-          crypto::aead_open(keys_->inbox_key(spec.dst), nonce, {}, body);
-      if (!plain.has_value() || plain->empty()) continue;
-      crypto::Share share;
-      share.x = (*plain)[0];
-      share.data.assign(plain->begin() + 1, plain->end());
-      received.push_back(std::move(share));
-    }
-    result.crypto_verified =
-        received.size() >= options_.threshold &&
-        crypto::shamir_reconstruct(received, options_.threshold) ==
-            spec.payload;
-  }
 
   return result;
 }

@@ -5,20 +5,21 @@
 // different receivers; meanwhile the sender's identifier is not
 // protected."
 //
-// The source splits the message into `segments` Shamir shares (threshold
-// configurable; ALAR's original scheme needs all segments, tau = s). Each
-// segment is handed to a *different* first receiver — so no single
+// The source splits the message into `segments` segments, any `threshold`
+// of which rebuild it (ALAR's original scheme needs all of them, tau = s).
+// Each segment is handed to a *different* first receiver — so no single
 // bystander observes the source transmitting the whole message, which is
 // what defeats localization — and from there spreads epidemically. The
-// destination reconstructs once `threshold` distinct segments arrive.
+// destination has the message once `threshold` distinct segments arrive.
+// Segments are abstract (a bit each in a 64-bit mask, hence s <= 64): the
+// comparison of Sec. VI-C is delivery, cost and source exposure, none of
+// which depends on the segment bytes.
 //
 // Simulated over an explicit contact trace (for random graphs, sample one
 // with trace::sample_poisson_trace): segment spreading is a joint process
 // on shared contacts, which an event walk captures exactly.
 #pragma once
 
-#include "crypto/shamir.hpp"
-#include "groups/key_manager.hpp"
 #include "routing/types.hpp"
 #include "trace/contact_trace.hpp"
 
@@ -38,25 +39,18 @@ struct AlarResult {
   std::size_t segments_at_destination = 0;
   /// First receiver of each segment (kInvalidNode if never handed off).
   std::vector<NodeId> initial_receivers;
-  /// kReal mode: destination reconstructed the original payload.
-  bool crypto_verified = false;
 };
 
 class AlarRouting {
  public:
-  explicit AlarRouting(AlarOptions options = {},
-                       CryptoMode crypto = CryptoMode::kNone,
-                       const groups::KeyManager* keys = nullptr);
+  explicit AlarRouting(AlarOptions options = {});
 
   /// Routes one message over the trace. `spec.num_relays`/`spec.copies`
-  /// are ignored (ALAR has its own segment parameters). In
-  /// CryptoMode::kReal a KeyManager must have been supplied.
+  /// are ignored (ALAR has its own segment parameters).
   AlarResult route(const trace::ContactTrace& trace, const MessageSpec& spec);
 
  private:
   AlarOptions options_;
-  CryptoMode crypto_;
-  const groups::KeyManager* keys_;
 };
 
 }  // namespace odtn::routing

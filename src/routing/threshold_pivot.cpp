@@ -4,8 +4,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "crypto/aead.hpp"
-
 namespace odtn::routing {
 
 namespace {
@@ -23,17 +21,10 @@ struct ShareWalker {
 }  // namespace
 
 ThresholdPivotRouting::ThresholdPivotRouting(
-    const groups::GroupDirectory& directory, const groups::KeyManager& keys,
-    TpsOptions options, CryptoMode crypto)
-    : directory_(&directory),
-      keys_(&keys),
-      options_(options),
-      crypto_(crypto) {
+    const groups::GroupDirectory& directory, TpsOptions options)
+    : directory_(&directory), options_(options) {
   if (options_.threshold == 0 || options_.threshold > options_.share_count) {
     throw std::invalid_argument("ThresholdPivotRouting: bad threshold");
-  }
-  if (options_.share_count > 255) {
-    throw std::invalid_argument("ThresholdPivotRouting: too many shares");
   }
 }
 
@@ -66,24 +57,9 @@ TpsResult ThresholdPivotRouting::route(sim::ContactModel& contacts,
     shares[i].holder = spec.src;
   }
 
-  // Real crypto: split the payload, seal each share for the pivot.
-  crypto::Drbg drbg(rng.next());
-  std::vector<crypto::Share> crypto_shares;
-  std::vector<util::Bytes> sealed_shares(options_.share_count);
-  if (crypto_ == CryptoMode::kReal) {
-    crypto_shares = crypto::shamir_split(spec.payload, options_.threshold,
-                                         options_.share_count, drbg);
-    for (std::size_t i = 0; i < crypto_shares.size(); ++i) {
-      util::Bytes plain;
-      plain.push_back(crypto_shares[i].x);
-      util::append(plain, crypto_shares[i].data);
-      util::Bytes nonce = drbg.generate_nonce();
-      util::Bytes sealed = nonce;
-      util::append(sealed, crypto::aead_seal(keys_->inbox_key(pivot), nonce,
-                                             {}, plain));
-      sealed_shares[i] = std::move(sealed);
-    }
-  }
+  // A draw that feeds nothing: the published tables and the pinned digests
+  // are tied to the stream with this draw in place here.
+  rng.next();
 
   const Time deadline = spec.start + spec.ttl;
   Time now = spec.start;
@@ -137,34 +113,6 @@ TpsResult ThresholdPivotRouting::route(sim::ContactModel& contacts,
   result.shares_at_pivot = arrived;
   if (arrived < options_.threshold) return result;
 
-  // Pivot-side reconstruction (kReal).
-  util::Bytes reconstructed;
-  bool crypto_ok = true;
-  if (crypto_ == CryptoMode::kReal) {
-    std::vector<crypto::Share> received;
-    for (const auto& s : shares) {
-      if (!s.at_pivot) continue;
-      const util::Bytes& sealed = sealed_shares[s.index];
-      util::Bytes nonce(sealed.begin(), sealed.begin() + 12);
-      util::Bytes body(sealed.begin() + 12, sealed.end());
-      auto plain = crypto::aead_open(keys_->inbox_key(pivot), nonce, {}, body);
-      if (!plain.has_value() || plain->empty()) {
-        crypto_ok = false;
-        continue;
-      }
-      crypto::Share share;
-      share.x = (*plain)[0];
-      share.data.assign(plain->begin() + 1, plain->end());
-      received.push_back(std::move(share));
-    }
-    if (received.size() >= options_.threshold) {
-      reconstructed = crypto::shamir_reconstruct(received, options_.threshold);
-      crypto_ok = crypto_ok && reconstructed == spec.payload;
-    } else {
-      crypto_ok = false;
-    }
-  }
-
   // Phase 3: pivot -> dst. (This is the step that reveals the destination
   // to the pivot — TPS's known anonymity concession.)
   auto ev = contacts.first_cross_contact(std::span<const NodeId>(&pivot, 1),
@@ -174,7 +122,6 @@ TpsResult ThresholdPivotRouting::route(sim::ContactModel& contacts,
   ++result.transmissions;
   result.delivered = true;
   result.delay = ev->time - spec.start;
-  result.crypto_verified = (crypto_ == CryptoMode::kReal) && crypto_ok;
   return result;
 }
 

@@ -2,21 +2,22 @@
 //
 // The alternative anonymous DTN routing the paper discusses in Sec. VI-C:
 // instead of nesting K onion layers (long sequential paths), the source
-// splits the message into `share_count` Shamir shares with threshold
-// `threshold`; each share travels through ONE onion-group relay to a
-// common pivot node. The pivot reconstructs once `threshold` shares have
-// arrived and forwards the message to the destination.
+// splits the message into `share_count` threshold shares, any `threshold`
+// of which rebuild it; each share travels through ONE onion-group relay to
+// a common pivot node. The pivot rebuilds the message once `threshold`
+// shares have arrived and forwards it to the destination. The shares are
+// abstract: the comparison of Sec. VI-C is delivery, cost and what each
+// node learns, none of which depends on the share bytes.
 //
 // Trade-off vs onion routing (exercised by bench/ablation_tps_vs_onion):
-// shares travel in parallel, so delay resembles a 2-hop path instead of a
-// (K+1)-hop path — but the destination's identity is revealed to the
-// pivot, which onion routing never does.
+// shares travel in parallel over two hops instead of K+1 sequential ones,
+// but the relay->pivot and pivot->dst hops each wait for one node where an
+// onion hop takes any member of a group, so at Table II scale TPS trails
+// onion K=3 at about twice the transmissions. And the destination's
+// identity is revealed to the pivot, which onion routing never does.
 #pragma once
 
-#include "crypto/drbg.hpp"
-#include "crypto/shamir.hpp"
 #include "groups/group_directory.hpp"
-#include "groups/key_manager.hpp"
 #include "routing/types.hpp"
 #include "sim/contact_model.hpp"
 #include "util/rng.hpp"
@@ -38,17 +39,12 @@ struct TpsResult {
   /// The relay each share passed through (kInvalidNode if it never left
   /// the source); indices follow share order.
   std::vector<NodeId> share_relays;
-  /// kReal mode: the pivot reconstructed the payload and the destination
-  /// received it intact.
-  bool crypto_verified = false;
 };
 
 class ThresholdPivotRouting {
  public:
-  ThresholdPivotRouting(const groups::GroupDirectory& directory,
-                        const groups::KeyManager& keys,
-                        TpsOptions options = {},
-                        CryptoMode crypto = CryptoMode::kNone);
+  explicit ThresholdPivotRouting(const groups::GroupDirectory& directory,
+                                 TpsOptions options = {});
 
   /// Routes one message. `spec.num_relays` and `spec.copies` are ignored
   /// (TPS has its own share parameters).
@@ -59,9 +55,7 @@ class ThresholdPivotRouting {
 
  private:
   const groups::GroupDirectory* directory_;
-  const groups::KeyManager* keys_;
   TpsOptions options_;
-  CryptoMode crypto_;
 };
 
 }  // namespace odtn::routing

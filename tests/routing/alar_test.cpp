@@ -4,7 +4,6 @@
 
 #include <set>
 
-#include "groups/group_directory.hpp"
 #include "support/fnv1a.hpp"
 #include "trace/synthetic.hpp"
 #include "util/stats.hpp"
@@ -83,18 +82,6 @@ TEST(Alar, FailsWithTinyDeadline) {
   EXPECT_EQ(r.transmissions, 0u);
 }
 
-TEST(Alar, RealCryptoReconstructs) {
-  auto t = dense_trace(6);
-  groups::GroupDirectory dir(30, 5);
-  groups::KeyManager keys(dir, 6);
-  AlarRouting protocol(AlarOptions{4, 3}, CryptoMode::kReal, &keys);
-  auto spec = spec_for(0, 29, 3000.0);
-  spec.payload = util::to_bytes("anti-localization payload");
-  auto r = protocol.route(t, spec);
-  ASSERT_TRUE(r.delivered);
-  EXPECT_TRUE(r.crypto_verified);
-}
-
 TEST(Alar, DeterministicSmallTrace) {
   // 4 nodes; src 0 releases segments to 1 and 2 (distinct receivers), they
   // flood; dst 3 needs both.
@@ -134,8 +121,7 @@ TEST(Alar, Validation) {
   EXPECT_THROW(AlarRouting(AlarOptions{0, 0}), std::invalid_argument);
   EXPECT_THROW(AlarRouting(AlarOptions{4, 5}), std::invalid_argument);
   EXPECT_THROW(AlarRouting(AlarOptions{4, 0}), std::invalid_argument);
-  EXPECT_THROW(AlarRouting(AlarOptions{4, 4}, CryptoMode::kReal, nullptr),
-               std::invalid_argument);
+  EXPECT_THROW(AlarRouting(AlarOptions{65, 65}), std::invalid_argument);
   auto t = dense_trace(9);
   AlarRouting protocol;
   EXPECT_THROW(protocol.route(t, spec_for(3, 3, 10.0)),

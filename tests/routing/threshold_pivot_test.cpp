@@ -37,7 +37,7 @@ MessageSpec spec_for(NodeId src, NodeId dst, double ttl) {
 
 TEST(ThresholdPivot, DeliversWithGenerousDeadline) {
   Fixture f;
-  ThresholdPivotRouting protocol(f.dir, f.keys);
+  ThresholdPivotRouting protocol(f.dir);
   auto r = protocol.route(f.contacts, spec_for(0, 29, 1e7), f.rng);
   ASSERT_TRUE(r.delivered);
   EXPECT_GE(r.shares_at_pivot, protocol.options().threshold);
@@ -53,27 +53,16 @@ TEST(ThresholdPivot, TransmissionsBounded) {
   TpsOptions opt;
   opt.share_count = 5;
   opt.threshold = 3;
-  ThresholdPivotRouting protocol(f.dir, f.keys, opt);
+  ThresholdPivotRouting protocol(f.dir, opt);
   for (int trial = 0; trial < 30; ++trial) {
     auto r = protocol.route(f.contacts, spec_for(0, 29, 1e7), f.rng);
     EXPECT_LE(r.transmissions, 2 * 5 + 1u);
   }
 }
 
-TEST(ThresholdPivot, RealCryptoReconstructsPayload) {
-  Fixture f;
-  ThresholdPivotRouting protocol(f.dir, f.keys, {},
-                                 CryptoMode::kReal);
-  auto spec = spec_for(0, 29, 1e7);
-  spec.payload = util::to_bytes("split into five, reborn from three");
-  auto r = protocol.route(f.contacts, spec, f.rng);
-  ASSERT_TRUE(r.delivered);
-  EXPECT_TRUE(r.crypto_verified);
-}
-
 TEST(ThresholdPivot, FailsWithTinyDeadline) {
   Fixture f;
-  ThresholdPivotRouting protocol(f.dir, f.keys);
+  ThresholdPivotRouting protocol(f.dir);
   auto r = protocol.route(f.contacts, spec_for(0, 29, 1e-9), f.rng);
   EXPECT_FALSE(r.delivered);
   EXPECT_EQ(r.shares_at_pivot, 0u);
@@ -83,7 +72,7 @@ TEST(ThresholdPivot, FasterThanDeepOnionPath) {
   // The structural advantage TPS trades anonymity for: shares travel in
   // parallel over 2 hops, vs K+1 sequential onion hops.
   Fixture f;
-  ThresholdPivotRouting tps(f.dir, f.keys);
+  ThresholdPivotRouting tps(f.dir);
   onion::OnionCodec codec;
   OnionContext ctx{&f.dir, &f.keys, &codec, CryptoMode::kNone};
   SingleCopyOnionRouting onion(ctx);
@@ -103,8 +92,8 @@ TEST(ThresholdPivot, FasterThanDeepOnionPath) {
 TEST(ThresholdPivot, HigherThresholdSlower) {
   Fixture f;
   TpsOptions loose{5, 1}, strict{5, 5};
-  ThresholdPivotRouting p_loose(f.dir, f.keys, loose);
-  ThresholdPivotRouting p_strict(f.dir, f.keys, strict);
+  ThresholdPivotRouting p_loose(f.dir, loose);
+  ThresholdPivotRouting p_strict(f.dir, strict);
   util::RunningStats d_loose, d_strict;
   for (int trial = 0; trial < 200; ++trial) {
     auto rl = p_loose.route(f.contacts, spec_for(0, 29, 1e7), f.rng);
@@ -117,7 +106,7 @@ TEST(ThresholdPivot, HigherThresholdSlower) {
 
 TEST(ThresholdPivot, ShareRelaysRecorded) {
   Fixture f;
-  ThresholdPivotRouting protocol(f.dir, f.keys);
+  ThresholdPivotRouting protocol(f.dir);
   auto r = protocol.route(f.contacts, spec_for(0, 29, 1e7), f.rng);
   ASSERT_TRUE(r.delivered);
   std::size_t moved = 0;
@@ -132,11 +121,11 @@ TEST(ThresholdPivot, ShareRelaysRecorded) {
 
 TEST(ThresholdPivot, Validation) {
   Fixture f;
-  EXPECT_THROW(ThresholdPivotRouting(f.dir, f.keys, TpsOptions{3, 0}),
+  EXPECT_THROW(ThresholdPivotRouting(f.dir, TpsOptions{3, 0}),
                std::invalid_argument);
-  EXPECT_THROW(ThresholdPivotRouting(f.dir, f.keys, TpsOptions{3, 4}),
+  EXPECT_THROW(ThresholdPivotRouting(f.dir, TpsOptions{3, 4}),
                std::invalid_argument);
-  ThresholdPivotRouting protocol(f.dir, f.keys);
+  ThresholdPivotRouting protocol(f.dir);
   EXPECT_THROW(protocol.route(f.contacts, spec_for(3, 3, 10.0), f.rng),
                std::invalid_argument);
 }
@@ -175,8 +164,7 @@ DigestOutcome run_digest(Backend backend) {
         contacts = std::make_unique<sim::TraceContactModel>(*trace);
       }
       groups::GroupDirectory dir(kNodes, 5);
-      groups::KeyManager keys(dir, seed);
-      ThresholdPivotRouting tps(dir, keys, opt);
+      ThresholdPivotRouting tps(dir, opt);
       for (int i = 0; i < kMessages; ++i) {
         MessageSpec spec;
         spec.src = static_cast<NodeId>((7 * i + seed) % kNodes);
