@@ -24,6 +24,19 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
+// The nothrow forms (std::stable_sort's temporary buffer) must come from
+// malloc too, or the free() below releases memory the runtime's own
+// operator new made (an alloc-dealloc mismatch under AddressSanitizer).
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }

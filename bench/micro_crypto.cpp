@@ -93,14 +93,18 @@ BENCHMARK(BM_X25519Base);
 // run pays per new contact pair (the comb over the two private keys'
 // product, the HKDF, and the higher endpoint's private key on first use).
 // Each manager is asked every pair once, and a new one (next seed) starts
-// when they run out, so the session cache never hits.
+// when they run out, so the session cache never hits. allocs_per_key counts
+// every heap allocation in the loop (the managers' own included) per key.
 void BM_SessionKey(benchmark::State& state) {
   groups::GroupDirectory dir(100, 5);
   std::uint64_t seed = 1;
   groups::KeyManager keys(dir, seed);
   NodeId lo = 0, hi = 1;
+  const std::uint64_t allocs_before = bench::alloc_count();
+  std::uint64_t derived = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(keys.session_key(lo, hi).data());
+    ++derived;
     if (++hi == dir.node_count()) {
       if (++lo == dir.node_count() - 1) {
         lo = 0;
@@ -109,6 +113,10 @@ void BM_SessionKey(benchmark::State& state) {
       hi = lo + 1;
     }
   }
+  const std::uint64_t allocs = bench::alloc_count() - allocs_before;
+  state.counters["allocs_per_key"] =
+      derived == 0 ? 0.0
+                   : static_cast<double>(allocs) / static_cast<double>(derived);
 }
 BENCHMARK(BM_SessionKey);
 

@@ -60,7 +60,7 @@ void CellCodec::seal_into(CircuitId circuit_id, CellCommand command,
   crypto::aead_seal_into(
       key, scratch.nonce,
       std::span<const std::uint8_t>(out.data(), kCellHeaderSize), scratch.body,
-      scratch.sealed, scratch.aead);
+      scratch.sealed);
   std::memcpy(out.data() + kCellHeaderSize + crypto::kAeadNonceSize,
               scratch.sealed.data(), scratch.sealed.size());
 }
@@ -85,8 +85,7 @@ bool CellCodec::open_into(const util::Bytes& cell, const util::Bytes& key,
   const std::span<const std::uint8_t> sealed(
       cell.data() + kCellHeaderSize + crypto::kAeadNonceSize,
       cell.size() - kCellHeaderSize - crypto::kAeadNonceSize);
-  if (!crypto::aead_open_into(key, nonce, aad, sealed, scratch.body,
-                              scratch.aead)) {
+  if (!crypto::aead_open_into(key, nonce, aad, sealed, scratch.body)) {
     return false;
   }
   const std::size_t len = static_cast<std::size_t>(scratch.body[0]) |

@@ -78,7 +78,6 @@ struct CellScratch {
   util::Bytes nonce;
   util::Bytes body;
   util::Bytes sealed;
-  crypto::AeadScratch aead;
 };
 
 class CellCodec {

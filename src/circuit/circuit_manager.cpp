@@ -76,9 +76,8 @@ void CircuitManager::cross_link(CircuitId id, NodeId sender, NodeId receiver,
     // preserved (seal-then-open round trip); only a failed open is
     // observable.
     drbg_->generate_into(crypto::kAeadNonceSize, nonce_);
-    crypto::aead_seal_into(sk, nonce_, {}, packet, sealed_, link_scratch_);
-    if (!crypto::aead_open_into(sk, nonce_, {}, sealed_, opened_,
-                                link_scratch_)) {
+    crypto::aead_seal_into(sk, nonce_, {}, packet, sealed_);
+    if (!crypto::aead_open_into(sk, nonce_, {}, sealed_, opened_)) {
       link_ok_ = false;
     }
     return;

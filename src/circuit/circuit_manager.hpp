@@ -207,7 +207,6 @@ class CircuitManager {
   util::Bytes reasm_;
   Cell cell_out_;
   CellScratch cell_scratch_;
-  crypto::AeadScratch link_scratch_;
   onion::PeelScratch peel_scratch_;
 };
 

@@ -8,34 +8,10 @@
 
 namespace odtn::crypto {
 
-namespace {
-
-void poly_key_into(std::span<const std::uint8_t> key,
-                   std::span<const std::uint8_t> nonce, util::Bytes& out) {
-  auto block = chacha20_block(key, nonce, 0);
-  out.assign(block.begin(), block.begin() + 32);
-}
-
-void mac_input_into(std::span<const std::uint8_t> aad,
-                    std::span<const std::uint8_t> ciphertext,
-                    util::Bytes& out) {
-  out.clear();
-  out.reserve(aad.size() + ciphertext.size() + 32);
-  out.insert(out.end(), aad.begin(), aad.end());
-  out.resize((out.size() + 15) / 16 * 16, 0);
-  out.insert(out.end(), ciphertext.begin(), ciphertext.end());
-  out.resize((out.size() + 15) / 16 * 16, 0);
-  util::put_u64le(out, aad.size());
-  util::put_u64le(out, ciphertext.size());
-}
-
-}  // namespace
-
 util::Bytes aead_seal(const util::Bytes& key, const util::Bytes& nonce,
                       const util::Bytes& aad, const util::Bytes& plaintext) {
   util::Bytes out;
-  AeadScratch scratch;
-  aead_seal_into(key, nonce, aad, plaintext, out, scratch);
+  aead_seal_into(key, nonce, aad, plaintext, out);
   return out;
 }
 
@@ -44,49 +20,44 @@ std::optional<util::Bytes> aead_open(const util::Bytes& key,
                                      const util::Bytes& aad,
                                      const util::Bytes& sealed) {
   util::Bytes out;
-  AeadScratch scratch;
-  if (!aead_open_into(key, nonce, aad, sealed, out, scratch)) {
-    return std::nullopt;
-  }
+  if (!aead_open_into(key, nonce, aad, sealed, out)) return std::nullopt;
   return out;
 }
 
 void aead_seal_into(std::span<const std::uint8_t> key,
                     std::span<const std::uint8_t> nonce,
                     std::span<const std::uint8_t> aad,
-                    std::span<const std::uint8_t> plaintext, util::Bytes& out,
-                    AeadScratch& scratch) {
+                    std::span<const std::uint8_t> plaintext,
+                    util::Bytes& out) {
   if (key.size() != kAeadKeySize) {
     throw std::invalid_argument("aead_seal: key must be 32 bytes");
   }
   if (nonce.size() != kAeadNonceSize) {
     throw std::invalid_argument("aead_seal: nonce must be 12 bytes");
   }
-  chacha20_xor_into(key, nonce, 1, plaintext, out);
-  mac_input_into(aad, out, scratch.mac_data);
-  poly_key_into(key, nonce, scratch.poly_key);
-  poly1305_tag_into(scratch.poly_key, scratch.mac_data, scratch.tag);
-  out.insert(out.end(), scratch.tag.begin(), scratch.tag.end());
+  const std::size_t n = plaintext.size();
+  AeadKeystream stream(key, nonce, n);
+  out.resize(n + kAeadTagSize);
+  stream.xor_into(plaintext, out.data());
+  const auto tag = poly1305_aead_tag(
+      stream.poly_key(), aad, std::span<const std::uint8_t>(out.data(), n));
+  std::memcpy(out.data() + n, tag.data(), kAeadTagSize);
 }
 
 bool aead_open_into(std::span<const std::uint8_t> key,
                     std::span<const std::uint8_t> nonce,
                     std::span<const std::uint8_t> aad,
-                    std::span<const std::uint8_t> sealed, util::Bytes& out,
-                    AeadScratch& scratch) {
+                    std::span<const std::uint8_t> sealed, util::Bytes& out) {
   if (key.size() != kAeadKeySize || nonce.size() != kAeadNonceSize) {
     return false;
   }
   if (sealed.size() < kAeadTagSize) return false;
   const auto ciphertext = sealed.first(sealed.size() - kAeadTagSize);
-  const auto tag = sealed.last(kAeadTagSize);
-  mac_input_into(aad, ciphertext, scratch.mac_data);
-  poly_key_into(key, nonce, scratch.poly_key);
-  poly1305_tag_into(scratch.poly_key, scratch.mac_data, scratch.tag);
-  if (!util::ct_equal_span(scratch.tag, tag)) {
-    return false;
-  }
-  chacha20_xor_into(key, nonce, 1, ciphertext, out);
+  AeadKeystream stream(key, nonce, ciphertext.size());
+  const auto tag = poly1305_aead_tag(stream.poly_key(), aad, ciphertext);
+  if (!util::ct_equal_span(tag, sealed.last(kAeadTagSize))) return false;
+  out.resize(ciphertext.size());
+  stream.xor_into(ciphertext, out.data());
   return true;
 }
 

@@ -26,29 +26,20 @@ std::optional<util::Bytes> aead_open(const util::Bytes& key,
                                      const util::Bytes& aad,
                                      const util::Bytes& sealed);
 
-/// Reusable intermediate buffers for the _into variants; one scratch per
-/// sealer/opener makes steady-state AEAD operations allocation-free (the
-/// PR-4 zero-allocation contract).
-struct AeadScratch {
-  util::Bytes mac_data;
-  util::Bytes poly_key;
-  util::Bytes tag;
-};
-
 /// In-place seal: writes ciphertext || tag into `out` (resized, capacity
-/// reused). `out` must not alias the inputs.
+/// reused), allocation-free in steady state. `out` must not alias the
+/// inputs.
 void aead_seal_into(std::span<const std::uint8_t> key,
                     std::span<const std::uint8_t> nonce,
                     std::span<const std::uint8_t> aad,
-                    std::span<const std::uint8_t> plaintext, util::Bytes& out,
-                    AeadScratch& scratch);
+                    std::span<const std::uint8_t> plaintext, util::Bytes& out);
 
-/// In-place open: writes the plaintext into `out`. Returns false exactly
-/// when aead_open would return nullopt; `out` is unspecified then.
+/// In-place open: checks the tag, then writes the plaintext into `out`.
+/// Returns false exactly when aead_open would return nullopt; `out` is
+/// unspecified then.
 bool aead_open_into(std::span<const std::uint8_t> key,
                     std::span<const std::uint8_t> nonce,
                     std::span<const std::uint8_t> aad,
-                    std::span<const std::uint8_t> sealed, util::Bytes& out,
-                    AeadScratch& scratch);
+                    std::span<const std::uint8_t> sealed, util::Bytes& out);
 
 }  // namespace odtn::crypto

@@ -1,7 +1,12 @@
 // ChaCha20 stream cipher (RFC 8439), implemented from scratch.
 //
-// Supplies the keystream for onion-layer encryption and for the DRBG.
-// Verified against the RFC 8439 test vectors in tests/crypto.
+// Supplies the keystream for onion-layer and cell encryption (through the
+// AEAD) and for the DRBG. chacha20_block is the section 2.3.2 reference;
+// the stream functions make four blocks at once in four 32-bit vector lanes
+// (GCC vector extensions: SSE2 on baseline x86-64, no intrinsics) and the
+// last one to three blocks one at a time with the same rounds. Verified
+// against the RFC 8439 test vectors and against chained chacha20_block
+// output in tests/crypto.
 #pragma once
 
 #include <array>
@@ -16,9 +21,10 @@ constexpr std::size_t kChaChaKeySize = 32;
 constexpr std::size_t kChaChaNonceSize = 12;
 
 /// The ChaCha20 block function: produces one 64-byte keystream block for the
-/// given key/nonce/counter. Exposed for tests and for Poly1305 key setup.
-std::array<std::uint8_t, 64> chacha20_block(const util::Bytes& key,
-                                            const util::Bytes& nonce,
+/// given key/nonce/counter. Throws std::invalid_argument unless the key is
+/// 32 bytes and the nonce 12.
+std::array<std::uint8_t, 64> chacha20_block(std::span<const std::uint8_t> key,
+                                            std::span<const std::uint8_t> nonce,
                                             std::uint32_t counter);
 
 /// XORs `data` with the ChaCha20 keystream starting at `initial_counter`.
@@ -27,16 +33,41 @@ util::Bytes chacha20_xor(const util::Bytes& key, const util::Bytes& nonce,
                          std::uint32_t initial_counter,
                          const util::Bytes& data);
 
-/// Span-based block function (identical output; no owning-buffer inputs).
-std::array<std::uint8_t, 64> chacha20_block(std::span<const std::uint8_t> key,
-                                            std::span<const std::uint8_t> nonce,
-                                            std::uint32_t counter);
-
 /// In-place variant of chacha20_xor: writes into `out` (resized, capacity
 /// reused), allocation-free in steady state. `out` must not alias `data`.
+/// The block counter wraps modulo 2^32, as chacha20_block's argument does.
 void chacha20_xor_into(std::span<const std::uint8_t> key,
                        std::span<const std::uint8_t> nonce,
                        std::uint32_t initial_counter,
                        std::span<const std::uint8_t> data, util::Bytes& out);
+
+/// The keystream of one AEAD_CHACHA20_POLY1305 message of `size` bytes
+/// (RFC 8439 section 2.8): block 0 keys Poly1305, blocks 1, 2, ... encrypt.
+/// When the message needs three or more blocks, block 0 comes from one
+/// four-block batch with blocks 1-3, so the Poly1305 key costs no block of
+/// its own. The key is ready on construction, so an opener can check the
+/// tag before it decrypts anything.
+class AeadKeystream {
+ public:
+  /// Throws std::invalid_argument unless the key is 32 bytes and the nonce
+  /// 12.
+  AeadKeystream(std::span<const std::uint8_t> key,
+                std::span<const std::uint8_t> nonce, std::size_t size);
+
+  /// The one-time Poly1305 key: the first 32 bytes of block 0.
+  std::span<const std::uint8_t, 32> poly_key() const {
+    return std::span<const std::uint8_t, 32>(batch_, 32);
+  }
+
+  /// Writes `data` XOR blocks 1, 2, ... to out[0, size). Throws
+  /// std::invalid_argument unless data holds `size` bytes. Call it once;
+  /// `out` must not alias `data`.
+  void xor_into(std::span<const std::uint8_t> data, std::uint8_t* out);
+
+ private:
+  std::uint32_t state_[16];  // the counter word is the next block to make
+  std::uint8_t batch_[256];  // block 0, then blocks 1-3 when batched
+  std::size_t size_;
+};
 
 }  // namespace odtn::crypto

@@ -1,3 +1,8 @@
+// Poly1305 (RFC 8439 section 2.5) in three limbs of 44, 44 and 42 bits
+// with 64x64 -> 128-bit products, after poly1305-donna-64 (public domain):
+// a block costs nine multiplications. poly1305_aead_tag streams the AEAD's
+// MAC input (aad, ciphertext, their zero padding and lengths) block by
+// block from the caller's spans, so no buffer ever holds it whole.
 #include "crypto/poly1305.hpp"
 
 #include <cstring>
@@ -7,167 +12,150 @@ namespace odtn::crypto {
 
 namespace {
 
-// 26-bit limb representation (after poly1305-donna-32, public domain).
-struct Poly1305State {
-  std::uint32_t r[5];
-  std::uint32_t h[5] = {0, 0, 0, 0, 0};
-  std::uint32_t pad[4];
-};
+using u128 = __uint128_t;
 
-inline std::uint32_t load_u32le(const std::uint8_t* p) {
-  return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
-         (std::uint32_t{p[2]} << 16) | (std::uint32_t{p[3]} << 24);
+constexpr std::uint64_t kMask44 = (1ULL << 44) - 1;
+constexpr std::uint64_t kMask42 = (1ULL << 42) - 1;
+// 2^128, the bit a full 16-byte block carries above its bytes: bit 40 of
+// the top limb.
+constexpr std::uint64_t kHibit = 1ULL << 40;
+
+// Written out, not looped, so that GCC folds it into one 64-bit load.
+inline std::uint64_t load_u64le(const std::uint8_t* p) {
+  return std::uint64_t{p[0]} | (std::uint64_t{p[1]} << 8) |
+         (std::uint64_t{p[2]} << 16) | (std::uint64_t{p[3]} << 24) |
+         (std::uint64_t{p[4]} << 32) | (std::uint64_t{p[5]} << 40) |
+         (std::uint64_t{p[6]} << 48) | (std::uint64_t{p[7]} << 56);
 }
 
-void poly_init(Poly1305State& st, const std::uint8_t* key) {
-  // Clamp r per RFC 8439 sec 2.5.
-  std::uint32_t t0 = load_u32le(key + 0);
-  std::uint32_t t1 = load_u32le(key + 4);
-  std::uint32_t t2 = load_u32le(key + 8);
-  std::uint32_t t3 = load_u32le(key + 12);
-  st.r[0] = t0 & 0x03ffffff;
-  st.r[1] = ((t0 >> 26) | (t1 << 6)) & 0x03ffff03;
-  st.r[2] = ((t1 >> 20) | (t2 << 12)) & 0x03ffc0ff;
-  st.r[3] = ((t2 >> 14) | (t3 << 18)) & 0x03f03fff;
-  st.r[4] = (t3 >> 8) & 0x000fffff;
-  st.pad[0] = load_u32le(key + 16);
-  st.pad[1] = load_u32le(key + 20);
-  st.pad[2] = load_u32le(key + 24);
-  st.pad[3] = load_u32le(key + 28);
+inline void store_u64le(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-void poly_block(Poly1305State& st, const std::uint8_t* block,
-                std::uint32_t hibit) {
-  const std::uint32_t r0 = st.r[0], r1 = st.r[1], r2 = st.r[2], r3 = st.r[3],
-                      r4 = st.r[4];
-  const std::uint32_t s1 = r1 * 5, s2 = r2 * 5, s3 = r3 * 5, s4 = r4 * 5;
-
-  std::uint32_t h0 = st.h[0], h1 = st.h[1], h2 = st.h[2], h3 = st.h[3],
-                h4 = st.h[4];
-
-  // h += message block
-  std::uint32_t t0 = load_u32le(block + 0);
-  std::uint32_t t1 = load_u32le(block + 4);
-  std::uint32_t t2 = load_u32le(block + 8);
-  std::uint32_t t3 = load_u32le(block + 12);
-  h0 += t0 & 0x03ffffff;
-  h1 += ((t0 >> 26) | (t1 << 6)) & 0x03ffffff;
-  h2 += ((t1 >> 20) | (t2 << 12)) & 0x03ffffff;
-  h3 += ((t2 >> 14) | (t3 << 18)) & 0x03ffffff;
-  h4 += (t3 >> 8) | hibit;
-
-  // h *= r (mod 2^130 - 5)
-  std::uint64_t d0 = (std::uint64_t)h0 * r0 + (std::uint64_t)h1 * s4 +
-                     (std::uint64_t)h2 * s3 + (std::uint64_t)h3 * s2 +
-                     (std::uint64_t)h4 * s1;
-  std::uint64_t d1 = (std::uint64_t)h0 * r1 + (std::uint64_t)h1 * r0 +
-                     (std::uint64_t)h2 * s4 + (std::uint64_t)h3 * s3 +
-                     (std::uint64_t)h4 * s2;
-  std::uint64_t d2 = (std::uint64_t)h0 * r2 + (std::uint64_t)h1 * r1 +
-                     (std::uint64_t)h2 * r0 + (std::uint64_t)h3 * s4 +
-                     (std::uint64_t)h4 * s3;
-  std::uint64_t d3 = (std::uint64_t)h0 * r3 + (std::uint64_t)h1 * r2 +
-                     (std::uint64_t)h2 * r1 + (std::uint64_t)h3 * r0 +
-                     (std::uint64_t)h4 * s4;
-  std::uint64_t d4 = (std::uint64_t)h0 * r4 + (std::uint64_t)h1 * r3 +
-                     (std::uint64_t)h2 * r2 + (std::uint64_t)h3 * r1 +
-                     (std::uint64_t)h4 * r0;
-
-  // Partial reduction.
-  std::uint32_t c;
-  c = (std::uint32_t)(d0 >> 26); h0 = (std::uint32_t)d0 & 0x03ffffff;
-  d1 += c; c = (std::uint32_t)(d1 >> 26); h1 = (std::uint32_t)d1 & 0x03ffffff;
-  d2 += c; c = (std::uint32_t)(d2 >> 26); h2 = (std::uint32_t)d2 & 0x03ffffff;
-  d3 += c; c = (std::uint32_t)(d3 >> 26); h3 = (std::uint32_t)d3 & 0x03ffffff;
-  d4 += c; c = (std::uint32_t)(d4 >> 26); h4 = (std::uint32_t)d4 & 0x03ffffff;
-  h0 += c * 5; c = h0 >> 26; h0 &= 0x03ffffff;
-  h1 += c;
-
-  st.h[0] = h0; st.h[1] = h1; st.h[2] = h2; st.h[3] = h3; st.h[4] = h4;
-}
-
-void poly_finish(Poly1305State& st, std::uint8_t out[16]) {
-  std::uint32_t h0 = st.h[0], h1 = st.h[1], h2 = st.h[2], h3 = st.h[3],
-                h4 = st.h[4];
-
-  // Full carry.
-  std::uint32_t c;
-  c = h1 >> 26; h1 &= 0x03ffffff;
-  h2 += c; c = h2 >> 26; h2 &= 0x03ffffff;
-  h3 += c; c = h3 >> 26; h3 &= 0x03ffffff;
-  h4 += c; c = h4 >> 26; h4 &= 0x03ffffff;
-  h0 += c * 5; c = h0 >> 26; h0 &= 0x03ffffff;
-  h1 += c;
-
-  // Compute h + -p.
-  std::uint32_t g0 = h0 + 5; c = g0 >> 26; g0 &= 0x03ffffff;
-  std::uint32_t g1 = h1 + c; c = g1 >> 26; g1 &= 0x03ffffff;
-  std::uint32_t g2 = h2 + c; c = g2 >> 26; g2 &= 0x03ffffff;
-  std::uint32_t g3 = h3 + c; c = g3 >> 26; g3 &= 0x03ffffff;
-  std::uint32_t g4 = h4 + c - (1u << 26);
-
-  // Select h if h < p, else h - p.
-  std::uint32_t mask = (g4 >> 31) - 1;
-  g0 &= mask; g1 &= mask; g2 &= mask; g3 &= mask; g4 &= mask;
-  mask = ~mask;
-  h0 = (h0 & mask) | g0;
-  h1 = (h1 & mask) | g1;
-  h2 = (h2 & mask) | g2;
-  h3 = (h3 & mask) | g3;
-  h4 = (h4 & mask) | g4;
-
-  // h = h % 2^128
-  h0 = (h0 | (h1 << 26)) & 0xffffffff;
-  h1 = ((h1 >> 6) | (h2 << 20)) & 0xffffffff;
-  h2 = ((h2 >> 12) | (h3 << 14)) & 0xffffffff;
-  h3 = ((h3 >> 18) | (h4 << 8)) & 0xffffffff;
-
-  // tag = (h + pad) % 2^128
-  std::uint64_t f;
-  f = (std::uint64_t)h0 + st.pad[0]; h0 = (std::uint32_t)f;
-  f = (std::uint64_t)h1 + st.pad[1] + (f >> 32); h1 = (std::uint32_t)f;
-  f = (std::uint64_t)h2 + st.pad[2] + (f >> 32); h2 = (std::uint32_t)f;
-  f = (std::uint64_t)h3 + st.pad[3] + (f >> 32); h3 = (std::uint32_t)f;
-
-  std::uint32_t words[4] = {h0, h1, h2, h3};
-  for (int i = 0; i < 4; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(words[i]);
-    out[4 * i + 1] = static_cast<std::uint8_t>(words[i] >> 8);
-    out[4 * i + 2] = static_cast<std::uint8_t>(words[i] >> 16);
-    out[4 * i + 3] = static_cast<std::uint8_t>(words[i] >> 24);
+// The accumulator h and the key r mod 2^130 - 5. 2^130 = 5 mod p, so a
+// product limb at 2^132 folds back into limb 0 times 20: s1 = 20 r1,
+// s2 = 20 r2.
+class Poly1305 {
+ public:
+  explicit Poly1305(const std::uint8_t* key) {
+    // Clamp r per RFC 8439 sec 2.5.
+    const std::uint64_t t0 = load_u64le(key), t1 = load_u64le(key + 8);
+    r0_ = t0 & 0xffc0fffffffULL;
+    r1_ = ((t0 >> 44) | (t1 << 20)) & 0xfffffc0ffffULL;
+    r2_ = (t1 >> 24) & 0x00ffffffc0fULL;
+    s1_ = r1_ * 20;
+    s2_ = r2_ * 20;
+    pad0_ = load_u64le(key + 16);
+    pad1_ = load_u64le(key + 24);
   }
-}
+
+  // Absorbs the whole 16-byte blocks of m[0, n); `hibit` is kHibit for a
+  // full block and 0 for a last block already terminated with a 1 byte.
+  void blocks(const std::uint8_t* m, std::size_t n, std::uint64_t hibit) {
+    std::uint64_t h0 = h0_, h1 = h1_, h2 = h2_;
+    for (; n >= 16; m += 16, n -= 16) {
+      const std::uint64_t t0 = load_u64le(m), t1 = load_u64le(m + 8);
+      h0 += t0 & kMask44;
+      h1 += ((t0 >> 44) | (t1 << 20)) & kMask44;
+      h2 += ((t1 >> 24) & kMask42) | hibit;
+
+      // h *= r, then a partial reduction.
+      const u128 d0 = (u128)h0 * r0_ + (u128)h1 * s2_ + (u128)h2 * s1_;
+      u128 d1 = (u128)h0 * r1_ + (u128)h1 * r0_ + (u128)h2 * s2_;
+      u128 d2 = (u128)h0 * r2_ + (u128)h1 * r1_ + (u128)h2 * r0_;
+      std::uint64_t c = (std::uint64_t)(d0 >> 44);
+      h0 = (std::uint64_t)d0 & kMask44;
+      d1 += c; c = (std::uint64_t)(d1 >> 44); h1 = (std::uint64_t)d1 & kMask44;
+      d2 += c; c = (std::uint64_t)(d2 >> 42); h2 = (std::uint64_t)d2 & kMask42;
+      h0 += c * 5; c = h0 >> 44; h0 &= kMask44;
+      h1 += c;
+    }
+    h0_ = h0; h1_ = h1; h2_ = h2;
+  }
+
+  // Absorbs `data`: its whole blocks, then the rest zero-padded to a
+  // block. With `pad16` (the AEAD's padding) that block is a full one;
+  // otherwise the rest ends the message and is terminated by a 1 byte
+  // first (RFC 8439 section 2.5.1).
+  void absorb(std::span<const std::uint8_t> data, bool pad16) {
+    const std::size_t whole = data.size() & ~std::size_t{15};
+    blocks(data.data(), whole, kHibit);
+    if (whole < data.size()) {
+      std::uint8_t last[16] = {0};
+      std::memcpy(last, data.data() + whole, data.size() - whole);
+      if (!pad16) last[data.size() - whole] = 1;
+      blocks(last, 16, pad16 ? kHibit : 0);
+    }
+  }
+
+  std::array<std::uint8_t, kPolyTagSize> finish() const {
+    std::uint64_t h0 = h0_, h1 = h1_, h2 = h2_;
+
+    // Full carry.
+    std::uint64_t c;
+    c = h1 >> 44; h1 &= kMask44;
+    h2 += c; c = h2 >> 42; h2 &= kMask42;
+    h0 += c * 5; c = h0 >> 44; h0 &= kMask44;
+    h1 += c; c = h1 >> 44; h1 &= kMask44;
+    h2 += c; c = h2 >> 42; h2 &= kMask42;
+    h0 += c * 5; c = h0 >> 44; h0 &= kMask44;
+    h1 += c;
+
+    // Compute h + -p.
+    std::uint64_t g0 = h0 + 5; c = g0 >> 44; g0 &= kMask44;
+    std::uint64_t g1 = h1 + c; c = g1 >> 44; g1 &= kMask44;
+    std::uint64_t g2 = h2 + c - (1ULL << 42);
+
+    // Select h if h < p, else h - p.
+    c = (g2 >> 63) - 1;
+    g0 &= c; g1 &= c; g2 &= c;
+    c = ~c;
+    h0 = (h0 & c) | g0;
+    h1 = (h1 & c) | g1;
+    h2 = (h2 & c) | g2;
+
+    // tag = (h + pad) % 2^128
+    h0 += pad0_ & kMask44; c = h0 >> 44; h0 &= kMask44;
+    h1 += (((pad0_ >> 44) | (pad1_ << 20)) & kMask44) + c;
+    c = h1 >> 44; h1 &= kMask44;
+    h2 += ((pad1_ >> 24) & kMask42) + c; h2 &= kMask42;
+
+    std::array<std::uint8_t, kPolyTagSize> tag;
+    store_u64le(tag.data(), h0 | (h1 << 44));
+    store_u64le(tag.data() + 8, (h1 >> 20) | (h2 << 24));
+    return tag;
+  }
+
+ private:
+  std::uint64_t r0_, r1_, r2_, s1_, s2_;
+  std::uint64_t h0_ = 0, h1_ = 0, h2_ = 0;
+  std::uint64_t pad0_, pad1_;
+};
 
 }  // namespace
 
 util::Bytes poly1305_tag(const util::Bytes& key, const util::Bytes& data) {
-  util::Bytes tag;
-  poly1305_tag_into(key, data, tag);
-  return tag;
-}
-
-void poly1305_tag_into(std::span<const std::uint8_t> key,
-                       std::span<const std::uint8_t> data, util::Bytes& out) {
   if (key.size() != kPolyKeySize) {
     throw std::invalid_argument("poly1305: key must be 32 bytes");
   }
-  Poly1305State st;
-  poly_init(st, key.data());
+  Poly1305 mac(key.data());
+  mac.absorb(data, /*pad16=*/false);
+  const auto tag = mac.finish();
+  return util::Bytes(tag.begin(), tag.end());
+}
 
-  std::size_t offset = 0;
-  while (data.size() - offset >= 16) {
-    poly_block(st, data.data() + offset, 1u << 24);
-    offset += 16;
-  }
-  if (offset < data.size()) {
-    std::uint8_t last[16] = {0};
-    std::size_t rem = data.size() - offset;
-    std::memcpy(last, data.data() + offset, rem);
-    last[rem] = 1;
-    poly_block(st, last, 0);
-  }
-  out.resize(kPolyTagSize);
-  poly_finish(st, out.data());
+std::array<std::uint8_t, kPolyTagSize> poly1305_aead_tag(
+    std::span<const std::uint8_t, kPolyKeySize> key,
+    std::span<const std::uint8_t> aad,
+    std::span<const std::uint8_t> ciphertext) {
+  Poly1305 mac(key.data());
+  mac.absorb(aad, /*pad16=*/true);
+  mac.absorb(ciphertext, /*pad16=*/true);
+  std::uint8_t lengths[16];
+  store_u64le(lengths, aad.size());
+  store_u64le(lengths + 8, ciphertext.size());
+  mac.blocks(lengths, 16, kHibit);
+  return mac.finish();
 }
 
 }  // namespace odtn::crypto

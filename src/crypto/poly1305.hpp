@@ -5,6 +5,7 @@
 // a layer.
 #pragma once
 
+#include <array>
 #include <span>
 
 #include "util/bytes.hpp"
@@ -17,9 +18,12 @@ constexpr std::size_t kPolyTagSize = 16;
 /// Computes the 16-byte Poly1305 tag of `data` under a 32-byte one-time key.
 util::Bytes poly1305_tag(const util::Bytes& key, const util::Bytes& data);
 
-/// In-place variant: writes the tag into `out` (resized to 16 bytes,
-/// capacity reused), allocation-free in steady state.
-void poly1305_tag_into(std::span<const std::uint8_t> key,
-                       std::span<const std::uint8_t> data, util::Bytes& out);
+/// The AEAD_CHACHA20_POLY1305 tag (RFC 8439 section 2.8): Poly1305 over
+/// aad || pad16 || ciphertext || pad16 || le64(|aad|) || le64(|ciphertext|),
+/// streamed from the two spans without assembling that input.
+std::array<std::uint8_t, kPolyTagSize> poly1305_aead_tag(
+    std::span<const std::uint8_t, kPolyKeySize> key,
+    std::span<const std::uint8_t> aad,
+    std::span<const std::uint8_t> ciphertext);
 
 }  // namespace odtn::crypto

@@ -46,30 +46,33 @@ void Sha256::update(const std::uint8_t* data, std::size_t len) {
   }
 }
 
-util::Bytes Sha256::finish() {
+Sha256::Sha256(const State& state, std::uint64_t blocks)
+    : state_(state), total_len_(blocks * kBlockSize) {}
+
+void Sha256::finish(std::span<std::uint8_t, kDigestSize> out) {
   if (finished_) throw std::logic_error("Sha256::finish called twice");
-  finished_ = true;
-  std::uint64_t bit_len = total_len_ * 8;
+  const std::uint64_t bit_len = total_len_ * 8;
   // Padding: 0x80, zeros, 64-bit big-endian length.
   std::uint8_t pad[kBlockSize * 2] = {0x80};
-  std::size_t pad_len =
+  const std::size_t pad_len =
       (buffer_len_ < 56) ? (56 - buffer_len_) : (120 - buffer_len_);
-  finished_ = false;  // allow internal updates
-  update(pad, pad_len);
-  std::uint8_t len_be[8];
   for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    pad[pad_len + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  update(len_be, 8);
+  update(pad, pad_len + 8);
   finished_ = true;
 
-  util::Bytes out(kDigestSize);
   for (int i = 0; i < 8; ++i) {
     out[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
     out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
     out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
     out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
   }
+}
+
+util::Bytes Sha256::finish() {
+  util::Bytes out(kDigestSize);
+  finish(std::span<std::uint8_t, kDigestSize>(out.data(), kDigestSize));
   return out;
 }
 

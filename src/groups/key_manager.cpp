@@ -1,11 +1,24 @@
 #include "groups/key_manager.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
-#include "crypto/hmac.hpp"
-
 namespace odtn::groups {
+
+namespace {
+
+// Room for derive()'s labels; the longest is "identity-key" (12 bytes).
+constexpr std::size_t kMaxLabel = 16;
+
+// The low `bytes` bytes of v, little endian, at out.
+void put_le(std::uint8_t* out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+}  // namespace
 
 KeyManager::KeyManager(const GroupDirectory& directory, std::uint64_t seed)
     : node_count_(directory.node_count()),
@@ -14,14 +27,21 @@ KeyManager::KeyManager(const GroupDirectory& directory, std::uint64_t seed)
   util::append(master_, util::to_bytes("odtn-key-manager-v1"));
 }
 
-util::Bytes KeyManager::derive(const std::string& label,
+util::Bytes KeyManager::derive(std::string_view label,
                                std::uint64_t index) const {
   // HKDF(master, info) = Expand(Extract(master), info): the extract step
   // depends on the master alone, so it runs once per manager.
-  if (prk_.empty()) prk_ = crypto::hkdf_extract(/*salt=*/{}, master_);
-  util::Bytes info = util::to_bytes(label);
-  util::put_u64le(info, index);
-  return crypto::hkdf_expand(prk_, info, 32);
+  if (!prk_) prk_ = crypto::hkdf_extract_key(/*salt=*/{}, master_);
+  if (label.size() > kMaxLabel) {
+    throw std::invalid_argument("KeyManager::derive: label too long");
+  }
+  std::uint8_t info[kMaxLabel + 8];
+  std::memcpy(info, label.data(), label.size());
+  put_le(info + label.size(), index, 8);
+  util::Bytes key(32);
+  crypto::hkdf_expand_into(
+      *prk_, std::span<const std::uint8_t>(info, label.size() + 8), key);
+  return key;
 }
 
 const util::Bytes& KeyManager::group_key(GroupId group) const {
@@ -78,12 +98,16 @@ const util::Bytes& KeyManager::session_key(NodeId a, NodeId b) const {
   if (it != session_cache_.end()) return it->second;
 
   // x25519(private of lo, public of hi), without the ladder.
-  util::Bytes shared = crypto::x25519_base_product(identity(lo).private_key,
-                                                   identity(hi).private_key);
-  util::Bytes info = util::to_bytes("odtn-session");
-  util::put_u32le(info, lo);
-  util::put_u32le(info, hi);
-  util::Bytes key = crypto::hkdf(shared, /*salt=*/{}, info, 32);
+  const util::Bytes shared = crypto::x25519_base_product(
+      identity(lo).private_key, identity(hi).private_key);
+  constexpr std::string_view kLabel = "odtn-session";
+  std::uint8_t info[kLabel.size() + 8];
+  std::memcpy(info, kLabel.data(), kLabel.size());
+  put_le(info + kLabel.size(), lo, 4);
+  put_le(info + kLabel.size() + 4, hi, 4);
+  util::Bytes key(32);
+  crypto::hkdf_expand_into(crypto::hkdf_extract_key(/*salt=*/{}, shared),
+                           info, key);
   auto [pos, inserted] = session_cache_.emplace(cache_key, std::move(key));
   (void)inserted;
   return pos->second;

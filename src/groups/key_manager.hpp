@@ -11,8 +11,9 @@
 // derivation yields byte-identical keys while a run only ever pays for the
 // handful of groups/nodes a message actually touches — constructing a
 // KeyManager is O(1) even over a million-node directory. The first key
-// derived pays for the HKDF-Extract of the master, which every later key
-// reuses. The public half of an identity (one fixed-base comb
+// derived pays for the HKDF-Extract of the master; every later key reuses
+// its keyed HMAC state, so a key costs one HKDF-Expand block (two SHA-256
+// compressions). The public half of an identity (one fixed-base comb
 // multiplication, crypto::x25519_base) is derived only when node_identity
 // reads it: session_key(a, b) reads no public key. The manager holds both
 // private keys of every pair, so it computes the ECDH value
@@ -20,10 +21,12 @@
 // the two private keys: one comb, no Montgomery ladder.
 #pragma once
 
-#include <string>
+#include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "crypto/hmac.hpp"
 #include "crypto/x25519.hpp"
 #include "groups/group_directory.hpp"
 #include "util/bytes.hpp"
@@ -61,7 +64,7 @@ class KeyManager {
 
  private:
   // HKDF(master, label || index) as 32 bytes.
-  util::Bytes derive(const std::string& label, std::uint64_t index) const;
+  util::Bytes derive(std::string_view label, std::uint64_t index) const;
 
   // The memoized identity of `node` with its private key derived; the
   // public key stays empty until node_identity reads it.
@@ -70,8 +73,9 @@ class KeyManager {
   std::size_t node_count_ = 0;
   std::size_t group_count_ = 0;
   util::Bytes master_;
-  // HKDF-Extract(master_), computed on the first derive.
-  mutable util::Bytes prk_;
+  // The keyed HMAC state of HKDF-Extract(master_), made on the first
+  // derive.
+  mutable std::optional<crypto::HmacSha256> prk_;
   // Lazy caches. unordered_map references stay valid across inserts, so
   // returned key references are stable (an identity's public key is filled
   // in place). Not thread-safe: each simulation run owns its KeyManager.

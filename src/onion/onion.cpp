@@ -176,8 +176,8 @@ std::optional<PeeledView> OnionCodec::peel_view(const util::Bytes& wire,
     auto nonce = wire_span.first(crypto::kAeadNonceSize);
     auto sealed = wire_span.subspan(crypto::kAeadNonceSize,
                                     frag_len - crypto::kAeadNonceSize);
-    if (!crypto::aead_open_into(key, nonce, onion_aad(), sealed, scratch.plain,
-                                scratch.aead)) {
+    if (!crypto::aead_open_into(key, nonce, onion_aad(), sealed,
+                                scratch.plain)) {
       continue;
     }
 

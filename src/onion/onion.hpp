@@ -28,7 +28,6 @@
 #include <span>
 #include <vector>
 
-#include "crypto/aead.hpp"
 #include "crypto/drbg.hpp"
 #include "groups/key_manager.hpp"
 #include "util/bytes.hpp"
@@ -69,7 +68,6 @@ struct PeelScratch {
   util::Bytes plain;  // decrypted layer (header || inner fragment)
   util::Bytes next;   // re-padded next wire packet
   util::Bytes pad;    // fresh random padding
-  crypto::AeadScratch aead;
 };
 
 /// Zero-copy result of peel_view(): the spans point into the PeelScratch

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/chacha20.hpp"
+#include "crypto/poly1305.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -52,6 +54,48 @@ TEST(Aead, RoundTripRandom) {
     auto opened = aead_open(key, nonce, aad, sealed);
     ASSERT_TRUE(opened.has_value());
     EXPECT_EQ(*opened, pt);
+  }
+}
+
+// Seal and open at the sizes where the keystream changes shape: empty, one
+// byte, either side of one block, either side of 128 bytes (from 129 on,
+// the Poly1305 key block is made in one batch with blocks 1-3) and the
+// wire path's 480-byte message. The output must be RFC 8439's
+// construction from the reference functions: the plaintext XOR the stream
+// from counter 1, then Poly1305 under block 0 over aad || pad16 ||
+// ciphertext || pad16 || the two lengths.
+TEST(Aead, RoundTripAtBatchEdges) {
+  util::Bytes key(kAeadKeySize), nonce(kAeadNonceSize);
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<std::uint8_t>(5 * i + 1);
+  }
+  for (std::size_t i = 0; i < nonce.size(); ++i) {
+    nonce[i] = static_cast<std::uint8_t>(i + 40);
+  }
+  const util::Bytes aad = to_bytes("cell-header");
+  for (std::size_t n : {0u, 1u, 63u, 64u, 65u, 128u, 129u, 480u}) {
+    util::Bytes pt(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      pt[i] = static_cast<std::uint8_t>(3 * i + n);
+    }
+    const util::Bytes sealed = aead_seal(key, nonce, aad, pt);
+    const util::Bytes ct = chacha20_xor(key, nonce, 1, pt);
+    util::Bytes mac_data = aad;
+    mac_data.resize((mac_data.size() + 15) / 16 * 16, 0);
+    util::append(mac_data, ct);
+    mac_data.resize((mac_data.size() + 15) / 16 * 16, 0);
+    util::put_u64le(mac_data, aad.size());
+    util::put_u64le(mac_data, ct.size());
+    const auto block0 = chacha20_block(key, nonce, 0);
+    util::Bytes expected = ct;
+    util::append(expected,
+                 poly1305_tag(util::Bytes(block0.begin(), block0.begin() + 32),
+                              mac_data));
+    EXPECT_EQ(sealed, expected) << "length " << n;
+
+    const auto opened = aead_open(key, nonce, aad, sealed);
+    ASSERT_TRUE(opened.has_value()) << "length " << n;
+    EXPECT_EQ(*opened, pt) << "length " << n;
   }
 }
 

@@ -77,6 +77,43 @@ TEST(ChaCha20, RejectsBadKeyAndNonceSizes) {
                std::invalid_argument);
 }
 
+// chacha20_xor_into makes four blocks at a time and the last one to three
+// one at a time. At every length up to 1100 bytes (over four batches and
+// every tail), and from counters where the 32-bit wrap falls inside the
+// first batch or the first tail block, it must equal XOR with chained
+// chacha20_block output.
+TEST(ChaCha20, MultiBlockMatchesBlockFunction) {
+  constexpr std::size_t kMax = 1100;
+  util::Bytes key(kChaChaKeySize), nonce(kChaChaNonceSize), data(kMax);
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<std::uint8_t>(7 * i + 3);
+  }
+  for (std::size_t i = 0; i < nonce.size(); ++i) {
+    nonce[i] = static_cast<std::uint8_t>(0xa0 + i);
+  }
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131 + 17);
+  }
+  for (std::uint32_t counter : {0u, 1u, 0xfffffffdu, 0xffffffffu}) {
+    util::Bytes expected(kMax);
+    for (std::size_t off = 0; off < kMax; off += 64) {
+      const auto block = chacha20_block(
+          key, nonce, counter + static_cast<std::uint32_t>(off / 64));
+      for (std::size_t j = 0; j < 64 && off + j < kMax; ++j) {
+        expected[off + j] = data[off + j] ^ block[j];
+      }
+    }
+    util::Bytes out;
+    for (std::size_t len = 0; len <= kMax; ++len) {
+      chacha20_xor_into(key, nonce, counter,
+                        std::span<const std::uint8_t>(data).first(len), out);
+      ASSERT_EQ(out, util::Bytes(expected.begin(),
+                                 expected.begin() + static_cast<long>(len)))
+          << "counter " << counter << ", length " << len;
+    }
+  }
+}
+
 TEST(ChaCha20, EmptyInput) {
   util::Bytes key(kChaChaKeySize, 0), nonce(kChaChaNonceSize, 0);
   EXPECT_TRUE(chacha20_xor(key, nonce, 0, {}).empty());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/bytes.hpp"
 
 namespace odtn::crypto {
@@ -68,6 +70,43 @@ TEST(Poly1305, WrapAroundEdgeCase) {
       "11000000000000000000000000000000");
   EXPECT_EQ(to_hex(poly1305_tag(key, msg)),
             "05000000000000000000000000000000");
+}
+
+// RFC 8439 Appendix A.3 #5, #6 and #8-#11: the accumulator lands on or
+// just past 2^130 - 5, or a limb's carry is exactly at its edge.
+TEST(Poly1305, Rfc8439AppendixA3ReductionEdges) {
+  const std::string zeros(32, '0'), ffs(32, 'f');
+  const std::string r1 = "01" + std::string(30, '0'),
+                    r2 = "02" + std::string(30, '0'),
+                    r10 = "01000000000000000400000000000000";
+  struct Case {
+    std::string key, msg;
+    const char* tag;
+  };
+  const Case cases[] = {
+      {r2 + zeros, ffs, "03000000000000000000000000000000"},
+      {r2 + ffs, r2, "03000000000000000000000000000000"},
+      {r1 + zeros,
+       ffs + "fbfefefefefefefefefefefefefefefe"
+             "01010101010101010101010101010101",
+       "00000000000000000000000000000000"},
+      {r2 + zeros, "fd" + std::string(30, 'f'),
+       "faffffffffffffffffffffffffffffff"},
+      {r10 + zeros,
+       "e33594d7505e43b90000000000000000"
+       "3394d7505e4379cd0100000000000000"
+       "00000000000000000000000000000000"
+       "01000000000000000000000000000000",
+       "14000000000000005500000000000000"},
+      {r10 + zeros,
+       "e33594d7505e43b90000000000000000"
+       "3394d7505e4379cd0100000000000000"
+       "00000000000000000000000000000000",
+       "13000000000000000000000000000000"}};
+  for (const Case& c : cases) {
+    EXPECT_EQ(to_hex(poly1305_tag(from_hex(c.key), from_hex(c.msg))), c.tag)
+        << c.msg;
+  }
 }
 
 TEST(Poly1305, TagChangesWithMessage) {

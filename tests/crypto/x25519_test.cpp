@@ -120,6 +120,22 @@ TEST(X25519, LowOrderPointYieldsAllZeroOutput) {
   EXPECT_EQ(out2, util::Bytes(32, 0));
 }
 
+// RFC 7748 section 5: a u-coordinate at or above p is accepted and taken
+// mod p. u + p stays below 2^255 for u < 19, so each such u, 0 among them,
+// encoded as u + p must give what u gives.
+TEST(X25519, NonCanonicalInputMatchesReduced) {
+  util::Bytes scalar = from_hex(
+      "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4");
+  for (int u = 0; u < 19; ++u) {
+    util::Bytes canonical(32, 0);
+    canonical[0] = static_cast<std::uint8_t>(u);
+    util::Bytes wide(32, 0xff);  // p = 2^255 - 19 is ed ff .. ff 7f
+    wide[0] = static_cast<std::uint8_t>(0xed + u);
+    wide[31] = 0x7f;
+    EXPECT_EQ(x25519(scalar, wide), x25519(scalar, canonical)) << "u = " << u;
+  }
+}
+
 TEST(X25519, HighBitOfPointIsMasked) {
   // RFC 7748: the top bit of the u-coordinate must be ignored.
   util::Bytes scalar = from_hex(

@@ -102,7 +102,7 @@ echo "== perf smoke: micro_crypto per-forward costs vs BENCH_micro_crypto.json =
 # pays). Crypto microbenches are noisier at the ~10us scale, hence the
 # wider 25% band.
 "$repo/build/bench/micro_crypto" \
-    --benchmark_filter='^BM_HmacSha256$|^BM_X25519$|^BM_X25519Base$|^BM_SessionKey$|^BM_OnionBuild/3$|^BM_OnionPeel$|^BM_CellSeal/512$|^BM_CircuitExtend/1$' \
+    --benchmark_filter='^BM_HmacSha256$|^BM_ChaCha20/1024$|^BM_AeadSealOpen$|^BM_X25519$|^BM_X25519Base$|^BM_SessionKey$|^BM_OnionBuild/3$|^BM_OnionPeel$|^BM_CellSeal/512$|^BM_CircuitExtend/1$' \
     --benchmark_repetitions=5 \
     --baseline="$repo/BENCH_micro_crypto.json" --max-regression-pct=25 \
     > /dev/null
