@@ -1,6 +1,5 @@
 #include "crypto/aead.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
 #include "crypto/chacha20.hpp"
@@ -35,13 +34,12 @@ void aead_seal_into(std::span<const std::uint8_t> key,
   if (nonce.size() != kAeadNonceSize) {
     throw std::invalid_argument("aead_seal: nonce must be 12 bytes");
   }
-  const std::size_t n = plaintext.size();
-  AeadKeystream stream(key, nonce, n);
-  out.resize(n + kAeadTagSize);
-  stream.xor_into(plaintext, out.data());
-  const auto tag = poly1305_aead_tag(
-      stream.poly_key(), aad, std::span<const std::uint8_t>(out.data(), n));
-  std::memcpy(out.data() + n, tag.data(), kAeadTagSize);
+  // Block 0 keys Poly1305; blocks 1, 2, ... encrypt.
+  const auto block0 = chacha20_block(key, nonce, 0);
+  chacha20_xor_into(key, nonce, 1, plaintext, out);
+  const auto tag =
+      poly1305_aead_tag(std::span(block0).first<kPolyKeySize>(), aad, out);
+  out.insert(out.end(), tag.begin(), tag.end());
 }
 
 bool aead_open_into(std::span<const std::uint8_t> key,
@@ -53,11 +51,11 @@ bool aead_open_into(std::span<const std::uint8_t> key,
   }
   if (sealed.size() < kAeadTagSize) return false;
   const auto ciphertext = sealed.first(sealed.size() - kAeadTagSize);
-  AeadKeystream stream(key, nonce, ciphertext.size());
-  const auto tag = poly1305_aead_tag(stream.poly_key(), aad, ciphertext);
+  const auto block0 = chacha20_block(key, nonce, 0);
+  const auto tag = poly1305_aead_tag(std::span(block0).first<kPolyKeySize>(),
+                                     aad, ciphertext);
   if (!util::ct_equal_span(tag, sealed.last(kAeadTagSize))) return false;
-  out.resize(ciphertext.size());
-  stream.xor_into(ciphertext, out.data());
+  chacha20_xor_into(key, nonce, 1, ciphertext, out);
   return true;
 }
 

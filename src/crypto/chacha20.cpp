@@ -181,31 +181,4 @@ void chacha20_xor_into(std::span<const std::uint8_t> key,
   xor_stream(s, data.data(), out.data(), data.size());
 }
 
-AeadKeystream::AeadKeystream(std::span<const std::uint8_t> key,
-                             std::span<const std::uint8_t> nonce,
-                             std::size_t size)
-    : size_(size) {
-  init_state(state_, key, nonce, 0);
-  // Blocks 1-3 are all used when the message is longer than two blocks.
-  if (size > 128) {
-    four_blocks(state_, batch_);
-    state_[12] = 4;
-  } else {
-    one_block(state_, batch_);
-    state_[12] = 1;
-  }
-}
-
-void AeadKeystream::xor_into(std::span<const std::uint8_t> data,
-                             std::uint8_t* out) {
-  if (data.size() != size_) {
-    throw std::invalid_argument("AeadKeystream: data size mismatch");
-  }
-  // The batch's blocks 1-3 first, if the constructor made them.
-  const std::size_t batched = size_ > 128 ? std::min<std::size_t>(size_, 192)
-                                          : 0;
-  xor_bytes(out, data.data(), batch_ + 64, batched);
-  xor_stream(state_, data.data() + batched, out + batched, size_ - batched);
-}
-
 }  // namespace odtn::crypto

@@ -41,33 +41,4 @@ void chacha20_xor_into(std::span<const std::uint8_t> key,
                        std::uint32_t initial_counter,
                        std::span<const std::uint8_t> data, util::Bytes& out);
 
-/// The keystream of one AEAD_CHACHA20_POLY1305 message of `size` bytes
-/// (RFC 8439 section 2.8): block 0 keys Poly1305, blocks 1, 2, ... encrypt.
-/// When the message needs three or more blocks, block 0 comes from one
-/// four-block batch with blocks 1-3, so the Poly1305 key costs no block of
-/// its own. The key is ready on construction, so an opener can check the
-/// tag before it decrypts anything.
-class AeadKeystream {
- public:
-  /// Throws std::invalid_argument unless the key is 32 bytes and the nonce
-  /// 12.
-  AeadKeystream(std::span<const std::uint8_t> key,
-                std::span<const std::uint8_t> nonce, std::size_t size);
-
-  /// The one-time Poly1305 key: the first 32 bytes of block 0.
-  std::span<const std::uint8_t, 32> poly_key() const {
-    return std::span<const std::uint8_t, 32>(batch_, 32);
-  }
-
-  /// Writes `data` XOR blocks 1, 2, ... to out[0, size). Throws
-  /// std::invalid_argument unless data holds `size` bytes. Call it once;
-  /// `out` must not alias `data`.
-  void xor_into(std::span<const std::uint8_t> data, std::uint8_t* out);
-
- private:
-  std::uint32_t state_[16];  // the counter word is the next block to make
-  std::uint8_t batch_[256];  // block 0, then blocks 1-3 when batched
-  std::size_t size_;
-};
-
 }  // namespace odtn::crypto

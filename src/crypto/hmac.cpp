@@ -17,31 +17,6 @@ const HmacSha256& zero_salt() {
   return state;
 }
 
-// PRK = HMAC(salt, ikm) into out.
-void extract(std::span<const std::uint8_t> salt,
-             std::span<const std::uint8_t> ikm, Digest out) {
-  if (salt.empty()) {
-    zero_salt().tag({ikm}, out);
-  } else {
-    HmacSha256(salt).tag({ikm}, out);
-  }
-}
-
-void check_expand_length(std::size_t length) {
-  if (length > 255 * Sha256::kDigestSize) {
-    throw std::invalid_argument("hkdf_expand: length too large");
-  }
-}
-
-// hkdf_expand_into a new buffer, its length checked before it is allocated.
-util::Bytes expand(const HmacSha256& prk, std::span<const std::uint8_t> info,
-                   std::size_t length) {
-  check_expand_length(length);
-  util::Bytes okm(length);
-  hkdf_expand_into(prk, info, okm);
-  return okm;
-}
-
 }  // namespace
 
 HmacSha256::HmacSha256(std::span<const std::uint8_t> key) {
@@ -78,14 +53,20 @@ void HmacSha256::tag(std::initializer_list<std::span<const std::uint8_t>> parts,
 HmacSha256 hkdf_extract_key(std::span<const std::uint8_t> salt,
                             std::span<const std::uint8_t> ikm) {
   std::uint8_t prk[Sha256::kDigestSize];
-  extract(salt, ikm, prk);
+  if (salt.empty()) {
+    zero_salt().tag({ikm}, prk);
+  } else {
+    HmacSha256(salt).tag({ikm}, prk);
+  }
   return HmacSha256(prk);
 }
 
 void hkdf_expand_into(const HmacSha256& prk,
                       std::span<const std::uint8_t> info,
                       std::span<std::uint8_t> out) {
-  check_expand_length(out.size());
+  if (out.size() > 255 * Sha256::kDigestSize) {
+    throw std::invalid_argument("hkdf_expand: length too large");
+  }
   // T(i) = HMAC(PRK, T(i-1) || info || i), with T(0) empty.
   std::uint8_t t[Sha256::kDigestSize] = {0};
   std::size_t t_len = 0;
@@ -102,22 +83,6 @@ util::Bytes hmac_sha256(const util::Bytes& key, const util::Bytes& data) {
   util::Bytes out(Sha256::kDigestSize);
   HmacSha256(key).tag({data}, Digest(out.data(), Sha256::kDigestSize));
   return out;
-}
-
-util::Bytes hkdf_extract(const util::Bytes& salt, const util::Bytes& ikm) {
-  util::Bytes prk(Sha256::kDigestSize);
-  extract(salt, ikm, Digest(prk.data(), Sha256::kDigestSize));
-  return prk;
-}
-
-util::Bytes hkdf_expand(const util::Bytes& prk, const util::Bytes& info,
-                        std::size_t length) {
-  return expand(HmacSha256(prk), info, length);
-}
-
-util::Bytes hkdf(const util::Bytes& ikm, const util::Bytes& salt,
-                 const util::Bytes& info, std::size_t length) {
-  return expand(hkdf_extract_key(salt, ikm), info, length);
 }
 
 }  // namespace odtn::crypto

@@ -10,7 +10,7 @@
 // costs two, not four. hkdf_extract_key and hkdf_expand_into work on such
 // states and write into caller storage; KeyManager keeps one state for its
 // PRK, and an empty salt (HashLen zero bytes) uses one state computed once
-// per process. The Bytes functions are one-shot forms of the same code.
+// per process. hmac_sha256 is the one-shot form of the same code.
 #pragma once
 
 #include <initializer_list>
@@ -48,17 +48,5 @@ void hkdf_expand_into(const HmacSha256& prk,
 
 /// HMAC-SHA256 of `data` under `key` (any key length). 32-byte output.
 util::Bytes hmac_sha256(const util::Bytes& key, const util::Bytes& data);
-
-/// HKDF-Extract: PRK = HMAC(salt, ikm). Empty salt behaves per RFC 5869.
-util::Bytes hkdf_extract(const util::Bytes& salt, const util::Bytes& ikm);
-
-/// HKDF-Expand: derives `length` bytes (length <= 255*32) from PRK with the
-/// given context `info`.
-util::Bytes hkdf_expand(const util::Bytes& prk, const util::Bytes& info,
-                        std::size_t length);
-
-/// Extract-then-expand convenience.
-util::Bytes hkdf(const util::Bytes& ikm, const util::Bytes& salt,
-                 const util::Bytes& info, std::size_t length);
 
 }  // namespace odtn::crypto

@@ -58,12 +58,12 @@ TEST(Aead, RoundTripRandom) {
 }
 
 // Seal and open at the sizes where the keystream changes shape: empty, one
-// byte, either side of one block, either side of 128 bytes (from 129 on,
-// the Poly1305 key block is made in one batch with blocks 1-3) and the
-// wire path's 480-byte message. The output must be RFC 8439's
-// construction from the reference functions: the plaintext XOR the stream
-// from counter 1, then Poly1305 under block 0 over aad || pad16 ||
-// ciphertext || pad16 || the two lengths.
+// byte, either side of one block, either side of the first four-block
+// batch (192 bytes: from 193 on, blocks 1-4 come from one batch), either
+// side of one full batch, and the wire path's 480-byte message. The output
+// must be RFC 8439's construction from the reference functions: the
+// plaintext XOR the stream from counter 1, then Poly1305 under block 0 over
+// aad || pad16 || ciphertext || pad16 || the two lengths.
 TEST(Aead, RoundTripAtBatchEdges) {
   util::Bytes key(kAeadKeySize), nonce(kAeadNonceSize);
   for (std::size_t i = 0; i < key.size(); ++i) {
@@ -73,7 +73,8 @@ TEST(Aead, RoundTripAtBatchEdges) {
     nonce[i] = static_cast<std::uint8_t>(i + 40);
   }
   const util::Bytes aad = to_bytes("cell-header");
-  for (std::size_t n : {0u, 1u, 63u, 64u, 65u, 128u, 129u, 480u}) {
+  for (std::size_t n : {0u, 1u, 63u, 64u, 65u, 192u, 193u, 256u, 257u,
+                        480u}) {
     util::Bytes pt(n);
     for (std::size_t i = 0; i < n; ++i) {
       pt[i] = static_cast<std::uint8_t>(3 * i + n);

@@ -94,10 +94,13 @@ TEST(KeyManager, SessionKeyMatchesEcdh) {
         util::Bytes info = util::to_bytes("odtn-session");
         util::put_u32le(info, lo);
         util::put_u32le(info, hi);
-        const util::Bytes expected = crypto::hkdf(
-            crypto::shared_secret(km.node_identity(lo).private_key,
-                                  km.node_identity(hi).public_key),
-            /*salt=*/{}, info, 32);
+        util::Bytes expected(32);
+        crypto::hkdf_expand_into(
+            crypto::hkdf_extract_key(
+                /*salt=*/{},
+                crypto::shared_secret(km.node_identity(lo).private_key,
+                                      km.node_identity(hi).public_key)),
+            info, expected);
         ASSERT_EQ(km.session_key(hi, lo), expected)
             << "seed " << seed << ", pair " << lo << "-" << hi;
       }
