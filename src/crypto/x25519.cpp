@@ -103,6 +103,12 @@ using u128 = __uint128_t;
                   (u128)d0 * a4 + (u128)d1 * a3 + (u128)a2 * a2);
 }
 
+// a^(2^n).
+[[gnu::always_inline]] inline Fe fe_sq_n(Fe a, int n) {
+  for (int i = 0; i < n; ++i) a = fe_sq(a);
+  return a;
+}
+
 [[gnu::always_inline]] inline Fe fe_mul_small(const Fe& a, std::uint64_t s) {
   return fe_carry((u128)a.v[0] * s, (u128)a.v[1] * s, (u128)a.v[2] * s,
                   (u128)a.v[3] * s, (u128)a.v[4] * s);
@@ -116,6 +122,23 @@ using u128 = __uint128_t;
     a.v[i] ^= x;
     b.v[i] ^= x;
   }
+}
+
+// a^(p-2) = a^-1 mod p.
+Fe fe_invert(const Fe& a) {
+  // Addition chain from curve25519 reference implementations.
+  Fe z2 = fe_sq(a);                                 // 2
+  Fe z9 = fe_mul(fe_sq_n(z2, 2), a);                // 9
+  Fe z11 = fe_mul(z9, z2);                          // 11
+  Fe z_5_0 = fe_mul(fe_sq(z11), z9);                // 2^5 - 2^0
+  Fe z_10_0 = fe_mul(fe_sq_n(z_5_0, 5), z_5_0);     // 2^10 - 2^0
+  Fe z_20_0 = fe_mul(fe_sq_n(z_10_0, 10), z_10_0);  // 2^20 - 2^0
+  Fe z_40_0 = fe_mul(fe_sq_n(z_20_0, 20), z_20_0);  // 2^40 - 2^0
+  Fe z_50_0 = fe_mul(fe_sq_n(z_40_0, 10), z_10_0);  // 2^50 - 2^0
+  Fe z_100_0 = fe_mul(fe_sq_n(z_50_0, 50), z_50_0);     // 2^100 - 2^0
+  Fe z_200_0 = fe_mul(fe_sq_n(z_100_0, 100), z_100_0);  // 2^200 - 2^0
+  Fe z_250_0 = fe_mul(fe_sq_n(z_200_0, 50), z_50_0);    // 2^250 - 2^0
+  return fe_mul(fe_sq_n(z_250_0, 5), z11);              // 2^255 - 21
 }
 
 Fe fe_from_bytes(const std::uint8_t* s) {
@@ -134,8 +157,7 @@ Fe fe_from_bytes(const std::uint8_t* s) {
   return r;
 }
 
-// The canonical value of a, in [0, p), as four little-endian 64-bit words.
-void fe_to_words(std::uint64_t* w, const Fe& a) {
+void fe_to_bytes(std::uint8_t* s, const Fe& a) {
   // Carry fully, then reduce mod p canonically.
   Fe t = a;
   std::uint64_t c;
@@ -159,197 +181,17 @@ void fe_to_words(std::uint64_t* w, const Fe& a) {
   c = t.v[3] >> 51; t.v[3] &= kMask51; t.v[4] += c;
   t.v[4] &= kMask51;
 
-  w[0] = t.v[0] | (t.v[1] << 51);
-  w[1] = (t.v[1] >> 13) | (t.v[2] << 38);
-  w[2] = (t.v[2] >> 26) | (t.v[3] << 25);
-  w[3] = (t.v[3] >> 39) | (t.v[4] << 12);
-}
-
-void fe_to_bytes(std::uint8_t* s, const Fe& a) {
-  std::uint64_t w[4];
-  fe_to_words(w, a);
-  for (int i = 0; i < 32; ++i) {
-    s[i] = static_cast<std::uint8_t>(w[i / 8] >> (8 * (i % 8)));
-  }
-}
-
-// ---- Inversion --------------------------------------------------------------
-//
-// a^-1 mod p by the constant-time safegcd of Bernstein and Yang ("Fast
-// constant-time gcd computation and modular inversion", TCHES 2019), laid
-// out as libsecp256k1's modinv64: numbers in five signed 62-bit limbs, and
-// 10 rounds of 59 divsteps, each round's steps run on the low 64 bits of f
-// and g alone and then applied to the full numbers as one 2x2 matrix
-// scaled by 2^62. 590 divsteps suffice for any input below 2^256, so the
-// step count is fixed, and every step is masks and shifts, with no branch
-// or memory index that depends on the value. g = 0 leaves d = 0, so 0 maps
-// to 0: a low-order input point must give the all-zero output (RFC 7748
-// section 6.1).
-
-// v[0] + v[1] 2^62 + v[2] 2^124 + v[3] 2^186 + v[4] 2^248, limbs signed.
-struct Signed62 {
-  std::int64_t v[5];
-};
-
-using i128 = __int128;
-
-constexpr std::uint64_t kMask62 = (1ULL << 62) - 1;
-// p = 2^255 - 19 = -19 + 128 * 2^248.
-constexpr Signed62 kP62{{-19, 0, 0, 0, 128}};
-// p^-1 mod 2^62.
-constexpr std::uint64_t kPInv62 = 0x39435e50d79435e5ULL;
-
-// The low 62 bits of x, as a limb.
-inline std::int64_t low62(i128 x) {
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) & kMask62);
-}
-
-// The transition matrix [u v; q r] of a round of divsteps, times 2^62.
-struct Trans {
-  std::int64_t u, v, q, r;
-};
-
-// 59 divsteps on the low bits f0, g0 of f and g, from zeta = -(delta + 1/2)
-// (the "half-delta" variant). Returns the new zeta; t maps (f, g) to 2^62
-// times the new (f, g). The matrix starts at 8 = 2^(62 - 59). The volatile
-// loads keep the compiler from turning the masks back into branches.
-std::int64_t divsteps_59(std::int64_t zeta, std::uint64_t f0,
-                         std::uint64_t g0, Trans& t) {
-  std::uint64_t u = 8, v = 0, q = 0, r = 8, f = f0, g = g0;
-  volatile std::uint64_t c1, c2;
-  for (int i = 3; i < 62; ++i) {
-    // Masks for zeta < 0 and for g odd.
-    c1 = static_cast<std::uint64_t>(zeta >> 63);
-    c2 = g & 1;
-    std::uint64_t mask1 = c1;
-    const std::uint64_t mask2 = 0 - c2;
-    // With g odd, g += (f, negated if zeta < 0), and the same for the
-    // matrix rows.
-    const std::uint64_t x = (f ^ mask1) - mask1, y = (u ^ mask1) - mask1,
-                        z = (v ^ mask1) - mask1;
-    g += x & mask2;
-    q += y & mask2;
-    r += z & mask2;
-    // With zeta < 0 and g odd, f += the new g (that is, f takes the old g)
-    // and zeta becomes -zeta - 2; otherwise zeta - 1.
-    mask1 &= mask2;
-    zeta = (zeta ^ static_cast<std::int64_t>(mask1)) - 1;
-    f += g & mask1;
-    u += q & mask1;
-    v += r & mask1;
-    g >>= 1;
-    u <<= 1;
-    v <<= 1;
-  }
-  t = {static_cast<std::int64_t>(u), static_cast<std::int64_t>(v),
-       static_cast<std::int64_t>(q), static_cast<std::int64_t>(r)};
-  return zeta;
-}
-
-// (d, e) = t (d, e) / 2^62 mod p. A multiple of p is added first so that
-// the bottom 62 bits are zero; d and e stay in (-2p, p).
-void update_de(Signed62& d, Signed62& e, const Trans& t) {
-  const std::int64_t u = t.u, v = t.v, q = t.q, r = t.r;
-  // Start md, me at [u, q] if d < 0, plus [v, r] if e < 0.
-  const std::int64_t sd = d.v[4] >> 63, se = e.v[4] >> 63;
-  std::int64_t md = (u & sd) + (v & se), me = (q & sd) + (r & se);
-  i128 cd = (i128)u * d.v[0] + (i128)v * e.v[0];
-  i128 ce = (i128)q * d.v[0] + (i128)r * e.v[0];
-  // Correct md, me so that t (d, e) + p (md, me) has 62 zero low bits.
-  md -= low62(kPInv62 * static_cast<std::uint64_t>(cd) +
-               static_cast<std::uint64_t>(md));
-  me -= low62(kPInv62 * static_cast<std::uint64_t>(ce) +
-               static_cast<std::uint64_t>(me));
-  cd += (i128)kP62.v[0] * md;
-  ce += (i128)kP62.v[0] * me;
-  cd >>= 62;
-  ce >>= 62;
-  // Limbs 1-4 of the sum become limbs 0-3 (p's limbs 1-3 are zero).
-  for (int i = 1; i < 5; ++i) {
-    cd += (i128)u * d.v[i] + (i128)v * e.v[i];
-    ce += (i128)q * d.v[i] + (i128)r * e.v[i];
-    if (i == 4) {
-      cd += (i128)kP62.v[4] * md;
-      ce += (i128)kP62.v[4] * me;
-    }
-    d.v[i - 1] = low62(cd);
-    e.v[i - 1] = low62(ce);
-    cd >>= 62;
-    ce >>= 62;
-  }
-  d.v[4] = static_cast<std::int64_t>(cd);
-  e.v[4] = static_cast<std::int64_t>(ce);
-}
-
-// (f, g) = t (f, g) / 2^62, exactly: the divsteps made the low 62 bits zero.
-void update_fg(Signed62& f, Signed62& g, const Trans& t) {
-  const std::int64_t u = t.u, v = t.v, q = t.q, r = t.r;
-  i128 cf = (i128)u * f.v[0] + (i128)v * g.v[0];
-  i128 cg = (i128)q * f.v[0] + (i128)r * g.v[0];
-  cf >>= 62;
-  cg >>= 62;
-  for (int i = 1; i < 5; ++i) {
-    cf += (i128)u * f.v[i] + (i128)v * g.v[i];
-    cg += (i128)q * f.v[i] + (i128)r * g.v[i];
-    f.v[i - 1] = low62(cf);
-    g.v[i - 1] = low62(cg);
-    cf >>= 62;
-    cg >>= 62;
-  }
-  f.v[4] = static_cast<std::int64_t>(cf);
-  g.v[4] = static_cast<std::int64_t>(cg);
-}
-
-// r from (-2p, p) to [0, p), negated first if `sign` is negative.
-void normalize(Signed62& r, std::int64_t sign) {
-  auto add_p_if_negative = [&r] {
-    const std::int64_t neg = r.v[4] >> 63;
-    for (int i = 0; i < 5; ++i) r.v[i] += kP62.v[i] & neg;
+  std::uint64_t out0 = t.v[0] | (t.v[1] << 51);
+  std::uint64_t out1 = (t.v[1] >> 13) | (t.v[2] << 38);
+  std::uint64_t out2 = (t.v[2] >> 26) | (t.v[3] << 25);
+  std::uint64_t out3 = (t.v[3] >> 39) | (t.v[4] << 12);
+  auto store64 = [](std::uint8_t* p, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
   };
-  auto carry = [&r] {
-    for (int i = 0; i < 4; ++i) {
-      r.v[i + 1] += r.v[i] >> 62;
-      r.v[i] = low62(r.v[i]);
-    }
-  };
-  add_p_if_negative();  // now in (-p, p)
-  const std::int64_t neg = sign >> 63;
-  for (int i = 0; i < 5; ++i) r.v[i] = (r.v[i] ^ neg) - neg;
-  carry();
-  add_p_if_negative();  // now in [0, p)
-  carry();
-}
-
-Fe fe_invert(const Fe& a) {
-  std::uint64_t w[4];
-  fe_to_words(w, a);
-  Signed62 g{{low62(w[0]), low62((w[0] >> 62) | (w[1] << 2)),
-              low62((w[1] >> 60) | (w[2] << 4)),
-              low62((w[2] >> 58) | (w[3] << 6)),
-              static_cast<std::int64_t>(w[3] >> 56)}};
-  Signed62 d{{0, 0, 0, 0, 0}}, e{{1, 0, 0, 0, 0}}, f = kP62;
-  std::int64_t zeta = -1;  // delta = 1/2
-  for (int i = 0; i < 10; ++i) {
-    Trans t;
-    zeta = divsteps_59(zeta, static_cast<std::uint64_t>(f.v[0]),
-                       static_cast<std::uint64_t>(g.v[0]), t);
-    update_de(d, e, t);
-    update_fg(f, g, t);
-  }
-  // g is 0 now, f is +-1 (or +-p for a = 0) and d is +-a^-1.
-  normalize(d, f.v[4]);
-  const std::uint64_t d0 = static_cast<std::uint64_t>(d.v[0]),
-                      d1 = static_cast<std::uint64_t>(d.v[1]),
-                      d2 = static_cast<std::uint64_t>(d.v[2]),
-                      d3 = static_cast<std::uint64_t>(d.v[3]),
-                      d4 = static_cast<std::uint64_t>(d.v[4]);
-  w[0] = d0 | (d1 << 62);
-  w[1] = (d1 >> 2) | (d2 << 60);
-  w[2] = (d2 >> 4) | (d3 << 58);
-  w[3] = (d3 >> 6) | (d4 << 56);
-  return Fe{{w[0] & kMask51, ((w[0] >> 51) | (w[1] << 13)) & kMask51,
-             ((w[1] >> 38) | (w[2] << 26)) & kMask51,
-             ((w[2] >> 25) | (w[3] << 39)) & kMask51, w[3] >> 12}};
+  store64(s, out0);
+  store64(s + 8, out1);
+  store64(s + 16, out2);
+  store64(s + 24, out3);
 }
 
 // Copies `scalar` into e, clamped per RFC 7748 section 5.
